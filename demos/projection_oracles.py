@@ -2,7 +2,11 @@
 
 closed-form-linear is exact but only exists for single affine layers; grid
 certifies a best-on-grid point for tiny latent dimension; latent-gd is the
-workhorse for anything else and never certifies.  The last section shows the
+workhorse for anything else and never certifies.  latent-gd runs
+Levenberg–Marquardt from several latent starts: each iteration builds the
+n-by-k Jacobian, solves the damped k-by-k Gauss–Newton system, and raises the
+damping until the step lowers the residual, so a restart converges in tens
+of iterations and the best restart wins.  The last section shows the
 deliberately degraded oracle used for slack studies.
 """
 
@@ -25,7 +29,7 @@ x = rng.standard_normal(15)
 exact = project(ProjectionConfig(method="closed-form-linear"), flat, x)
 print(f"closed form: residual_sq {exact.residual_sq:.6f}, certified {exact.certified}")
 
-# nonconvex range now: grid vs multi-restart descent
+# nonconvex range now: grid vs multi-restart Levenberg–Marquardt
 net = make_random_generator(2, 20, 2, (8,), activation="relu", seed=0)
 target = forward(net, np.array([1.3, -0.4])) + 0.05 * rng.standard_normal(20)
 

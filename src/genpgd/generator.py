@@ -2,9 +2,9 @@
 
 A generator maps a low-dimensional latent vector to a signal through a stack
 of affine layers with elementwise nonlinearities.  This module provides the
-network types, exact evaluation, the vector-Jacobian product used by
-latent-space descent, seeded builders, and a JSON form whose floats survive a
-write/read cycle bit-exactly.
+network types, exact evaluation, the vector-Jacobian product, the forward
+Jacobian pass used by latent-space Levenberg–Marquardt, seeded builders, and
+a JSON form whose floats survive a write/read cycle bit-exactly.
 """
 
 from __future__ import annotations
@@ -198,6 +198,23 @@ def vjp(net: GeneratorNetwork, z, cotangent) -> np.ndarray:
     for layer, pre in zip(reversed(net.layers), reversed(pres)):
         g = layer.weights.T @ (layer.activation.derivative(pre) * g)
     return g
+
+
+def _forward_jacobian(net: GeneratorNetwork, z):
+    """Output ``forward(net, z)`` and the n-by-k Jacobian ``J(z)`` in one pass.
+
+    Forward mode: the k tangent columns ride along with the activations,
+    ``J <- act'(pre)[:, None] * (W @ J)`` per layer, which is cheap because
+    the latent dimension is small.  Kinks use the same one-sided derivatives
+    as :func:`vjp`, so ``J.T @ c == vjp(net, z, c)`` up to rounding.
+    """
+    a = _check_latent(net, z)
+    J = np.eye(net.k)
+    for layer in net.layers:
+        pre = layer.weights @ a + layer.bias
+        a = layer.activation.apply(pre)
+        J = layer.activation.derivative(pre)[:, None] * (layer.weights @ J)
+    return a, J
 
 
 def make_linear_generator(W) -> GeneratorNetwork:

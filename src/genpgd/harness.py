@@ -476,25 +476,32 @@ def load_problem(directory) -> ProblemInstance:
         raise ContractError(f"no readable instance at {directory}: {e}") from e
     except json.JSONDecodeError as e:
         raise ContractError(f"instance file at {directory} is not valid JSON: {e}") from e
-    if doc.get("format") != "genpgd-instance":
+    if not isinstance(doc, dict) or doc.get("format") != "genpgd-instance":
         raise ContractError(f"{directory} does not hold a problem instance")
-    truth = doc["truth"]
-    nu = truth["nu_star"]
-    basis_file = doc["files"]["basis"]
-    return ProblemInstance(
-        net=load_network(directory / doc["files"]["network"]),
-        basis=None if basis_file is None else OrthoBasis(
-            read_matrix_csv(directory / basis_file)),
-        A=read_matrix_csv(directory / doc["files"]["A"]),
-        y=np.array(doc["y"], dtype=float),
-        truth=Truth(
-            z_star=np.array(truth["z_star"], dtype=float),
-            nu_star=None if nu is None else np.array(nu, dtype=float),
-            x_star=np.array(truth["x_star"], dtype=float),
-            noise=np.array(truth["noise"], dtype=float),
-        ),
-        meta=InstanceMeta(**doc["meta"]),
-    )
+    try:
+        truth = doc["truth"]
+        nu = truth["nu_star"]
+        basis_file = doc["files"]["basis"]
+        return ProblemInstance(
+            net=load_network(directory / doc["files"]["network"]),
+            basis=None if basis_file is None else OrthoBasis(
+                read_matrix_csv(directory / basis_file)),
+            A=read_matrix_csv(directory / doc["files"]["A"]),
+            y=np.array(doc["y"], dtype=float),
+            truth=Truth(
+                z_star=np.array(truth["z_star"], dtype=float),
+                nu_star=None if nu is None else np.array(nu, dtype=float),
+                x_star=np.array(truth["x_star"], dtype=float),
+                noise=np.array(truth["noise"], dtype=float),
+            ),
+            meta=InstanceMeta(**doc["meta"]),
+        )
+    except ContractError:  # a ValueError too; already carries its message
+        raise
+    except KeyError as e:
+        raise ContractError(f"instance at {directory} lacks field {e}") from e
+    except (OSError, TypeError, ValueError) as e:
+        raise ContractError(f"malformed instance at {directory}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +845,8 @@ def emit_report(results_dir, out_dir=None) -> dict:
 
     ``report.txt`` gives one line per run: PASS when every recorded step
     respected the theory rate, FAIL on violations or solver failure, SKIP
-    when the bound is vacuous, plus an unrateable note when fewer than 3
+    when the bound is vacuous (no theory rate, or a rate of 1 or more),
+    plus an unrateable note when fewer than 3
     usable points existed for the rate fit.  Output depends only on the
     recorded files, so reports are byte-stable.
     """
@@ -870,9 +878,13 @@ def emit_report(results_dir, out_dir=None) -> dict:
             scatter_lines.append(
                 f"{format(row['theory_rate'], '.17e')}\t{label}\t"
                 f"{format(row['fitted_rate'], '.17e')}")
-        if row["theory_rate"] is None:
+        rate = row["theory_rate"]
+        if rate is None or rate >= 1.0:
+            # a bound of 1 or more admits any non-expanding gap sequence
+            why = "" if rate is None else f" ({rate:.6e} >= 1)"
             report_lines.append(
-                f"run {label}: theory rate vacuous; " + "; ".join(notes or ["no bound to check"]) + "  SKIP")
+                f"run {label}: theory rate vacuous{why}; "
+                + "; ".join(notes or ["no bound to check"]) + "  SKIP")
             n_skip += 1
             continue
         # display ratios over the same pre-plateau segment the rate was

@@ -3,7 +3,7 @@
 Three routes are provided.  ``closed-form-linear`` is the exact least-squares
 projection available when the generator is a single affine layer; ``grid``
 certifies a best-on-grid point for latent dimension at most 3; ``latent-gd``
-runs multi-restart gradient descent in latent space and never certifies
+runs multi-restart Levenberg–Marquardt in latent space and never certifies
 optimality (the landscape is nonconvex).  Hard thresholding of analysis
 coefficients in an orthonormal basis, the exact projection onto the set of
 basis-sparse vectors, lives here too.
@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .generator import GeneratorNetwork, forward, forward_batch, vjp
+from .generator import GeneratorNetwork, _forward_jacobian, forward, forward_batch
+from .generator import vjp  # noqa: F401  (bench/test_bench.py traces it through this module)
 from .seeding import check_seed, spawn_rng
 
 __all__ = [
@@ -75,6 +76,13 @@ class ProjectionConfig:
     to study how solvers respond to inexact oracles.  ``grid_bounds`` is the
     latent search box (default (-3, 3) per coordinate): the grid method
     evaluates on a mesh over it, and latent-gd samples restart points from it.
+
+    ``latent-gd`` runs ``restarts`` Levenberg–Marquardt descents on
+    z -> 0.5 ||x - G(z)||^2.  ``inner_iters`` caps the iterations of each
+    (one Jacobian and one damped k-by-k solve per iteration).
+    ``inner_step`` is ``"backtracking"`` for the plain damped step, or a
+    positive number that scales every step; the damping still backs a step
+    off until it decreases the residual.
     """
 
     method: str = "latent-gd"
@@ -213,38 +221,56 @@ def project_linear(W, x) -> ProjectionResult:
 
 
 def _descend(net, x, z0, inner_iters, inner_step):
-    """Gradient descent on z -> 0.5 ||x - G(z)||^2 from one start."""
+    """Levenberg–Marquardt on z -> 0.5 ||x - G(z)||^2 from one start.
+
+    Each iteration solves (J^T J + lam I) p = J^T r for the k-by-k damped
+    Gauss–Newton step and accepts z - p on sufficient decrease
+    (f_try <= f - 1e-4 g^T p); a rejected trial multiplies lam by 4 and
+    re-solves with the same J, an accepted one divides it by 4.  lam starts
+    at tr(J^T J), so the first steps are short gradient-like moves.  A
+    numeric ``inner_step`` scales every step.  Stops at ``inner_iters``
+    iterations, on a gradient norm below 1e-9, when 50 damping increases in
+    a row find no decrease, or when a step gains at most 1e-12 of f.
+    """
+    scale = 1.0 if inner_step == "backtracking" else inner_step
+    eye = np.eye(net.k)
     z = z0
-    r = forward(net, z) - x
+    out, J = _forward_jacobian(net, z)
+    r = out - x
     f = 0.5 * float(r @ r)
+    lam = float(np.sum(J * J))  # tr(J^T J)
     for _ in range(inner_iters):
-        g = vjp(net, z, r)
-        gnorm_sq = float(g @ g)
-        if gnorm_sq < 1e-18:  # gradient norm below 1e-9
+        g = J.T @ r
+        if float(g @ g) < 1e-18:  # gradient norm below 1e-9
             break
-        if inner_step == "backtracking":
-            step = 1.0
-            accepted = False
-            for _ in range(50):
-                z_try = z - step * g
-                r_try = forward(net, z_try) - x
-                f_try = 0.5 * float(r_try @ r_try)
-                if f_try <= f - 1e-4 * step * gnorm_sq:
-                    z, r, f = z_try, r_try, f_try
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
+        JtJ = J.T @ J
+        for _ in range(50):
+            try:
+                p = scale * np.linalg.solve(JtJ + lam * eye, g)
+            except np.linalg.LinAlgError:
+                # dependent Jacobian columns with lam below their rounding
+                lam *= 4.0
+                continue
+            z_try = z - p
+            r_try = forward(net, z_try) - x
+            f_try = 0.5 * float(r_try @ r_try)
+            if f_try <= f - 1e-4 * float(g @ p):
                 break
+            lam *= 4.0
         else:
-            z = z - inner_step * g
-            r = forward(net, z) - x
-            f = 0.5 * float(r @ r)
+            break
+        converged = f - f_try <= 1e-12 * f
+        z, r, f = z_try, r_try, f_try
+        lam *= 0.25
+        if converged:
+            break
+        J = _forward_jacobian(net, z)[1]
     return z, f
 
 
 def _project_latent_gd(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarray):
-    """Multi-restart latent descent.  Restart 0 starts at the origin; later
+    """Multi-restart Levenberg–Marquardt in latent space (see
+    :func:`_descend` for one restart).  Restart 0 starts at the origin; later
     restarts draw uniformly from the search box (``grid_bounds``, same default
     as the grid method), which covers far-from-origin basins that standard
     normal draws rarely reach.  Restarts use nested seed streams

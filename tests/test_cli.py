@@ -80,6 +80,23 @@ class TestSolve:
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg), str(tmp_path / "nowhere")]) == 2
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["truth"].pop("noise"),
+        lambda doc: doc["meta"].update(bogus=1),
+        lambda doc: doc["files"].update(A="missing.csv"),
+    ], ids=["missing-truth-noise", "unknown-meta-key", "missing-matrix-file"])
+    def test_malformed_instance_exit_code(self, tmp_path, capsys, corrupt):
+        cfg = write_config(tmp_path)
+        inst = tmp_path / "inst"
+        main(["gen", "--config", str(cfg), "--out", str(inst)])
+        doc = json.loads((inst / "instance.json").read_text())
+        corrupt(doc)
+        (inst / "instance.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["solve", "--config", str(cfg), str(inst),
+                     "--out", str(tmp_path / "res")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, **{"solver.eta": 500.0})
         assert main(["solve", "--config", str(cfg)]) == 3

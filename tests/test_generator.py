@@ -19,6 +19,7 @@ from genpgd.generator import (
     network_to_json,
     vjp,
 )
+from genpgd.generator import _forward_jacobian
 
 
 def fd_vjp(net, z, cotangent, h=1e-6):
@@ -141,6 +142,25 @@ class TestVjp:
         net = tiny_relu_net()
         with pytest.raises(ContractError, match="cotangent"):
             vjp(net, np.zeros(2), np.zeros(5))
+
+
+class TestForwardJacobian:
+    @pytest.mark.parametrize("name,build", ARCHS)
+    def test_matches_vjp_and_central_differences(self, name, build):
+        net = build()
+        rng = np.random.default_rng(hash(name) % 2**32)
+        for _ in range(5):
+            z = generic_latent(net, rng)
+            c = rng.standard_normal(net.n)
+            out, J = _forward_jacobian(net, z)
+            assert J.shape == (net.n, net.k)
+            np.testing.assert_array_equal(out, forward(net, z))
+            np.testing.assert_allclose(J.T @ c, vjp(net, z, c), rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(J.T @ c, fd_vjp(net, z, c), rtol=1e-5, atol=1e-8)
+
+    def test_relu_kink_uses_zero_derivative(self):
+        net = GeneratorNetwork([Layer(np.array([[1.0]]), np.zeros(1), Activation("relu"))])
+        assert _forward_jacobian(net, np.array([0.0]))[1][0, 0] == 0.0
 
 
 class TestBuilders:

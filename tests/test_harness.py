@@ -1,6 +1,7 @@
 """Instance generation, end-to-end solves, sweeps, and reports."""
 
 import copy
+import csv
 import json
 
 import numpy as np
@@ -378,6 +379,20 @@ class TestEmitReport:
         scatter = paths["rate_plot"].read_text().splitlines()
         assert scatter[0] == "x\tseries\tvalue"
         assert len(scatter) == 2  # one rateable run
+
+    def test_rate_at_least_one_is_skipped(self, tmp_path):
+        # m=12 measurements of a 6-dim range in R^40: the curvature ratio
+        # makes the pgd theory rate far above 1, a bound that checks nothing
+        results = self.make_results(tmp_path, **{
+            "problem.n": 40, "problem.k": 6, "problem.m": 12,
+            "sweep.trials": 3})
+        with open(results / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert all(float(r["theory_rate"]) >= 1.0 for r in rows)
+        text = emit_report(results)["report"].read_text()
+        assert text.count("theory rate vacuous") == 3
+        assert "PASS" not in text
+        assert text.rstrip().endswith("3 runs, 0 pass, 0 fail, 3 skip")
 
     def test_divergent_run_marked(self, tmp_path):
         results = self.make_results(tmp_path, **{"solver.eta": 500.0})

@@ -24,6 +24,7 @@ from genpgd.projection import (
     project,
     project_linear,
 )
+from genpgd.projection import _descend
 
 
 def brute_force_sparse_projection(B, v, l):
@@ -257,6 +258,49 @@ class TestProjectLatentGd:
         )
         ref = project_linear(W, x)
         assert res.residual_sq <= ref.residual_sq + 1e-8
+
+    def test_one_restart_converges_on_linear_generator(self):
+        # Levenberg-Marquardt is exact Gauss-Newton in the limit of small
+        # damping, so on an affine generator it reaches the least-squares
+        # optimum in a handful of iterations
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            W = rng.standard_normal((10, 3))
+            x = rng.standard_normal(10)
+            cfg = ProjectionConfig(method="latent-gd", restarts=1, inner_iters=20, seed=0)
+            res = project(cfg, make_linear_generator(W), x)
+            assert res.residual_sq <= project_linear(W, x).residual_sq + 1e-10
+
+    @pytest.mark.parametrize("activation,slope", [("tanh", None), ("leaky-relu", 0.2)])
+    def test_descent_never_increases_residual(self, activation, slope):
+        rng = np.random.default_rng(17)
+        for net_seed in range(12):
+            net = make_random_generator(3, 12, 2, [8], activation, seed=net_seed, slope=slope)
+            for _ in range(20):
+                x = rng.standard_normal(12)
+                z0 = rng.uniform(-3.0, 3.0, size=3)
+                start = float(np.sum((forward(net, z0) - x) ** 2))
+                for inner_iters in (1, 2, 3, 5, 10, 200):
+                    z, f = _descend(net, x, z0, inner_iters, "backtracking")
+                    assert 2.0 * f <= start
+                    assert f == pytest.approx(
+                        0.5 * float(np.sum((forward(net, z) - x) ** 2)), rel=1e-12)
+
+    def test_dependent_latent_directions(self):
+        # two identical latent columns: J^T J is singular everywhere, so the
+        # damped system turns singular once lam shrinks below rounding; the
+        # range is that of the one-latent net, which the grid certifies
+        base = make_random_generator(2, 8, 2, [6], "tanh", seed=23)
+        w = base.layers[0].weights[:, :1]
+        dup = GeneratorNetwork(
+            [Layer(np.hstack([w, w]), np.zeros(6), Activation("tanh")), base.layers[1]])
+        one = GeneratorNetwork([Layer(w, np.zeros(6), Activation("tanh")), base.layers[1]])
+        lgd = ProjectionConfig(method="latent-gd", restarts=3, seed=0)
+        grid = ProjectionConfig(method="grid", grid_bounds=(-6.0, 6.0), grid_resolution=2001)
+        for s in range(5):
+            x = np.random.default_rng(s).standard_normal(8)
+            got = project(lgd, dup, x).residual_sq
+            assert got <= project(grid, one, x).residual_sq + 1e-9
 
     def test_zero_range_generator(self):
         # all-zero weights: the range is {0}; descent stays wherever it starts
