@@ -25,9 +25,8 @@ from pathlib import Path
 from .errors import ConfigError, ContractError, DivergenceError
 from .harness import (
     ExperimentConfig,
-    build_objective,
+    _solve_setup,
     emit_report,
-    estimate_regularity,
     gen_problem,
     load_problem,
     run_solve,
@@ -133,11 +132,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    inst = _single_instance(cfg)
-    obj = build_objective(inst, cfg.problem.measurement)
-    sparsity = cfg.problem.l if cfg.solver.mode == "myopic" else 0
-    reg = estimate_regularity(inst, obj, sparsity=sparsity,
-                              seed=derive_seed(cfg.master_seed, 100))
+    # the bundle `solve` records for the same config and instance
+    _, _, reg = _solve_setup(_single_instance(cfg), cfg)
     doc = json.dumps(reg.to_json(), indent=2, sort_keys=True)
     print(doc)
     if args.out is not None:

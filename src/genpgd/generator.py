@@ -147,6 +147,12 @@ class GeneratorNetwork:
     def d(self) -> int:
         return len(self.layers)
 
+    @property
+    def is_single_affine(self) -> bool:
+        """One identity-activation layer: the range is an affine subspace,
+        so projections and curvature constants have closed forms."""
+        return self.d == 1 and self.layers[0].activation.kind == "identity"
+
     def __repr__(self):
         dims = " -> ".join(str(l.in_dim) for l in self.layers) + f" -> {self.n}"
         return f"GeneratorNetwork({dims})"

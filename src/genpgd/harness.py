@@ -36,15 +36,11 @@ from .generator import (
 from .objective import (
     Objective,
     RegularityEstimates,
+    _curvature_bounds,
+    _link_mean,
     estimate_diameter_gamma,
     estimate_incoherence,
-    estimate_rsc_rss,
-    gradient,
-    latent_pair_sampler,
-    minkowski_curvature,
-    subspace_curvature,
     subspace_incoherence,
-    sum_pair_sampler,
 )
 from .projection import OrthoBasis, ProjectionConfig
 from .seeding import check_seed, derive_seed, spawn_rng
@@ -356,12 +352,6 @@ class ProblemInstance:
             raise ContractError("y must equal A x_star + noise exactly as stored")
 
 
-def _glm_mean(t: np.ndarray, link: str) -> np.ndarray:
-    if link == "sigmoid":
-        return 0.5 * (1.0 + np.tanh(0.5 * t))
-    return np.exp(t)
-
-
 def gen_problem(spec: ProblemSpec, seed: int) -> ProblemInstance:
     """Draw one instance of the configured family, fully determined by
     ``seed``: Gaussian A with entry variance 1/m, standard Gaussian latent
@@ -389,7 +379,7 @@ def gen_problem(spec: ProblemSpec, seed: int) -> ProblemInstance:
 
     A = spawn_rng(seed, 5).standard_normal((spec.m, spec.n)) / np.sqrt(spec.m)
     clean = A @ x_star
-    mean = clean if spec.measurement == "linear" else _glm_mean(
+    mean = clean if spec.measurement == "linear" else _link_mean(
         clean, spec.measurement.split("-")[1])
     if spec.noise_level > 0:
         e = spawn_rng(seed, 6).standard_normal(spec.m)
@@ -516,10 +506,6 @@ def build_objective(inst: ProblemInstance, measurement: str) -> Objective:
     return Objective("glm", inst.A, inst.y, link=measurement.split("-")[1])
 
 
-def _is_single_affine(net: GeneratorNetwork) -> bool:
-    return net.d == 1 and net.layers[0].activation.kind == "identity"
-
-
 def estimate_regularity(inst: ProblemInstance, objective: Objective,
                         sparsity: int = 0, num_pairs: int = 400,
                         num_samples: int = 64, seed: int = 0) -> RegularityEstimates:
@@ -533,14 +519,11 @@ def estimate_regularity(inst: ProblemInstance, objective: Objective,
     net, basis = inst.net, inst.basis
     if sparsity > 0 and basis is None:
         raise ConfigError("sparsity > 0 needs a basis")
-    exact = _is_single_affine(net) and objective.kind == "least-squares"
+    alpha, beta = _curvature_bounds(objective, net, basis, sparsity,
+                                    num_pairs=num_pairs, seed=derive_seed(seed, 0))
+    exact = net.is_single_affine and objective.kind == "least-squares"
     if exact:
         W = net.layers[0].weights
-        if sparsity > 0:
-            alpha, beta = minkowski_curvature(
-                objective.A, W, basis, sparsity, seed=derive_seed(seed, 0))
-        else:
-            alpha, beta = subspace_curvature(objective.A, W)
         if sparsity > 0:
             rng = spawn_rng(seed, 1)
             supports = [np.sort(rng.choice(inst.meta.n, size=sparsity, replace=False))
@@ -555,12 +538,6 @@ def estimate_regularity(inst: ProblemInstance, objective: Objective,
             mu = 0.0
         used = 0
     else:
-        if sparsity > 0:
-            sampler = sum_pair_sampler(net, basis, sparsity)
-        else:
-            sampler = latent_pair_sampler(net)
-        est = estimate_rsc_rss(objective, sampler, num_pairs, seed=derive_seed(seed, 0))
-        alpha, beta = est.alpha, est.beta
         mu = (estimate_incoherence(net, basis, sparsity,
                                    num_samples=num_pairs, seed=derive_seed(seed, 1))
               if sparsity > 0 else 0.0)
@@ -618,26 +595,44 @@ class SolveSummary:
         return cls(**doc)
 
 
-def run_solve(inst: ProblemInstance, config: ExperimentConfig,
-              out_dir=None):
-    """Solve one instance under ``config``; returns (summary, trace).
+def _solve_setup(inst: ProblemInstance, config: ExperimentConfig):
+    """The objective, the resolved solver config and the one regularity
+    bundle of a solve of ``inst`` under ``config``.
 
-    Writes ``trace.csv`` and ``summary.json`` into ``out_dir`` when given.
     A myopic solve inherits the instance's sparsity budget when the solver
-    config leaves ``l`` at 0.  Divergence propagates to the caller with the
-    partial trace attached.
+    config leaves ``l`` at 0, and its curvature set uses that budget.  A
+    null ``eta`` becomes 1/beta of the bundle, so the step size and the
+    theory rate rest on the same beta-hat.
     """
-    measurement = config.problem.measurement
-    obj = build_objective(inst, measurement)
+    obj = build_objective(inst, config.problem.measurement)
     solver_cfg = config.solver
+    sparsity = 0
     if solver_cfg.mode == "myopic":
         if inst.basis is None:
             raise ConfigError("myopic mode needs an instance with a basis")
         if solver_cfg.l == 0 and inst.meta.l > 0:
             solver_cfg = dataclasses.replace(solver_cfg, l=inst.meta.l)
-    sparsity = solver_cfg.l if solver_cfg.mode == "myopic" else 0
+        sparsity = solver_cfg.l
     reg = estimate_regularity(inst, obj, sparsity=sparsity,
                               seed=derive_seed(inst.meta.seed, 100))
+    if solver_cfg.eta is None:
+        solver_cfg = dataclasses.replace(solver_cfg, eta=1.0 / reg.beta)
+    return obj, solver_cfg, reg
+
+
+def run_solve(inst: ProblemInstance, config: ExperimentConfig,
+              out_dir=None):
+    """Solve one instance under ``config``; returns (summary, trace).
+
+    Writes ``trace.csv`` and ``summary.json`` into ``out_dir`` when given.
+    One regularity bundle per solve supplies both the theory rate and, when
+    ``solver.eta`` is null, the step size 1/beta (``summary.json`` records
+    it as ``regularity``); ``genpgd estimate`` prints the same bundle.  A
+    myopic solve inherits the instance's sparsity budget when the solver
+    config leaves ``l`` at 0.  Divergence propagates to the caller with the
+    partial trace attached.
+    """
+    obj, solver_cfg, reg = _solve_setup(inst, config)
     if solver_cfg.mode == "myopic":
         theory = myopic_contraction_factor(reg.alpha, reg.beta, reg.mu)
     else:
@@ -830,12 +825,21 @@ def _read_sweep_csv(path) -> list:
         if tuple(reader.fieldnames or ()) != _SWEEP_COLUMNS:
             raise ContractError(f"unexpected sweep header in {path}")
         for raw in reader:
+            # DictReader pads a short row with None and files extra cells under None
+            if None in raw or None in raw.values():
+                raise ContractError(
+                    f"sweep row at {path} line {reader.line_num} has "
+                    f"the wrong number of cells")
             row = dict(raw)
-            for name in ("m", "l", "trial", "seed", "violations"):
-                row[name] = int(raw[name]) if raw[name] else None
-            for name in ("noise_level", "final_gap", "final_dist",
-                         "fitted_rate", "theory_rate"):
-                row[name] = float(raw[name]) if raw[name] else None
+            try:
+                for name in ("m", "l", "trial", "seed", "violations"):
+                    row[name] = int(raw[name]) if raw[name] else None
+                for name in ("noise_level", "final_gap", "final_dist",
+                             "fitted_rate", "theory_rate"):
+                    row[name] = float(raw[name]) if raw[name] else None
+            except ValueError as e:
+                raise ContractError(
+                    f"malformed sweep row at {path} line {reader.line_num}: {e}") from e
             rows.append(row)
     return rows
 

@@ -127,13 +127,18 @@ def gradient(obj: Objective, x) -> np.ndarray:
     t = _inner(obj, x)
     if obj.kind == "least-squares":
         return obj.A.T @ (t - obj.y)
-    if obj.link == "sigmoid":
-        mean = 0.5 * (1.0 + np.tanh(0.5 * t))  # stable logistic
-    else:
-        with np.errstate(over="ignore"):
-            mean = np.exp(t)
-        _check_rows_finite(mean)
+    mean = _link_mean(t, obj.link)
+    _check_rows_finite(mean)
     return obj.A.T @ (mean - obj.y)
+
+
+def _link_mean(t: np.ndarray, link: str) -> np.ndarray:
+    """GLM response mean phi'(t) of the link's potential; overflow of the
+    exp link is left as inf for the caller to reject."""
+    if link == "sigmoid":
+        return 0.5 * (1.0 + np.tanh(0.5 * t))  # stable logistic
+    with np.errstate(over="ignore"):
+        return np.exp(t)
 
 
 def curvature_ratio(obj: Objective, x, y_pt) -> float:
@@ -290,10 +295,6 @@ def _cross_pair_extremes(obj: Objective, pairs, chunk: int = 256):
     return at_lo, at_hi, pts
 
 
-def _is_single_affine(net: GeneratorNetwork) -> bool:
-    return net.d == 1 and net.layers[0].activation.kind == "identity"
-
-
 def estimate_incoherence(net: GeneratorNetwork, basis: OrthoBasis, l: int,
                          sampler=None, num_samples: int = 1000, seed: int = 0,
                          support=None, refine: int = 2) -> float:
@@ -311,7 +312,7 @@ def estimate_incoherence(net: GeneratorNetwork, basis: OrthoBasis, l: int,
     rng = spawn_rng(seed)
     B = basis.matrix
     sup = None if support is None else np.asarray(support, dtype=int)
-    linear = _is_single_affine(net)
+    linear = net.is_single_affine
     if linear:
         Q = np.linalg.qr(net.layers[0].weights)[0]
 
@@ -482,6 +483,26 @@ def minkowski_curvature(A, W, basis: OrthoBasis, l: int, supports=None,
         alpha = min(alpha, float(lams[0]))
         beta = max(beta, float(lams[-1]))
     return alpha, beta
+
+
+def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis | None = None,
+                      l: int = 0, num_pairs: int = 400, seed: int = 0) -> tuple[float, float]:
+    """(alpha, beta) of ``obj`` over the range of ``net``, or over the
+    range-plus-l-sparse sum set when a basis and l > 0 are given.
+
+    Exact (:func:`subspace_curvature` / :func:`minkowski_curvature`) for
+    least squares on a single affine layer; otherwise
+    :func:`estimate_rsc_rss` over ``num_pairs`` sampled pairs.
+    """
+    sparse = basis is not None and l > 0
+    if obj.kind == "least-squares" and net.is_single_affine:
+        W = net.layers[0].weights
+        if sparse:
+            return minkowski_curvature(obj.A, W, basis, l, seed=seed)
+        return subspace_curvature(obj.A, W)
+    sampler = sum_pair_sampler(net, basis, l) if sparse else latent_pair_sampler(net)
+    est = estimate_rsc_rss(obj, sampler, num_pairs, seed=seed)
+    return est.alpha, est.beta
 
 
 def subspace_incoherence(W, basis: OrthoBasis, support) -> float:

@@ -306,7 +306,7 @@ def _project_grid(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarray):
 
 
 def _project_closed_form(net: GeneratorNetwork, x: np.ndarray):
-    if net.d != 1 or net.layers[0].activation.kind != "identity":
+    if not net.is_single_affine:
         raise ConfigError("closed-form-linear needs a single identity-activation layer")
     layer = net.layers[0]
     ref = project_linear(layer.weights, x - layer.bias)

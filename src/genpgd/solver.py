@@ -23,18 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DivergenceError
 from .generator import GeneratorNetwork
-from .objective import (
-    Objective,
-    estimate_rsc_rss,
-    latent_pair_sampler,
-    minkowski_curvature,
-    subspace_curvature,
-    sum_pair_sampler,
-    gradient,
-    value,
-)
+from .objective import Objective, _curvature_bounds, gradient, value
 from .projection import OrthoBasis, ProjectionConfig, hard_threshold_coeffs, project
-from .seeding import check_seed
 
 __all__ = [
     "SolverConfig",
@@ -46,9 +36,7 @@ __all__ = [
     "default_step_size",
     "contraction_report",
     "pgd_contraction_factor",
-    "pgd_contraction_factor_alt",
     "myopic_contraction_factor",
-    "myopic_contraction_factor_strict",
     "trace_to_csv",
     "trace_from_csv",
 ]
@@ -60,8 +48,9 @@ TRACE_COLUMNS = ("t", "f_value", "gap", "dist_to_truth", "proj_residual_sq", "wa
 class SolverConfig:
     """Iteration budget and step policy for both solver modes.
 
-    ``eta=None`` resolves to 1/beta-hat at solve time (exact curvature oracle
-    for linear-generator least squares, sampled estimate otherwise).
+    ``eta=None`` resolves to 1/beta-hat at solve time: ``run_solve`` takes
+    beta-hat from the solve's one regularity bundle, and a direct call of
+    :func:`epsilon_pgd` / :func:`myopic_pgd` from :func:`default_step_size`.
     ``stop_gap`` ends the run early once the optimality gap falls to that
     level; it needs a known truth.  ``l`` is the sparsity budget of the
     myopic mode's deviation block.
@@ -72,7 +61,6 @@ class SolverConfig:
     mode: str = "pgd"
     l: int = 0
     stop_gap: float | None = None
-    seed: int = 0
     record_points: bool = False
 
     def __post_init__(self):
@@ -86,7 +74,6 @@ class SolverConfig:
             raise ConfigError(f"sparsity l must be nonnegative, got {self.l}")
         if self.stop_gap is not None and self.stop_gap < 0:
             raise ConfigError(f"stop_gap must be nonnegative, got {self.stop_gap}")
-        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -148,26 +135,17 @@ class _Recorder:
 def default_step_size(objective: Objective, net: GeneratorNetwork,
                       basis: OrthoBasis | None = None, l: int = 0,
                       seed: int = 0) -> float:
-    """1/beta-hat for the given problem.
+    """1/beta-hat for the given problem, for solver calls made without a
+    step size.
 
-    beta-hat comes from the exact curvature oracle when the objective is
-    least squares and the generator is a single affine layer (over the range
-    alone, or over the range-plus-sparse sum set when a basis is supplied),
-    and from a sampled curvature estimate otherwise.
+    beta-hat comes from the curvature routine behind
+    ``harness.estimate_regularity`` (same oracle choice, same pair count):
+    exact for least squares on a single affine layer, over the range alone
+    or over the range-plus-sparse sum set when a basis and ``l`` > 0 are
+    supplied, and sampled otherwise.  ``run_solve`` never calls this; it
+    sets eta from its regularity bundle.
     """
-    linear = net.d == 1 and net.layers[0].activation.kind == "identity"
-    if objective.kind == "least-squares" and linear:
-        W = net.layers[0].weights
-        if basis is not None and l > 0:
-            _, beta = minkowski_curvature(objective.A, W, basis, l, seed=seed)
-        else:
-            _, beta = subspace_curvature(objective.A, W)
-    else:
-        if basis is not None and l > 0:
-            sampler = sum_pair_sampler(net, basis, l)
-        else:
-            sampler = latent_pair_sampler(net)
-        beta = estimate_rsc_rss(objective, sampler, num_pairs=200, seed=seed).beta
+    _, beta = _curvature_bounds(objective, net, basis, l, seed=seed)
     if not beta > 0:
         raise ContractError(f"estimated smoothness {beta} is not positive")
     return 1.0 / beta
@@ -213,7 +191,7 @@ def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
     """
     x_star, f_star = _prepare(objective, net, cfg, x_star)
     x = np.zeros(net.n) if x0 is None else np.asarray(x0, dtype=float)
-    eta = cfg.eta if cfg.eta is not None else default_step_size(objective, net, seed=cfg.seed)
+    eta = cfg.eta if cfg.eta is not None else default_step_size(objective, net)
     rec = _Recorder(f_star, cfg.record_points)
     f = value(objective, x)
     rec.add(0, f, x, x_star, 0.0, 0.0)
@@ -255,7 +233,7 @@ def myopic_pgd(objective: Objective, net: GeneratorNetwork, basis: OrthoBasis,
     """
     x_star, f_star = _prepare(objective, net, cfg, x_star)
     eta = cfg.eta if cfg.eta is not None else default_step_size(
-        objective, net, basis=basis, l=cfg.l, seed=cfg.seed)
+        objective, net, basis=basis, l=cfg.l)
     u = np.zeros(net.n)
     v = np.zeros(net.n)
     x = u + v
@@ -305,20 +283,13 @@ def _check_curvature(alpha, beta):
 def pgd_contraction_factor(alpha: float, beta: float) -> float:
     """Per-iteration gap factor ``beta/alpha - 1`` for step size 1/beta.
 
-    This is the factor the descent analysis actually yields after moving the
-    current gap to the right-hand side; it guarantees contraction exactly
-    when beta/alpha < 2.
+    The descent lemma with eta = 1/beta gives
+    gap_{t+1} <= (beta/alpha - 1) gap_t + floor once the current gap is moved
+    to the right-hand side; it guarantees contraction exactly when
+    beta/alpha < 2.
     """
     _check_curvature(alpha, beta)
     return beta / alpha - 1.0
-
-
-def pgd_contraction_factor_alt(alpha: float, beta: float) -> float:
-    """Companion factor ``2 - beta/alpha`` sometimes quoted for the same
-    analysis; it disagrees with :func:`pgd_contraction_factor` except at
-    beta/alpha = 1.5 and is reported alongside it for comparison."""
-    _check_curvature(alpha, beta)
-    return 2.0 - beta / alpha
 
 
 def _check_mu(mu):
@@ -327,29 +298,14 @@ def _check_mu(mu):
 
 
 def myopic_contraction_factor(alpha: float, beta: float, mu: float) -> float:
-    """Nominal per-iteration gap factor for the two-block solver:
-    ``(2 - (b/a)(1 - 2.5 mu)/(1 - mu)) / (1 - (b/2a)(mu/(1 - mu)))``.
+    """Per-iteration gap factor for the two-block solver with step size
+    1/beta: ``(r - 1 + 3c) / (1 - c)`` with r = beta/alpha and
+    c = r mu / (2 (1 - mu)).
 
-    Returns +inf when the denominator is nonpositive (the bound is vacuous
-    there).  Note this inherits the same sign convention as
-    :func:`pgd_contraction_factor_alt`; see the strict variant for the
-    rearrangement consistent with :func:`pgd_contraction_factor`.
+    The same descent-lemma rearrangement as :func:`pgd_contraction_factor`,
+    to which it reduces at mu = 0.  Returns +inf when the denominator is
+    nonpositive (the bound is vacuous there).
     """
-    _check_curvature(alpha, beta)
-    _check_mu(mu)
-    r = beta / alpha
-    den = 1.0 - 0.5 * r * mu / (1.0 - mu)
-    if den <= 0:
-        return np.inf
-    return (2.0 - r * (1.0 - 2.5 * mu) / (1.0 - mu)) / den
-
-
-def myopic_contraction_factor_strict(alpha: float, beta: float, mu: float) -> float:
-    """Sign-corrected rearrangement of the two-block analysis:
-    ``(b/a - 1 + 3(b/a)mu/(2(1-mu))) / (1 - (b/a)mu/(2(1-mu)))``.
-
-    Agrees with :func:`myopic_contraction_factor` only at beta/alpha = 1.5;
-    at mu = 0 it reduces to :func:`pgd_contraction_factor`."""
     _check_curvature(alpha, beta)
     _check_mu(mu)
     r = beta / alpha
@@ -486,21 +442,32 @@ def trace_to_csv(trace: IterationTrace, path) -> None:
 
 
 def trace_from_csv(path) -> list[IterationRecord]:
+    """Read a :func:`trace_to_csv` file; a missing file, a wrong header or a
+    short or non-numeric row raises :class:`ContractError` naming the file
+    and the line."""
     records = []
-    with open(path, newline="") as f:
+    try:
+        f = open(path, newline="")
+    except OSError as e:
+        raise ContractError(f"no trace at {path}: {e}") from e
+    with f:
         reader = csv.reader(f)
-        header = next(reader)
-        if tuple(header) != TRACE_COLUMNS:
-            raise ContractError(f"unexpected trace header {header}")
+        header = next(reader, None)
+        if header is None or tuple(header) != TRACE_COLUMNS:
+            raise ContractError(f"unexpected trace header {header} in {path}")
         for row in reader:
-            records.append(
-                IterationRecord(
-                    t=int(row[0]),
-                    f_value=float(row[1]),
-                    gap=float(row[2]) if row[2] else None,
-                    dist_to_truth=float(row[3]) if row[3] else None,
-                    proj_residual_sq=float(row[4]),
-                    wall_time=float(row[5]) / 1e6,
+            try:
+                records.append(
+                    IterationRecord(
+                        t=int(row[0]),
+                        f_value=float(row[1]),
+                        gap=float(row[2]) if row[2] else None,
+                        dist_to_truth=float(row[3]) if row[3] else None,
+                        proj_residual_sq=float(row[4]),
+                        wall_time=float(row[5]) / 1e6,
+                    )
                 )
-            )
+            except (IndexError, ValueError) as e:
+                raise ContractError(
+                    f"malformed trace row at {path} line {reader.line_num}: {e}") from e
     return records

@@ -142,6 +142,45 @@ class TestSweepAndReport:
     def test_report_on_non_sweep_dir_exit_code(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
 
+    def _swept(self, tmp_path):
+        cfg = write_config(tmp_path, **{"solver.iters": 5})
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        return out, out / "m40_l0_nl0_t0" / "trace.csv"
+
+    def test_report_on_short_trace_row_exit_code(self, tmp_path, capsys):
+        out, trace = self._swept(tmp_path)
+        with open(trace, "a") as f:
+            f.write("1,2\n")
+        assert main(["report", str(out)]) == 2
+        assert "trace.csv line 8" in capsys.readouterr().err
+
+    def test_report_on_non_numeric_trace_cell_exit_code(self, tmp_path):
+        out, trace = self._swept(tmp_path)
+        trace.write_text(trace.read_text().replace("\n1,", "\none,", 1))
+        assert main(["report", str(out)]) == 2
+
+    def test_report_on_missing_or_empty_trace_exit_code(self, tmp_path):
+        out, trace = self._swept(tmp_path)
+        trace.write_text("")
+        assert main(["report", str(out)]) == 2
+        trace.unlink()
+        assert main(["report", str(out)]) == 2
+
+    @pytest.mark.parametrize("mangle", [
+        lambda cells: cells[:1] + ["4.5"] + cells[2:],  # non-integer m
+        lambda cells: cells[:3],
+        lambda cells: cells + ["extra"],
+    ], ids=["non-integer-m", "short-row", "long-row"])
+    def test_report_on_malformed_sweep_row_exit_code(self, tmp_path, capsys, mangle):
+        out, _ = self._swept(tmp_path)
+        sweep = out / "sweep.csv"
+        lines = sweep.read_text().splitlines()
+        lines[1] = ",".join(mangle(lines[1].split(",")))
+        sweep.write_text("\n".join(lines) + "\n")
+        assert main(["report", str(out)]) == 2
+        assert "sweep.csv line 2" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_prints_constants(self, tmp_path, capsys):
@@ -158,3 +197,22 @@ class TestEstimate:
                      "--out", str(tmp_path / "est")]) == 0
         doc = json.loads((tmp_path / "est" / "regularity.json").read_text())
         assert doc["beta"] >= doc["alpha"] > 0
+
+    @pytest.mark.parametrize("patches", [
+        {"problem.generator": {"kind": "mlp", "widths": [12]},
+         "projection": {"method": "latent-gd", "restarts": 2, "inner_iters": 10},
+         "solver.iters": 3},
+        # the solve's l (3) differs from the instance's (2)
+        {"problem.l": 2, "problem.basis": "identity", "solver.mode": "myopic",
+         "solver.l": 3, "solver.iters": 5},
+    ], ids=["mlp", "myopic-solver-l"])
+    def test_matches_the_bundle_solve_records(self, tmp_path, capsys, patches):
+        cfg = write_config(tmp_path, **patches)
+        assert main(["estimate", "--config", str(cfg),
+                     "--out", str(tmp_path / "est")]) == 0
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "solve")]) == 0
+        est = json.loads((tmp_path / "est" / "regularity.json").read_text())
+        summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+        assert est == summary["regularity"]
+        assert summary["eta"] == 1.0 / est["beta"]

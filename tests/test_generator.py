@@ -240,6 +240,17 @@ class TestTypes:
         with pytest.raises(ContractError, match="at least one layer"):
             GeneratorNetwork([])
 
+    def test_is_single_affine(self):
+        assert make_linear_generator(np.eye(5)[:, :3]).is_single_affine
+        relu = GeneratorNetwork([Layer(np.eye(3), np.zeros(3), Activation("relu"))])
+        two_identity = GeneratorNetwork([
+            Layer(np.eye(3), np.zeros(3), Activation("identity")),
+            Layer(np.eye(3), np.zeros(3), Activation("identity"))])
+        mlp = make_random_generator(3, 12, 2, [6], "relu", seed=0)
+        assert not relu.is_single_affine
+        assert not two_identity.is_single_affine
+        assert not mlp.is_single_affine
+
 
 class TestSerialization:
     @pytest.mark.parametrize("name,build", ARCHS)

@@ -242,6 +242,15 @@ class TestRunSolve:
         rep = contraction_report(gaps, rho=summary.theory_rate)
         assert summary.violations == rep.violations
 
+    def test_null_eta_is_inverse_bundle_beta(self):
+        cfg = make_config(**{"problem.generator": {"kind": "mlp", "widths": [8]},
+                             "problem.n": 12, "problem.k": 2, "solver.iters": 3,
+                             "projection": {"method": "latent-gd", "restarts": 2,
+                                            "inner_iters": 10}})
+        inst = gen_problem(cfg.problem, seed=27)
+        summary, trace = run_solve(inst, cfg)
+        assert summary.eta == trace.eta == 1.0 / summary.regularity.beta
+
     def test_myopic_needs_basis(self):
         cfg = make_config(**{"solver.mode": "myopic"})
         inst = gen_problem(cfg.problem, seed=24)

@@ -13,10 +13,8 @@ from genpgd.solver import (
     default_step_size,
     epsilon_pgd,
     myopic_contraction_factor,
-    myopic_contraction_factor_strict,
     myopic_pgd,
     pgd_contraction_factor,
-    pgd_contraction_factor_alt,
     trace_from_csv,
     trace_to_csv,
 )
@@ -147,36 +145,22 @@ class TestContractionBound:
 
     def test_factor_helpers(self):
         assert abs(pgd_contraction_factor(1.0, 1.5) - 0.5) < 1e-15
-        assert abs(pgd_contraction_factor_alt(1.0, 1.5) - 0.5) < 1e-15
-        # the two forms cross only at beta/alpha = 1.5
-        assert pgd_contraction_factor(1.0, 1.2) < pgd_contraction_factor_alt(1.0, 1.2)
-        assert pgd_contraction_factor(1.0, 1.8) > pgd_contraction_factor_alt(1.0, 1.8)
         with pytest.raises(ContractError):
             pgd_contraction_factor(0.0, 1.0)
 
     def test_myopic_factor_formula(self):
         # frozen hand evaluation: beta/alpha = 1.5, mu = 0.1
-        # numerator 2 - 1.5*(0.75/0.9) = 0.75; denominator 1 - 0.75*(0.1/0.9)
+        # c = 1.5*0.1/(2*0.9) = 0.75/9; numerator 1.5 - 1 + 3c = 0.75;
+        # denominator 1 - c
         got = myopic_contraction_factor(1.0, 1.5, 0.1)
         assert abs(got - 0.75 / (1.0 - 0.75 / 9.0)) < 1e-12
-        # the strict rearrangement agrees exactly at ratio 1.5 ...
-        assert abs(got - myopic_contraction_factor_strict(1.0, 1.5, 0.1)) < 1e-12
-        # ... and differs elsewhere
-        assert (
-            abs(
-                myopic_contraction_factor(1.0, 1.2, 0.1)
-                - myopic_contraction_factor_strict(1.0, 1.2, 0.1)
-            )
-            > 0.1
-        )
 
     def test_myopic_factor_vacuous_is_inf(self):
         # beta/alpha = 5, mu = 0.4 drives the denominator nonpositive
         assert myopic_contraction_factor(1.0, 5.0, 0.4) == np.inf
 
     def test_zero_mu_reduces_to_plain_factors(self):
-        assert abs(myopic_contraction_factor(1.0, 1.4, 0.0) - pgd_contraction_factor_alt(1.0, 1.4)) < 1e-15
-        assert abs(myopic_contraction_factor_strict(1.0, 1.4, 0.0) - pgd_contraction_factor(1.0, 1.4)) < 1e-15
+        assert abs(myopic_contraction_factor(1.0, 1.4, 0.0) - pgd_contraction_factor(1.0, 1.4)) < 1e-15
 
 
 class TestContractionReport:
