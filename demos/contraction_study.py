@@ -11,9 +11,9 @@ from genpgd import (
     SolverConfig,
     build_objective,
     contraction_report,
+    contraction_factor,
     epsilon_pgd,
     gen_problem,
-    pgd_contraction_factor,
     subspace_curvature,
 )
 
@@ -33,8 +33,8 @@ gaps = trace.gaps()
 print(f"solved a noiseless instance in {len(trace.records) - 1} iterations")
 print(f"gap trajectory: {gaps[0]:.3e} -> {gaps[10]:.3e} (t=10) -> {gaps[-1]:.3e}")
 
-rep = contraction_report(trace, rho=pgd_contraction_factor(alpha, beta))
-print(f"theory rate (worst case): {pgd_contraction_factor(alpha, beta):.4f}")
+rep = contraction_report(trace, rho=contraction_factor(alpha, beta))
+print(f"theory rate (worst case): {contraction_factor(alpha, beta):.4f}")
 print(f"fitted rate:              {rep.fitted_rate:.4f}  (R^2 {rep.fit_r2:.4f})")
 print(f"bound violations before the numeric floor: {rep.violations}")
 if rep.plateau_index is not None:

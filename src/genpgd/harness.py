@@ -46,11 +46,9 @@ from .projection import OrthoBasis, ProjectionConfig
 from .seeding import check_seed, derive_seed, spawn_rng
 from .solver import (
     SolverConfig,
+    contraction_factor,
     contraction_report,
     epsilon_pgd,
-    myopic_contraction_factor,
-    myopic_pgd,
-    pgd_contraction_factor,
     trace_from_csv,
     trace_to_csv,
 )
@@ -633,18 +631,11 @@ def run_solve(inst: ProblemInstance, config: ExperimentConfig,
     partial trace attached.
     """
     obj, solver_cfg, reg = _solve_setup(inst, config)
-    if solver_cfg.mode == "myopic":
-        theory = myopic_contraction_factor(reg.alpha, reg.beta, reg.mu)
-    else:
-        theory = pgd_contraction_factor(reg.alpha, reg.beta)
+    theory = contraction_factor(reg.alpha, reg.beta, reg.mu)
     theory_rate = float(theory) if np.isfinite(theory) else None
-
-    if solver_cfg.mode == "myopic":
-        trace = myopic_pgd(obj, inst.net, inst.basis, config.projection,
-                           solver_cfg, x_star=inst.truth.x_star)
-    else:
-        trace = epsilon_pgd(obj, inst.net, config.projection, solver_cfg,
-                            x_star=inst.truth.x_star)
+    basis = inst.basis if solver_cfg.mode == "myopic" else None
+    trace = epsilon_pgd(obj, inst.net, config.projection, solver_cfg,
+                        x_star=inst.truth.x_star, basis=basis)
 
     # the contraction guarantee carries an additive term of the order of
     # the gradient-at-truth times the set diameter plus the projection

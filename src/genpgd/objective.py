@@ -15,7 +15,6 @@ can be checked against closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -41,8 +40,6 @@ __all__ = [
     "subspace_curvature",
     "minkowski_curvature",
     "subspace_incoherence",
-    "objective_to_json",
-    "objective_from_json",
 ]
 
 _KINDS = ("least-squares", "glm")
@@ -296,16 +293,15 @@ def _cross_pair_extremes(obj: Objective, pairs, chunk: int = 256):
 
 
 def estimate_incoherence(net: GeneratorNetwork, basis: OrthoBasis, l: int,
-                         sampler=None, num_samples: int = 1000, seed: int = 0,
-                         support=None, refine: int = 2) -> float:
+                         num_samples: int = 1000, seed: int = 0, support=None) -> float:
     """Largest observed alignment between range directions and sparse
     directions, a lower bound on the true incoherence constant.
 
-    The default sampler draws a range difference, pairs it with its best
-    aligned l-sparse response (restricted to ``support`` when given), and for
-    single-affine-layer generators sharpens each sample with ``refine``
-    alternating-projection rounds; every refined direction is still a
-    difference of admissible points, so the max stays a lower bound.  The
+    Each sample draws a range difference, pairs it with its best aligned
+    l-sparse response (restricted to ``support`` when given), and for
+    single-affine-layer generators sharpens it with two alternating-projection
+    rounds; every refined direction is still a difference of admissible
+    points, so the max stays a lower bound.  The
     estimate is monotone nondecreasing in ``num_samples`` for a fixed seed
     because samples are drawn from one nested stream.
     """
@@ -327,24 +323,19 @@ def estimate_incoherence(net: GeneratorNetwork, basis: OrthoBasis, l: int,
 
     best = 0.0
     for _ in range(num_samples):
-        if sampler is not None:
-            u, u2, v, v2 = sampler(rng)
-            du = np.asarray(u) - np.asarray(u2)
-            dv = np.asarray(v) - np.asarray(v2)
-        else:
-            z = rng.standard_normal((2, net.k))
-            du = forward(net, z[0]) - forward(net, z[1])
-            if float(du @ du) < 1e-24:
-                continue
-            dv = sparse_response(du)
-            if linear:
-                for _ in range(refine):
-                    if float(dv @ dv) < 1e-24:
-                        break
-                    du = Q @ (Q.T @ dv)
-                    if float(du @ du) < 1e-24:
-                        break
-                    dv = sparse_response(du)
+        z = rng.standard_normal((2, net.k))
+        du = forward(net, z[0]) - forward(net, z[1])
+        if float(du @ du) < 1e-24:
+            continue
+        dv = sparse_response(du)
+        if linear:
+            for _ in range(2):
+                if float(dv @ dv) < 1e-24:
+                    break
+                du = Q @ (Q.T @ dv)
+                if float(du @ du) < 1e-24:
+                    break
+                dv = sparse_response(du)
         nu = np.linalg.norm(du)
         nv = np.linalg.norm(dv)
         if nu < 1e-12 or nv < 1e-12:
@@ -364,25 +355,14 @@ class DiameterGammaEstimate:
 
 
 def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective | None = None,
-                            x_star=None, num_samples: int = 64, seed: int = 0,
-                            latent_scale: float = 1.0, latent_bound: float | None = None
+                            x_star=None, num_samples: int = 64, seed: int = 0
                             ) -> DiameterGammaEstimate:
-    """Max pairwise distance over sampled range points, plus the gradient
-    norm at a known truth when one is supplied.
-
-    ``latent_bound`` clips sampled latents into a ball of that radius, which
-    makes the diameter estimate comparable to closed-form bounds like
-    ``2 r sigma_max(W)`` for linear generators.
-    """
+    """Max pairwise distance between the images of standard-normal
+    latents, plus the gradient norm at a known truth when one is supplied."""
     rng = spawn_rng(seed)
     pts = np.empty((num_samples, net.n))
     for i in range(num_samples):
-        z = latent_scale * rng.standard_normal(net.k)
-        if latent_bound is not None:
-            nz = np.linalg.norm(z)
-            if nz > latent_bound:
-                z *= latent_bound / nz
-        pts[i] = forward(net, z)
+        pts[i] = forward(net, rng.standard_normal(net.k))
     sq = np.sum(pts**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     delta = float(np.sqrt(max(np.max(d2), 0.0)))
@@ -514,26 +494,3 @@ def subspace_incoherence(W, basis: OrthoBasis, support) -> float:
     M = Q.T @ basis.matrix[:, list(support)]
     s = np.linalg.svd(M, compute_uv=False)
     return float(s[0]) if s.size else 0.0
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def objective_to_json(obj: Objective) -> dict:
-    out = {"kind": obj.kind, "A": obj.A.tolist(), "y": obj.y.tolist()}
-    if obj.kind == "glm":
-        out["link"] = obj.link
-    return out
-
-
-def objective_from_json(blob: dict) -> Objective:
-    for name in ("kind", "A", "y"):
-        if name not in blob:
-            raise ContractError(f"missing field {name!r} in objective")
-    return Objective(
-        kind=blob["kind"],
-        A=np.array(blob["A"], dtype=float),
-        y=np.array(blob["y"], dtype=float),
-        link=blob.get("link"),
-    )

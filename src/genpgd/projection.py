@@ -80,16 +80,12 @@ class ProjectionConfig:
     ``latent-gd`` runs ``restarts`` Levenberg–Marquardt descents on
     z -> 0.5 ||x - G(z)||^2.  ``inner_iters`` caps the iterations of each
     (one Jacobian and one damped k-by-k solve per iteration).
-    ``inner_step`` is ``"backtracking"`` for the plain damped step, or a
-    positive number that scales every step; the damping still backs a step
-    off until it decreases the residual.
     """
 
     method: str = "latent-gd"
     epsilon: float = 0.0
     restarts: int = 10
     inner_iters: int = 200
-    inner_step: float | str = "backtracking"
     grid_bounds: object = None
     grid_resolution: int = 101
     seed: int = 0
@@ -104,11 +100,6 @@ class ProjectionConfig:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.inner_iters < 1:
             raise ConfigError(f"inner_iters must be >= 1, got {self.inner_iters}")
-        if isinstance(self.inner_step, str):
-            if self.inner_step != "backtracking":
-                raise ConfigError(f"inner_step must be positive or 'backtracking', got {self.inner_step!r}")
-        elif not self.inner_step > 0:
-            raise ConfigError(f"inner_step must be positive or 'backtracking', got {self.inner_step}")
         if self.grid_resolution < 2:
             raise ConfigError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
         if self.degrade_slack < 0:
@@ -157,26 +148,6 @@ class ProjectionResult:
     residual_sq: float
     certified: bool
 
-    def to_json(self) -> dict:
-        return {
-            "point": np.asarray(self.point).tolist(),
-            "latent": np.asarray(self.latent).tolist(),
-            "residual_sq": float(self.residual_sq),
-            "certified": bool(self.certified),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ProjectionResult":
-        try:
-            return cls(
-                point=np.array(obj["point"], dtype=float),
-                latent=np.array(obj["latent"], dtype=float),
-                residual_sq=float(obj["residual_sq"]),
-                certified=bool(obj["certified"]),
-            )
-        except KeyError as e:
-            raise ContractError(f"missing field {e} in projection result") from e
-
 
 def _check_target(net: GeneratorNetwork, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -220,19 +191,17 @@ def project_linear(W, x) -> ProjectionResult:
     )
 
 
-def _descend(net, x, z0, inner_iters, inner_step):
+def _descend(net, x, z0, inner_iters):
     """Levenberg–Marquardt on z -> 0.5 ||x - G(z)||^2 from one start.
 
     Each iteration solves (J^T J + lam I) p = J^T r for the k-by-k damped
     Gauss–Newton step and accepts z - p on sufficient decrease
     (f_try <= f - 1e-4 g^T p); a rejected trial multiplies lam by 4 and
     re-solves with the same J, an accepted one divides it by 4.  lam starts
-    at tr(J^T J), so the first steps are short gradient-like moves.  A
-    numeric ``inner_step`` scales every step.  Stops at ``inner_iters``
-    iterations, on a gradient norm below 1e-9, when 50 damping increases in
+    at tr(J^T J), so the first steps are short gradient-like moves.  Stops
+    at ``inner_iters`` iterations, on a gradient norm below 1e-9, when 50 damping increases in
     a row find no decrease, or when a step gains at most 1e-12 of f.
     """
-    scale = 1.0 if inner_step == "backtracking" else inner_step
     eye = np.eye(net.k)
     z = z0
     out, J = _forward_jacobian(net, z)
@@ -246,7 +215,7 @@ def _descend(net, x, z0, inner_iters, inner_step):
         JtJ = J.T @ J
         for _ in range(50):
             try:
-                p = scale * np.linalg.solve(JtJ + lam * eye, g)
+                p = np.linalg.solve(JtJ + lam * eye, g)
             except np.linalg.LinAlgError:
                 # dependent Jacobian columns with lam below their rounding
                 lam *= 4.0
@@ -286,7 +255,7 @@ def _project_latent_gd(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarr
             z0 = np.zeros(net.k)
         else:
             z0 = spawn_rng(cfg.seed, j).uniform(bounds[:, 0], bounds[:, 1])
-        z, f = _descend(net, x, z0, cfg.inner_iters, cfg.inner_step)
+        z, f = _descend(net, x, z0, cfg.inner_iters)
         if f < best_f:
             best_z, best_f = z, f
     return _result(net, x, best_z, certified=False)

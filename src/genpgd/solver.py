@@ -2,13 +2,14 @@
 
 ``epsilon_pgd`` minimizes an objective over the range of a generator by
 alternating a gradient step with a (possibly approximate) projection back
-onto the range.  ``myopic_pgd`` handles signals that are a range point plus
-an l-sparse deviation in an orthonormal basis: both blocks step against the
-*same* gradient of the combined iterate, then re-project / re-threshold
-independently — no inner alternating minimization.
+onto the range.  Given an orthonormal basis it is the two-block Myopic
+ε-PGD for signals that are a range point plus an l-sparse deviation: both
+blocks step against the *same* gradient of the combined iterate, then
+re-project / re-threshold independently — no inner alternating
+minimization.  ``myopic_pgd`` is that call under its own name.
 
-The theory helpers convert curvature and incoherence constants into
-per-iteration contraction factors for the optimality gap, and
+The theory helper converts curvature and incoherence constants into a
+per-iteration contraction factor for the optimality gap, and
 ``contraction_report`` measures how a recorded gap sequence actually behaved
 against such a factor.
 """
@@ -35,8 +36,7 @@ __all__ = [
     "myopic_pgd",
     "default_step_size",
     "contraction_report",
-    "pgd_contraction_factor",
-    "myopic_contraction_factor",
+    "contraction_factor",
     "trace_to_csv",
     "trace_from_csv",
 ]
@@ -61,7 +61,6 @@ class SolverConfig:
     mode: str = "pgd"
     l: int = 0
     stop_gap: float | None = None
-    record_points: bool = False
 
     def __post_init__(self):
         if self.mode not in ("pgd", "myopic"):
@@ -88,7 +87,10 @@ class IterationRecord:
 
 @dataclass
 class IterationTrace:
-    """Everything a solve recorded: per-iteration rows plus final state."""
+    """Everything a solve recorded: per-iteration rows plus final state.
+
+    ``final_components`` (range block, sparse block) and ``sparse_nnz`` (one
+    count per row) are set only by a solve with a sparse block."""
 
     records: list[IterationRecord]
     final_point: np.ndarray
@@ -96,7 +98,6 @@ class IterationTrace:
     eta: float
     proj_time_total: float
     grad_time_total: float
-    points: list[np.ndarray] | None = None
     sparse_nnz: list[int] | None = None
 
     def gaps(self) -> np.ndarray:
@@ -106,30 +107,6 @@ class IterationTrace:
 
     def f_values(self) -> np.ndarray:
         return np.array([r.f_value for r in self.records])
-
-
-class _Recorder:
-    def __init__(self, f_star, record_points):
-        self.records = []
-        self.points = [] if record_points else None
-        self.f_star = f_star
-        self.sparse_nnz = None
-
-    def add(self, t, f, x, x_star, proj_residual_sq, wall):
-        gap = None if self.f_star is None else f - self.f_star
-        dist = None if x_star is None else float(np.linalg.norm(x - x_star))
-        self.records.append(
-            IterationRecord(
-                t=t,
-                f_value=f,
-                gap=gap,
-                dist_to_truth=dist,
-                proj_residual_sq=proj_residual_sq,
-                wall_time=wall,
-            )
-        )
-        if self.points is not None:
-            self.points.append(x.copy())
 
 
 def default_step_size(objective: Objective, net: GeneratorNetwork,
@@ -151,98 +128,47 @@ def default_step_size(objective: Objective, net: GeneratorNetwork,
     return 1.0 / beta
 
 
-def _prepare(objective, net, cfg, x_star):
-    if x_star is not None:
-        x_star = np.asarray(x_star, dtype=float)
-        f_star = value(objective, x_star)
-    else:
-        f_star = None
-    if cfg.stop_gap is not None and x_star is None:
-        raise ConfigError("stop_gap needs a known truth point")
-    return x_star, f_star
-
-
-def _check_health(f, t, threshold, rec, final_point, eta, proj_t, grad_t):
-    if not np.isfinite(f) or f > threshold:
-        partial = IterationTrace(
-            records=rec.records,
-            final_point=final_point,
-            final_components=None,
-            eta=eta,
-            proj_time_total=proj_t,
-            grad_time_total=grad_t,
-            points=rec.points,
-        )
-        raise DivergenceError(
-            f"objective value {f:.3e} at iteration {t} exceeds the divergence "
-            f"guard ({threshold:.3e}); step size is likely too large",
-            trace=partial,
-        )
-
-
 def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
                 proj_cfg: ProjectionConfig, cfg: SolverConfig,
-                x0=None, x_star=None) -> IterationTrace:
+                x0=None, x_star=None, basis: OrthoBasis | None = None) -> IterationTrace:
     """Gradient step then range projection, from ``x0`` (default zero).
+
+    With a ``basis`` the iterate is x_t = u_t + v_t, a range block plus a
+    ``cfg.l``-sparse block in that basis (which starts at zero).  Both
+    blocks consume the one gradient g taken at x_t: the range block
+    re-projects u_t - eta*g, the sparse block re-thresholds v_t - eta*g, and
+    neither sees the other's update within an iteration.  Without a basis
+    there is no sparse block and x_t = u_t.
 
     Records one row per iteration (row 0 is the initial state).  Raises
     :class:`DivergenceError` with the partial trace if the objective blows
     past 1e3 times its initial value or stops being finite.
     """
-    x_star, f_star = _prepare(objective, net, cfg, x_star)
-    x = np.zeros(net.n) if x0 is None else np.asarray(x0, dtype=float)
-    eta = cfg.eta if cfg.eta is not None else default_step_size(objective, net)
-    rec = _Recorder(f_star, cfg.record_points)
+    if cfg.stop_gap is not None and x_star is None:
+        raise ConfigError("stop_gap needs a known truth point")
+    f_star = None
+    if x_star is not None:
+        x_star = np.asarray(x_star, dtype=float)
+        f_star = value(objective, x_star)
+    eta = cfg.eta if cfg.eta is not None else default_step_size(objective, net, basis, cfg.l)
+    u = x = np.zeros(net.n) if x0 is None else np.asarray(x0, dtype=float)
+    v = nnz = None
+    if basis is not None:
+        v, nnz = np.zeros(net.n), [0]
+        x = u + v
+    records = []
+
+    def record(t, f, residual_sq, wall):
+        records.append(IterationRecord(
+            t=t, f_value=f, gap=None if f_star is None else f - f_star,
+            dist_to_truth=None if x_star is None else float(np.linalg.norm(x - x_star)),
+            proj_residual_sq=residual_sq, wall_time=wall))
+
     f = value(objective, x)
-    rec.add(0, f, x, x_star, 0.0, 0.0)
+    record(0, f, 0.0, 0.0)
     threshold = 1e3 * max(f, 1e-12)
     proj_t = grad_t = 0.0
-    for t in range(1, cfg.iters + 1):
-        tic = time.perf_counter()
-        g = gradient(objective, x)
-        grad_t += time.perf_counter() - tic
-        toc = time.perf_counter()
-        res = project(proj_cfg, net, x - eta * g)
-        proj_t += time.perf_counter() - toc
-        x = res.point
-        f = value(objective, x)
-        _check_health(f, t, threshold, rec, x, eta, proj_t, grad_t)
-        rec.add(t, f, x, x_star, res.residual_sq, time.perf_counter() - tic)
-        if cfg.stop_gap is not None and rec.records[-1].gap <= cfg.stop_gap:
-            break
-    return IterationTrace(
-        records=rec.records,
-        final_point=x,
-        final_components=None,
-        eta=eta,
-        proj_time_total=proj_t,
-        grad_time_total=grad_t,
-        points=rec.points,
-    )
-
-
-def myopic_pgd(objective: Objective, net: GeneratorNetwork, basis: OrthoBasis,
-               proj_cfg: ProjectionConfig, cfg: SolverConfig,
-               x_star=None) -> IterationTrace:
-    """Two-block variant for signals = range point + l-sparse deviation.
-
-    Both blocks consume the one gradient taken at the combined iterate
-    x_t = u_t + v_t: the range block re-projects u_t - eta*g, the sparse
-    block re-thresholds v_t - eta*g.  Neither block sees the other's update
-    within an iteration.
-    """
-    x_star, f_star = _prepare(objective, net, cfg, x_star)
-    eta = cfg.eta if cfg.eta is not None else default_step_size(
-        objective, net, basis=basis, l=cfg.l)
-    u = np.zeros(net.n)
-    v = np.zeros(net.n)
-    x = u + v
-    rec = _Recorder(f_star, cfg.record_points)
-    rec.sparse_nnz = [0]
-    f = value(objective, x)
-    rec.add(0, f, x, x_star, 0.0, 0.0)
-    threshold = 1e3 * max(f, 1e-12)
-    proj_t = grad_t = 0.0
+    diverged = False
     for t in range(1, cfg.iters + 1):
         tic = time.perf_counter()
         g = gradient(objective, x)
@@ -250,64 +176,66 @@ def myopic_pgd(objective: Objective, net: GeneratorNetwork, basis: OrthoBasis,
         toc = time.perf_counter()
         res = project(proj_cfg, net, u - eta * g)
         proj_t += time.perf_counter() - toc
-        u = res.point
-        v, coeffs = hard_threshold_coeffs(basis, v - eta * g, cfg.l)
-        x = u + v
+        u = x = res.point
+        if basis is not None:
+            v, coeffs = hard_threshold_coeffs(basis, v - eta * g, cfg.l)
+            x = u + v
         f = value(objective, x)
-        _check_health(f, t, threshold, rec, x, eta, proj_t, grad_t)
-        rec.add(t, f, x, x_star, res.residual_sq, time.perf_counter() - tic)
-        rec.sparse_nnz.append(int(np.count_nonzero(coeffs)))
-        if cfg.stop_gap is not None and rec.records[-1].gap <= cfg.stop_gap:
+        diverged = not np.isfinite(f) or f > threshold
+        if diverged:
             break
-    return IterationTrace(
-        records=rec.records,
+        record(t, f, res.residual_sq, time.perf_counter() - tic)
+        if nnz is not None:
+            nnz.append(int(np.count_nonzero(coeffs)))
+        if cfg.stop_gap is not None and records[-1].gap <= cfg.stop_gap:
+            break
+    trace = IterationTrace(
+        records=records,
         final_point=x,
-        final_components=(u, v),
+        final_components=None if basis is None else (u, v),
         eta=eta,
         proj_time_total=proj_t,
         grad_time_total=grad_t,
-        points=rec.points,
-        sparse_nnz=rec.sparse_nnz,
+        sparse_nnz=nnz,
     )
+    if diverged:
+        raise DivergenceError(
+            f"objective value {f:.3e} at iteration {t} exceeds the divergence "
+            f"guard ({threshold:.3e}); step size is likely too large",
+            trace=trace,
+        )
+    return trace
+
+
+def myopic_pgd(objective: Objective, net: GeneratorNetwork, basis: OrthoBasis,
+               proj_cfg: ProjectionConfig, cfg: SolverConfig,
+               x_star=None) -> IterationTrace:
+    """Myopic ε-PGD: :func:`epsilon_pgd` from zero with the sparse block in
+    ``basis``."""
+    return epsilon_pgd(objective, net, proj_cfg, cfg, x_star=x_star, basis=basis)
 
 
 # ---------------------------------------------------------------------------
 # theory rates
 
 
-def _check_curvature(alpha, beta):
-    if not (np.isfinite(alpha) and alpha > 0 and beta >= alpha):
-        raise ContractError(f"need beta >= alpha > 0, got alpha={alpha}, beta={beta}")
-
-
-def pgd_contraction_factor(alpha: float, beta: float) -> float:
-    """Per-iteration gap factor ``beta/alpha - 1`` for step size 1/beta.
+def contraction_factor(alpha: float, beta: float, mu: float = 0.0) -> float:
+    """Per-iteration gap factor for step size 1/beta:
+    ``(r - 1 + 3c) / (1 - c)`` with r = beta/alpha and
+    c = r mu / (2 (1 - mu)).
 
     The descent lemma with eta = 1/beta gives
     gap_{t+1} <= (beta/alpha - 1) gap_t + floor once the current gap is moved
-    to the right-hand side; it guarantees contraction exactly when
-    beta/alpha < 2.
-    """
-    _check_curvature(alpha, beta)
-    return beta / alpha - 1.0
-
-
-def _check_mu(mu):
-    if not 0.0 <= mu < 1.0:
-        raise ContractError(f"mu must lie in [0, 1), got {mu}")
-
-
-def myopic_contraction_factor(alpha: float, beta: float, mu: float) -> float:
-    """Per-iteration gap factor for the two-block solver with step size
-    1/beta: ``(r - 1 + 3c) / (1 - c)`` with r = beta/alpha and
-    c = r mu / (2 (1 - mu)).
-
-    The same descent-lemma rearrangement as :func:`pgd_contraction_factor`,
-    to which it reduces at mu = 0.  Returns +inf when the denominator is
+    to the right-hand side; the incoherence ``mu`` between the range and the
+    sparse directions adds the coupling c of the two-block solver.  At
+    mu = 0 (no sparse block) the factor is exactly beta/alpha - 1, which
+    contracts when beta/alpha < 2.  Returns +inf when the denominator is
     nonpositive (the bound is vacuous there).
     """
-    _check_curvature(alpha, beta)
-    _check_mu(mu)
+    if not (np.isfinite(alpha) and alpha > 0 and beta >= alpha):
+        raise ContractError(f"need beta >= alpha > 0, got alpha={alpha}, beta={beta}")
+    if not 0.0 <= mu < 1.0:
+        raise ContractError(f"mu must lie in [0, 1), got {mu}")
     r = beta / alpha
     coupling = 0.5 * r * mu / (1.0 - mu)
     den = 1.0 - coupling

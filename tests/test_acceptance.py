@@ -24,6 +24,7 @@ from genpgd import (
     SolverConfig,
     SweepSpec,
     build_objective,
+    contraction_factor,
     contraction_report,
     epsilon_pgd,
     estimate_incoherence,
@@ -35,7 +36,6 @@ from genpgd import (
     make_linear_generator,
     make_random_generator,
     minkowski_curvature,
-    myopic_contraction_factor,
     myopic_pgd,
     project,
     run_sweep,
@@ -162,7 +162,7 @@ def test_myopic_contraction_and_recovery(capsys):
         supports.append(np.flatnonzero(
             np.abs(inst.basis.matrix.T @ inst.truth.nu_star) > 1e-12))
         mu = max(subspace_incoherence(W, inst.basis, S) for S in supports)
-        rho = myopic_contraction_factor(lo, hi, mu)
+        rho = contraction_factor(lo, hi, mu)
         cfg = SolverConfig(mode="myopic", l=5, eta=1.0 / hi, iters=200)
         trace = myopic_pgd(build_objective(inst, "linear"), inst.net, inst.basis,
                            EXACT, cfg, x_star=inst.truth.x_star)

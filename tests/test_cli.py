@@ -108,6 +108,11 @@ class TestConfigErrors:
         path.write_text(json.dumps({"bogus": 1}))
         assert main(["gen", "--config", str(path)]) == 2
 
+    def test_projection_inner_step_is_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"projection.inner_step": 0.5})
+        assert main(["gen", "--config", str(cfg)]) == 2
+        assert "inner_step" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "nope.json")]) == 2
 

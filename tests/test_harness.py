@@ -26,7 +26,7 @@ from genpgd.harness import (
 from genpgd.objective import subspace_curvature
 from genpgd.projection import project
 from genpgd.seeding import derive_seed
-from genpgd.solver import contraction_report, pgd_contraction_factor, trace_from_csv
+from genpgd.solver import contraction_factor, contraction_report, trace_from_csv
 
 
 BASE = {
@@ -230,7 +230,7 @@ class TestRunSolve:
         inst = gen_problem(cfg.problem, seed=22)
         summary, _ = run_solve(inst, cfg)
         W = inst.net.layers[0].weights
-        expected = pgd_contraction_factor(*subspace_curvature(inst.A, W))
+        expected = contraction_factor(*subspace_curvature(inst.A, W))
         assert abs(summary.theory_rate - expected) < 1e-12
 
     def test_violations_consistent_with_trace(self, tmp_path):

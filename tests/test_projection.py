@@ -1,7 +1,6 @@
 """Projection oracles: closed form, grid, latent descent, hard thresholding."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from genpgd.generator import (
 from genpgd.projection import (
     OrthoBasis,
     ProjectionConfig,
-    ProjectionResult,
     hard_threshold,
     hard_threshold_coeffs,
     project,
@@ -249,16 +247,6 @@ class TestProjectLatentGd:
         np.testing.assert_array_equal(a.latent, b.latent)
         assert a.residual_sq == b.residual_sq
 
-    def test_fixed_step_supported(self):
-        W = np.eye(6)[:, :2]
-        net = make_linear_generator(W)
-        x = np.arange(6.0)
-        res = project(
-            ProjectionConfig(method="latent-gd", restarts=2, inner_step=0.5, seed=0), net, x
-        )
-        ref = project_linear(W, x)
-        assert res.residual_sq <= ref.residual_sq + 1e-8
-
     def test_one_restart_converges_on_linear_generator(self):
         # Levenberg-Marquardt is exact Gauss-Newton in the limit of small
         # damping, so on an affine generator it reaches the least-squares
@@ -281,7 +269,7 @@ class TestProjectLatentGd:
                 z0 = rng.uniform(-3.0, 3.0, size=3)
                 start = float(np.sum((forward(net, z0) - x) ** 2))
                 for inner_iters in (1, 2, 3, 5, 10, 200):
-                    z, f = _descend(net, x, z0, inner_iters, "backtracking")
+                    z, f = _descend(net, x, z0, inner_iters)
                     assert 2.0 * f <= start
                     assert f == pytest.approx(
                         0.5 * float(np.sum((forward(net, z) - x) ** 2)), rel=1e-12)
@@ -346,22 +334,6 @@ class TestConfigAndResult:
         with pytest.raises(ConfigError, match="method"):
             ProjectionConfig(method="newton")
 
-    def test_bad_inner_step(self):
-        with pytest.raises(ConfigError, match="inner_step"):
-            ProjectionConfig(inner_step=-0.1)
-        with pytest.raises(ConfigError, match="inner_step"):
-            ProjectionConfig(inner_step="fast")
-
     def test_bad_bounds(self):
         with pytest.raises(ConfigError, match="grid_bounds"):
             ProjectionConfig(grid_bounds=(2.0, -2.0))
-
-    def test_result_json_round_trip(self):
-        res = ProjectionResult(
-            point=np.array([1.0, 2.5]), latent=np.array([0.25]), residual_sq=0.125, certified=True
-        )
-        back = ProjectionResult.from_json(json.loads(json.dumps(res.to_json())))
-        np.testing.assert_array_equal(back.point, res.point)
-        np.testing.assert_array_equal(back.latent, res.latent)
-        assert back.residual_sq == res.residual_sq
-        assert back.certified is True

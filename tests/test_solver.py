@@ -9,12 +9,11 @@ from genpgd.objective import Objective, subspace_curvature
 from genpgd.projection import OrthoBasis, ProjectionConfig
 from genpgd.solver import (
     SolverConfig,
+    contraction_factor,
     contraction_report,
     default_step_size,
     epsilon_pgd,
-    myopic_contraction_factor,
     myopic_pgd,
-    pgd_contraction_factor,
     trace_from_csv,
     trace_to_csv,
 )
@@ -52,12 +51,16 @@ class TestPgdBasics:
         assert trace.records[-1].gap <= 1e-24
 
     def test_stationary_start_never_moves(self):
-        net, W, _, x_star = linear_instance(15, 2, 30, seed=1)
+        # a coordinate subspace projects its own points without rounding, so
+        # the truth is an exact fixed point of the iteration
+        W = np.eye(15)[:, :2]
+        net = make_linear_generator(W)
+        x_star = W @ np.array([0.7, -1.3])
         obj = Objective("least-squares", np.eye(15), x_star)
-        cfg = SolverConfig(eta=0.7, iters=6, record_points=True)
+        cfg = SolverConfig(eta=0.7, iters=6)
         trace = epsilon_pgd(obj, net, EXACT, cfg, x0=x_star, x_star=x_star)
-        for p in trace.points:
-            np.testing.assert_allclose(p, x_star, atol=1e-12)
+        assert len(trace.records) == 7
+        assert all(r.dist_to_truth == 0.0 for r in trace.records)
         f0 = trace.records[0].f_value
         assert all(abs(r.f_value - f0) < 1e-20 for r in trace.records)
 
@@ -137,30 +140,35 @@ class TestContractionBound:
             assert beta / alpha < 2.0
             trace = epsilon_pgd(obj, net, EXACT, SolverConfig(iters=80), x_star=x_star)
             gaps = trace.gaps()
-            bound = pgd_contraction_factor(alpha, beta) + 0.05
+            bound = contraction_factor(alpha, beta) + 0.05
             for t in range(len(gaps) - 1):
                 if gaps[t] < 1e-10:
                     break
                 assert gaps[t + 1] <= bound * gaps[t]
 
     def test_factor_helpers(self):
-        assert abs(pgd_contraction_factor(1.0, 1.5) - 0.5) < 1e-15
+        assert abs(contraction_factor(1.0, 1.5) - 0.5) < 1e-15
         with pytest.raises(ContractError):
-            pgd_contraction_factor(0.0, 1.0)
+            contraction_factor(0.0, 1.0)
+        with pytest.raises(ContractError, match="mu"):
+            contraction_factor(1.0, 1.5, 1.0)
 
     def test_myopic_factor_formula(self):
         # frozen hand evaluation: beta/alpha = 1.5, mu = 0.1
         # c = 1.5*0.1/(2*0.9) = 0.75/9; numerator 1.5 - 1 + 3c = 0.75;
         # denominator 1 - c
-        got = myopic_contraction_factor(1.0, 1.5, 0.1)
+        got = contraction_factor(1.0, 1.5, 0.1)
         assert abs(got - 0.75 / (1.0 - 0.75 / 9.0)) < 1e-12
 
     def test_myopic_factor_vacuous_is_inf(self):
         # beta/alpha = 5, mu = 0.4 drives the denominator nonpositive
-        assert myopic_contraction_factor(1.0, 5.0, 0.4) == np.inf
+        assert contraction_factor(1.0, 5.0, 0.4) == np.inf
 
     def test_zero_mu_reduces_to_plain_factors(self):
-        assert abs(myopic_contraction_factor(1.0, 1.4, 0.0) - pgd_contraction_factor(1.0, 1.4)) < 1e-15
+        # the two-block body at mu = 0 is beta/alpha - 1 bit for bit
+        for beta in (2.0, 2.8, 3.8, 7.4):
+            assert contraction_factor(2.0, beta, 0.0) == beta / 2.0 - 1.0
+            assert contraction_factor(2.0, beta) == beta / 2.0 - 1.0
 
 
 class TestContractionReport:
@@ -248,6 +256,17 @@ class TestMyopic:
         u1 = project(EXACT, net, -eta * g).point
         v1 = hard_threshold(basis, -eta * g, 3)
         np.testing.assert_allclose(trace.final_point, u1 + v1, atol=1e-14)
+
+    def test_divergence_trace_keeps_both_blocks(self):
+        net, basis, obj, x_star = self.make_instance(30, 3, 2, 40, seed=24)
+        cfg = SolverConfig(mode="myopic", iters=200, l=2, eta=500.0)
+        with pytest.raises(DivergenceError) as exc:
+            myopic_pgd(obj, net, basis, EXACT, cfg, x_star=x_star)
+        trace = exc.value.trace
+        assert trace.final_components is not None
+        u, v = trace.final_components
+        np.testing.assert_array_equal(trace.final_point, u + v)
+        assert len(trace.sparse_nnz) == len(trace.records) >= 1
 
 
 class TestTraceCsv:
