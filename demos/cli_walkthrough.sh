@@ -28,7 +28,9 @@ genpgd estimate --config "$work/experiment.json"
 echo
 echo "== genpgd solve: solve it, write trace + summary =="
 genpgd solve "$work/instance" --config "$work/experiment.json" --out "$work/solve"
-python3 -m json.tool "$work/solve/summary.json" | head -n 12
+# sed reads to the end; head would exit early and, under pipefail, fail the
+# script on json.tool's broken pipe
+python3 -m json.tool "$work/solve/summary.json" | sed -n 1,12p
 
 echo
 echo "== genpgd sweep: cross the axes =="

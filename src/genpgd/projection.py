@@ -73,9 +73,12 @@ class ProjectionConfig:
     promises squared residual within ``epsilon`` of the true minimum over the
     range.  ``degrade_slack`` deliberately perturbs an otherwise certified
     output along the range by (up to) that much squared residual; it exists
-    to study how solvers respond to inexact oracles.  ``grid_bounds`` is the
-    latent search box (default (-3, 3) per coordinate): the grid method
-    evaluates on a mesh over it, and latent-gd samples restart points from it.
+    to study how solvers respond to inexact oracles.  On a single affine
+    layer the step along the range is the closed-form root of the quadratic
+    residual; on any other network it is found by bisection to float
+    resolution.  ``grid_bounds`` is the latent search box (default (-3, 3)
+    per coordinate): the grid method evaluates on a mesh over it, and
+    latent-gd samples restart points from it.
 
     ``latent-gd`` runs ``restarts`` Levenberg–Marquardt descents on
     z -> 0.5 ||x - G(z)||^2.  ``inner_iters`` caps the iterations of each
@@ -287,18 +290,25 @@ def _stable_hash(x: np.ndarray) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _degrade_within_range(net, x, res: ProjectionResult, slack: float, seed: int):
-    """Move the projected point along the range until its squared residual
-    grows by ``slack``.  The perturbation stays inside Range(G) by
-    construction (it moves the latent), and the direction/scale are a pure
-    function of (seed, x)."""
-    rng = spawn_rng(seed, _stable_hash(x))
-    d = rng.standard_normal(net.k)
-    d /= np.linalg.norm(d)
-    target = res.residual_sq + slack
+def _affine_step(w: np.ndarray, r0: np.ndarray, slack: float) -> float:
+    """Positive root s of ||r0 - s w||^2 = ||r0||^2 + slack, i.e. of
+    a s^2 - 2 b s - slack = 0 with a = w.w and b = r0.w, in the form that
+    avoids cancellation for either sign of b."""
+    a = w @ w
+    if not a > 0:  # w = 0: the range is a single point, the residual never grows
+        raise ContractError("could not calibrate degradation slack along the range")
+    b = r0 @ w
+    root = np.sqrt(b * b + a * slack)
+    return float(slack / (root - b) if b <= 0 else (b + root) / a)
+
+
+def _bisect_step(net, x, z: np.ndarray, d: np.ndarray, target: float) -> float:
+    """Smallest s found by doubling then bisection with residual at z + s d
+    at least ``target``.  Bisection stops once the midpoint rounds onto an
+    endpoint: every later step would leave both endpoints unchanged."""
 
     def h(s):
-        p = forward(net, res.latent + s * d)
+        p = forward(net, z + s * d)
         return float(np.sum((x - p) ** 2)) - target
 
     hi = 1e-8
@@ -311,11 +321,33 @@ def _degrade_within_range(net, x, res: ProjectionResult, slack: float, seed: int
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if h(mid) >= 0:
             hi = mid
         else:
             lo = mid
-    return _result(net, x, res.latent + hi * d, certified=res.certified)
+    return hi
+
+
+def _degrade_within_range(net, x, res: ProjectionResult, slack: float, seed: int):
+    """Move the projected point along the range until its squared residual
+    grows by ``slack``.  The perturbation stays inside Range(G) by
+    construction (it moves the latent), and the direction/scale are a pure
+    function of (seed, x).
+
+    On a single affine layer the residual along the line is the quadratic
+    ||r0 - s W d||^2, so the step is its positive root (one ``forward``).
+    Any other network doubles then bisects on the step to float resolution.
+    """
+    rng = spawn_rng(seed, _stable_hash(x))
+    d = rng.standard_normal(net.k)
+    d /= np.linalg.norm(d)
+    if net.is_single_affine:
+        s = _affine_step(net.layers[0].weights @ d, x - res.point, slack)
+    else:
+        s = _bisect_step(net, x, res.latent, d, res.residual_sq + slack)
+    return _result(net, x, res.latent + s * d, certified=res.certified)
 
 
 def project(cfg: ProjectionConfig, net: GeneratorNetwork, x) -> ProjectionResult:

@@ -1,6 +1,7 @@
 """Projection oracles: closed form, grid, latent descent, hard thresholding."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from genpgd.projection import (
     project,
     project_linear,
 )
-from genpgd.projection import _descend
+from genpgd import projection
+from genpgd.projection import _descend, _stable_hash
+from genpgd.seeding import spawn_rng
 
 
 def brute_force_sparse_projection(B, v, l):
@@ -299,22 +302,106 @@ class TestProjectLatentGd:
         assert abs(res.residual_sq - 5.0) < 1e-12
 
 
+def _full_bisection_latent(net, x, res, slack, seed):
+    """The degradation step with all 200 bisection steps and no early stop:
+    the reference the early-stopping bisection must reproduce bit for bit."""
+    rng = spawn_rng(seed, _stable_hash(x))
+    d = rng.standard_normal(net.k)
+    d /= np.linalg.norm(d)
+    target = res.residual_sq + slack
+
+    def h(s):
+        return float(np.sum((x - forward(net, res.latent + s * d)) ** 2)) - target
+
+    hi = 1e-8
+    while h(hi) < 0:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if h(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    return res.latent + hi * d
+
+
+def _count_forward(monkeypatch):
+    calls = [0]
+
+    def counted(net, z):
+        calls[0] += 1
+        return forward(net, z)
+
+    monkeypatch.setattr(projection, "forward", counted)
+    return calls
+
+
 class TestDegradedProjection:
-    def test_slack_calibration(self):
+    def test_slack_calibration(self, monkeypatch):
         rng = np.random.default_rng(14)
-        W = np.linalg.qr(rng.standard_normal((30, 4)))[0]
-        net = make_linear_generator(W)
+        orthonormal = make_linear_generator(np.linalg.qr(rng.standard_normal((30, 4)))[0])
+        skewed = GeneratorNetwork([Layer(
+            rng.standard_normal((30, 4)) * np.array([3.0, 1.0, 0.3, 0.1]),
+            rng.standard_normal(30),
+            Activation("identity"),
+        )])
         x = rng.standard_normal(30)
-        exact = project(ProjectionConfig(method="closed-form-linear"), net, x)
+        # a two-iteration latent-gd start is off the exact projection, so the
+        # cross term r0 . W d of the closed-form root is far from zero; the
+        # seeds vary the direction d and with it the sign of that term
+        starts = [ProjectionConfig(method="closed-form-linear", seed=0)] + [
+            ProjectionConfig(method="latent-gd", restarts=1, inner_iters=2, seed=seed)
+            for seed in range(4)
+        ]
+        calls = _count_forward(monkeypatch)
+        for net in (orthonormal, skewed):
+            for start in starts:
+                base = project(start, net, x)
+                for slack in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
+                    cfg = replace(start, epsilon=slack, degrade_slack=slack)
+                    before = calls[0]
+                    res = project(cfg, net, x)
+                    np.testing.assert_array_equal(res.point, forward(net, res.latent))
+                    got = res.residual_sq - base.residual_sq
+                    assert abs(got - slack) < 1e-8 * max(1.0, slack)
+                    assert res.certified == base.certified
+                    if start.method == "closed-form-linear":
+                        assert res.certified
+                        # the exact projection and the degraded point
+                        assert calls[0] - before == 2
+        # far from the range b^2 >> a slack, where (b + root) / a would cancel to 0
+        s = projection._affine_step(np.array([1.0, 0.0]), np.array([-1e4, 3.0]), 1e-8)
+        assert s == pytest.approx(5e-13, rel=1e-12, abs=0.0)
+
+    def test_zero_range_has_no_root(self):
+        net = GeneratorNetwork([Layer(np.zeros((6, 2)), np.ones(6), Activation("identity"))])
+        x = np.arange(6.0)
+        for method in ("grid", "latent-gd"):
+            cfg = ProjectionConfig(method=method, degrade_slack=1e-3, restarts=2,
+                                   inner_iters=5, grid_resolution=5)
+            with pytest.raises(ContractError, match="could not calibrate"):
+                project(cfg, net, x)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_bisection_on_nonaffine_net(self, activation, monkeypatch):
+        net = make_random_generator(2, 12, 2, [6], activation=activation, seed=3)
+        rng = np.random.default_rng(16)
+        x = forward(net, np.array([0.7, -1.1])) + 0.05 * rng.standard_normal(12)
+        start = ProjectionConfig(method="grid", grid_resolution=41, seed=5)
+        base = project(start, net, x)
+        calls = _count_forward(monkeypatch)
         for slack in (1e-4, 1e-2):
-            cfg = ProjectionConfig(
-                method="closed-form-linear", epsilon=slack, degrade_slack=slack, seed=0
-            )
-            res = project(cfg, net, x)
+            before = calls[0]
+            res = project(replace(start, degrade_slack=slack), net, x)
+            used = calls[0] - before
             np.testing.assert_array_equal(res.point, forward(net, res.latent))
-            got = res.residual_sq - exact.residual_sq
-            assert abs(got - slack) < 1e-8 * max(1.0, slack)
-            assert res.certified
+            assert abs(res.residual_sq - base.residual_sq - slack) < 1e-8 * max(1.0, slack)
+            np.testing.assert_array_equal(
+                res.latent, _full_bisection_latent(net, x, base, slack, start.seed)
+            )
+            # doublings plus bisection to float resolution, not 200 steps
+            assert used < 120
 
     def test_degraded_is_pure(self):
         rng = np.random.default_rng(15)
