@@ -6,6 +6,9 @@ deviation in an orthonormal basis.  It ships the projection oracles, the
 solvers, empirical estimators for the curvature and incoherence constants
 that govern the convergence theory, and a small experiment harness with a
 CLI (``genpgd gen|solve|sweep|report|estimate``).
+
+The root exports the entry points and their types; helpers live in their
+submodules.
 """
 
 __version__ = "0.1.0"
@@ -26,18 +29,11 @@ from .generator import (
     load_network,
     make_linear_generator,
     make_random_generator,
-    network_from_json,
-    network_to_json,
     save_network,
     vjp,
 )
 from .objective import (
-    CurvatureEstimate,
-    DiameterGammaEstimate,
     Objective,
-    RegularityEstimates,
-    curvature_ratio,
-    estimate_diameter_gamma,
     estimate_incoherence,
     estimate_rsc_rss,
     gradient,
@@ -45,7 +41,6 @@ from .objective import (
     minkowski_curvature,
     subspace_curvature,
     subspace_incoherence,
-    sum_pair_sampler,
     value,
 )
 from .projection import (
@@ -53,9 +48,7 @@ from .projection import (
     ProjectionConfig,
     ProjectionResult,
     hard_threshold,
-    hard_threshold_coeffs,
     project,
-    project_linear,
 )
 from .harness import (
     ExperimentConfig,
@@ -74,17 +67,12 @@ from .harness import (
     save_problem,
 )
 from .solver import (
-    ContractionReport,
-    IterationRecord,
     IterationTrace,
     SolverConfig,
     contraction_factor,
     contraction_report,
-    default_step_size,
     epsilon_pgd,
     myopic_pgd,
-    trace_from_csv,
-    trace_to_csv,
 )
 
 __all__ = [
@@ -102,16 +90,9 @@ __all__ = [
     "load_network",
     "make_linear_generator",
     "make_random_generator",
-    "network_from_json",
-    "network_to_json",
     "save_network",
     "vjp",
-    "CurvatureEstimate",
-    "DiameterGammaEstimate",
     "Objective",
-    "RegularityEstimates",
-    "curvature_ratio",
-    "estimate_diameter_gamma",
     "estimate_incoherence",
     "estimate_rsc_rss",
     "gradient",
@@ -119,15 +100,12 @@ __all__ = [
     "minkowski_curvature",
     "subspace_curvature",
     "subspace_incoherence",
-    "sum_pair_sampler",
     "value",
     "OrthoBasis",
     "ProjectionConfig",
     "ProjectionResult",
     "hard_threshold",
-    "hard_threshold_coeffs",
     "project",
-    "project_linear",
     "ExperimentConfig",
     "GeneratorSpec",
     "ProblemInstance",
@@ -142,15 +120,10 @@ __all__ = [
     "run_solve",
     "run_sweep",
     "save_problem",
-    "ContractionReport",
-    "IterationRecord",
     "IterationTrace",
     "SolverConfig",
     "contraction_factor",
     "contraction_report",
-    "default_step_size",
     "epsilon_pgd",
     "myopic_pgd",
-    "trace_from_csv",
-    "trace_to_csv",
 ]

@@ -36,6 +36,7 @@ from .generator import (
 from .objective import (
     Objective,
     RegularityEstimates,
+    _NUM_PAIRS,
     _curvature_bounds,
     _link_mean,
     estimate_diameter_gamma,
@@ -71,8 +72,6 @@ __all__ = [
     "run_solve",
     "run_sweep",
     "emit_report",
-    "write_matrix_csv",
-    "read_matrix_csv",
 ]
 
 _MEASUREMENTS = ("linear", "glm-sigmoid", "glm-exp")
@@ -401,7 +400,7 @@ def gen_problem(spec: ProblemSpec, seed: int) -> ProblemInstance:
 # instance files
 
 
-def write_matrix_csv(path, M) -> None:
+def _write_matrix_csv(path, M) -> None:
     """Row-major CSV, one matrix row per line, full-precision floats."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     with open(path, "w") as f:
@@ -410,7 +409,7 @@ def write_matrix_csv(path, M) -> None:
             f.write("\n")
 
 
-def read_matrix_csv(path) -> np.ndarray:
+def _read_matrix_csv(path) -> np.ndarray:
     rows = []
     with open(path) as f:
         for line in f:
@@ -429,10 +428,10 @@ def _vec(arr) -> list:
 def save_problem(inst: ProblemInstance, directory) -> Path:
     directory = Path(directory)
     os.makedirs(directory, exist_ok=True)
-    write_matrix_csv(directory / "A.csv", inst.A)
+    _write_matrix_csv(directory / "A.csv", inst.A)
     save_network(inst.net, directory / "network.json")
     if inst.basis is not None:
-        write_matrix_csv(directory / "basis.csv", inst.basis.matrix)
+        _write_matrix_csv(directory / "basis.csv", inst.basis.matrix)
     doc = {
         "format": "genpgd-instance",
         "meta": dataclasses.asdict(inst.meta),
@@ -473,8 +472,8 @@ def load_problem(directory) -> ProblemInstance:
         return ProblemInstance(
             net=load_network(directory / doc["files"]["network"]),
             basis=None if basis_file is None else OrthoBasis(
-                read_matrix_csv(directory / basis_file)),
-            A=read_matrix_csv(directory / doc["files"]["A"]),
+                _read_matrix_csv(directory / basis_file)),
+            A=_read_matrix_csv(directory / doc["files"]["A"]),
             y=np.array(doc["y"], dtype=float),
             truth=Truth(
                 z_star=np.array(truth["z_star"], dtype=float),
@@ -505,8 +504,7 @@ def build_objective(inst: ProblemInstance, measurement: str) -> Objective:
 
 
 def estimate_regularity(inst: ProblemInstance, objective: Objective,
-                        sparsity: int = 0, num_pairs: int = 400,
-                        num_samples: int = 64, seed: int = 0) -> RegularityEstimates:
+                        sparsity: int = 0, seed: int = 0) -> RegularityEstimates:
     """Curvature, incoherence, gradient-at-truth, and diameter constants.
 
     Uses the exact eigen/SVD oracles when the instance is a linear generator
@@ -518,7 +516,7 @@ def estimate_regularity(inst: ProblemInstance, objective: Objective,
     if sparsity > 0 and basis is None:
         raise ConfigError("sparsity > 0 needs a basis")
     alpha, beta = _curvature_bounds(objective, net, basis, sparsity,
-                                    num_pairs=num_pairs, seed=derive_seed(seed, 0))
+                                    seed=derive_seed(seed, 0))
     exact = net.is_single_affine and objective.kind == "least-squares"
     if exact:
         W = net.layers[0].weights
@@ -537,12 +535,11 @@ def estimate_regularity(inst: ProblemInstance, objective: Objective,
         used = 0
     else:
         mu = (estimate_incoherence(net, basis, sparsity,
-                                   num_samples=num_pairs, seed=derive_seed(seed, 1))
+                                   num_samples=_NUM_PAIRS, seed=derive_seed(seed, 1))
               if sparsity > 0 else 0.0)
-        used = num_pairs
+        used = _NUM_PAIRS
     dg = estimate_diameter_gamma(
-        net, objective=objective, x_star=inst.truth.x_star,
-        num_samples=num_samples, seed=derive_seed(seed, 2))
+        net, objective=objective, x_star=inst.truth.x_star, seed=derive_seed(seed, 2))
     return RegularityEstimates(alpha=alpha, beta=beta, mu=mu,
                                gamma=dg.gamma, delta=dg.delta,
                                num_samples=used, seed=seed)
@@ -582,15 +579,6 @@ class SolveSummary:
             "grad_time_total": self.grad_time_total,
         }
         return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SolveSummary":
-        doc = dict(doc)
-        runtime = doc.pop("runtime")
-        doc["regularity"] = RegularityEstimates.from_json(doc["regularity"])
-        doc["proj_time_total"] = runtime["proj_time_total"]
-        doc["grad_time_total"] = runtime["grad_time_total"]
-        return cls(**doc)
 
 
 def _solve_setup(inst: ProblemInstance, config: ExperimentConfig):

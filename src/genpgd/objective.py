@@ -170,18 +170,17 @@ def latent_pair_sampler(net: GeneratorNetwork, scale: float = 1.0):
     return sample
 
 
-def sum_pair_sampler(net: GeneratorNetwork, basis: OrthoBasis, l: int,
-                     scale: float = 1.0, support=None):
+def sum_pair_sampler(net: GeneratorNetwork, basis: OrthoBasis, l: int):
     """Pairs of points from {range point + l-sparse-in-basis deviation}.
 
-    Each point draws its own latent and its own sparse part; supports are
-    uniform size-l subsets unless ``support`` pins them.
+    Each point draws its own latent and its own sparse part on a uniform
+    size-l support.
     """
     n = basis.n
 
     def one(rng):
-        z = scale * rng.standard_normal(net.k)
-        idx = np.asarray(support) if support is not None else rng.choice(n, size=l, replace=False)
+        z = rng.standard_normal(net.k)
+        idx = rng.choice(n, size=l, replace=False)
         coeffs = np.zeros(n)
         coeffs[idx] = rng.standard_normal(len(idx))
         return forward(net, z) + basis.matrix @ coeffs
@@ -195,6 +194,11 @@ def sum_pair_sampler(net: GeneratorNetwork, basis: OrthoBasis, l: int,
 # ---------------------------------------------------------------------------
 # estimators
 
+# sample sizes of a regularity bundle: pairs per sampled curvature bound (also
+# the incoherence samples), latents per diameter estimate
+_NUM_PAIRS = 400
+_NUM_SAMPLES = 64
+
 
 @dataclass(frozen=True)
 class CurvatureEstimate:
@@ -204,29 +208,29 @@ class CurvatureEstimate:
     beta: float
     alpha_pair: tuple
     beta_pair: tuple
-    ratios: np.ndarray
-    num_pairs: int
-    seed: int
 
 
 def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> CurvatureEstimate:
-    """Min/max curvature ratio over ``num_pairs`` sampled point pairs,
-    tightened by recombination: every sampled point lies in the constraint
-    set, so all cross pairs among the 2 * num_pairs points are valid too and
-    the extremes are taken over that much larger direction family.  ``ratios``
-    holds only the as-sampled pairs; ``alpha``/``beta`` may come from a cross
-    pair and so can sit strictly outside the range of ``ratios``.
+    """Min/max curvature ratio over the 2 * ``num_pairs`` points of
+    ``num_pairs`` sampled pairs.
 
-    Pairs closer than 1e-12 are skipped and redrawn; a sampler that cannot
-    produce distinct pairs within 50x the requested count is reported as
-    degenerate.
+    Every sampled point lies in the constraint set, so every ordered cross
+    pair among them is a valid direction: one pass takes F and its gradient
+    once per point and the extremes over all those pairs, which include the
+    as-sampled ones.  ``alpha``/``beta`` are recomputed through
+    :func:`curvature_ratio` on the winning pairs, so each reported pair
+    reproduces its value.
+
+    A pair closer than 1e-12 is skipped and redrawn.  The sampler is
+    reported as degenerate (:class:`ContractError`) when it cannot produce
+    distinct pairs within 50x the requested count, or when its points are
+    all too close together for any ratio to rise above the rounding of the
+    distances.
     """
     rng = spawn_rng(seed)
-    ratios = np.empty(num_pairs)
-    pairs_seen = []
-    count = 0
+    points = []
     attempts = 0
-    while count < num_pairs:
+    while len(points) < 2 * num_pairs:
         attempts += 1
         if attempts > 50 * num_pairs:
             raise ContractError("sampler is degenerate: cannot produce distinct pairs")
@@ -234,38 +238,32 @@ def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> 
         d = np.asarray(y_pt) - np.asarray(x)
         if float(d @ d) < 1e-24:
             continue
-        ratios[count] = curvature_ratio(obj, x, y_pt)
-        pairs_seen.append((x, y_pt))
-        count += 1
-    extremes = _cross_pair_extremes(obj, pairs_seen)
+        points += [x, y_pt]
+    pts = np.array(points, dtype=float)
+    extremes = _cross_pair_extremes(obj, pts)
     if extremes is None:
-        i_lo, i_hi = int(np.argmin(ratios)), int(np.argmax(ratios))
-        pair_lo, pair_hi = pairs_seen[i_lo], pairs_seen[i_hi]
-    else:
-        (i_lo, j_lo), (i_hi, j_hi), pts = extremes
-        pair_lo, pair_hi = (pts[i_lo], pts[j_lo]), (pts[i_hi], pts[j_hi])
-    # recompute through curvature_ratio so the reported pair reproduces the value
+        raise ContractError(
+            "sampler is degenerate: no pair of its points is far enough apart "
+            "for a curvature ratio above rounding")
+    (i_lo, j_lo), (i_hi, j_hi) = extremes
+    pair_lo, pair_hi = (pts[i_lo], pts[j_lo]), (pts[i_hi], pts[j_hi])
     return CurvatureEstimate(
         alpha=curvature_ratio(obj, *pair_lo),
         beta=curvature_ratio(obj, *pair_hi),
         alpha_pair=pair_lo,
         beta_pair=pair_hi,
-        ratios=ratios,
-        num_pairs=num_pairs,
-        seed=seed,
     )
 
 
-def _cross_pair_extremes(obj: Objective, pairs, chunk: int = 256):
+def _cross_pair_extremes(obj: Objective, pts: np.ndarray, chunk: int = 256):
     """Index pairs (from_i, to_j) minimizing/maximizing the curvature ratio
-    over all ordered cross pairs of the points appearing in ``pairs``.
+    over all ordered cross pairs of the rows of ``pts``.
 
     One value and one gradient per point, then chunked algebra.  The squared
     distances come from a Gram expansion whose cancellation noise is about
     1e-16 times the point scale, so pairs below a relative floor are masked
     out rather than trusted; returns None if nothing survives the mask.
     """
-    pts = np.stack([np.asarray(p, dtype=float) for pair in pairs for p in pair])
     fvals = np.array([value(obj, p) for p in pts])
     grads = np.stack([gradient(obj, p) for p in pts])
     sq = np.sum(pts * pts, axis=1)
@@ -289,7 +287,7 @@ def _cross_pair_extremes(obj: Objective, pairs, chunk: int = 256):
             best_hi, at_hi = float(r[i, j]), (start + int(i), int(j))
     if at_lo is None or at_hi is None:
         return None
-    return at_lo, at_hi, pts
+    return at_lo, at_hi
 
 
 def estimate_incoherence(net: GeneratorNetwork, basis: OrthoBasis, l: int,
@@ -355,7 +353,7 @@ class DiameterGammaEstimate:
 
 
 def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective | None = None,
-                            x_star=None, num_samples: int = 64, seed: int = 0
+                            x_star=None, num_samples: int = _NUM_SAMPLES, seed: int = 0
                             ) -> DiameterGammaEstimate:
     """Max pairwise distance between the images of standard-normal
     latents, plus the gradient norm at a known truth when one is supplied."""
@@ -404,21 +402,6 @@ class RegularityEstimates:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RegularityEstimates":
-        try:
-            return cls(
-                alpha=float(obj["alpha"]),
-                beta=float(obj["beta"]),
-                mu=float(obj["mu"]),
-                gamma=None if obj["gamma"] is None else float(obj["gamma"]),
-                delta=None if obj["delta"] is None else float(obj["delta"]),
-                num_samples=int(obj["num_samples"]),
-                seed=int(obj["seed"]),
-            )
-        except KeyError as e:
-            raise ContractError(f"missing field {e} in regularity estimates") from e
-
 
 # ---------------------------------------------------------------------------
 # exact oracles (linear-generator least-squares case)
@@ -466,13 +449,13 @@ def minkowski_curvature(A, W, basis: OrthoBasis, l: int, supports=None,
 
 
 def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis | None = None,
-                      l: int = 0, num_pairs: int = 400, seed: int = 0) -> tuple[float, float]:
+                      l: int = 0, seed: int = 0) -> tuple[float, float]:
     """(alpha, beta) of ``obj`` over the range of ``net``, or over the
     range-plus-l-sparse sum set when a basis and l > 0 are given.
 
     Exact (:func:`subspace_curvature` / :func:`minkowski_curvature`) for
     least squares on a single affine layer; otherwise
-    :func:`estimate_rsc_rss` over ``num_pairs`` sampled pairs.
+    :func:`estimate_rsc_rss` over ``_NUM_PAIRS`` sampled pairs.
     """
     sparse = basis is not None and l > 0
     if obj.kind == "least-squares" and net.is_single_affine:
@@ -481,7 +464,7 @@ def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis |
             return minkowski_curvature(obj.A, W, basis, l, seed=seed)
         return subspace_curvature(obj.A, W)
     sampler = sum_pair_sampler(net, basis, l) if sparse else latent_pair_sampler(net)
-    est = estimate_rsc_rss(obj, sampler, num_pairs, seed=seed)
+    est = estimate_rsc_rss(obj, sampler, _NUM_PAIRS, seed=seed)
     return est.alpha, est.beta
 
 

@@ -105,9 +105,6 @@ class IterationTrace:
             raise ContractError("trace has no gap values; solve with a known truth")
         return np.array([r.gap for r in self.records])
 
-    def f_values(self) -> np.ndarray:
-        return np.array([r.f_value for r in self.records])
-
 
 def default_step_size(objective: Objective, net: GeneratorNetwork,
                       basis: OrthoBasis | None = None, l: int = 0,
@@ -264,7 +261,6 @@ class ContractionReport:
     plateau_index: int | None
     plateau_level: float | None
     rateable: bool
-    num_fit_points: int
     fit_end: int
 
 
@@ -343,7 +339,6 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
         plateau_index=plateau_index,
         plateau_level=plateau_level,
         rateable=rateable,
-        num_fit_points=int(ts.size),
         fit_end=int(fit_end),
     )
 

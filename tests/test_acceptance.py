@@ -301,7 +301,7 @@ def test_curvature_and_incoherence_estimates_track_oracles(capsys):
         sampler = latent_pair_sampler(inst.net)
         for est_seed in range(2):
             est = estimate_rsc_rss(obj, sampler, num_pairs=2000, seed=est_seed)
-            vals = np.concatenate([est.ratios, [est.alpha, est.beta]])
+            vals = np.array([est.alpha, est.beta])
             contained &= bool(np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9))
             worst_lo = max(worst_lo, abs(est.alpha - lo) / lo)
             worst_hi = max(worst_hi, abs(est.beta - hi) / hi)

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script, and the README's quick start, runs to completion
+against the current package."""
 
 import os
 import runpy
@@ -11,16 +12,26 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
+
+
+def _first_python_block(path) -> str:
+    text = path.read_text()
+    start = text.index("```python\n") + len("```python\n")
+    return text[start:text.index("```", start)]
 
 
 def test_demos_found():
     assert len(DEMOS) >= 7
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", DEMOS + [README], ids=lambda p: p.name)
 def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    runpy.run_path(str(path), run_name="__main__")
+    if path == README:
+        exec(compile(_first_python_block(path), str(path), "exec"), {})
+    else:
+        runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
 
 

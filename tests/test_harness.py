@@ -17,12 +17,11 @@ from genpgd.harness import (
     estimate_regularity,
     gen_problem,
     load_problem,
-    read_matrix_csv,
     run_solve,
     run_sweep,
     save_problem,
-    write_matrix_csv,
 )
+from genpgd.harness import _read_matrix_csv, _write_matrix_csv
 from genpgd.objective import subspace_curvature
 from genpgd.projection import project
 from genpgd.seeding import derive_seed
@@ -190,8 +189,8 @@ class TestSaveLoad:
 
     def test_matrix_csv_round_trip(self, tmp_path):
         M = np.random.default_rng(0).standard_normal((7, 3))
-        write_matrix_csv(tmp_path / "m.csv", M)
-        assert np.array_equal(read_matrix_csv(tmp_path / "m.csv"), M)
+        _write_matrix_csv(tmp_path / "m.csv", M)
+        assert np.array_equal(_read_matrix_csv(tmp_path / "m.csv"), M)
 
 
 class TestRunSolve:
