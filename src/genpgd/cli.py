@@ -133,7 +133,7 @@ def _cmd_report(args) -> int:
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
     # the bundle `solve` records for the same config and instance
-    _, _, reg = _solve_setup(_single_instance(cfg), cfg)
+    _, _, reg, _ = _solve_setup(_single_instance(cfg), cfg)
     doc = json.dumps(reg.to_json(), indent=2, sort_keys=True)
     print(doc)
     if args.out is not None:

@@ -19,6 +19,7 @@ import dataclasses
 import itertools
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -569,21 +570,20 @@ class SolveSummary:
     regularity: RegularityEstimates
     proj_time_total: float
     grad_time_total: float
+    regularity_time_total: float
 
     def to_json(self) -> dict:
+        runtime = ("proj_time_total", "grad_time_total", "regularity_time_total")
         doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-               if f.name not in ("regularity", "proj_time_total", "grad_time_total")}
+               if f.name != "regularity" and f.name not in runtime}
         doc["regularity"] = self.regularity.to_json()
-        doc["runtime"] = {
-            "proj_time_total": self.proj_time_total,
-            "grad_time_total": self.grad_time_total,
-        }
+        doc["runtime"] = {name: getattr(self, name) for name in runtime}
         return doc
 
 
 def _solve_setup(inst: ProblemInstance, config: ExperimentConfig):
-    """The objective, the resolved solver config and the one regularity
-    bundle of a solve of ``inst`` under ``config``.
+    """The objective, the resolved solver config, the one regularity
+    bundle of a solve of ``inst`` under ``config`` and its wall time.
 
     A myopic solve inherits the instance's sparsity budget when the solver
     config leaves ``l`` at 0, and its curvature set uses that budget.  A
@@ -599,11 +599,13 @@ def _solve_setup(inst: ProblemInstance, config: ExperimentConfig):
         if solver_cfg.l == 0 and inst.meta.l > 0:
             solver_cfg = dataclasses.replace(solver_cfg, l=inst.meta.l)
         sparsity = solver_cfg.l
+    tic = time.perf_counter()
     reg = estimate_regularity(inst, obj, sparsity=sparsity,
                               seed=derive_seed(inst.meta.seed, 100))
+    reg_time = time.perf_counter() - tic
     if solver_cfg.eta is None:
         solver_cfg = dataclasses.replace(solver_cfg, eta=1.0 / reg.beta)
-    return obj, solver_cfg, reg
+    return obj, solver_cfg, reg, reg_time
 
 
 def run_solve(inst: ProblemInstance, config: ExperimentConfig,
@@ -618,7 +620,7 @@ def run_solve(inst: ProblemInstance, config: ExperimentConfig,
     config leaves ``l`` at 0.  Divergence propagates to the caller with the
     partial trace attached.
     """
-    obj, solver_cfg, reg = _solve_setup(inst, config)
+    obj, solver_cfg, reg, reg_time = _solve_setup(inst, config)
     theory = contraction_factor(reg.alpha, reg.beta, reg.mu)
     theory_rate = float(theory) if np.isfinite(theory) else None
     basis = inst.basis if solver_cfg.mode == "myopic" else None
@@ -654,6 +656,7 @@ def run_solve(inst: ProblemInstance, config: ExperimentConfig,
         regularity=reg,
         proj_time_total=trace.proj_time_total,
         grad_time_total=trace.grad_time_total,
+        regularity_time_total=reg_time,
     )
     if out_dir is not None:
         out_dir = Path(out_dir)

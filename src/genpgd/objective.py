@@ -14,13 +14,13 @@ can be checked against closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ContractError, NumericError
-from .generator import GeneratorNetwork, forward
+from .generator import GeneratorNetwork, forward, forward_batch
 from .projection import OrthoBasis
 from .seeding import spawn_rng
 
@@ -97,7 +97,7 @@ def _inner(obj: Objective, x) -> np.ndarray:
 
 def _check_rows_finite(rows: np.ndarray):
     if not np.all(np.isfinite(rows)):
-        i = int(np.flatnonzero(~np.isfinite(rows))[0])
+        i = int(np.flatnonzero(~np.isfinite(rows))[0]) % rows.shape[-1]
         raise NumericError(f"non-finite intermediate at row {i}")
 
 
@@ -108,14 +108,7 @@ def value(obj: Objective, x) -> float:
     if obj.kind == "least-squares":
         r = t - obj.y
         return 0.5 * float(r @ r)
-    if obj.link == "sigmoid":
-        # log(1 + e^t) computed without overflow for any t
-        phi = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
-    else:
-        with np.errstate(over="ignore"):
-            phi = np.exp(t)
-        _check_rows_finite(phi)
-    return float(np.sum(phi - obj.y * t))
+    return float(np.sum(_potential(t, obj.link) - obj.y * t))
 
 
 def gradient(obj: Objective, x) -> np.ndarray:
@@ -136,6 +129,32 @@ def _link_mean(t: np.ndarray, link: str) -> np.ndarray:
         return 0.5 * (1.0 + np.tanh(0.5 * t))  # stable logistic
     with np.errstate(over="ignore"):
         return np.exp(t)
+
+
+def _potential(t: np.ndarray, link: str) -> np.ndarray:
+    """GLM potential phi(t) of the link, elementwise; an overflowing exp
+    raises NumericError naming its row."""
+    if link == "sigmoid":
+        # log(1 + e^t) computed without overflow for any t
+        return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
+    with np.errstate(over="ignore"):
+        phi = np.exp(t)
+    _check_rows_finite(phi)
+    return phi
+
+
+def _fit_batch(obj: Objective, pts: np.ndarray):
+    """:func:`value` and :func:`gradient` at every row of ``pts`` through
+    one product with A: (values, gradients as rows)."""
+    T = pts @ obj.A.T
+    _check_rows_finite(T)
+    if obj.kind == "least-squares":
+        R = T - obj.y
+        return 0.5 * np.einsum("ij,ij->i", R, R), R @ obj.A
+    fvals = np.sum(_potential(T, obj.link) - obj.y * T, axis=1)
+    R = _link_mean(T, obj.link) - obj.y
+    _check_rows_finite(R)
+    return fvals, R @ obj.A
 
 
 def curvature_ratio(obj: Objective, x, y_pt) -> float:
@@ -161,11 +180,14 @@ def curvature_ratio(obj: Objective, x, y_pt) -> float:
 
 
 def latent_pair_sampler(net: GeneratorNetwork, scale: float = 1.0):
-    """Pairs of range points from independent Gaussian latents."""
+    """Pairs of range points from independent Gaussian latents:
+    ``sample(rng, count)`` maps one ``standard_normal((count, 2, k))`` draw
+    (the stream of ``count`` per-pair draws) by one :func:`forward_batch`
+    to a (2 * count, n) array, pair i in rows 2i and 2i + 1."""
 
-    def sample(rng):
-        z = scale * rng.standard_normal((2, net.k))
-        return forward(net, z[0]), forward(net, z[1])
+    def sample(rng, count):
+        z = scale * rng.standard_normal((count, 2, net.k))
+        return forward_batch(net, z.reshape(2 * count, net.k).T).T
 
     return sample
 
@@ -174,19 +196,19 @@ def sum_pair_sampler(net: GeneratorNetwork, basis: OrthoBasis, l: int):
     """Pairs of points from {range point + l-sparse-in-basis deviation}.
 
     Each point draws its own latent and its own sparse part on a uniform
-    size-l support.
+    size-l support, point by point; ``sample(rng, count)`` maps all 2 *
+    ``count`` latents by one :func:`forward_batch`, rows as in
+    :func:`latent_pair_sampler`.
     """
-    n = basis.n
 
-    def one(rng):
-        z = rng.standard_normal(net.k)
-        idx = rng.choice(n, size=l, replace=False)
-        coeffs = np.zeros(n)
-        coeffs[idx] = rng.standard_normal(len(idx))
-        return forward(net, z) + basis.matrix @ coeffs
-
-    def sample(rng):
-        return one(rng), one(rng)
+    def sample(rng, count):
+        Z = np.empty((2 * count, net.k))
+        coeffs = np.zeros((basis.n, 2 * count))
+        for i in range(2 * count):
+            Z[i] = rng.standard_normal(net.k)
+            idx = rng.choice(basis.n, size=l, replace=False)
+            coeffs[idx, i] = rng.standard_normal(len(idx))
+        return (forward_batch(net, Z.T) + basis.matrix @ coeffs).T
 
     return sample
 
@@ -210,36 +232,45 @@ class CurvatureEstimate:
     beta_pair: tuple
 
 
+def _check_count(name: str, count, least: int):
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:
+        raise ContractError(f"{name} must be an integer >= {least}, got {count!r}")
+
+
 def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> CurvatureEstimate:
     """Min/max curvature ratio over the 2 * ``num_pairs`` points of
-    ``num_pairs`` sampled pairs.
+    ``num_pairs`` pairs drawn by ``sampler(rng, count)``, which returns a
+    (2 * count, n) array holding pair i in rows 2i and 2i + 1.
 
     Every sampled point lies in the constraint set, so every ordered cross
-    pair among them is a valid direction: one pass takes F and its gradient
-    once per point and the extremes over all those pairs, which include the
-    as-sampled ones.  ``alpha``/``beta`` are recomputed through
+    pair among them is a valid direction: one batched pass takes F and its
+    gradient at all points and the extremes over all those pairs, which
+    include the as-sampled ones.  ``alpha``/``beta`` are recomputed through
     :func:`curvature_ratio` on the winning pairs, so each reported pair
     reproduces its value.
 
-    A pair closer than 1e-12 is skipped and redrawn.  The sampler is
-    reported as degenerate (:class:`ContractError`) when it cannot produce
-    distinct pairs within 50x the requested count, or when its points are
-    all too close together for any ratio to rise above the rounding of the
+    Pairs closer than 1e-12 are dropped and only the missing ones redrawn,
+    keeping the pairs a pair-by-pair draw keeps.  The sampler is reported
+    as degenerate (:class:`ContractError`) when it cannot produce distinct
+    pairs within 50x the requested count, or when its points are all too
+    close together for any ratio to rise above the rounding of the
     distances.
     """
+    _check_count("num_pairs", num_pairs, 1)
     rng = spawn_rng(seed)
-    points = []
-    attempts = 0
-    while len(points) < 2 * num_pairs:
-        attempts += 1
-        if attempts > 50 * num_pairs:
+    kept, have, drawn = [], 0, 0
+    while have < num_pairs:
+        count = min(num_pairs - have, 50 * num_pairs - drawn)
+        if count == 0:
             raise ContractError("sampler is degenerate: cannot produce distinct pairs")
-        x, y_pt = sampler(rng)
-        d = np.asarray(y_pt) - np.asarray(x)
-        if float(d @ d) < 1e-24:
-            continue
-        points += [x, y_pt]
-    pts = np.array(points, dtype=float)
+        pairs = np.asarray(sampler(rng, count), dtype=float)
+        if pairs.shape != (2 * count, obj.n):
+            raise ContractError(f"sampler gave shape {pairs.shape}, want {(2 * count, obj.n)}")
+        drawn += count
+        d = pairs[1::2] - pairs[0::2]
+        kept.append(pairs.reshape(count, 2, obj.n)[np.einsum("ij,ij->i", d, d) >= 1e-24])
+        have += len(kept[-1])
+    pts = np.concatenate(kept).reshape(2 * num_pairs, obj.n)
     extremes = _cross_pair_extremes(obj, pts)
     if extremes is None:
         raise ContractError(
@@ -259,30 +290,32 @@ def _cross_pair_extremes(obj: Objective, pts: np.ndarray, chunk: int = 256):
     """Index pairs (from_i, to_j) minimizing/maximizing the curvature ratio
     over all ordered cross pairs of the rows of ``pts``.
 
-    One value and one gradient per point, then chunked algebra.  The squared
-    distances come from a Gram expansion whose cancellation noise is about
-    1e-16 times the point scale, so pairs below a relative floor are masked
-    out rather than trusted; returns None if nothing survives the mask.
+    F and its gradient at every row from :func:`_fit_batch`, then chunked
+    algebra.  The squared distances come from a Gram expansion whose
+    cancellation noise is about 1e-16 times the point scale, so pairs below
+    a relative floor are masked out rather than trusted; returns None if
+    nothing survives the mask.
     """
-    fvals = np.array([value(obj, p) for p in pts])
-    grads = np.stack([gradient(obj, p) for p in pts])
+    fvals, grads = _fit_batch(obj, pts)
     sq = np.sum(pts * pts, axis=1)
+    gp = np.sum(grads * pts, axis=1)
     best_lo, best_hi = np.inf, -np.inf
     at_lo = at_hi = None
     for start in range(0, pts.shape[0], chunk):
-        Pi = pts[start:start + chunk]
-        dots = Pi @ pts.T
-        dd = sq[start:start + chunk, None] + sq[None, :] - 2.0 * dots
-        gdiff = grads[start:start + chunk] @ pts.T - np.sum(grads[start:start + chunk] * Pi, axis=1)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = 2.0 * (fvals[None, :] - fvals[start:start + chunk, None] - gdiff) / dd
-        r[dd < 1e-12 * (1.0 + sq[start:start + chunk, None] + sq[None, :])] = np.nan
-        if np.all(np.isnan(r)):
-            continue
-        i, j = np.unravel_index(np.nanargmin(r), r.shape)
+        rows = slice(start, start + chunk)
+        dd = np.add.outer(sq[rows], sq) - 2.0 * (pts[rows] @ pts.T)
+        masked = dd < 1e-12 * np.add.outer(sq[rows] + 1.0, sq)
+        r = grads[rows] @ pts.T
+        r -= gp[rows, None]
+        np.subtract(fvals - fvals[rows, None], r, out=r)
+        r *= 2.0
+        np.divide(r, dd, out=r, where=~masked)
+        r[masked] = np.inf
+        i, j = np.unravel_index(np.argmin(r), r.shape)
         if r[i, j] < best_lo:
             best_lo, at_lo = float(r[i, j]), (start + int(i), int(j))
-        i, j = np.unravel_index(np.nanargmax(r), r.shape)
+        r[masked] = -np.inf
+        i, j = np.unravel_index(np.argmax(r), r.shape)
         if r[i, j] > best_hi:
             best_hi, at_hi = float(r[i, j]), (start + int(i), int(j))
     if at_lo is None or at_hi is None:
@@ -312,12 +345,8 @@ def estimate_incoherence(net: GeneratorNetwork, basis: OrthoBasis, l: int,
 
     def sparse_response(du):
         c = B.T @ du
-        if sup is not None:
-            idx = sup
-        else:
-            idx = np.argsort(-np.abs(c), kind="stable")[:l]
-        dv = B[:, idx] @ c[idx]
-        return dv
+        idx = sup if sup is not None else np.argsort(-np.abs(c), kind="stable")[:l]
+        return B[:, idx] @ c[idx]
 
     best = 0.0
     for _ in range(num_samples):
@@ -357,6 +386,7 @@ def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective | None =
                             ) -> DiameterGammaEstimate:
     """Max pairwise distance between the images of standard-normal
     latents, plus the gradient norm at a known truth when one is supplied."""
+    _check_count("num_samples", num_samples, 2)
     rng = spawn_rng(seed)
     pts = np.empty((num_samples, net.n))
     for i in range(num_samples):
@@ -392,15 +422,7 @@ class RegularityEstimates:
             raise ContractError(f"mu must lie in [0, 1), got {self.mu}")
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "mu": self.mu,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "num_samples": self.num_samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

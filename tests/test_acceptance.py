@@ -42,7 +42,7 @@ from genpgd import (
     subspace_incoherence,
     value,
 )
-from genpgd.generator import forward, vjp
+from genpgd.generator import _forward_jacobian, forward, vjp
 from genpgd.seeding import derive_seed, spawn_rng
 
 EXACT = ProjectionConfig(method="closed-form-linear")
@@ -267,7 +267,7 @@ def test_derivatives_match_central_differences(capsys):
             worst_grad = max(worst_grad,
                              float(np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-12)))
 
-    worst_vjp = 0.0
+    worst_vjp = worst_jac = 0.0
     nets = [
         make_linear_generator(np.linalg.qr(spawn_rng(70).standard_normal((20, 4)))[0]),
         make_random_generator(3, 15, 2, (10,), activation="relu", seed=71),
@@ -279,16 +279,23 @@ def test_derivatives_match_central_differences(capsys):
         for z in _generic_latents(net, 50, derive_seed(75, idx)):
             w = w_rng.standard_normal(net.n)
             u = vjp(net, z, w)
+            J = _forward_jacobian(net, z)[1]  # the Jacobian latent-gd's LM steps use
             fd = np.empty(net.k)
+            fd_jac = np.empty((net.n, net.k))
             for j in range(net.k):
                 e = np.zeros(net.k)
                 e[j] = h
-                fd[j] = float(w @ (forward(net, z + e) - forward(net, z - e))) / (2 * h)
+                diff = forward(net, z + e) - forward(net, z - e)
+                fd[j] = float(w @ diff) / (2 * h)
+                fd_jac[:, j] = diff / (2 * h)
             worst_vjp = max(worst_vjp,
                             float(np.linalg.norm(u - fd) / max(np.linalg.norm(u), 1e-12)))
-    ok = worst_grad <= 1e-5 and worst_vjp <= 1e-5
+            worst_jac = max(worst_jac,
+                            float(np.linalg.norm(J - fd_jac) / max(np.linalg.norm(J), 1e-12)))
+    ok = worst_grad <= 1e-5 and worst_vjp <= 1e-5 and worst_jac <= 1e-5
     _line(capsys, "derivatives vs finite differences", ok,
-          f"worst gradient rel err {worst_grad:.2e}, worst vjp rel err {worst_vjp:.2e}")
+          f"worst gradient rel err {worst_grad:.2e}, worst vjp rel err {worst_vjp:.2e}, "
+          f"worst jacobian rel err {worst_jac:.2e}")
 
 
 def test_curvature_and_incoherence_estimates_track_oracles(capsys):

@@ -222,7 +222,9 @@ class TestRunSolve:
                     "violations", "regularity", "runtime", "status"):
             assert key in doc
         assert doc["status"] == "ok"
-        assert set(doc["runtime"]) == {"proj_time_total", "grad_time_total"}
+        assert set(doc["runtime"]) == {"proj_time_total", "grad_time_total",
+                                       "regularity_time_total"}
+        assert all(v >= 0.0 for v in doc["runtime"].values())
 
     def test_theory_rate_matches_oracle(self):
         cfg = make_config(**{"problem.m": 400})

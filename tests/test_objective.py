@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
+import genpgd.objective as objective_mod
 from genpgd.errors import ContractError, NumericError
-from genpgd.generator import make_linear_generator, make_random_generator
+from genpgd.generator import forward, make_linear_generator, make_random_generator
 from genpgd.objective import (
     Objective,
     RegularityEstimates,
@@ -149,8 +150,8 @@ class TestCurvatureEstimator:
             assert np.all(np.array([est.alpha, est.beta]) >= -1e-10)
 
     def test_degenerate_sampler_errors(self):
-        def constant(rng):
-            return np.zeros(30), np.zeros(30)
+        def constant(rng, count):
+            return np.zeros((2 * count, 30))
 
         with pytest.raises(ContractError, match="sampler"):
             estimate_rsc_rss(self.obj, constant, num_pairs=10, seed=0)
@@ -161,6 +162,93 @@ class TestCurvatureEstimator:
         # the spectrum)
         with pytest.raises(ContractError, match="sampler"):
             estimate_rsc_rss(self.obj, latent_pair_sampler(self.net, scale=1e-8), 50, seed=0)
+
+    def test_sampler_shape_checked(self):
+        # one pair per call, whatever the count: the shape names the mismatch
+        def one_pair(rng, count):
+            return rng.standard_normal((2, 30))
+
+        with pytest.raises(ContractError, match="shape"):
+            estimate_rsc_rss(self.obj, one_pair, num_pairs=5, seed=0)
+
+    @pytest.mark.parametrize("num_pairs", [0, -3, 1.5, True, "4"])
+    def test_bad_pair_counts_rejected(self, num_pairs):
+        with pytest.raises(ContractError, match="num_pairs"):
+            estimate_rsc_rss(self.obj, latent_pair_sampler(self.net), num_pairs, seed=0)
+
+    def test_redraw_keeps_the_sequential_pairs(self, monkeypatch):
+        # a tape of pairs with duplicates at known positions: the batched
+        # redraw keeps exactly the first num_pairs distinct pairs and reads
+        # the tape no further than a pair-by-pair loop would
+        tape = np.random.default_rng(40).standard_normal((40, 2, 30))
+        dup = [0, 3, 4, 9, 10, 11, 17]
+        tape[dup, 1] = tape[dup, 0]
+        num_pairs = 12
+        distinct = [t for t in range(40) if t not in dup]
+        counts = []
+
+        def stub(rng, count):
+            start = sum(counts)
+            counts.append(count)
+            return tape[start:start + count].reshape(2 * count, 30)
+
+        seen = []
+        inner = objective_mod._cross_pair_extremes
+        monkeypatch.setattr(objective_mod, "_cross_pair_extremes",
+                            lambda obj, pts: seen.append(pts.copy()) or inner(obj, pts))
+        estimate_rsc_rss(self.obj, stub, num_pairs, seed=0)
+        np.testing.assert_array_equal(
+            seen[0], tape[distinct[:num_pairs]].reshape(2 * num_pairs, 30))
+        assert counts[0] == num_pairs
+        assert sum(counts) == distinct[num_pairs - 1] + 1
+
+    def test_redraw_cap_is_fifty_times_the_count(self):
+        drawn = []
+
+        def duplicates(rng, count):
+            drawn.append(count)
+            return np.repeat(rng.standard_normal((count, 30)), 2, axis=0)
+
+        with pytest.raises(ContractError, match="cannot produce distinct pairs"):
+            estimate_rsc_rss(self.obj, duplicates, 7, seed=0)
+        assert sum(drawn) == 50 * 7
+
+    def test_latent_sampler_makes_no_per_point_work(self, monkeypatch):
+        # a work count, not a timing: every point goes through forward_batch,
+        # and value/gradient run only in the two winners' curvature_ratio
+        # recomputations (two values and one gradient each)
+        net = make_random_generator(3, 30, 2, [10], "relu", seed=41)
+        calls = {"forward": 0, "value": 0, "gradient": 0}
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(objective_mod, name)):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(objective_mod, name, counted)
+        estimate_rsc_rss(self.obj, latent_pair_sampler(net), num_pairs=100, seed=0)
+        assert calls == {"forward": 0, "value": 4, "gradient": 2}
+
+    def test_exp_overflow_raises(self):
+        net = make_random_generator(3, 10, 2, [6], "relu", seed=1)
+        A = np.random.default_rng(42).standard_normal((20, 10))
+        A[5] *= 1e4
+        obj = Objective("glm", A, np.ones(20), link="exp")
+        with pytest.raises(NumericError, match="row 5"):
+            estimate_rsc_rss(obj, latent_pair_sampler(net), num_pairs=50, seed=0)
+
+
+class TestBatchedFit:
+    @pytest.mark.parametrize(
+        "kind,link",
+        [("least-squares", None), ("glm", "sigmoid"), ("glm", "exp")],
+    )
+    def test_matches_per_point_value_and_gradient(self, kind, link):
+        obj = random_objective(kind, link, m=12, n=7, seed=43)
+        pts = 0.5 * np.random.default_rng(44).standard_normal((25, 7))
+        fvals, grads = objective_mod._fit_batch(obj, pts)
+        np.testing.assert_allclose(fvals, [value(obj, p) for p in pts], rtol=1e-13)
+        np.testing.assert_allclose(grads, np.stack([gradient(obj, p) for p in pts]),
+                                   rtol=1e-13)
 
 
 class TestExactOracles:
@@ -280,6 +368,12 @@ class TestDiameterGamma:
         est2 = estimate_diameter_gamma(net, noisy, x_star=x_star, num_samples=40, seed=3)
         assert abs(est2.gamma - np.linalg.norm(gradient(noisy, x_star))) < 1e-14
 
+    @pytest.mark.parametrize("num_samples", [0, 1, -2, 2.5, True])
+    def test_bad_sample_counts_rejected(self, num_samples):
+        net = make_random_generator(3, 10, 2, [6], "relu", seed=1)
+        with pytest.raises(ContractError, match="num_samples"):
+            estimate_diameter_gamma(net, num_samples=num_samples)
+
 
 class TestRegularityEstimates:
     def test_round_trip_and_validation(self):
@@ -302,14 +396,49 @@ class TestRegularityEstimates:
         assert doc["gamma"] is None and doc["delta"] is None
 
 
+class TestLatentPairSampler:
+    def test_one_draw_same_stream_as_per_pair_draws(self, monkeypatch):
+        net = make_random_generator(3, 15, 2, [8], "relu", seed=31)
+        latents = []
+        inner = objective_mod.forward_batch
+        monkeypatch.setattr(objective_mod, "forward_batch",
+                            lambda net, Z: latents.append(Z.copy()) or inner(net, Z))
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        pts = latent_pair_sampler(net, scale=0.5)(rng, 9)
+        ref_z = np.concatenate([0.5 * ref_rng.standard_normal((2, 3)) for _ in range(9)])
+        assert len(latents) == 1
+        np.testing.assert_array_equal(latents[0].T, ref_z)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        ref = np.array([forward(net, z) for z in ref_z])
+        assert pts.shape == ref.shape
+        # gemm against per-point gemv: rounding only, relative to each point
+        assert np.all(np.linalg.norm(pts - ref, axis=1) <= 1e-14 * np.linalg.norm(ref, axis=1))
+
+
 class TestSumPairSampler:
+    def test_batch_matches_per_point_reference(self):
+        net = make_random_generator(3, 20, 2, [10], "tanh", seed=32)
+        basis = OrthoBasis.random(20, seed=33)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        pts = sum_pair_sampler(net, basis, l=3)(rng, 7)
+        ref = []
+        for _ in range(14):  # each point: latent, support, coefficients
+            z = ref_rng.standard_normal(3)
+            idx = ref_rng.choice(20, size=3, replace=False)
+            coeffs = np.zeros(20)
+            coeffs[idx] = ref_rng.standard_normal(3)
+            ref.append(forward(net, z) + basis.matrix @ coeffs)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        ref = np.array(ref)
+        assert np.all(np.linalg.norm(pts - ref, axis=1) <= 1e-14 * np.linalg.norm(ref, axis=1))
+
     def test_points_decompose(self):
         rng = np.random.default_rng(30)
         W = np.linalg.qr(rng.standard_normal((12, 2)))[0]
         net = make_linear_generator(W)
         basis = OrthoBasis.identity(12)
         sampler = sum_pair_sampler(net, basis, l=2)
-        x, y = sampler(np.random.default_rng(0))
+        x, y = sampler(np.random.default_rng(0), 1)
         assert x.shape == (12,) and y.shape == (12,)
         obj = Objective("least-squares", np.eye(12), np.zeros(12))
         # identity measurement: curvature of the sum set is exactly 1
