@@ -206,21 +206,27 @@ def vjp(net: GeneratorNetwork, z, cotangent) -> np.ndarray:
     return g
 
 
-def _forward_jacobian(net: GeneratorNetwork, z):
-    """Output ``forward(net, z)`` and the n-by-k Jacobian ``J(z)`` in one pass.
+def _forward_jacobian(net: GeneratorNetwork, Z):
+    """Outputs and Jacobians at a batch of latents in one pass.
 
-    Forward mode: the k tangent columns ride along with the activations,
-    ``J <- act'(pre)[:, None] * (W @ J)`` per layer, which is cheap because
-    the latent dimension is small.  Kinks use the same one-sided derivatives
-    as :func:`vjp`, so ``J.T @ c == vjp(net, z, c)`` up to rounding.
+    ``Z`` holds one latent per row, (N, k); the result is the (N, n) outputs
+    and the (N, n, k) stack of Jacobians ``J(z)``.  Forward mode: the k
+    tangent columns ride along with the activations,
+    ``J <- act'(pre)[:, :, None] * (W @ J)`` per layer, which is cheap
+    because the latent dimension is small.  Kinks use the same one-sided
+    derivatives as :func:`vjp`, so ``J[i].T @ c == vjp(net, Z[i], c)`` up to
+    rounding.
     """
-    a = _check_latent(net, z)
-    J = np.eye(net.k)
+    A = np.asarray(Z, dtype=float)
+    if A.ndim != 2 or A.shape[1] != net.k:
+        raise ContractError(f"latent batch must have shape (N, {net.k}), got {A.shape}")
+    J = None
     for layer in net.layers:
-        pre = layer.weights @ a + layer.bias
-        a = layer.activation.apply(pre)
-        J = layer.activation.derivative(pre)[:, None] * (layer.weights @ J)
-    return a, J
+        pre = A @ layer.weights.T + layer.bias
+        A = layer.activation.apply(pre)
+        WJ = layer.weights if J is None else layer.weights @ J
+        J = layer.activation.derivative(pre)[:, :, None] * WJ
+    return A, J
 
 
 def make_linear_generator(W) -> GeneratorNetwork:

@@ -144,17 +144,21 @@ def _potential(t: np.ndarray, link: str) -> np.ndarray:
 
 
 def _fit_batch(obj: Objective, pts: np.ndarray):
-    """:func:`value` and :func:`gradient` at every row of ``pts`` through
-    one product with A: (values, gradients as rows)."""
+    """:func:`value` at every row of ``pts`` through one product with A.
+
+    Returns ``(values, R, T)``: ``T = pts A^T`` holds the inner products and
+    ``R`` the link residuals (``T - y`` for least squares, ``phi'(T) - y``
+    for glm), so the gradients are the rows of ``R A``.
+    """
     T = pts @ obj.A.T
     _check_rows_finite(T)
     if obj.kind == "least-squares":
         R = T - obj.y
-        return 0.5 * np.einsum("ij,ij->i", R, R), R @ obj.A
+        return 0.5 * np.einsum("ij,ij->i", R, R), R, T
     fvals = np.sum(_potential(T, obj.link) - obj.y * T, axis=1)
     R = _link_mean(T, obj.link) - obj.y
     _check_rows_finite(R)
-    return fvals, R @ obj.A
+    return fvals, R, T
 
 
 def curvature_ratio(obj: Objective, x, y_pt) -> float:
@@ -290,22 +294,24 @@ def _cross_pair_extremes(obj: Objective, pts: np.ndarray, chunk: int = 256):
     """Index pairs (from_i, to_j) minimizing/maximizing the curvature ratio
     over all ordered cross pairs of the rows of ``pts``.
 
-    F and its gradient at every row from :func:`_fit_batch`, then chunked
-    algebra.  The squared distances come from a Gram expansion whose
-    cancellation noise is about 1e-16 times the point scale, so pairs below
-    a relative floor are masked out rather than trusted; returns None if
-    nothing survives the mask.
+    F at every row and its link residuals R from :func:`_fit_batch`, then
+    chunked algebra.  A gradient is a row of ``R A``, so its inner product
+    with a point is taken in the m-dimensional measurement space:
+    ``<grad F(p_i), p_j> = R_i . (A p_j)``.  The squared distances come
+    from a Gram expansion whose cancellation noise is about 1e-16 times the
+    point scale, so pairs below a relative floor are masked out rather than
+    trusted; returns None if nothing survives the mask.
     """
-    fvals, grads = _fit_batch(obj, pts)
+    fvals, R, T = _fit_batch(obj, pts)
     sq = np.sum(pts * pts, axis=1)
-    gp = np.sum(grads * pts, axis=1)
+    gp = np.sum(R * T, axis=1)
     best_lo, best_hi = np.inf, -np.inf
     at_lo = at_hi = None
     for start in range(0, pts.shape[0], chunk):
         rows = slice(start, start + chunk)
         dd = np.add.outer(sq[rows], sq) - 2.0 * (pts[rows] @ pts.T)
         masked = dd < 1e-12 * np.add.outer(sq[rows] + 1.0, sq)
-        r = grads[rows] @ pts.T
+        r = R[rows] @ T.T
         r -= gp[rows, None]
         np.subtract(fvals - fvals[rows, None], r, out=r)
         r *= 2.0
@@ -336,6 +342,7 @@ def estimate_incoherence(net: GeneratorNetwork, basis: OrthoBasis, l: int,
     estimate is monotone nondecreasing in ``num_samples`` for a fixed seed
     because samples are drawn from one nested stream.
     """
+    _check_count("num_samples", num_samples, 1)
     rng = spawn_rng(seed)
     B = basis.matrix
     sup = None if support is None else np.asarray(support, dtype=int)

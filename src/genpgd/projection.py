@@ -11,6 +11,7 @@ basis-sparse vectors, lives here too.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, replace
 
@@ -81,8 +82,11 @@ class ProjectionConfig:
     latent-gd samples restart points from it.
 
     ``latent-gd`` runs ``restarts`` Levenberg–Marquardt descents on
-    z -> 0.5 ||x - G(z)||^2.  ``inner_iters`` caps the iterations of each
-    (one Jacobian and one damped k-by-k solve per iteration).
+    z -> 0.5 ||x - G(z)||^2.  ``inner_iters`` caps the accepted steps of
+    each (one Jacobian and one damped k-by-k solve per step).  The restarts
+    run in lockstep, one batched solve and one batched generator evaluation
+    per round, but each keeps its own damping and stopping rules, so every
+    restart ends where it would have ended alone.
     """
 
     method: str = "latent-gd"
@@ -194,74 +198,114 @@ def project_linear(W, x) -> ProjectionResult:
     )
 
 
-def _descend(net, x, z0, inner_iters):
-    """Levenberg–Marquardt on z -> 0.5 ||x - G(z)||^2 from one start.
-
-    Each iteration solves (J^T J + lam I) p = J^T r for the k-by-k damped
-    Gauss–Newton step and accepts z - p on sufficient decrease
-    (f_try <= f - 1e-4 g^T p); a rejected trial multiplies lam by 4 and
-    re-solves with the same J, an accepted one divides it by 4.  lam starts
-    at tr(J^T J), so the first steps are short gradient-like moves.  Stops
-    at ``inner_iters`` iterations, on a gradient norm below 1e-9, when 50 damping increases in
-    a row find no decrease, or when a step gains at most 1e-12 of f.
-    """
-    eye = np.eye(net.k)
-    z = z0
-    out, J = _forward_jacobian(net, z)
-    r = out - x
-    f = 0.5 * float(r @ r)
-    lam = float(np.sum(J * J))  # tr(J^T J)
-    for _ in range(inner_iters):
-        g = J.T @ r
-        if float(g @ g) < 1e-18:  # gradient norm below 1e-9
-            break
-        JtJ = J.T @ J
-        for _ in range(50):
+def _damped_steps(M: np.ndarray, g: np.ndarray):
+    """Solve every ``M[i] p = g[i]``: one stacked solve, or row by row when
+    some system is singular.  Returns the steps and a mask of the rows that
+    solved; a singular row's step is left at zero."""
+    try:
+        return np.linalg.solve(M, g[:, :, None])[:, :, 0], np.ones(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        P = np.zeros_like(g)
+        solved = np.ones(len(g), dtype=bool)
+        for i in range(len(g)):
             try:
-                p = np.linalg.solve(JtJ + lam * eye, g)
+                P[i] = np.linalg.solve(M[i], g[i])
             except np.linalg.LinAlgError:
-                # dependent Jacobian columns with lam below their rounding
-                lam *= 4.0
-                continue
-            z_try = z - p
-            r_try = forward(net, z_try) - x
-            f_try = 0.5 * float(r_try @ r_try)
-            if f_try <= f - 1e-4 * float(g @ p):
-                break
-            lam *= 4.0
-        else:
-            break
-        converged = f - f_try <= 1e-12 * f
-        z, r, f = z_try, r_try, f_try
-        lam *= 0.25
-        if converged:
-            break
-        J = _forward_jacobian(net, z)[1]
-    return z, f
+                solved[i] = False
+        return P, solved
+
+
+def _normal_equations(J: np.ndarray, r: np.ndarray):
+    """``J^T r`` and ``J^T J`` for every row of a stack of Jacobians."""
+    Jt = J.transpose(0, 2, 1)
+    return (Jt @ r[:, :, None])[:, :, 0], Jt @ J
+
+
+def _descend_lockstep(net, x, Z0, inner_iters):
+    """Levenberg–Marquardt on z -> 0.5 ||x - G(z)||^2 from every row of
+    ``Z0`` at once; returns the final latents (one per row) and their f.
+
+    Each row runs its own descent: it solves (J^T J + lam I) p = J^T r for
+    the k-by-k damped Gauss–Newton step and accepts z - p on sufficient
+    decrease (f_try <= f - 1e-4 g^T p).  A rejected trial multiplies its lam
+    by 4 and re-solves with the same J, an accepted one divides it by 4.
+    lam starts at tr(J^T J), so the first steps are short gradient-like
+    moves.  A row stops at ``inner_iters`` accepted steps, on a gradient norm
+    below 1e-9, when 50 damping increases in a row find no decrease, or when
+    a step gains at most 1e-12 of f.  A singular damped system (dependent
+    Jacobian columns with lam below their rounding) counts as a reject.
+
+    The rows advance in lockstep: one round is one stacked solve over the
+    rows still running, one :func:`forward_batch` over their trial latents
+    and one Jacobian pass over the rows that accepted.
+    """
+    Z = np.array(Z0, dtype=float)
+    out, J = _forward_jacobian(net, Z)
+    r = out - x
+    f = 0.5 * np.einsum("ij,ij->i", r, r)
+    lam = np.einsum("ijk,ijk->i", J, J)  # tr(J^T J)
+    g, JtJ = _normal_equations(J, r)
+    eye = np.eye(net.k)
+    rejects = np.zeros(len(Z), dtype=int)  # in a row, since the last accept
+    steps = np.zeros(len(Z), dtype=int)  # accepted
+    active = np.einsum("ij,ij->i", g, g) >= 1e-18  # gradient norm at least 1e-9
+    while active.any():
+        rows = np.flatnonzero(active)
+        P, solved = _damped_steps(JtJ[rows] + lam[rows, None, None] * eye, g[rows])
+        tried, P = rows[solved], P[solved]
+        Z_try = Z[tried] - P
+        r_try = forward_batch(net, Z_try.T).T - x
+        f_try = 0.5 * np.einsum("ij,ij->i", r_try, r_try)
+        ok = f_try <= f[tried] - 1e-4 * np.einsum("ij,ij->i", g[tried], P)
+
+        rej = np.concatenate([rows[~solved], tried[~ok]])
+        lam[rej] *= 4.0
+        rejects[rej] += 1
+        active[rej[rejects[rej] >= 50]] = False
+
+        acc = tried[ok]
+        converged = f[acc] - f_try[ok] <= 1e-12 * f[acc]
+        Z[acc], r[acc], f[acc] = Z_try[ok], r_try[ok], f_try[ok]
+        lam[acc] *= 0.25
+        rejects[acc] = 0
+        steps[acc] += 1
+        done = converged | (steps[acc] >= inner_iters)
+        active[acc[done]] = False
+        acc = acc[~done]
+        if acc.size:
+            g[acc], JtJ[acc] = _normal_equations(_forward_jacobian(net, Z[acc])[1], r[acc])
+            active[acc] = np.einsum("ij,ij->i", g[acc], g[acc]) >= 1e-18
+    return Z, f
+
+
+@functools.lru_cache(maxsize=32)
+def _restart_starts(seed: int, restarts: int, bounds: tuple) -> np.ndarray:
+    """The latent-gd start points as rows of a read-only (restarts, k)
+    array: the origin, then row j uniform in the box ``bounds`` (one
+    (lo, hi) pair per latent coordinate) from the nested stream (seed, j)."""
+    lo, hi = np.array(bounds).T
+    Z0 = np.zeros((restarts, len(bounds)))
+    for j in range(1, restarts):
+        Z0[j] = spawn_rng(seed, j).uniform(lo, hi)
+    Z0.flags.writeable = False
+    return Z0
 
 
 def _project_latent_gd(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarray):
-    """Multi-restart Levenberg–Marquardt in latent space (see
-    :func:`_descend` for one restart).  Restart 0 starts at the origin; later
-    restarts draw uniformly from the search box (``grid_bounds``, same default
-    as the grid method), which covers far-from-origin basins that standard
-    normal draws rarely reach.  Restarts use nested seed streams
-    (seed, restart index), so growing ``restarts`` only adds candidates; the
-    best residual is therefore nonincreasing in ``restarts``.  Ties go to the
-    lowest restart index, making the result independent of evaluation order.
+    """Multi-restart Levenberg–Marquardt in latent space, all restarts in
+    lockstep (see :func:`_descend_lockstep`).  Restart 0 starts at the
+    origin; later restarts draw uniformly from the search box
+    (``grid_bounds``, same default as the grid method), which covers
+    far-from-origin basins that standard normal draws rarely reach.
+    Restarts use nested seed streams (seed, restart index), so growing
+    ``restarts`` only adds candidates; the best residual is therefore
+    nonincreasing in ``restarts``.  Ties go to the lowest restart index.
     """
-    bounds = np.array(cfg._resolve_bounds(net.k))
-    best_z = None
-    best_f = np.inf
-    for j in range(cfg.restarts):
-        if j == 0:
-            z0 = np.zeros(net.k)
-        else:
-            z0 = spawn_rng(cfg.seed, j).uniform(bounds[:, 0], bounds[:, 1])
-        z, f = _descend(net, x, z0, cfg.inner_iters)
-        if f < best_f:
-            best_z, best_f = z, f
-    return _result(net, x, best_z, certified=False)
+    bounds = tuple(cfg._resolve_bounds(net.k))
+    Z, f = _descend_lockstep(net, x, _restart_starts(cfg.seed, cfg.restarts, bounds),
+                             cfg.inner_iters)
+    best = int(np.argmin(f))  # first minimum wins: deterministic tie-break
+    return _result(net, x, Z[best], certified=False)
 
 
 def _project_grid(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarray):

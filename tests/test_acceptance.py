@@ -276,10 +276,11 @@ def test_derivatives_match_central_differences(capsys):
     ]
     for idx, net in enumerate(nets):
         w_rng = spawn_rng(74, idx)
-        for z in _generic_latents(net, 50, derive_seed(75, idx)):
+        Z = np.stack(_generic_latents(net, 50, derive_seed(75, idx)))
+        # the batched Jacobian pass latent-gd's lockstep LM rounds use
+        for z, J in zip(Z, _forward_jacobian(net, Z)[1]):
             w = w_rng.standard_normal(net.n)
             u = vjp(net, z, w)
-            J = _forward_jacobian(net, z)[1]  # the Jacobian latent-gd's LM steps use
             fd = np.empty(net.k)
             fd_jac = np.empty((net.n, net.k))
             for j in range(net.k):

@@ -149,18 +149,23 @@ class TestForwardJacobian:
     def test_matches_vjp_and_central_differences(self, name, build):
         net = build()
         rng = np.random.default_rng(hash(name) % 2**32)
-        for _ in range(5):
-            z = generic_latent(net, rng)
+        Z = np.stack([generic_latent(net, rng) for _ in range(5)])
+        out, J = _forward_jacobian(net, Z)  # the whole batch in one pass
+        assert J.shape == (5, net.n, net.k)
+        np.testing.assert_array_equal(out, forward_batch(net, Z.T).T)
+        for z, Jz in zip(Z, J):
             c = rng.standard_normal(net.n)
-            out, J = _forward_jacobian(net, z)
-            assert J.shape == (net.n, net.k)
-            np.testing.assert_array_equal(out, forward(net, z))
-            np.testing.assert_allclose(J.T @ c, vjp(net, z, c), rtol=1e-12, atol=1e-13)
-            np.testing.assert_allclose(J.T @ c, fd_vjp(net, z, c), rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(Jz.T @ c, vjp(net, z, c), rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(Jz.T @ c, fd_vjp(net, z, c), rtol=1e-5, atol=1e-8)
 
     def test_relu_kink_uses_zero_derivative(self):
         net = GeneratorNetwork([Layer(np.array([[1.0]]), np.zeros(1), Activation("relu"))])
-        assert _forward_jacobian(net, np.array([0.0]))[1][0, 0] == 0.0
+        assert _forward_jacobian(net, np.array([[0.0]]))[1][0, 0, 0] == 0.0
+
+    def test_latent_batch_shape_checked(self):
+        net = tiny_relu_net()
+        with pytest.raises(ContractError, match="latent batch"):
+            _forward_jacobian(net, np.zeros(net.k))
 
 
 class TestBuilders:

@@ -245,9 +245,10 @@ class TestBatchedFit:
     def test_matches_per_point_value_and_gradient(self, kind, link):
         obj = random_objective(kind, link, m=12, n=7, seed=43)
         pts = 0.5 * np.random.default_rng(44).standard_normal((25, 7))
-        fvals, grads = objective_mod._fit_batch(obj, pts)
+        fvals, R, T = objective_mod._fit_batch(obj, pts)
+        np.testing.assert_array_equal(T, pts @ obj.A.T)
         np.testing.assert_allclose(fvals, [value(obj, p) for p in pts], rtol=1e-13)
-        np.testing.assert_allclose(grads, np.stack([gradient(obj, p) for p in pts]),
+        np.testing.assert_allclose(R @ obj.A, np.stack([gradient(obj, p) for p in pts]),
                                    rtol=1e-13)
 
 
@@ -331,6 +332,12 @@ class TestIncoherenceEstimator:
         ]
         assert mus[0] <= mus[1] <= mus[2]
         assert all(0.0 <= m < 1.0 for m in mus)
+
+    @pytest.mark.parametrize("num_samples", [0, -5, 2.5, True])
+    def test_bad_sample_count_rejected(self, num_samples):
+        net = make_random_generator(3, 10, 2, [6], "relu", seed=1)
+        with pytest.raises(ContractError, match="num_samples"):
+            estimate_incoherence(net, OrthoBasis.identity(10), l=2, num_samples=num_samples)
 
     def test_orthogonal_directions_give_zero(self):
         W = np.eye(12)[:, :2]

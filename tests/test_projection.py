@@ -11,7 +11,9 @@ from genpgd.generator import (
     Activation,
     GeneratorNetwork,
     Layer,
+    _forward_jacobian,
     forward,
+    forward_batch,
     make_linear_generator,
     make_random_generator,
 )
@@ -24,7 +26,7 @@ from genpgd.projection import (
     project_linear,
 )
 from genpgd import projection
-from genpgd.projection import _descend, _stable_hash
+from genpgd.projection import _descend_lockstep, _restart_starts, _stable_hash
 from genpgd.seeding import spawn_rng
 
 
@@ -55,6 +57,59 @@ def brute_force_grid(net, x, lo, hi, res):
         if best is None or r < best[0] - 1e-18:
             best = (r, z)
     return best
+
+
+def sequential_descend(net, x, z0, inner_iters):
+    """Reference: one restart of Levenberg–Marquardt on its own, the loop
+    the lockstep descent replaces.  Each row of the lockstep run must end
+    where this ends from the same start."""
+    eye = np.eye(net.k)
+    z = z0
+    J = _jacobian(net, z)
+    r = forward(net, z) - x
+    f = 0.5 * float(r @ r)
+    lam = float(np.sum(J * J))
+    for _ in range(inner_iters):
+        g = J.T @ r
+        if float(g @ g) < 1e-18:
+            break
+        JtJ = J.T @ J
+        for _ in range(50):
+            try:
+                p = np.linalg.solve(JtJ + lam * eye, g)
+            except np.linalg.LinAlgError:
+                lam *= 4.0
+                continue
+            z_try = z - p
+            r_try = forward(net, z_try) - x
+            f_try = 0.5 * float(r_try @ r_try)
+            if f_try <= f - 1e-4 * float(g @ p):
+                break
+            lam *= 4.0
+        else:
+            break
+        converged = f - f_try <= 1e-12 * f
+        z, r, f = z_try, r_try, f_try
+        lam *= 0.25
+        if converged:
+            break
+        J = _jacobian(net, z)
+    return z, f
+
+
+def _jacobian(net, z):
+    return _forward_jacobian(net, z[None])[1][0]
+
+
+def duplicate_column_net():
+    """Two identical latent columns: J^T J is singular everywhere, so the
+    damped system turns singular once lam shrinks below rounding."""
+    base = make_random_generator(2, 8, 2, [6], "tanh", seed=23)
+    w = base.layers[0].weights[:, :1]
+    dup = GeneratorNetwork(
+        [Layer(np.hstack([w, w]), np.zeros(6), Activation("tanh")), base.layers[1]])
+    one = GeneratorNetwork([Layer(w, np.zeros(6), Activation("tanh")), base.layers[1]])
+    return dup, one
 
 
 class TestOrthoBasis:
@@ -267,25 +322,74 @@ class TestProjectLatentGd:
         rng = np.random.default_rng(17)
         for net_seed in range(12):
             net = make_random_generator(3, 12, 2, [8], activation, seed=net_seed, slope=slope)
-            for _ in range(20):
-                x = rng.standard_normal(12)
-                z0 = rng.uniform(-3.0, 3.0, size=3)
-                start = float(np.sum((forward(net, z0) - x) ** 2))
-                for inner_iters in (1, 2, 3, 5, 10, 200):
-                    z, f = _descend(net, x, z0, inner_iters)
-                    assert 2.0 * f <= start
-                    assert f == pytest.approx(
+            x = rng.standard_normal(12)
+            Z0 = rng.uniform(-3.0, 3.0, size=(20, 3))
+            start = np.sum((forward_batch(net, Z0.T).T - x) ** 2, axis=1)
+            for inner_iters in (1, 2, 3, 5, 10, 200):
+                Z, f = _descend_lockstep(net, x, Z0, inner_iters)
+                assert Z.shape == Z0.shape and f.shape == (20,)
+                assert np.all(2.0 * f <= start)
+                for z, fi in zip(Z, f):
+                    assert fi == pytest.approx(
                         0.5 * float(np.sum((forward(net, z) - x) ** 2)), rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["tanh", "leaky-relu", "relu", "one-restart", "duplicate"])
+    def test_lockstep_rows_match_sequential_reference(self, case, monkeypatch):
+        stacked_solves = [0, 0]  # stacked, single-system
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            stacked_solves[np.ndim(a) == 2] += 1
+            return solve(a, b)
+
+        restarts = 1 if case == "one-restart" else 10
+        if case == "duplicate":
+            net = duplicate_column_net()[0]
+        else:
+            activation = "relu" if case == "one-restart" else case
+            net = make_random_generator(3, 16, 2, [10], activation, seed=31,
+                                        slope=0.2 if case == "leaky-relu" else None)
+        cfg = ProjectionConfig(method="latent-gd", restarts=restarts, inner_iters=50, seed=3)
+        Z0 = _restart_starts(cfg.seed, restarts, tuple(cfg._resolve_bounds(net.k)))
+        assert Z0.shape == (restarts, net.k) and not Z0.flags.writeable
+        # the origin, then restart j from the nested stream (seed, j); drawn once
+        np.testing.assert_array_equal(Z0[0], np.zeros(net.k))
+        for j in range(1, restarts):
+            np.testing.assert_array_equal(Z0[j], spawn_rng(3, j).uniform(-3.0, 3.0, net.k))
+        assert _restart_starts(cfg.seed, restarts, tuple(cfg._resolve_bounds(net.k))) is Z0
+        for s in range(6):
+            x = np.random.default_rng(s).standard_normal(net.n)
+            with monkeypatch.context() as patched:
+                patched.setattr(np.linalg, "solve", counted)
+                Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters)
+            ref = np.array([sequential_descend(net, x, z0, cfg.inner_iters)[1] for z0 in Z0])
+            np.testing.assert_allclose(f, ref, rtol=1e-9, atol=0.0)
+            # the same winner, unless two rows tie to within that tolerance
+            win, ref_win = int(np.argmin(f)), int(np.argmin(ref))
+            assert win == ref_win or ref[win] == pytest.approx(ref[ref_win], rel=1e-9)
+            res = project(cfg, net, x)
+            np.testing.assert_array_equal(res.latent, Z[win])
+        if case == "duplicate":
+            assert stacked_solves[1] > 0  # the row-by-row fallback ran
+        else:
+            assert stacked_solves[1] == 0
+
+    def test_singular_systems_fall_back_row_by_row(self):
+        rng = np.random.default_rng(33)
+        B = rng.standard_normal((3, 4, 4))
+        M = B @ B.transpose(0, 2, 1) + np.eye(4)
+        M[1] = np.ones((4, 4))  # singular: only this row may fail
+        g = rng.standard_normal((3, 4))
+        P, solved = projection._damped_steps(M, g)
+        np.testing.assert_array_equal(solved, [True, False, True])
+        np.testing.assert_array_equal(P[1], np.zeros(4))
+        for i in (0, 2):
+            np.testing.assert_array_equal(P[i], np.linalg.solve(M[i], g[i]))
+
     def test_dependent_latent_directions(self):
-        # two identical latent columns: J^T J is singular everywhere, so the
-        # damped system turns singular once lam shrinks below rounding; the
-        # range is that of the one-latent net, which the grid certifies
-        base = make_random_generator(2, 8, 2, [6], "tanh", seed=23)
-        w = base.layers[0].weights[:, :1]
-        dup = GeneratorNetwork(
-            [Layer(np.hstack([w, w]), np.zeros(6), Activation("tanh")), base.layers[1]])
-        one = GeneratorNetwork([Layer(w, np.zeros(6), Activation("tanh")), base.layers[1]])
+        # the range of the duplicate-column net is that of the one-latent
+        # net, which the grid certifies
+        dup, one = duplicate_column_net()
         lgd = ProjectionConfig(method="latent-gd", restarts=3, seed=0)
         grid = ProjectionConfig(method="grid", grid_bounds=(-6.0, 6.0), grid_resolution=2001)
         for s in range(5):
