@@ -9,6 +9,7 @@ a JSON form whose floats survive a write/read cycle bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -85,17 +86,36 @@ class Activation:
         return 1.0 - c * c
 
 
+def _pseudo_inverse(W: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of ``W`` from one thin SVD, which is also the rank
+    check: ``W`` must be finite and have full column rank (at least one
+    column, no more columns than rows, smallest singular value above
+    1e-10), else :class:`ContractError`.  ``_pseudo_inverse(W) @ x`` is the
+    least-squares latent of ``x``."""
+    if not np.all(np.isfinite(W)):
+        raise ContractError("W must be finite")
+    U, s, Vt = np.linalg.svd(W, full_matrices=False)
+    smin = s[-1] if 1 <= W.shape[1] <= W.shape[0] else 0.0
+    if not smin > 1e-10:
+        raise ContractError(
+            f"W must have full column rank; smallest singular value {smin:.3e} <= 1e-10"
+        )
+    return (Vt.T / s) @ U.T
+
+
 @dataclass(frozen=True)
 class Layer:
-    """One affine map plus activation: ``a -> act(weights @ a + bias)``."""
+    """One affine map plus activation: ``a -> act(weights @ a + bias)``.
+    ``weights`` and ``bias`` are kept as read-only copies, so what is derived
+    from them (:attr:`pseudo_inverse`) never goes stale."""
 
     weights: np.ndarray
     bias: np.ndarray
     activation: Activation
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        b = np.asarray(self.bias, dtype=float)
+        w = np.array(self.weights, dtype=float)
+        b = np.array(self.bias, dtype=float)
         if w.ndim != 2 or min(w.shape) < 1:
             raise ContractError(f"weights must be a 2-d matrix, got shape {w.shape}")
         if b.shape != (w.shape[0],):
@@ -104,6 +124,7 @@ class Layer:
             )
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ContractError("layer weights and bias must be finite")
+        w.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
@@ -114,6 +135,13 @@ class Layer:
     @property
     def out_dim(self) -> int:
         return self.weights.shape[0]
+
+    @functools.cached_property
+    def pseudo_inverse(self) -> np.ndarray:
+        """The (in_dim, out_dim) pseudo-inverse of ``weights``, factored on
+        first use and cached; a rank-deficient layer raises
+        :class:`ContractError` on every access and caches nothing."""
+        return _pseudo_inverse(self.weights)
 
 
 class GeneratorNetwork:
@@ -233,17 +261,15 @@ def make_linear_generator(W) -> GeneratorNetwork:
     """Wrap a full-column-rank matrix as a single-layer affine-free network.
 
     The range of the result is exactly the column span of ``W``.  Rank is
-    checked through the smallest singular value (must exceed 1e-10).
+    checked through the smallest singular value (must exceed 1e-10) by
+    factoring the layer's pseudo-inverse, which closed-form projection reuses.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
         raise ContractError(f"W must be 2-d, got shape {W.shape}")
-    smin = np.linalg.svd(W, compute_uv=False)[-1] if min(W.shape) else 0.0
-    if not smin > 1e-10:
-        raise ContractError(
-            f"W must have full column rank; smallest singular value {smin:.3e} <= 1e-10"
-        )
-    return GeneratorNetwork([Layer(W, np.zeros(W.shape[0]), Activation("identity"))])
+    layer = Layer(W, np.zeros(W.shape[0]), Activation("identity"))
+    layer.pseudo_inverse  # the rank check
+    return GeneratorNetwork([layer])
 
 
 def make_random_generator(k, n, d, widths, activation="relu", seed=0, slope=None):
@@ -339,7 +365,7 @@ def save_network(net: GeneratorNetwork, path) -> None:
     import json
 
     with open(path, "w") as f:
-        json.dump(network_to_json(net), f)
+        f.write(json.dumps(network_to_json(net)))  # the C encoder; same bytes as json.dump
 
 
 def load_network(path) -> GeneratorNetwork:

@@ -402,12 +402,12 @@ def gen_problem(spec: ProblemSpec, seed: int) -> ProblemInstance:
 
 
 def _write_matrix_csv(path, M) -> None:
-    """Row-major CSV, one matrix row per line, full-precision floats."""
+    """Row-major CSV, one matrix row per line, full-precision floats
+    (``%.17e``, the same bytes as ``format(v, ".17e")`` per element)."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    line = ",".join(["%.17e"] * M.shape[1]) + "\n"
     with open(path, "w") as f:
-        for row in M:
-            f.write(",".join(format(v, ".17e") for v in row))
-            f.write("\n")
+        f.write("".join(line % tuple(row) for row in M.tolist()))
 
 
 def _read_matrix_csv(path) -> np.ndarray:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .generator import GeneratorNetwork, _forward_jacobian, forward, forward_batch
+from .generator import (GeneratorNetwork, _forward_jacobian, _pseudo_inverse, forward,
+                        forward_batch)
 from .generator import vjp  # noqa: F401  (bench/test_bench.py traces it through this module)
 from .seeding import check_seed, spawn_rng
 
@@ -156,10 +157,12 @@ class ProjectionResult:
     certified: bool
 
 
-def _check_target(net: GeneratorNetwork, x) -> np.ndarray:
+def _check_target(n: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (net.n,):
-        raise ContractError(f"target must have shape ({net.n},), got {x.shape}")
+    if x.shape != (n,):
+        raise ContractError(f"target must have shape ({n},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ContractError("target must be finite")
     return x
 
 
@@ -178,17 +181,14 @@ def project_linear(W, x) -> ProjectionResult:
 
     ``W`` must have full column rank (smallest singular value above 1e-10);
     the returned point satisfies the normal equations W^T (x - point) = 0.
+    The latent is ``pinv(W) @ x`` from the routine behind
+    :attr:`Layer.pseudo_inverse`, but a bare ``W`` is factored on every call.
     """
     W = np.asarray(W, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if W.ndim != 2 or x.shape != (W.shape[0],):
-        raise ContractError(f"shape mismatch: W {W.shape}, x {x.shape}")
-    smin = np.linalg.svd(W, compute_uv=False)[-1]
-    if not smin > 1e-10:
-        raise ContractError(
-            f"W must have full column rank; smallest singular value {smin:.3e} <= 1e-10"
-        )
-    latent = np.linalg.lstsq(W, x, rcond=None)[0]
+    if W.ndim != 2:
+        raise ContractError(f"W must be 2-d, got shape {W.shape}")
+    x = _check_target(W.shape[0], x)
+    latent = _pseudo_inverse(W) @ x
     point = W @ latent
     return ProjectionResult(
         point=point,
@@ -322,11 +322,12 @@ def _project_grid(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarray):
 
 
 def _project_closed_form(net: GeneratorNetwork, x: np.ndarray):
+    """Latent ``pinv(W) @ (x - bias)``, with the pseudo-inverse factored once
+    per layer and cached on it (:attr:`Layer.pseudo_inverse`)."""
     if not net.is_single_affine:
         raise ConfigError("closed-form-linear needs a single identity-activation layer")
     layer = net.layers[0]
-    ref = project_linear(layer.weights, x - layer.bias)
-    return _result(net, x, ref.latent, certified=True)
+    return _result(net, x, layer.pseudo_inverse @ (x - layer.bias), certified=True)
 
 
 def _stable_hash(x: np.ndarray) -> int:
@@ -378,7 +379,9 @@ def _degrade_within_range(net, x, res: ProjectionResult, slack: float, seed: int
     """Move the projected point along the range until its squared residual
     grows by ``slack``.  The perturbation stays inside Range(G) by
     construction (it moves the latent), and the direction/scale are a pure
-    function of (seed, x).
+    function of (seed, x).  The direction is seeded by a hash of x's exact
+    bits, so any upstream change that moves x by an ulp draws a new
+    direction: a different realization of the same random process.
 
     On a single affine layer the residual along the line is the quadratic
     ||r0 - s W d||^2, so the step is its positive root (one ``forward``).
@@ -398,9 +401,10 @@ def project(cfg: ProjectionConfig, net: GeneratorNetwork, x) -> ProjectionResult
     """Project ``x`` onto the range of ``net`` per the configured method.
 
     Pure given (cfg, net, x): all randomness (restart starts, degradation
-    direction) derives from ``cfg.seed``.
+    direction) derives from ``cfg.seed``.  ``x`` must be a finite length-n
+    vector, else :class:`ContractError`, whatever the method.
     """
-    x = _check_target(net, x)
+    x = _check_target(net.n, x)
     if cfg.method == "closed-form-linear":
         res = _project_closed_form(net, x)
     elif cfg.method == "grid":

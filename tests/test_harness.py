@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from genpgd.errors import ConfigError, ContractError, DivergenceError
-from genpgd.generator import forward
+from genpgd.generator import forward, network_to_json
 from genpgd.harness import (
     ExperimentConfig,
     ProblemInstance,
@@ -191,6 +191,25 @@ class TestSaveLoad:
         M = np.random.default_rng(0).standard_normal((7, 3))
         _write_matrix_csv(tmp_path / "m.csv", M)
         assert np.array_equal(_read_matrix_csv(tmp_path / "m.csv"), M)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 100), (100, 100)])
+    def test_matrix_csv_matches_per_element_format(self, tmp_path, shape):
+        rng = np.random.default_rng(sum(shape))
+        M = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+        M.flat[: len(special)] = special[: M.size]
+        _write_matrix_csv(tmp_path / "m.csv", M)
+        expected = "".join(",".join(format(v, ".17e") for v in row) + "\n" for row in M)
+        assert (tmp_path / "m.csv").read_text() == expected
+
+    def test_network_file_matches_streaming_encoder(self, tmp_path):
+        mlp = {"kind": "mlp", "widths": [6], "activation": "leaky-relu", "slope": 0.2}
+        inst = gen_problem(make_config(**{"problem.generator": mlp}).problem, seed=15)
+        save_problem(inst, tmp_path / "inst")
+        with open(tmp_path / "ref.json", "w") as f:
+            json.dump(network_to_json(inst.net), f)
+        assert ((tmp_path / "inst" / "network.json").read_bytes()
+                == (tmp_path / "ref.json").read_bytes())
 
 
 class TestRunSolve:

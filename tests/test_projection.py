@@ -25,7 +25,7 @@ from genpgd.projection import (
     project,
     project_linear,
 )
-from genpgd import projection
+from genpgd import generator, projection
 from genpgd.projection import _descend_lockstep, _restart_starts, _stable_hash
 from genpgd.seeding import spawn_rng
 
@@ -217,6 +217,102 @@ class TestProjectLinear:
         with pytest.raises(ContractError, match="singular value"):
             project_linear(np.ones((5, 2)), np.zeros(5))
 
+    def test_wide_or_empty_matrix_rejected(self):
+        # more columns than rows cannot have full column rank, whatever the
+        # singular values of the rows are
+        W = np.random.default_rng(3).standard_normal((2, 5))
+        with pytest.raises(ContractError, match="singular value"):
+            project_linear(W, np.zeros(2))
+        with pytest.raises(ContractError, match="singular value"):
+            make_linear_generator(W)
+        with pytest.raises(ContractError, match="singular value"):
+            project_linear(np.zeros((5, 0)), np.zeros(5))
+
+
+def ill_conditioned(rng, n, k, cond):
+    """n-by-k matrix with singular values log-spaced from 1 down to 1/cond."""
+    U = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return (U * np.logspace(0, -np.log10(cond), k)) @ V.T
+
+
+def normal_equation_residual(W, x, point):
+    """||W^T (x - point)|| relative to ||W|| ||x||: zero at the exact
+    least-squares point."""
+    return np.linalg.norm(W.T @ (x - point)) / (np.linalg.norm(W, 2) * np.linalg.norm(x))
+
+
+class TestFactoredLayer:
+    def test_factor_is_computed_once_per_layer(self, monkeypatch):
+        calls = []
+        factor = generator._pseudo_inverse
+
+        def counting_factor(W):
+            calls.append(W)
+            return factor(W)
+
+        monkeypatch.setattr(generator, "_pseudo_inverse", counting_factor)
+        rng = np.random.default_rng(31)
+        layer = Layer(rng.standard_normal((12, 3)), rng.standard_normal(12), Activation("identity"))
+        net = GeneratorNetwork([layer])
+        cfg = ProjectionConfig(method="closed-form-linear")
+        project(cfg, net, rng.standard_normal(12))
+        cached = layer.pseudo_inverse
+        project(cfg, net, rng.standard_normal(12))
+        assert layer.pseudo_inverse is cached
+        assert len(calls) == 1
+
+    def test_caller_mutation_does_not_reach_the_network(self):
+        rng = np.random.default_rng(32)
+        W = rng.standard_normal((12, 3))
+        net = make_linear_generator(W)
+        x = rng.standard_normal(12)
+        cfg = ProjectionConfig(method="closed-form-linear")
+        before = project(cfg, net, x)
+        W *= 2.0
+        after = project(cfg, net, x)
+        np.testing.assert_array_equal(after.point, before.point)
+        np.testing.assert_array_equal(net.layers[0].weights, W / 2.0)
+        for array in (net.layers[0].weights, net.layers[0].bias):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_rank_deficient_layer_raises_on_every_call(self):
+        layer = Layer(np.ones((5, 2)), np.zeros(5), Activation("identity"))
+        net = GeneratorNetwork([layer])
+        for _ in range(2):
+            with pytest.raises(ContractError, match="singular value"):
+                project(ProjectionConfig(method="closed-form-linear"), net, np.zeros(5))
+        assert "pseudo_inverse" not in vars(layer)
+
+    def test_ill_conditioned_accuracy_matches_lstsq(self):
+        # cond 1e8: the pseudo-inverse keeps the normal equations within 10x
+        # of LAPACK's least-squares driver
+        rng = np.random.default_rng(33)
+        worst = {"project": 0.0, "project_linear": 0.0, "lstsq": 0.0}
+        for _ in range(20):
+            W = ill_conditioned(rng, 100, 5, 1e8)
+            x = rng.standard_normal(100)
+            points = {
+                "project": project(ProjectionConfig(method="closed-form-linear"),
+                                   make_linear_generator(W), x).point,
+                "project_linear": project_linear(W, x).point,
+                "lstsq": W @ np.linalg.lstsq(W, x, rcond=None)[0],
+            }
+            for name, point in points.items():
+                worst[name] = max(worst[name], normal_equation_residual(W, x, point))
+        assert worst["project"] <= 10.0 * worst["lstsq"]
+        assert worst["project_linear"] <= 10.0 * worst["lstsq"]
+
+    def test_offset_layer_matches_shifted_least_squares(self):
+        rng = np.random.default_rng(34)
+        W, b, x = rng.standard_normal((12, 3)), rng.standard_normal(12), rng.standard_normal(12)
+        net = GeneratorNetwork([Layer(W, b, Activation("identity"))])
+        res = project(ProjectionConfig(method="closed-form-linear"), net, x)
+        np.testing.assert_allclose(res.latent, np.linalg.lstsq(W, x - b, rcond=None)[0],
+                                   atol=1e-12)
+        np.testing.assert_array_equal(res.point, forward(net, res.latent))
+
 
 class TestProjectClosedForm:
     def test_matches_project_linear(self):
@@ -235,6 +331,30 @@ class TestProjectClosedForm:
         net = make_random_generator(2, 8, 2, [4], "relu", seed=0)
         with pytest.raises(ConfigError, match="identity"):
             project(ProjectionConfig(method="closed-form-linear"), net, np.zeros(8))
+
+
+class TestTargetChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method,arch", [
+        ("closed-form-linear", "linear"), ("grid", "relu"), ("latent-gd", "relu")])
+    def test_non_finite_target_rejected(self, method, arch, bad):
+        if arch == "linear":
+            net = make_linear_generator(np.random.default_rng(35).standard_normal((8, 2)))
+        else:
+            net = make_random_generator(2, 8, 2, [4], "relu", seed=0)
+        cfg = ProjectionConfig(method=method, restarts=3, grid_resolution=5)
+        for x in (np.full(8, bad), np.where(np.arange(8) == 3, bad, 0.0)):
+            with pytest.raises(ContractError, match="finite"):
+                project(cfg, net, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_project_linear_rejects_non_finite_inputs(self, bad):
+        W = np.random.default_rng(36).standard_normal((6, 2))
+        with pytest.raises(ContractError, match="target must be finite"):
+            project_linear(W, np.where(np.arange(6) == 2, bad, 0.0))
+        W[0, 1] = bad
+        with pytest.raises(ContractError, match="W must be finite"):
+            project_linear(W, np.zeros(6))
 
 
 class TestProjectGrid:
