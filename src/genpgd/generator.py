@@ -10,6 +10,8 @@ a JSON form whose floats survive a write/read cycle bit-exactly.
 from __future__ import annotations
 
 import functools
+import json
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -56,7 +58,7 @@ class Activation:
         if self.kind not in _KINDS:
             raise ContractError(f"unknown activation kind {self.kind!r}")
         if self.kind == "leaky-relu":
-            if self.slope is None or not (0.0 < float(self.slope) < 1.0):
+            if not (isinstance(self.slope, numbers.Real) and 0.0 < self.slope < 1.0):
                 raise ContractError(f"leaky-relu slope must lie in (0, 1), got {self.slope!r}")
         elif self.slope is not None:
             raise ContractError(f"activation {self.kind!r} takes no slope")
@@ -337,8 +339,11 @@ def _field(obj, name, where):
 def network_from_json(obj) -> GeneratorNetwork:
     """Rebuild a network from :func:`network_to_json` output; floats are
     restored bit-exactly."""
+    entries = _field(obj, "layers", "network")
+    if not isinstance(entries, (list, tuple)):
+        raise ContractError(f"network field 'layers' must be a list, got {entries!r:.60}")
     layers = []
-    for i, entry in enumerate(_field(obj, "layers", "network")):
+    for i, entry in enumerate(entries):
         where = f"layer {i}"
         kind = _field(entry, "activation", where)
         act = Activation(kind, entry.get("slope") if kind == "leaky-relu" else None)
@@ -362,14 +367,23 @@ def network_from_json(obj) -> GeneratorNetwork:
 
 
 def save_network(net: GeneratorNetwork, path) -> None:
-    import json
-
     with open(path, "w") as f:
         f.write(json.dumps(network_to_json(net)))  # the C encoder; same bytes as json.dump
 
 
-def load_network(path) -> GeneratorNetwork:
-    import json
+def _read_json(path, error_cls):
+    """The parsed JSON document at ``path``; a file that cannot be read or
+    is not JSON raises ``error_cls`` naming the file."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise error_cls(f"cannot read {path}: {e}") from e
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise error_cls(f"{path} is not valid JSON: {e}") from e
 
-    with open(path) as f:
-        return network_from_json(json.load(f))
+
+def load_network(path) -> GeneratorNetwork:
+    """Read a network written by :func:`save_network`; a missing, unreadable
+    or malformed file raises :class:`ContractError`."""
+    return network_from_json(_read_json(path, ContractError))

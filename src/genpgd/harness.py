@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DivergenceError, NumericError
 from .generator import (
     GeneratorNetwork,
+    _read_json,
     forward,
     load_network,
     make_linear_generator,
@@ -79,16 +81,41 @@ _MEASUREMENTS = ("linear", "glm-sigmoid", "glm-exp")
 _BASES = (None, "identity", "random")
 
 
-def _reject_unknown(doc: dict, allowed, where: str):
-    for key in doc:
-        if key not in allowed:
+_JSON_TYPES = {int: (numbers.Integral, "integer"), float: (numbers.Real, "number"),
+               str: (str, "string")}
+
+
+def _is_a(value, kind) -> bool:
+    """JSON typing for config values: a bool is no number, an int is a float."""
+    return isinstance(value, _JSON_TYPES[kind][0]) and not isinstance(value, bool)
+
+
+def _load(cls, doc, where: str):
+    """Build config dataclass ``cls`` from the JSON object ``doc``, naming
+    ``where`` in every error.  A field whose default factory is a dataclass
+    is a nested section; a field whose default is an int, float or str takes
+    only that JSON type; the dataclass validates the rest itself."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r:.60}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in doc.items():
+        f = fields.get(key)
+        if f is None:
             raise ConfigError(f"unknown key {key!r} in {where}")
-
-
-def _from_fields(cls, doc: dict, where: str):
-    names = [f.name for f in dataclasses.fields(cls)]
-    _reject_unknown(doc, names, where)
-    return cls(**doc)
+        kind = type(f.default)
+        if dataclasses.is_dataclass(f.default_factory):
+            value = _load(f.default_factory, value, f"{where}.{key}")
+        elif kind in _JSON_TYPES and not _is_a(value, kind):
+            raise ConfigError(
+                f"{where}.{key} must be a JSON {_JSON_TYPES[kind][1]}, got {value!r:.60}")
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except (ConfigError, ContractError):
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"malformed {where}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -104,8 +131,10 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "mlp", "file"):
             raise ConfigError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "file" and not self.path:
+        if self.kind == "file" and not (isinstance(self.path, (str, os.PathLike)) and self.path):
             raise ConfigError("generator kind 'file' needs a path")
+        if not (isinstance(self.widths, (list, tuple)) and all(_is_a(w, int) for w in self.widths)):
+            raise ConfigError(f"widths must be a list of integers, got {self.widths!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
     def build(self, k: int, n: int, seed: int) -> GeneratorNetwork:
@@ -140,9 +169,14 @@ class ProblemSpec:
     measurement: str = "linear"
 
     def __post_init__(self):
-        _validate_point(self.n, self.m, self.l, self.noise_level)
         if self.n < 1 or self.k < 1:
             raise ConfigError(f"need n, k >= 1, got n={self.n}, k={self.k}")
+        if self.m < 1:
+            raise ConfigError(f"need m >= 1, got m={self.m}")
+        if self.l < 0 or self.l > self.n:
+            raise ConfigError(f"need 0 <= l <= n, got l={self.l} with n={self.n}")
+        if not self.noise_level >= 0:
+            raise ConfigError(f"noise_level must be nonnegative, got {self.noise_level}")
         if self.l > 0 and self.basis is None:
             raise ConfigError("sparse deviation (l > 0) needs a basis")
         if self.basis not in _BASES:
@@ -150,30 +184,6 @@ class ProblemSpec:
         if self.measurement not in _MEASUREMENTS:
             raise ConfigError(
                 f"measurement must be one of {_MEASUREMENTS}, got {self.measurement!r}")
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ProblemSpec":
-        doc = dict(doc)
-        if "generator" in doc:
-            doc["generator"] = _from_fields(
-                GeneratorSpec, doc["generator"], "problem.generator")
-        names = [f.name for f in dataclasses.fields(cls)]
-        _reject_unknown(doc, names, "problem")
-        return cls(**doc)
-
-    def to_json(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["generator"]["widths"] = list(self.generator.widths)
-        return doc
-
-
-def _validate_point(n, m, l, noise_level):
-    if m < 1:
-        raise ConfigError(f"need m >= 1, got m={m}")
-    if l < 0 or l > n:
-        raise ConfigError(f"need 0 <= l <= n, got l={l} with n={n}")
-    if noise_level < 0:
-        raise ConfigError(f"noise_level must be nonnegative, got {noise_level}")
 
 
 @dataclass(frozen=True)
@@ -188,23 +198,25 @@ class SweepSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        for name in ("m", "l", "noise_level"):
+        for name, kind in (("m", int), ("l", int), ("noise_level", float)):
             axis = getattr(self, name)
             if axis is None:
                 continue
-            axis = tuple(axis)
+            if not (isinstance(axis, (list, tuple)) and all(_is_a(v, kind) for v in axis)):
+                raise ConfigError(
+                    f"sweep axis {name!r} must be a list of {_JSON_TYPES[kind][1]}s, got {axis!r}")
             if not axis:
                 raise ConfigError(f"sweep axis {name!r} is empty")
-            object.__setattr__(self, name, axis)
+            object.__setattr__(self, name, tuple(axis))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One self-contained experiment: problem family, solver, sweep, seed.
 
-    The JSON form has five sections (``problem``, ``projection``, ``solver``,
-    ``sweep``) plus ``out_dir`` and ``master_seed``; unknown keys anywhere
-    are rejected rather than ignored.
+    The JSON form is an object of four sections (``problem``, ``projection``,
+    ``solver``, ``sweep``), each an object, plus ``out_dir`` and
+    ``master_seed``; unknown keys anywhere are rejected rather than ignored.
     """
 
     problem: ProblemSpec = field(default_factory=ProblemSpec)
@@ -216,15 +228,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_seed(self.master_seed)
-        # axis values must make sense against the fixed dimensions
-        for m in self.sweep.m or ():
-            _validate_point(self.problem.n, m, self.problem.l, 0.0)
-        for l in self.sweep.l or ():
-            _validate_point(self.problem.n, self.problem.m, l, 0.0)
-            if l > 0 and self.problem.basis is None:
-                raise ConfigError("sweep over l > 0 needs a basis")
-        for nl in self.sweep.noise_level or ():
-            _validate_point(self.problem.n, self.problem.m, self.problem.l, nl)
+        for m, l, nl in self.sweep_points():  # each point is a valid problem
+            dataclasses.replace(self.problem, m=m, l=l, noise_level=nl)
 
     def sweep_points(self) -> list[tuple[int, int, float]]:
         ms = self.sweep.m or (self.problem.m,)
@@ -234,58 +239,12 @@ class ExperimentConfig:
                 for m, l, nl in itertools.product(ms, ls, nls)]
 
     @classmethod
-    def from_json(cls, doc: dict) -> "ExperimentConfig":
-        _reject_unknown(
-            doc,
-            ("problem", "projection", "solver", "sweep", "out_dir", "master_seed"),
-            "experiment config")
-        kwargs = {}
-        if "problem" in doc:
-            kwargs["problem"] = ProblemSpec.from_json(doc["problem"])
-        if "projection" in doc:
-            proj = dict(doc["projection"])
-            if isinstance(proj.get("grid_bounds"), list):
-                b = proj["grid_bounds"]
-                proj["grid_bounds"] = tuple(
-                    tuple(p) if isinstance(p, list) else p for p in b)
-            kwargs["projection"] = _from_fields(ProjectionConfig, proj, "projection")
-        if "solver" in doc:
-            kwargs["solver"] = _from_fields(SolverConfig, doc["solver"], "solver")
-        if "sweep" in doc:
-            kwargs["sweep"] = _from_fields(SweepSpec, doc["sweep"], "sweep")
-        if "out_dir" in doc:
-            kwargs["out_dir"] = str(doc["out_dir"])
-        if "master_seed" in doc:
-            kwargs["master_seed"] = doc["master_seed"]
-        return cls(**kwargs)
-
-    def to_json(self) -> dict:
-        proj = dataclasses.asdict(self.projection)
-        if proj["grid_bounds"] is not None:
-            proj["grid_bounds"] = [list(p) for p in self.projection._bound_pairs()]
-        sweep = dataclasses.asdict(self.sweep)
-        for name in ("m", "l", "noise_level"):
-            if sweep[name] is not None:
-                sweep[name] = list(sweep[name])
-        return {
-            "problem": self.problem.to_json(),
-            "projection": proj,
-            "solver": dataclasses.asdict(self.solver),
-            "sweep": sweep,
-            "out_dir": self.out_dir,
-            "master_seed": self.master_seed,
-        }
+    def from_json(cls, doc) -> "ExperimentConfig":
+        return _load(cls, doc, "config")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except OSError as e:
-            raise ConfigError(f"cannot read config file {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
-        return cls.from_json(doc)
+        return cls.from_json(_read_json(path, ConfigError))
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +416,7 @@ def save_problem(inst: ProblemInstance, directory) -> Path:
 
 def load_problem(directory) -> ProblemInstance:
     directory = Path(directory)
-    try:
-        with open(directory / "instance.json") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ContractError(f"no readable instance at {directory}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ContractError(f"instance file at {directory} is not valid JSON: {e}") from e
+    doc = _read_json(directory / "instance.json", ContractError)
     if not isinstance(doc, dict) or doc.get("format") != "genpgd-instance":
         raise ContractError(f"{directory} does not hold a problem instance")
     try:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,9 +80,11 @@ class ProjectionConfig:
     to study how solvers respond to inexact oracles.  On a single affine
     layer the step along the range is the closed-form root of the quadratic
     residual; on any other network it is found by bisection to float
-    resolution.  ``grid_bounds`` is the latent search box (default (-3, 3)
-    per coordinate): the grid method evaluates on a mesh over it, and
-    latent-gd samples restart points from it.
+    resolution.  ``grid_bounds`` is the latent search box, one ``(lo, hi)``
+    pair for every coordinate or one pair per coordinate (default (-3, 3)
+    per coordinate), stored as a tuple of float pairs: the grid method
+    evaluates on a mesh over it, and latent-gd samples restart points
+    from it.
 
     ``latent-gd`` runs ``restarts`` Levenberg–Marquardt descents on
     z -> 0.5 ||x - G(z)||^2.  ``inner_iters`` caps the accepted steps of
@@ -94,7 +98,7 @@ class ProjectionConfig:
     epsilon: float = 0.0
     restarts: int = 10
     inner_iters: int = 200
-    grid_bounds: object = None
+    grid_bounds: tuple | None = None
     grid_resolution: int = 101
     seed: int = 0
     degrade_slack: float = 0.0
@@ -113,33 +117,35 @@ class ProjectionConfig:
         if self.degrade_slack < 0:
             raise ConfigError(f"degrade_slack must be nonnegative, got {self.degrade_slack}")
         check_seed(self.seed)
-        self._bound_pairs()  # validates the shape of grid_bounds
+        object.__setattr__(self, "grid_bounds", _bound_pairs(self.grid_bounds))
 
-    def _bound_pairs(self):
-        b = self.grid_bounds
-        if b is None:
-            return None
-        pairs = list(b) if not (len(b) == 2 and np.isscalar(b[0])) else [tuple(b)]
-        out = []
-        for pair in pairs:
-            try:
-                lo, hi = pair
-            except (TypeError, ValueError):
-                raise ConfigError(f"grid_bounds entries must be (lo, hi) pairs, got {pair!r}")
-            if not lo < hi:
-                raise ConfigError(f"grid_bounds interval ({lo}, {hi}) is empty")
-            out.append((float(lo), float(hi)))
-        return out
-
-    def _resolve_bounds(self, k: int) -> list[tuple[float, float]]:
-        out = self._bound_pairs()
-        if out is None:
-            return [(-3.0, 3.0)] * k
+    def _resolve_bounds(self, k: int) -> tuple[tuple[float, float], ...]:
+        out = self.grid_bounds or ((-3.0, 3.0),)
         if len(out) == 1:
             return out * k
         if len(out) != k:
             raise ConfigError(f"grid_bounds lists {len(out)} intervals for latent dim {k}")
         return out
+
+
+def _bound_pairs(b):
+    """``grid_bounds`` as a tuple of float ``(lo, hi)`` pairs, or None."""
+    def finite(v):  # a bool is no number; a huge int is no float
+        return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max)
+
+    if b is None:
+        return None
+    pairs = [b] if isinstance(b, (list, tuple)) and len(b) == 2 and finite(b[0]) else b
+    if not (isinstance(pairs, (list, tuple)) and pairs and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(finite, p))
+            for p in pairs)):
+        raise ConfigError(f"grid_bounds must be one (lo, hi) pair of finite numbers "
+                          f"or one per latent axis, got {b!r:.60}")
+    for lo, hi in pairs:
+        if not lo < hi:
+            raise ConfigError(f"grid_bounds interval ({lo}, {hi}) is empty")
+    return tuple((float(lo), float(hi)) for lo, hi in pairs)
 
 
 @dataclass(frozen=True)
@@ -301,9 +307,9 @@ def _project_latent_gd(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarr
     ``restarts`` only adds candidates; the best residual is therefore
     nonincreasing in ``restarts``.  Ties go to the lowest restart index.
     """
-    bounds = tuple(cfg._resolve_bounds(net.k))
-    Z, f = _descend_lockstep(net, x, _restart_starts(cfg.seed, cfg.restarts, bounds),
-                             cfg.inner_iters)
+    Z, f = _descend_lockstep(
+        net, x, _restart_starts(cfg.seed, cfg.restarts, cfg._resolve_bounds(net.k)),
+        cfg.inner_iters)
     best = int(np.argmin(f))  # first minimum wins: deterministic tie-break
     return _result(net, x, Z[best], certified=False)
 

@@ -121,6 +121,37 @@ class TestConfigErrors:
         path.write_text("{not json")
         assert main(["gen", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"problem": 5}, {"solver": []}, [],
+        {"sweep": {"m": 5}}, {"sweep": {"trials": 1.5}}, {"sweep": {"m": [40.5]}},
+        {"problem": {"basis": "identity"}, "sweep": {"l": [True]}},
+        {"sweep": {"noise_level": ["x"]}},
+        {"solver": {"iters": "x"}}, {"solver": {"eta": "x"}}, {"problem": {"n": "a"}},
+        {"projection": {"restarts": None}}, {"problem": {"generator": 3}},
+        {"problem": {"noise_level": "nan"}}, {"problem": {"noise_level": float("nan")}},
+        {"out_dir": None}, {"out_dir": 5},
+        {"problem": {"generator": {"kind": "mlp", "widths": ["a"]}}},
+        {"problem": {"generator": {"kind": "mlp", "widths": 5}}},
+        {"problem": {"generator": {"kind": "mlp", "widths": [20.5]}}},
+        {"problem": {"generator": {"kind": "mlp", "widths": [20],
+                                   "activation": "leaky-relu", "slope": "x"}}},
+        {"problem": {"generator": {"kind": "file", "path": 5}}},
+        {"projection": {"grid_bounds": "ab"}}, {"projection": {"grid_bounds": "12"}},
+        {"projection": {"grid_bounds": []}}, {"projection": {"grid_bounds": [0, 1e999]}},
+        "network-missing", "network-not-json", "network-layers-5",
+    ], ids=json.dumps)
+    def test_malformed_config_exit_code(self, tmp_path, monkeypatch, capsys, doc):
+        monkeypatch.chdir(tmp_path)  # an accepted config would write here
+        if isinstance(doc, str):  # a generator read from a bad network file
+            text = {"network-not-json": "{nope", "network-layers-5": '{"layers": 5}'}
+            if doc in text:
+                (tmp_path / "net.json").write_text(text[doc])
+            doc = {"problem": {"generator": {"kind": "file", "path": "net.json"}}}
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert main(["gen", "--config", "bad.json"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_missing_config_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["gen"])

@@ -2,10 +2,12 @@
 
 import copy
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genpgd.errors import ConfigError, ContractError, DivergenceError
 from genpgd.generator import forward, network_to_json
@@ -23,7 +25,7 @@ from genpgd.harness import (
 )
 from genpgd.harness import _read_matrix_csv, _write_matrix_csv
 from genpgd.objective import subspace_curvature
-from genpgd.projection import project
+from genpgd.projection import ProjectionConfig, project
 from genpgd.seeding import derive_seed
 from genpgd.solver import contraction_factor, contraction_report, trace_from_csv
 
@@ -58,11 +60,37 @@ def make_config(**patches):
     return ExperimentConfig.from_json(raw)
 
 
+def _config_paths(cls, prefix=()):
+    """Every key path of the config schema: each section and each leaf."""
+    for f in dataclasses.fields(cls):
+        yield prefix + (f.name,)
+        if dataclasses.is_dataclass(f.default_factory):
+            yield from _config_paths(f.default_factory, prefix + (f.name,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
 class TestExperimentConfig:
-    def test_round_trip(self):
-        cfg = make_config(**{"sweep.m": [20, 40], "sweep.trials": 3})
-        again = ExperimentConfig.from_json(cfg.to_json())
-        assert again == cfg
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(path=st.sampled_from(sorted(_config_paths(ExperimentConfig))), value=_JSON_VALUES)
+    def test_any_json_value_parses_or_raises_a_config_error(self, path, value):
+        # parse only: a mutated n or m may ask a solve for a huge array
+        try:
+            make_config(**{".".join(path): value})
+        except (ConfigError, ContractError):
+            pass
+
+    def test_per_axis_grid_bounds_from_json(self):
+        cfg = make_config(**{"projection.grid_bounds": [[-1, 0], [0, 2]]})
+        built = ProjectionConfig(method="closed-form-linear",
+                                 grid_bounds=((-1.0, 0.0), (0.0, 2.0)))
+        assert cfg.projection == built
+        assert cfg.projection.grid_bounds == ((-1.0, 0.0), (0.0, 2.0))
 
     def test_unknown_keys_rejected_everywhere(self):
         for dotted in ("bogus", "problem.bogus", "solver.bogus",
