@@ -9,8 +9,8 @@ Five subcommands cover the experiment lifecycle:
     genpgd estimate --config exp.json           print regularity constants
 
 ``--out`` overrides the config's output directory and ``--seed`` its master
-seed.  Exit codes: 0 on success, 2 on any configuration problem, 3 when a
-solve diverges.
+seed.  Exit codes: 0 on success, 2 on any configuration problem (including
+sizes too large to allocate), 3 when a solve diverges or overflows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, ContractError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError, NumericError
 from .harness import (
     ExperimentConfig,
     _solve_setup,
@@ -158,7 +158,10 @@ def main(argv=None) -> int:
     except (ConfigError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except DivergenceError as e:
+    except MemoryError:
+        print("error: the config's sizes are too large to allocate", file=sys.stderr)
+        return 2
+    except (DivergenceError, NumericError) as e:
         print(f"error: solve diverged: {e}", file=sys.stderr)
         return 3
 

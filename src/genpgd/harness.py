@@ -175,8 +175,8 @@ class ProblemSpec:
             raise ConfigError(f"need m >= 1, got m={self.m}")
         if self.l < 0 or self.l > self.n:
             raise ConfigError(f"need 0 <= l <= n, got l={self.l} with n={self.n}")
-        if not self.noise_level >= 0:
-            raise ConfigError(f"noise_level must be nonnegative, got {self.noise_level}")
+        if not 0 <= self.noise_level < float("inf"):
+            raise ConfigError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
         if self.l > 0 and self.basis is None:
             raise ConfigError("sparse deviation (l > 0) needs a basis")
         if self.basis not in _BASES:

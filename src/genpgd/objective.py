@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError, NumericError
 from .generator import GeneratorNetwork, forward, forward_batch
@@ -436,15 +435,21 @@ class RegularityEstimates:
 # exact oracles (linear-generator least-squares case)
 
 
+def _span_curvature(A: np.ndarray, M: np.ndarray) -> tuple[float, float]:
+    """Extreme eigenvalues of ``(A Q)^T (A Q)``, the smallest and largest
+    curvature of ``0.5 ||y - A x||^2`` along span(M).  ``Q`` holds the left
+    singular vectors of ``M`` whose singular values exceed
+    ``max(M.shape) * eps * sigma_max``, an orthonormal basis of the span."""
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    AQ = A @ U[:, s > max(M.shape) * np.finfo(float).eps * s[0]]
+    lams = np.linalg.eigvalsh(AQ.T @ AQ)
+    return float(lams[0]), float(lams[-1])
+
+
 def subspace_curvature(A, W) -> tuple[float, float]:
     """Exact smallest/largest curvature of ``0.5 ||y - A x||^2`` along the
-    column span of ``W``: the extreme generalized eigenvalues of
-    ``(A W)^T (A W)`` against ``W^T W``."""
-    A = np.asarray(A, dtype=float)
-    W = np.asarray(W, dtype=float)
-    M = A @ W
-    lams = scipy.linalg.eigh(M.T @ M, W.T @ W, eigvals_only=True)
-    return float(lams[0]), float(lams[-1])
+    column span of ``W`` (:func:`_span_curvature` on ``W``)."""
+    return _span_curvature(np.asarray(A, dtype=float), np.asarray(W, dtype=float))
 
 
 def minkowski_curvature(A, W, basis: OrthoBasis, l: int, supports=None,
@@ -453,11 +458,11 @@ def minkowski_curvature(A, W, basis: OrthoBasis, l: int, supports=None,
     {range point + l-sparse-in-basis deviation}.
 
     Differences of two such points live in span(W) plus a 2l-sparse part, so
-    the exact constants per support follow from an eigendecomposition on the
-    stacked subspace; supports are enumerated when given, otherwise sampled.
-    Each support's bound is exact; sampling only controls how much of the
-    union is covered, so alpha is an upper bound and beta a lower bound on
-    the true constants over the full set.
+    the exact constants per support are :func:`_span_curvature` on the
+    stacked ``[W, B_S]``; supports are enumerated when given, otherwise
+    sampled.  Each support's bound is exact; sampling only controls how
+    much of the union is covered, so alpha is an upper bound and beta a
+    lower bound on the true constants over the full set.
     """
     A = np.asarray(A, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -469,11 +474,8 @@ def minkowski_curvature(A, W, basis: OrthoBasis, l: int, supports=None,
                     for _ in range(num_supports)]
     alpha, beta = np.inf, -np.inf
     for S in supports:
-        M = np.hstack([W, basis.matrix[:, list(S)]])
-        Q = scipy.linalg.orth(M)
-        lams = np.linalg.eigvalsh((A @ Q).T @ (A @ Q))
-        alpha = min(alpha, float(lams[0]))
-        beta = max(beta, float(lams[-1]))
+        lo, hi = _span_curvature(A, np.hstack([W, basis.matrix[:, list(S)]]))
+        alpha, beta = min(alpha, lo), max(beta, hi)
     return alpha, beta
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .generator import (GeneratorNetwork, _forward_jacobian, _pseudo_inverse, forward,
-                        forward_batch)
+from .generator import GeneratorNetwork, _forward_jacobian, forward, forward_batch
 from .generator import vjp  # noqa: F401  (bench/test_bench.py traces it through this module)
 from .seeding import check_seed, spawn_rng
 
@@ -30,7 +29,6 @@ __all__ = [
     "ProjectionConfig",
     "ProjectionResult",
     "project",
-    "project_linear",
     "hard_threshold",
     "hard_threshold_coeffs",
 ]
@@ -179,28 +177,6 @@ def _result(net: GeneratorNetwork, x: np.ndarray, z: np.ndarray, certified: bool
         latent=z,
         residual_sq=float(np.sum((x - point) ** 2)),
         certified=certified,
-    )
-
-
-def project_linear(W, x) -> ProjectionResult:
-    """Exact Euclidean projection onto the column span of ``W``.
-
-    ``W`` must have full column rank (smallest singular value above 1e-10);
-    the returned point satisfies the normal equations W^T (x - point) = 0.
-    The latent is ``pinv(W) @ x`` from the routine behind
-    :attr:`Layer.pseudo_inverse`, but a bare ``W`` is factored on every call.
-    """
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2:
-        raise ContractError(f"W must be 2-d, got shape {W.shape}")
-    x = _check_target(W.shape[0], x)
-    latent = _pseudo_inverse(W) @ x
-    point = W @ latent
-    return ProjectionResult(
-        point=point,
-        latent=latent,
-        residual_sq=float(np.sum((x - point) ** 2)),
-        certified=True,
     )
 
 

@@ -101,6 +101,25 @@ class TestSolve:
         cfg = write_config(tmp_path, **{"solver.eta": 500.0})
         assert main(["solve", "--config", str(cfg)]) == 3
 
+    def test_overflow_exit_code(self, tmp_path, capsys):
+        # exp-link GLM with a huge step: the objective overflows (NumericError)
+        cfg = write_config(tmp_path, **{"problem.measurement": "glm-exp",
+                                        "solver.eta": 1e6, "solver.iters": 5})
+        assert main(["solve", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a stand-in: a truly oversized config could be granted under memory
+        # overcommit and get the test process killed
+        def oversized(spec, seed):
+            raise MemoryError
+        monkeypatch.setattr("genpgd.cli.gen_problem", oversized)
+        cfg = write_config(tmp_path)
+        assert main(["gen", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "too large" in err[0]
+
 
 class TestConfigErrors:
     def test_unknown_key_exit_code(self, tmp_path):
@@ -129,6 +148,7 @@ class TestConfigErrors:
         {"solver": {"iters": "x"}}, {"solver": {"eta": "x"}}, {"problem": {"n": "a"}},
         {"projection": {"restarts": None}}, {"problem": {"generator": 3}},
         {"problem": {"noise_level": "nan"}}, {"problem": {"noise_level": float("nan")}},
+        {"problem": {"noise_level": float("inf")}},
         {"out_dir": None}, {"out_dir": 5},
         {"problem": {"generator": {"kind": "mlp", "widths": ["a"]}}},
         {"problem": {"generator": {"kind": "mlp", "widths": 5}}},

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genpgd.errors import ConfigError, ContractError, DivergenceError
-from genpgd.generator import forward, network_to_json
+from genpgd.generator import forward, network_to_json, save_network
 from genpgd.harness import (
     ExperimentConfig,
     ProblemInstance,
@@ -128,6 +128,19 @@ class TestExperimentConfig:
 
 
 class TestGenProblem:
+    def test_generator_file_round_trip(self, tmp_path):
+        mlp = make_config(**{"problem.generator": {"kind": "mlp", "widths": [8]}})
+        ref = gen_problem(mlp.problem, seed=12)
+        save_network(ref.net, tmp_path / "net.json")
+        spec = {"kind": "file", "path": str(tmp_path / "net.json")}
+        inst = gen_problem(make_config(**{"problem.generator": spec}).problem, seed=12)
+        assert network_to_json(inst.net) == network_to_json(ref.net)
+        np.testing.assert_array_equal(inst.y, ref.y)
+        np.testing.assert_array_equal(inst.truth.x_star, ref.truth.x_star)
+        wrong_k = make_config(**{"problem.generator": spec, "problem.k": 5})
+        with pytest.raises(ConfigError, match="maps 4 -> 30"):
+            gen_problem(wrong_k.problem, seed=12)
+
     def test_noiseless_linear_is_exact(self):
         cfg = make_config()
         inst = gen_problem(cfg.problem, seed=5)
@@ -299,6 +312,17 @@ class TestRunSolve:
         summary, trace = run_solve(inst, cfg)
         assert summary.eta == trace.eta == 1.0 / summary.regularity.beta
 
+    @pytest.mark.parametrize("measurement", ["glm-sigmoid", "glm-exp"])
+    def test_glm_on_linear_generator_samples_the_curvature(self, measurement):
+        # no exact oracle for a GLM: the bundle comes from the pair sampler
+        cfg = make_config(**{"problem.measurement": measurement, "solver.iters": 20})
+        inst = gen_problem(cfg.problem, seed=28)
+        summary, _ = run_solve(inst, cfg)
+        assert summary.status == "ok"
+        assert np.isfinite([summary.final_f, summary.final_gap, summary.final_dist]).all()
+        assert summary.regularity.num_samples == 400
+        assert summary.eta == 1.0 / summary.regularity.beta
+
     def test_myopic_needs_basis(self):
         cfg = make_config(**{"solver.mode": "myopic"})
         inst = gen_problem(cfg.problem, seed=24)
@@ -450,6 +474,17 @@ class TestEmitReport:
         assert text.count("theory rate vacuous") == 3
         assert "PASS" not in text
         assert text.rstrip().endswith("3 runs, 0 pass, 0 fail, 3 skip")
+
+    def test_run_with_violations_fails(self, tmp_path):
+        # a gap sequence that broke the bound: the recorded count decides
+        results = self.make_results(tmp_path)
+        sweep = results / "sweep.csv"
+        header, row = sweep.read_text().splitlines()
+        assert header.endswith(",violations") and row.endswith(",0")
+        sweep.write_text(f"{header}\n{row[:-1]}2\n")
+        text = emit_report(results)["report"].read_text()
+        assert "violations 2/" in text and text.count("FAIL") == 1
+        assert text.rstrip().endswith("1 runs, 0 pass, 1 fail, 0 skip")
 
     def test_divergent_run_marked(self, tmp_path):
         results = self.make_results(tmp_path, **{"solver.eta": 500.0})

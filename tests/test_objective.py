@@ -4,6 +4,9 @@ eigenvalue/SVD oracles."""
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -267,6 +270,27 @@ class TestExactOracles:
         lams = np.linalg.eigvalsh(W.T @ A.T @ A @ W)
         assert abs(a - lams[0]) < 1e-10
         assert abs(b - lams[-1]) < 1e-10
+
+    def test_subspace_curvature_depends_only_on_the_span(self):
+        # a repeated direction and a badly scaled column leave the span, and
+        # so the constants, unchanged; the rank cutoff drops the repeat
+        rng = np.random.default_rng(24)
+        W = rng.standard_normal((20, 3))
+        A = rng.standard_normal((30, 20)) / np.sqrt(30)
+        Q = np.linalg.qr(W)[0]
+        lams = np.linalg.eigvalsh(Q.T @ A.T @ A @ Q)
+        for M in (np.hstack([W, W[:, :1] + W[:, 1:2]]), W * [1.0, 1e-6, 1e6]):
+            a, b = subspace_curvature(A, M)
+            assert abs(a - lams[0]) <= 1e-12 * lams[-1] and abs(b - lams[-1]) <= 1e-12 * lams[-1]
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency
+        src = os.path.dirname(os.path.dirname(objective_mod.__file__))
+        code = "import sys, genpgd; print(sorted(m for m in sys.modules if m[:5] == 'scipy'))"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_minkowski_curvature_brackets_subspace(self):
         rng = np.random.default_rng(22)

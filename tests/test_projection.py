@@ -23,7 +23,6 @@ from genpgd.projection import (
     hard_threshold,
     hard_threshold_coeffs,
     project,
-    project_linear,
 )
 from genpgd import generator, projection
 from genpgd.projection import _descend_lockstep, _restart_starts, _stable_hash
@@ -179,14 +178,27 @@ class TestHardThreshold:
             hard_threshold(B, np.zeros(3), -1)
 
 
+def closed_form(W, x):
+    """``project`` with ``closed-form-linear`` onto the span of ``W``."""
+    return project(ProjectionConfig(method="closed-form-linear"), make_linear_generator(W), x)
+
+
+def lstsq_point(W, x):
+    """Independent reference: the least-squares point from LAPACK's driver."""
+    return W @ np.linalg.lstsq(W, x, rcond=None)[0]
+
+
 class TestProjectLinear:
+    """Closed-form projection onto the column span of a linear generator."""
+
     def test_normal_equations_residual_orthogonal(self):
         rng = np.random.default_rng(7)
         W = rng.standard_normal((20, 4))
         x = rng.standard_normal(20)
-        res = project_linear(W, x)
+        res = closed_form(W, x)
         assert res.certified
         assert np.max(np.abs(W.T @ (x - res.point))) < 1e-9
+        np.testing.assert_allclose(res.point, lstsq_point(W, x), atol=1e-12)
         np.testing.assert_allclose(res.point, W @ res.latent, atol=1e-14)
         assert abs(res.residual_sq - np.sum((x - res.point) ** 2)) < 1e-12
 
@@ -195,38 +207,36 @@ class TestProjectLinear:
         W = rng.standard_normal((15, 3))
         for _ in range(20):
             x, y = rng.standard_normal((2, 15))
-            px = project_linear(W, x).point
-            py = project_linear(W, y).point
+            px = closed_form(W, x).point
+            py = closed_form(W, y).point
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
         W = rng.standard_normal((10, 2))
-        first = project_linear(W, rng.standard_normal(10))
-        second = project_linear(W, first.point)
+        first = closed_form(W, rng.standard_normal(10))
+        second = closed_form(W, first.point)
         assert second.residual_sq <= 1e-20
 
     def test_point_already_in_span(self):
         W = np.eye(6)[:, :2]
         x = np.array([1.0, 2.0, 0, 0, 0, 0])
-        res = project_linear(W, x)
+        res = closed_form(W, x)
         assert res.residual_sq <= 1e-30
         np.testing.assert_allclose(res.point, x, atol=1e-15)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(ContractError, match="singular value"):
-            project_linear(np.ones((5, 2)), np.zeros(5))
+            make_linear_generator(np.ones((5, 2)))
 
     def test_wide_or_empty_matrix_rejected(self):
         # more columns than rows cannot have full column rank, whatever the
         # singular values of the rows are
         W = np.random.default_rng(3).standard_normal((2, 5))
         with pytest.raises(ContractError, match="singular value"):
-            project_linear(W, np.zeros(2))
-        with pytest.raises(ContractError, match="singular value"):
             make_linear_generator(W)
-        with pytest.raises(ContractError, match="singular value"):
-            project_linear(np.zeros((5, 0)), np.zeros(5))
+        with pytest.raises(ContractError, match="2-d matrix"):
+            make_linear_generator(np.zeros((5, 0)))
 
 
 def ill_conditioned(rng, n, k, cond):
@@ -289,20 +299,17 @@ class TestFactoredLayer:
         # cond 1e8: the pseudo-inverse keeps the normal equations within 10x
         # of LAPACK's least-squares driver
         rng = np.random.default_rng(33)
-        worst = {"project": 0.0, "project_linear": 0.0, "lstsq": 0.0}
+        worst = {"project": 0.0, "lstsq": 0.0}
         for _ in range(20):
             W = ill_conditioned(rng, 100, 5, 1e8)
             x = rng.standard_normal(100)
             points = {
-                "project": project(ProjectionConfig(method="closed-form-linear"),
-                                   make_linear_generator(W), x).point,
-                "project_linear": project_linear(W, x).point,
-                "lstsq": W @ np.linalg.lstsq(W, x, rcond=None)[0],
+                "project": closed_form(W, x).point,
+                "lstsq": lstsq_point(W, x),
             }
             for name, point in points.items():
                 worst[name] = max(worst[name], normal_equation_residual(W, x, point))
         assert worst["project"] <= 10.0 * worst["lstsq"]
-        assert worst["project_linear"] <= 10.0 * worst["lstsq"]
 
     def test_offset_layer_matches_shifted_least_squares(self):
         rng = np.random.default_rng(34)
@@ -315,15 +322,14 @@ class TestFactoredLayer:
 
 
 class TestProjectClosedForm:
-    def test_matches_project_linear(self):
+    def test_matches_lstsq(self):
         rng = np.random.default_rng(11)
         W = rng.standard_normal((12, 3))
         net = make_linear_generator(W)
         x = rng.standard_normal(12)
         cfg = ProjectionConfig(method="closed-form-linear")
         res = project(cfg, net, x)
-        ref = project_linear(W, x)
-        np.testing.assert_allclose(res.point, ref.point, atol=1e-12)
+        np.testing.assert_allclose(res.point, lstsq_point(W, x), atol=1e-12)
         assert res.certified
         np.testing.assert_array_equal(res.point, forward(net, res.latent))
 
@@ -348,13 +354,13 @@ class TestTargetChecks:
                 project(cfg, net, x)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_project_linear_rejects_non_finite_inputs(self, bad):
+    def test_linear_generator_rejects_non_finite_inputs(self, bad):
         W = np.random.default_rng(36).standard_normal((6, 2))
         with pytest.raises(ContractError, match="target must be finite"):
-            project_linear(W, np.where(np.arange(6) == 2, bad, 0.0))
+            closed_form(W, np.where(np.arange(6) == 2, bad, 0.0))
         W[0, 1] = bad
-        with pytest.raises(ContractError, match="W must be finite"):
-            project_linear(W, np.zeros(6))
+        with pytest.raises(ContractError, match="must be finite"):
+            make_linear_generator(W)
 
 
 class TestProjectGrid:
@@ -401,7 +407,7 @@ class TestProjectLatentGd:
         net = make_linear_generator(W)
         x = rng.standard_normal(10)
         res = project(ProjectionConfig(method="latent-gd", restarts=3, seed=0), net, x)
-        ref = project_linear(W, x)
+        ref = closed_form(W, x)
         assert res.residual_sq <= ref.residual_sq + 1e-6
         assert not res.certified
         np.testing.assert_array_equal(res.point, forward(net, res.latent))
@@ -435,7 +441,7 @@ class TestProjectLatentGd:
             x = rng.standard_normal(10)
             cfg = ProjectionConfig(method="latent-gd", restarts=1, inner_iters=20, seed=0)
             res = project(cfg, make_linear_generator(W), x)
-            assert res.residual_sq <= project_linear(W, x).residual_sq + 1e-10
+            assert res.residual_sq <= closed_form(W, x).residual_sq + 1e-10
 
     @pytest.mark.parametrize("activation,slope", [("tanh", None), ("leaky-relu", 0.2)])
     def test_descent_never_increases_residual(self, activation, slope):
