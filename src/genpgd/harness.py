@@ -21,6 +21,7 @@ import json
 import numbers
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,11 +41,12 @@ from .objective import (
     Objective,
     RegularityEstimates,
     _NUM_PAIRS,
+    _SumSetKernel,
     _curvature_bounds,
     _link_mean,
+    _sampled_supports,
     estimate_diameter_gamma,
     estimate_incoherence,
-    subspace_incoherence,
 )
 from .projection import OrthoBasis, ProjectionConfig
 from .seeding import check_seed, derive_seed, spawn_rng
@@ -366,7 +368,7 @@ def _write_matrix_csv(path, M) -> None:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     line = ",".join(["%.17e"] * M.shape[1]) + "\n"
     with open(path, "w") as f:
-        f.write("".join(line % tuple(row) for row in M.tolist()))
+        f.write((line * M.shape[0]) % tuple(M.ravel().tolist()))
 
 
 def _read_matrix_csv(path) -> np.ndarray:
@@ -414,6 +416,18 @@ def save_problem(inst: ProblemInstance, directory) -> Path:
     return directory
 
 
+def _read_meta(doc) -> InstanceMeta:
+    """InstanceMeta from its JSON object, each field held to the JSON type
+    of its annotation by the config loader's rule (:func:`_is_a`)."""
+    if not isinstance(doc, dict):
+        raise ContractError(f"meta must be a JSON object, got {doc!r:.60}")
+    for name, kind in typing.get_type_hints(InstanceMeta).items():
+        if name in doc and not _is_a(doc[name], kind):
+            raise ContractError(
+                f"meta.{name} must be a JSON {_JSON_TYPES[kind][1]}, got {doc[name]!r:.60}")
+    return InstanceMeta(**doc)
+
+
 def load_problem(directory) -> ProblemInstance:
     directory = Path(directory)
     doc = _read_json(directory / "instance.json", ContractError)
@@ -435,7 +449,7 @@ def load_problem(directory) -> ProblemInstance:
                 x_star=np.array(truth["x_star"], dtype=float),
                 noise=np.array(truth["noise"], dtype=float),
             ),
-            meta=InstanceMeta(**doc["meta"]),
+            meta=_read_meta(doc["meta"]),
         )
     except ContractError:  # a ValueError too; already carries its message
         raise
@@ -469,29 +483,26 @@ def estimate_regularity(inst: ProblemInstance, objective: Objective,
     net, basis = inst.net, inst.basis
     if sparsity > 0 and basis is None:
         raise ConfigError("sparsity > 0 needs a basis")
-    alpha, beta = _curvature_bounds(objective, net, basis, sparsity,
-                                    seed=derive_seed(seed, 0))
     exact = net.is_single_affine and objective.kind == "least-squares"
-    if exact:
-        W = net.layers[0].weights
-        if sparsity > 0:
-            rng = spawn_rng(seed, 1)
-            supports = [np.sort(rng.choice(inst.meta.n, size=sparsity, replace=False))
-                        for _ in range(50)]
-            if inst.truth.nu_star is not None and inst.meta.l > 0:
-                coeffs = basis.matrix.T @ inst.truth.nu_star
-                live = np.flatnonzero(np.abs(coeffs) > 1e-12)
-                if live.size:
-                    supports.append(live)
-            mu = max(subspace_incoherence(W, basis, S) for S in supports)
-        else:
-            mu = 0.0
-        used = 0
+    if exact and sparsity > 0:
+        # one factor of span(W) serves alpha, beta and mu
+        kernel = _SumSetKernel(net.layers[0].weights, basis)
+        alpha, beta = kernel.curvature(objective.A, _sampled_supports(
+            basis.n, min(2 * sparsity, basis.n), spawn_rng(derive_seed(seed, 0))))
+        supports = _sampled_supports(inst.meta.n, sparsity, spawn_rng(seed, 1))
+        if inst.truth.nu_star is not None and inst.meta.l > 0:
+            coeffs = basis.matrix.T @ inst.truth.nu_star
+            live = np.flatnonzero(np.abs(coeffs) > 1e-12)
+            if live.size:
+                supports.append(live)
+        mu = kernel.incoherence(supports)
     else:
+        alpha, beta = _curvature_bounds(objective, net, basis, sparsity,
+                                        seed=derive_seed(seed, 0))
         mu = (estimate_incoherence(net, basis, sparsity,
                                    num_samples=_NUM_PAIRS, seed=derive_seed(seed, 1))
-              if sparsity > 0 else 0.0)
-        used = _NUM_PAIRS
+              if sparsity > 0 and not exact else 0.0)
+    used = 0 if exact else _NUM_PAIRS
     dg = estimate_diameter_gamma(
         net, objective=objective, x_star=inst.truth.x_star, seed=derive_seed(seed, 2))
     return RegularityEstimates(alpha=alpha, beta=beta, mu=mu,
@@ -625,6 +636,12 @@ def run_solve(inst: ProblemInstance, config: ExperimentConfig,
 # sweeps
 
 
+# the failures a sweep records as a trial status "error: <name>"; with "ok"
+# and "divergence" these are the only statuses a sweep writes
+_TRIAL_ERRORS = (ConfigError, ContractError, NumericError)
+_SWEEP_STATUSES = frozenset(
+    ["ok", "divergence"] + [f"error: {e.__name__}" for e in _TRIAL_ERRORS])
+
 _SWEEP_COLUMNS = ("run", "m", "l", "noise_level", "trial", "seed", "status",
                   "final_gap", "final_dist", "fitted_rate", "theory_rate",
                   "violations")
@@ -685,7 +702,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
                 )
             except DivergenceError:
                 row["status"] = "divergence"
-            except (ConfigError, ContractError, NumericError) as e:
+            except _TRIAL_ERRORS as e:
                 row["status"] = f"error: {type(e).__name__}"
             rows.append(row)
 
@@ -775,6 +792,10 @@ def _read_sweep_csv(path) -> list:
             except ValueError as e:
                 raise ContractError(
                     f"malformed sweep row at {path} line {reader.line_num}: {e}") from e
+            if row["status"] not in _SWEEP_STATUSES:
+                raise ContractError(
+                    f"unknown status {row['status']!r:.60} in sweep row at {path} "
+                    f"line {reader.line_num}")
             rows.append(row)
     return rows
 

@@ -220,9 +220,11 @@ def sum_pair_sampler(net: GeneratorNetwork, basis: OrthoBasis, l: int):
 # estimators
 
 # sample sizes of a regularity bundle: pairs per sampled curvature bound (also
-# the incoherence samples), latents per diameter estimate
+# the incoherence samples), latents per diameter estimate, sampled supports
+# per exact sum-set constant
 _NUM_PAIRS = 400
 _NUM_SAMPLES = 64
+_NUM_SUPPORTS = 50
 
 
 @dataclass(frozen=True)
@@ -390,13 +392,12 @@ class DiameterGammaEstimate:
 def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective | None = None,
                             x_star=None, num_samples: int = _NUM_SAMPLES, seed: int = 0
                             ) -> DiameterGammaEstimate:
-    """Max pairwise distance between the images of standard-normal
-    latents, plus the gradient norm at a known truth when one is supplied."""
+    """Max pairwise distance between the images of ``num_samples``
+    standard-normal latents (one draw, mapped by one :func:`forward_batch`),
+    plus the gradient norm at a known truth when one is supplied."""
     _check_count("num_samples", num_samples, 2)
     rng = spawn_rng(seed)
-    pts = np.empty((num_samples, net.n))
-    for i in range(num_samples):
-        pts[i] = forward(net, rng.standard_normal(net.k))
+    pts = forward_batch(net, rng.standard_normal((num_samples, net.k)).T).T
     sq = np.sum(pts**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     delta = float(np.sqrt(max(np.max(d2), 0.0)))
@@ -435,13 +436,25 @@ class RegularityEstimates:
 # exact oracles (linear-generator least-squares case)
 
 
-def _span_curvature(A: np.ndarray, M: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of ``(A Q)^T (A Q)``, the smallest and largest
-    curvature of ``0.5 ||y - A x||^2`` along span(M).  ``Q`` holds the left
-    singular vectors of ``M`` whose singular values exceed
-    ``max(M.shape) * eps * sigma_max``, an orthonormal basis of the span."""
+# a support whose sparse directions keep a squared sine of less than this to
+# span(W) (the smallest eigenvalue of C_S in :class:`_SumSetKernel`) is left
+# to :func:`_span_curvature`: the Cholesky route's rounding grows as
+# eps / lambda_min(C_S)
+_MIN_SINE_SQ = 0.1
+
+
+def _span_basis(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(M): the left singular vectors of ``M``
+    whose singular values exceed ``max(M.shape) * eps * sigma_max``."""
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    AQ = A @ U[:, s > max(M.shape) * np.finfo(float).eps * s[0]]
+    return U[:, s > max(M.shape) * np.finfo(float).eps * s[0]]
+
+
+def _span_curvature(A: np.ndarray, M: np.ndarray) -> tuple[float, float]:
+    """Extreme eigenvalues of ``(A Q)^T (A Q)`` with ``Q`` the
+    :func:`_span_basis` of ``M``, the smallest and largest curvature of
+    ``0.5 ||y - A x||^2`` along span(M)."""
+    AQ = A @ _span_basis(M)
     lams = np.linalg.eigvalsh(AQ.T @ AQ)
     return float(lams[0]), float(lams[-1])
 
@@ -452,31 +465,111 @@ def subspace_curvature(A, W) -> tuple[float, float]:
     return _span_curvature(np.asarray(A, dtype=float), np.asarray(W, dtype=float))
 
 
+def _by_size(supports):
+    """The supports grouped by size: one (count, size) index array each."""
+    groups = {}
+    for S in supports:
+        S = np.asarray(S, dtype=int)
+        groups.setdefault(S.size, []).append(S)
+    return [np.array(g, dtype=int).reshape(len(g), size) for size, g in groups.items()]
+
+
+def _sampled_supports(n: int, size: int, rng, count: int = _NUM_SUPPORTS) -> list:
+    """``count`` sorted uniform size-``size`` subsets of range(n), one
+    ``rng.choice`` each."""
+    return [np.sort(rng.choice(n, size=size, replace=False)) for _ in range(count)]
+
+
+class _SumSetKernel:
+    """The exact oracles of the sum set {W z + l-sparse-in-B}, batched over
+    supports from one factor of span(W).
+
+    ``Q`` is the :func:`_span_basis` of W and ``K = Q^T B`` holds the basis
+    columns' coordinates in it; every constant below is read off them.
+    """
+
+    def __init__(self, W, basis: OrthoBasis):
+        self.W = np.asarray(W, dtype=float)
+        self.B = basis.matrix
+        self.Q = _span_basis(self.W)
+        self.K = self.Q.T @ self.B
+
+    def incoherence(self, supports) -> float:
+        """Largest over the supports of the top singular value of
+        ``K[:, S]``, the exact incoherence between span(W) and span(B_S);
+        one batched SVD per support size, 0 for no columns."""
+        mu = 0.0
+        for idx in _by_size(supports):
+            if idx.shape[1]:
+                s = np.linalg.svd(self.K[:, idx].transpose(1, 0, 2), compute_uv=False)
+                mu = max(mu, float(np.max(s[:, 0])))
+        return mu
+
+    def curvature(self, A, supports) -> tuple[float, float]:
+        """Smallest and largest curvature of ``0.5 ||y - A x||^2`` over the
+        spans of ``[W, B_S]``, S over the supports.
+
+        P = B - Q K is the part of B off span(W).  With X = A Q, Y = A P and
+        the Cholesky factor L_S of C_S = P_S^T P_S, [Q, P_S L_S^-T] is an
+        orthonormal basis of span([W, B_S]), so the curvatures along it are
+        the eigenvalues of the Gram of [X, Y_S L_S^-T]: blocks gathered from
+        X^T X, X^T Y and Y^T Y (taken once, over the columns the supports
+        use), then one batched cholesky/inv/eigvalsh per support size.  A
+        support whose C_S is not safely positive definite (B_S close to
+        span(W), or rank(W) + |S| > n) goes to :func:`_span_curvature`.
+        """
+        A = np.asarray(A, dtype=float)
+        groups = _by_size(supports)
+        cols = np.unique(np.concatenate([np.empty(0, dtype=int)] + [g.ravel() for g in groups]))
+        X = A @ self.Q
+        Bu, Ku = self.B[:, cols], self.K[:, cols]
+        Y = A @ Bu - X @ Ku
+        Gxx, Gxy, Gyy = X.T @ X, X.T @ Y, Y.T @ Y
+        C = Bu.T @ Bu - Ku.T @ Ku
+        r = X.shape[1]
+        alpha, beta = np.inf, -np.inf
+        for idx in groups:
+            J = np.searchsorted(cols, idx)
+            s = J.shape[1]
+            C_S = C[J[:, :, None], J[:, None, :]]
+            safe = (np.linalg.eigvalsh(C_S)[:, 0] > _MIN_SINE_SQ if s
+                    else np.ones(len(J), dtype=bool))
+            for S in idx[~safe]:
+                lo, hi = _span_curvature(A, np.hstack([self.W, self.B[:, S]]))
+                alpha, beta = min(alpha, lo), max(beta, hi)
+            if not safe.any():
+                continue
+            J = J[safe]
+            Li = np.linalg.inv(np.linalg.cholesky(C_S[safe]))
+            LiT = Li.transpose(0, 2, 1)
+            H = np.empty((len(J), r + s, r + s))
+            H[:, :r, :r] = Gxx
+            H[:, r:, :r] = Li @ Gxy[:, J].transpose(1, 2, 0)
+            H[:, :r, r:] = H[:, r:, :r].transpose(0, 2, 1)
+            H[:, r:, r:] = Li @ Gyy[J[:, :, None], J[:, None, :]] @ LiT
+            lams = np.linalg.eigvalsh(H)
+            alpha = min(alpha, float(lams[:, 0].min()))
+            beta = max(beta, float(lams[:, -1].max()))
+        return alpha, beta
+
+
 def minkowski_curvature(A, W, basis: OrthoBasis, l: int, supports=None,
-                        num_supports: int = 50, seed: int = 0) -> tuple[float, float]:
+                        num_supports: int = _NUM_SUPPORTS, seed: int = 0
+                        ) -> tuple[float, float]:
     """Curvature range of the least-squares objective over the sum set
     {range point + l-sparse-in-basis deviation}.
 
     Differences of two such points live in span(W) plus a 2l-sparse part, so
-    the exact constants per support are :func:`_span_curvature` on the
-    stacked ``[W, B_S]``; supports are enumerated when given, otherwise
-    sampled.  Each support's bound is exact; sampling only controls how
-    much of the union is covered, so alpha is an upper bound and beta a
-    lower bound on the true constants over the full set.
+    the exact constants per support are those of span([W, B_S])
+    (:meth:`_SumSetKernel.curvature`); supports are enumerated when given,
+    otherwise sampled.  Each support's bound is exact; sampling only
+    controls how much of the union is covered, so alpha is an upper bound
+    and beta a lower bound on the true constants over the full set.
     """
-    A = np.asarray(A, dtype=float)
-    W = np.asarray(W, dtype=float)
-    n = basis.n
-    size = min(2 * l, n)
     if supports is None:
-        rng = spawn_rng(seed)
-        supports = [tuple(np.sort(rng.choice(n, size=size, replace=False)))
-                    for _ in range(num_supports)]
-    alpha, beta = np.inf, -np.inf
-    for S in supports:
-        lo, hi = _span_curvature(A, np.hstack([W, basis.matrix[:, list(S)]]))
-        alpha, beta = min(alpha, lo), max(beta, hi)
-    return alpha, beta
+        supports = _sampled_supports(basis.n, min(2 * l, basis.n), spawn_rng(seed),
+                                     num_supports)
+    return _SumSetKernel(W, basis).curvature(A, supports)
 
 
 def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis | None = None,
@@ -501,10 +594,6 @@ def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis |
 
 def subspace_incoherence(W, basis: OrthoBasis, support) -> float:
     """Exact incoherence between span(W) and the span of the given basis
-    columns: the largest singular value of Q^T B_S with Q an orthonormal
-    basis of span(W)."""
-    W = np.asarray(W, dtype=float)
-    Q = np.linalg.qr(W)[0]
-    M = Q.T @ basis.matrix[:, list(support)]
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+    columns: the largest singular value of Q^T B_S with Q the
+    :func:`_span_basis` of W."""
+    return _SumSetKernel(W, basis).incoherence([support])

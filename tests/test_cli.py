@@ -84,7 +84,9 @@ class TestSolve:
         lambda doc: doc["truth"].pop("noise"),
         lambda doc: doc["meta"].update(bogus=1),
         lambda doc: doc["files"].update(A="missing.csv"),
-    ], ids=["missing-truth-noise", "unknown-meta-key", "missing-matrix-file"])
+        lambda doc: doc["meta"].update(m=str(doc["meta"]["m"])),
+    ], ids=["missing-truth-noise", "unknown-meta-key", "missing-matrix-file",
+            "string-meta-m"])
     def test_malformed_instance_exit_code(self, tmp_path, capsys, corrupt):
         cfg = write_config(tmp_path)
         inst = tmp_path / "inst"
@@ -236,6 +238,31 @@ class TestSweepAndReport:
         sweep.write_text("\n".join(lines) + "\n")
         assert main(["report", str(out)]) == 2
         assert "sweep.csv line 2" in capsys.readouterr().err
+
+    def _restatus(self, out, status):
+        sweep = out / "sweep.csv"
+        lines = sweep.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[6] = status
+        lines[1] = ",".join(cells)
+        sweep.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("status", ["weird", "error: KeyError", "OK", ""])
+    def test_report_on_unknown_status_exit_code(self, tmp_path, capsys, status):
+        out, _ = self._swept(tmp_path)
+        self._restatus(out, status)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unknown status" in err[0] and "sweep.csv line 2" in err[0]
+
+    @pytest.mark.parametrize("status", [
+        "divergence", "error: ConfigError", "error: ContractError", "error: NumericError"])
+    def test_report_reads_every_status_a_sweep_writes(self, tmp_path, status):
+        out, _ = self._swept(tmp_path)
+        self._restatus(out, status)
+        assert main(["report", str(out)]) == 0
+        assert f"status {status}  FAIL" in (out / "report.txt").read_text()
 
 
 class TestEstimate:

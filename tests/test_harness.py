@@ -228,6 +228,19 @@ class TestSaveLoad:
         with pytest.raises(ContractError):
             load_problem(tmp_path / "inst")
 
+    @pytest.mark.parametrize("field,value,kind", [
+        ("m", "15", "integer"), ("l", True, "integer"), ("n", 30.0, "integer"),
+        ("seed", None, "integer"), ("noise_level", "0", "number"),
+    ])
+    def test_mistyped_meta_rejected(self, tmp_path, field, value, kind):
+        inst = gen_problem(make_config().problem, seed=14)
+        save_problem(inst, tmp_path / "inst")
+        doc = json.loads((tmp_path / "inst" / "instance.json").read_text())
+        doc["meta"][field] = value
+        (tmp_path / "inst" / "instance.json").write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match=f"meta.{field} must be a JSON {kind}"):
+            load_problem(tmp_path / "inst")
+
     def test_matrix_csv_round_trip(self, tmp_path):
         M = np.random.default_rng(0).standard_normal((7, 3))
         _write_matrix_csv(tmp_path / "m.csv", M)

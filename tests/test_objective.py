@@ -335,6 +335,146 @@ class TestExactOracles:
         assert abs(got - want) < 1e-12
 
 
+def _graded_W(rng, n, k, cond):
+    # orthogonal columns scaled from 1 down to 1/cond: the span is that of
+    # the unscaled columns to rounding, whatever cond is (a W mixed by a
+    # rotation would fix its own span only to about eps * cond)
+    Q = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    return Q * np.logspace(0, -np.log10(cond), k)
+
+
+def _basis(kind, n, seed):
+    return OrthoBasis.random(n, seed) if kind == "random" else OrthoBasis.identity(n)
+
+
+class TestSumSetKernel:
+    """The batched exact oracles against the per-support SVD route."""
+
+    @staticmethod
+    def _per_support(A, W, basis, S):
+        return objective_mod._span_curvature(A, np.hstack([W, basis.matrix[:, list(S)]]))
+
+    @staticmethod
+    def _count_fallbacks(monkeypatch):
+        calls = []
+        real = objective_mod._span_curvature
+
+        def counted(A, M):
+            calls.append(M.shape)
+            return real(A, M)
+
+        monkeypatch.setattr(objective_mod, "_span_curvature", counted)
+        return calls
+
+    def _check(self, A, W, basis, supports, tol=1e-13):
+        kernel = objective_mod._SumSetKernel(W, basis)
+        per = [self._per_support(A, W, basis, S) for S in supports]
+        for S, (lo, hi) in zip(supports, per):
+            got = kernel.curvature(A, [S])
+            assert abs(got[0] - lo) <= tol * hi and abs(got[1] - hi) <= tol * hi
+        alpha, beta = kernel.curvature(A, supports)
+        assert abs(alpha - min(lo for lo, _ in per)) <= tol * beta
+        assert abs(beta - max(hi for _, hi in per)) <= tol * beta
+
+    @pytest.mark.parametrize("basis_kind", ["random", "identity"])
+    @pytest.mark.parametrize("cond", [1.0, 1e6, 1e9])
+    def test_matches_per_support_route(self, monkeypatch, basis_kind, cond):
+        rng = np.random.default_rng(30)
+        n, k, l = 40, 5, 3
+        W = _graded_W(rng, n, k, cond)
+        A = rng.standard_normal((50, n)) / np.sqrt(50)
+        basis = _basis(basis_kind, n, 31)
+        supports = [np.sort(rng.choice(n, 2 * l, replace=False)) for _ in range(30)]
+        kernel = objective_mod._SumSetKernel(W, basis)
+        calls = self._count_fallbacks(monkeypatch)
+        kernel.curvature(A, supports)
+        assert calls == []  # every generic support takes the batched route
+        self._check(A, W, basis, supports)
+
+    @pytest.mark.parametrize("basis_kind", ["random", "identity"])
+    def test_rank_deficient_W(self, basis_kind):
+        rng = np.random.default_rng(32)
+        W = np.linalg.qr(rng.standard_normal((30, 4)))[0]
+        W = np.hstack([W, W[:, :1]])  # a repeated column
+        A = rng.standard_normal((45, 30)) / np.sqrt(45)
+        basis = _basis(basis_kind, 30, 33)
+        assert objective_mod._SumSetKernel(W, basis).Q.shape == (30, 4)
+        supports = [np.sort(rng.choice(30, 4, replace=False)) for _ in range(20)]
+        self._check(A, W, basis, supports)
+
+    @pytest.mark.parametrize("basis_kind", ["random", "identity"])
+    def test_support_meeting_the_span_falls_back(self, monkeypatch, basis_kind):
+        # W holds basis column 3, so every support containing 3 spans a
+        # space of dimension k + |S| - 1 and C_S is singular
+        rng = np.random.default_rng(34)
+        n = 24
+        basis = _basis(basis_kind, n, 35)
+        W = np.hstack([basis.matrix[:, 3:4], rng.standard_normal((n, 2))])
+        A = rng.standard_normal((36, n)) / np.sqrt(36)
+        supports = [np.array([1, 3, 7, 20]), np.array([0, 5, 9, 11]),
+                    np.array([2, 3, 4, 5]), np.array([6, 10, 14, 18])]
+        calls = self._count_fallbacks(monkeypatch)
+        objective_mod._SumSetKernel(W, basis).curvature(A, supports)
+        assert len(calls) == 2
+        self._check(A, W, basis, supports)
+
+    def test_more_directions_than_dimensions(self, monkeypatch):
+        # k + 2l > n: span([W, B_S]) is all of R^n, so the constants are
+        # the extreme eigenvalues of A^T A
+        rng = np.random.default_rng(36)
+        n = 8
+        W = rng.standard_normal((n, 5))
+        A = rng.standard_normal((12, n)) / np.sqrt(12)
+        basis = OrthoBasis.random(n, 37)
+        supports = [np.sort(rng.choice(n, 4, replace=False)) for _ in range(6)]
+        calls = self._count_fallbacks(monkeypatch)
+        alpha, beta = objective_mod._SumSetKernel(W, basis).curvature(A, supports)
+        assert len(calls) == len(supports)
+        lams = np.linalg.eigvalsh(A.T @ A)
+        assert abs(alpha - lams[0]) <= 1e-13 * lams[-1]
+        assert abs(beta - lams[-1]) <= 1e-13 * lams[-1]
+        self._check(A, W, basis, supports)
+
+    def test_nearly_orthonormal_basis(self):
+        # OrthoBasis admits columns orthonormal to 1e-8; C_S is the Gram of
+        # the basis columns' part off span(W), not I - K_S^T K_S
+        rng = np.random.default_rng(42)
+        n = 30
+        M = OrthoBasis.random(n, 43).matrix * (1.0 + 2e-9 * rng.standard_normal(n))
+        basis = OrthoBasis(M)
+        W = _graded_W(rng, n, 4, 10.0)
+        A = rng.standard_normal((40, n)) / np.sqrt(40)
+        supports = [np.sort(rng.choice(n, 6, replace=False)) for _ in range(20)]
+        self._check(A, W, basis, supports)
+
+    def test_ragged_supports(self):
+        rng = np.random.default_rng(38)
+        W = _graded_W(rng, 30, 3, 1e3)
+        A = rng.standard_normal((40, 30)) / np.sqrt(40)
+        basis = OrthoBasis.random(30, 39)
+        supports = [np.array([4]), np.array([1, 2, 9, 28]), np.array([], dtype=int),
+                    np.array([0, 17, 29]), np.array([5, 6, 7, 8])]
+        self._check(A, W, basis, supports)
+
+    @pytest.mark.parametrize("basis_kind", ["random", "identity"])
+    @pytest.mark.parametrize("cond", [1.0, 1e9])
+    def test_incoherence_matches_per_support_svd(self, basis_kind, cond):
+        rng = np.random.default_rng(40)
+        n, k, l = 50, 4, 3
+        W = _graded_W(rng, n, k, cond)
+        Q = W / np.linalg.norm(W, axis=0)  # an orthonormal basis of span(W)
+        basis = _basis(basis_kind, n, 41)
+        supports = [np.sort(rng.choice(n, l, replace=False)) for _ in range(40)]
+        supports.append(np.array([2, 30]))  # a ragged nu* support
+        kernel = objective_mod._SumSetKernel(W, basis)
+        per = [np.linalg.svd(Q.T @ basis.matrix[:, S], compute_uv=False)[0] for S in supports]
+        for S, want in zip(supports, per):
+            assert abs(kernel.incoherence([S]) - want) <= 1e-13
+            assert abs(subspace_incoherence(W, basis, S) - want) <= 1e-13
+        assert abs(kernel.incoherence(supports) - max(per)) <= 1e-13
+        assert kernel.incoherence([np.array([], dtype=int)]) == 0.0
+
+
 class TestIncoherenceEstimator:
     def test_converges_to_svd_oracle(self):
         rng = np.random.default_rng(25)
@@ -404,6 +544,16 @@ class TestDiameterGamma:
         net = make_random_generator(3, 10, 2, [6], "relu", seed=1)
         with pytest.raises(ContractError, match="num_samples"):
             estimate_diameter_gamma(net, num_samples=num_samples)
+
+    def test_latents_are_the_per_latent_stream(self):
+        # one (num_samples, k) draw holds the latents of num_samples
+        # successive k-draws, so delta is the loop's up to rounding
+        net = make_random_generator(4, 30, 2, [12], "relu", seed=5)
+        rng = objective_mod.spawn_rng(6)
+        pts = np.stack([forward(net, rng.standard_normal(4)) for _ in range(50)])
+        want = max(np.linalg.norm(p - q) for p in pts for q in pts)
+        est = estimate_diameter_gamma(net, num_samples=50, seed=6)
+        assert abs(est.delta - want) <= 1e-13 * want
 
 
 class TestRegularityEstimates:
