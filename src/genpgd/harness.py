@@ -6,10 +6,10 @@ it, fan that out over parameter grids with hierarchical seeding, and turn
 the results into plot-ready data plus a text report that checks the observed
 contraction against the theory rate.
 
-All files are plain text (JSON, CSV, TSV) with floats written in
-full-precision scientific notation so every artifact round-trips bitwise and
-re-runs with the same master seed are byte-identical (timing is kept out of
-comparable outputs for that reason).
+Instance matrices are ``.npy`` files of exact float64 bits and all other
+files plain text (JSON, CSV, TSV) with full-precision floats, so every
+artifact round-trips bitwise and re-runs with the same master seed are
+byte-identical (timing is kept out of comparable outputs for that reason).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 import numbers
 import os
 import time
+import tokenize
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -362,25 +363,23 @@ def gen_problem(spec: ProblemSpec, seed: int) -> ProblemInstance:
 # instance files
 
 
-def _write_matrix_csv(path, M) -> None:
-    """Row-major CSV, one matrix row per line, full-precision floats
-    (``%.17e``, the same bytes as ``format(v, ".17e")`` per element)."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    line = ",".join(["%.17e"] * M.shape[1]) + "\n"
-    with open(path, "w") as f:
-        f.write((line * M.shape[0]) % tuple(M.ravel().tolist()))
-
-
-def _read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ContractError(f"matrix file {path} is empty")
-    return np.array(rows)
+def _read_matrix(path, shape) -> np.ndarray:
+    """The little-endian float64 matrix of ``shape`` that ``np.save`` wrote at
+    ``path``.  Memory-mapping checks the header before any data is copied, so
+    a malformed file raises :class:`ContractError` without allocating."""
+    try:
+        with open(path, "rb") as f:  # np.load reads a CSV as a pickle, a zip as .npz
+            if f.read(6) != b"\x93NUMPY":
+                raise ValueError("not a .npy file")
+        M = np.load(path, mmap_mode="r", allow_pickle=False)
+    # each seen from np.load on a mangled header; its messages can span lines
+    except (EOFError, OSError, OverflowError, SyntaxError, TypeError, ValueError,
+            tokenize.TokenError) as e:
+        raise ContractError(f"cannot read matrix file {path}: {' '.join(str(e).split())}") from e
+    if M.dtype.str != "<f8" or M.shape != shape:
+        raise ContractError(
+            f"{path} holds a {M.dtype.str} array of shape {M.shape}, expected <f8 of shape {shape}")
+    return np.array(M)
 
 
 def _vec(arr) -> list:
@@ -390,10 +389,10 @@ def _vec(arr) -> list:
 def save_problem(inst: ProblemInstance, directory) -> Path:
     directory = Path(directory)
     os.makedirs(directory, exist_ok=True)
-    _write_matrix_csv(directory / "A.csv", inst.A)
+    np.save(directory / "A.npy", np.asarray(inst.A, dtype="<f8"))
     save_network(inst.net, directory / "network.json")
     if inst.basis is not None:
-        _write_matrix_csv(directory / "basis.csv", inst.basis.matrix)
+        np.save(directory / "basis.npy", np.asarray(inst.basis.matrix, dtype="<f8"))
     doc = {
         "format": "genpgd-instance",
         "meta": dataclasses.asdict(inst.meta),
@@ -405,9 +404,9 @@ def save_problem(inst: ProblemInstance, directory) -> Path:
         },
         "y": _vec(inst.y),
         "files": {
-            "A": "A.csv",
+            "A": "A.npy",
             "network": "network.json",
-            "basis": "basis.csv" if inst.basis is not None else None,
+            "basis": "basis.npy" if inst.basis is not None else None,
         },
     }
     with open(directory / "instance.json", "w") as f:
@@ -434,14 +433,14 @@ def load_problem(directory) -> ProblemInstance:
     if not isinstance(doc, dict) or doc.get("format") != "genpgd-instance":
         raise ContractError(f"{directory} does not hold a problem instance")
     try:
-        truth = doc["truth"]
+        meta = _read_meta(doc["meta"])
+        files, truth = doc["files"], doc["truth"]
         nu = truth["nu_star"]
-        basis_file = doc["files"]["basis"]
         return ProblemInstance(
-            net=load_network(directory / doc["files"]["network"]),
-            basis=None if basis_file is None else OrthoBasis(
-                _read_matrix_csv(directory / basis_file)),
-            A=_read_matrix_csv(directory / doc["files"]["A"]),
+            net=load_network(directory / files["network"]),
+            basis=None if files["basis"] is None else OrthoBasis(
+                _read_matrix(directory / files["basis"], (meta.n, meta.n))),
+            A=_read_matrix(directory / files["A"], (meta.m, meta.n)),
             y=np.array(doc["y"], dtype=float),
             truth=Truth(
                 z_star=np.array(truth["z_star"], dtype=float),
@@ -449,7 +448,7 @@ def load_problem(directory) -> ProblemInstance:
                 x_star=np.array(truth["x_star"], dtype=float),
                 noise=np.array(truth["noise"], dtype=float),
             ),
-            meta=_read_meta(doc["meta"]),
+            meta=meta,
         )
     except ContractError:  # a ValueError too; already carries its message
         raise

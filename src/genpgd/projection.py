@@ -47,7 +47,7 @@ class OrthoBasis:
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ContractError(f"basis must be square, got shape {M.shape}")
         dev = np.max(np.abs(M.T @ M - np.eye(M.shape[0])))
-        if dev > 1e-8:
+        if not dev <= 1e-8:  # a NaN deviation fails too
             raise ContractError(f"basis is not orthonormal (max |B^T B - I| = {dev:.3e})")
         object.__setattr__(self, "matrix", M)
 

@@ -1,7 +1,10 @@
 """Command line entry points and exit codes."""
 
+import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
 from genpgd.cli import main
@@ -31,13 +34,58 @@ def write_config(tmp_path, **patches):
     return path
 
 
+def _npy(M, **kwargs):
+    buf = io.BytesIO()
+    np.save(buf, M, **kwargs)
+    return buf.getvalue()
+
+
+def _npy_with_header(header, M):
+    """The bytes of ``M`` behind a .npy header that says ``header``."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, header)
+    return buf.getvalue() + M.tobytes()
+
+
+def _npz(M):
+    buf = io.BytesIO()
+    np.savez(buf, M)
+    return buf.getvalue()
+
+
+def _oversized_header(M):
+    # numpy refuses a header over 10000 bytes, in a message of three lines
+    header = repr({"descr": "<f8", "fortran_order": False, "shape": M.shape})
+    header = (header + " " * 20000 + "\n").encode()
+    return b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header + M.tobytes()
+
+
+_MANGLED_MATRICES = {
+    "empty": lambda M: b"",
+    "truncated": lambda M: _npy(M)[:-100],
+    "text": lambda M: "\n".join(",".join(format(v, ".17e") for v in row) for row in M).encode(),
+    "pickled-object-array": lambda M: _npy(M.astype(object), allow_pickle=True),
+    "int-dtype": lambda M: _npy(M.astype(np.int64)),
+    "one-dimensional": lambda M: _npy(M.ravel()),
+    "big-endian": lambda M: _npy(M.astype(">f8")),
+    "transposed": lambda M: _npy(np.ascontiguousarray(M.T)),
+    "lying-header": lambda M: _npy_with_header(
+        {"descr": "<f8", "fortran_order": False, "shape": (10**9, 10**6)}, M),
+    # A: y no longer equals A x* + noise; basis: not orthonormal
+    "scaled": lambda M: _npy(2.0 * M),
+    "unclosed-header": lambda M: _npy(M).replace(b"}", b" ", 1),
+    "oversized-header": _oversized_header,
+    "npz-archive": _npz,
+}
+
+
 class TestGen:
     def test_writes_instance(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["gen", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
         assert (out / "instance.json").exists()
-        assert (out / "A.csv").exists()
+        assert (out / "A.npy").exists()
         assert str(out) in capsys.readouterr().out
 
     def test_deterministic(self, tmp_path):
@@ -98,6 +146,36 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), str(inst),
                      "--out", str(tmp_path / "res")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("mangle", _MANGLED_MATRICES.values(), ids=_MANGLED_MATRICES.keys())
+    @pytest.mark.parametrize("name", ["A.npy", "basis.npy"])
+    def test_corrupted_matrix_file_exit_code(self, tmp_path, capsys, name, mangle):
+        cfg = write_config(tmp_path, **{"problem.basis": "random", "problem.l": 2})
+        inst = tmp_path / "inst"
+        main(["gen", "--config", str(cfg), "--out", str(inst)])
+        (inst / name).write_bytes(mangle(np.load(inst / name)))
+        capsys.readouterr()
+        assert main(["solve", "--config", str(cfg), str(inst),
+                     "--out", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_csv_instance_directory_exit_code(self, tmp_path, capsys):
+        # the matrix format before .npy; `genpgd gen` regenerates such a directory
+        cfg = write_config(tmp_path)
+        inst = tmp_path / "inst"
+        main(["gen", "--config", str(cfg), "--out", str(inst)])
+        A = np.load(inst / "A.npy")
+        (inst / "A.npy").unlink()
+        (inst / "A.csv").write_bytes(_MANGLED_MATRICES["text"](A))
+        doc = json.loads((inst / "instance.json").read_text())
+        doc["files"]["A"] = "A.csv"
+        (inst / "instance.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["solve", "--config", str(cfg), str(inst),
+                     "--out", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "A.csv" in err[0]
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, **{"solver.eta": 500.0})
@@ -191,6 +269,23 @@ class TestSweepAndReport:
         assert main(["report", str(out)]) == 0
         assert (out / "report.txt").exists()
         assert (out / "plot_gap_vs_t.tsv").exists()
+
+    def test_saved_instance_solves_to_the_sweep_row(self, tmp_path):
+        # each trial's saved instance/ is the instance the sweep solved
+        cfg = write_config(tmp_path, **{
+            "problem.basis": "random", "problem.l": 2, "solver.mode": "myopic",
+            "sweep.m": [30, 40], "sweep.trials": 2})
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        with open(out / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 4 and all(row["status"] == "ok" for row in rows)
+        for row in rows:
+            res = tmp_path / "res" / row["run"]
+            assert main(["solve", "--config", str(cfg), str(out / row["run"] / "instance"),
+                         "--out", str(res)]) == 0
+            summary = json.loads((res / "summary.json").read_text())
+            assert summary["final_dist"] == float(row["final_dist"])
 
     def test_sweep_survives_divergent_trials(self, tmp_path):
         cfg = write_config(tmp_path, **{"solver.eta": 500.0})

@@ -4,6 +4,8 @@ import copy
 import csv
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from genpgd.harness import (
     run_sweep,
     save_problem,
 )
-from genpgd.harness import _read_matrix_csv, _write_matrix_csv
+from genpgd.harness import _read_matrix
 from genpgd.objective import subspace_curvature
 from genpgd.projection import ProjectionConfig, project
 from genpgd.seeding import derive_seed
@@ -216,7 +218,7 @@ class TestSaveLoad:
         inst = gen_problem(make_config().problem, seed=13)
         save_problem(inst, tmp_path / "a")
         save_problem(inst, tmp_path / "b")
-        for name in ("instance.json", "A.csv", "network.json"):
+        for name in ("instance.json", "A.npy", "network.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_corrupted_file_rejected(self, tmp_path):
@@ -241,20 +243,45 @@ class TestSaveLoad:
         with pytest.raises(ContractError, match=f"meta.{field} must be a JSON {kind}"):
             load_problem(tmp_path / "inst")
 
-    def test_matrix_csv_round_trip(self, tmp_path):
-        M = np.random.default_rng(0).standard_normal((7, 3))
-        _write_matrix_csv(tmp_path / "m.csv", M)
-        assert np.array_equal(_read_matrix_csv(tmp_path / "m.csv"), M)
-
     @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 100), (100, 100)])
-    def test_matrix_csv_matches_per_element_format(self, tmp_path, shape):
+    def test_matrix_npy_round_trip_bitwise(self, tmp_path, shape):
         rng = np.random.default_rng(sum(shape))
         M = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
         special = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
         M.flat[: len(special)] = special[: M.size]
-        _write_matrix_csv(tmp_path / "m.csv", M)
-        expected = "".join(",".join(format(v, ".17e") for v in row) + "\n" for row in M)
-        assert (tmp_path / "m.csv").read_text() == expected
+        np.save(tmp_path / "m.npy", M)
+        back = _read_matrix(tmp_path / "m.npy", shape)
+        assert type(back) is np.ndarray and back.dtype == np.float64
+        assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(name=st.sampled_from(["instance.json", "A.npy", "basis.npy", "network.json"]),
+           data=st.data())
+    def test_mutated_files_load_consistently_or_raise_contract_error(self, name, data):
+        # truncation or byte flips in any instance file: the load either
+        # gives an instance whose identities hold or raises ContractError
+        cfg = make_config(**{"problem.basis": "random", "problem.l": 2})
+        with tempfile.TemporaryDirectory() as tmp:
+            inst_dir = save_problem(gen_problem(cfg.problem, seed=16), Path(tmp) / "inst")
+            raw = bytearray((inst_dir / name).read_bytes())
+            if data.draw(st.booleans(), label="truncate"):
+                del raw[data.draw(st.integers(0, len(raw) - 1), label="cut"):]
+            else:
+                # half the flips land in the first 128 bytes, a .npy header
+                where = st.integers(0, len(raw) - 1) | st.integers(0, 127)
+                flips = st.tuples(where, st.integers(0, 255))
+                for i, byte in data.draw(st.lists(flips, min_size=1, max_size=4), label="flips"):
+                    raw[i] = byte
+            (inst_dir / name).write_bytes(raw)
+            try:
+                back = load_problem(inst_dir)
+            except ContractError:
+                return
+        assert back.A.shape == (back.meta.m, back.meta.n)
+        assert np.array_equal(back.A @ back.truth.x_star + back.truth.noise, back.y)
+        if back.basis is not None:
+            B = back.basis.matrix
+            assert np.max(np.abs(B.T @ B - np.eye(back.meta.n))) <= 1e-8
 
     def test_network_file_matches_streaming_encoder(self, tmp_path):
         mlp = {"kind": "mlp", "widths": [6], "activation": "leaky-relu", "slope": 0.2}

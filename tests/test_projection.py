@@ -131,6 +131,14 @@ class TestOrthoBasis:
         with pytest.raises(ContractError, match="square"):
             OrthoBasis(np.ones((4, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # B^T B - I has NaN entries, which no `dev > tol` test catches
+        M = np.eye(4)
+        M[0, 0] = bad
+        with pytest.raises(ContractError, match="orthonormal"):
+            OrthoBasis(M)
+
 
 class TestHardThreshold:
     def test_matches_exhaustive_search(self):
