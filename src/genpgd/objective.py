@@ -247,12 +247,12 @@ def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> 
     ``num_pairs`` pairs drawn by ``sampler(rng, count)``, which returns a
     (2 * count, n) array holding pair i in rows 2i and 2i + 1.
 
-    Every sampled point lies in the constraint set, so every ordered cross
-    pair among them is a valid direction: one batched pass takes F and its
-    gradient at all points and the extremes over all those pairs, which
-    include the as-sampled ones.  ``alpha``/``beta`` are recomputed through
-    :func:`curvature_ratio` on the winning pairs, so each reported pair
-    reproduces its value.
+    Every sampled point lies in the constraint set, so every cross pair among
+    them is a valid direction: one batched pass takes F and its gradient at
+    all points and the extremes over all those pairs, the as-sampled ones
+    included: each unordered pair once for least squares, whose Bregman ratio
+    is symmetric, and each ordered pair for glm.  :func:`curvature_ratio`
+    recomputes ``alpha``/``beta`` on the winners, so each pair reproduces its value.
 
     Pairs closer than 1e-12 are dropped and only the missing ones redrawn,
     keeping the pairs a pair-by-pair draw keeps.  The sampler is reported
@@ -291,40 +291,68 @@ def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> 
     )
 
 
-def _cross_pair_extremes(obj: Objective, pts: np.ndarray, chunk: int = 256):
-    """Index pairs (from_i, to_j) minimizing/maximizing the curvature ratio
-    over all ordered cross pairs of the rows of ``pts``.
+def _sum_factors(X, c, a, b):
+    """Row factors L, R with ``(L @ R.T)[i, j] = c X_i . X_j + a_i + b_j``."""
+    one = np.ones((len(a), 1))
+    L = np.hstack([X, a[:, None], one])
+    L[:, :-2] *= c  # in place, with no scaled copy of X
+    return L, np.hstack([X, one, b[:, None]])
 
-    F at every row and its link residuals R from :func:`_fit_batch`, then
-    chunked algebra.  A gradient is a row of ``R A``, so its inner product
-    with a point is taken in the m-dimensional measurement space:
-    ``<grad F(p_i), p_j> = R_i . (A p_j)``.  The squared distances come
-    from a Gram expansion whose cancellation noise is about 1e-16 times the
-    point scale, so pairs below a relative floor are masked out rather than
-    trusted; returns None if nothing survives the mask.
+
+def _cross_pair_extremes(obj: Objective, pts: np.ndarray, chunk: int = 128):
+    """Index pairs (i, j) minimizing/maximizing the curvature ratio over the
+    cross pairs of the rows of ``pts``, in blocks of ``chunk`` rows.
+
+    Least squares scans each unordered pair once (square blocks on and above
+    the diagonal, i < j): its ratio ``||T_i - T_j||^2 / ||p_i - p_j||^2``,
+    ``T = pts A^T``, is symmetric, and :func:`_sum_factors` gives a block of
+    numerators, distances or mask floors by one product.  glm scans every
+    ordered pair (from p_i to p_j) over whole rows, with F and the link
+    residuals R from :func:`_fit_batch`: ``<grad F(p_i), p_j> = R_i . T_j``.
+    Gram-expanded distances carry cancellation noise of about 1e-16 times the
+    point scale, so pairs closer than ``1e-12 (|p_i|^2 + 1 + |p_j|^2)`` are
+    masked out rather than trusted; returns None if nothing survives.
     """
     fvals, R, T = _fit_batch(obj, pts)
     sq = np.sum(pts * pts, axis=1)
-    gp = np.sum(R * T, axis=1)
+    symmetric = obj.kind == "least-squares"
+    if symmetric:
+        tq = np.sum(T * T, axis=1)
+        dist = _sum_factors(pts, -2.0, sq, sq)
+        rise = _sum_factors(T, -2.0, tq, tq)
+        floor = _sum_factors(pts[:, :0], 0.0, 1e-12 * (sq + 1.0), 1e-12 * sq)
+        lower = np.tri(chunk, dtype=bool)  # j <= i on a diagonal block
+    else:
+        gp = np.sum(R * T, axis=1)
     best_lo, best_hi = np.inf, -np.inf
     at_lo = at_hi = None
-    for start in range(0, pts.shape[0], chunk):
+    for start in range(0, len(pts), chunk):
         rows = slice(start, start + chunk)
-        dd = np.add.outer(sq[rows], sq) - 2.0 * (pts[rows] @ pts.T)
-        masked = dd < 1e-12 * np.add.outer(sq[rows] + 1.0, sq)
-        r = R[rows] @ T.T
-        r -= gp[rows, None]
-        np.subtract(fvals - fvals[rows, None], r, out=r)
-        r *= 2.0
-        np.divide(r, dd, out=r, where=~masked)
-        r[masked] = np.inf
-        i, j = np.unravel_index(np.argmin(r), r.shape)
-        if r[i, j] < best_lo:
-            best_lo, at_lo = float(r[i, j]), (start + int(i), int(j))
-        r[masked] = -np.inf
-        i, j = np.unravel_index(np.argmax(r), r.shape)
-        if r[i, j] > best_hi:
-            best_hi, at_hi = float(r[i, j]), (start + int(i), int(j))
+        for col in range(start, len(pts), chunk) if symmetric else (0,):
+            if symmetric:
+                cols = slice(col, col + chunk)
+                dd = dist[0][rows] @ dist[1][cols].T
+                masked = dd < floor[0][rows] @ floor[1][cols].T
+                r = rise[0][rows] @ rise[1][cols].T
+                if col == start:
+                    masked |= lower[:len(r), :len(r)]
+            else:
+                dd = np.add.outer(sq[rows], sq) - 2.0 * (pts[rows] @ pts.T)
+                masked = dd < 1e-12 * np.add.outer(sq[rows] + 1.0, sq)
+                r = R[rows] @ T.T
+                r -= gp[rows, None]
+                np.subtract(fvals - fvals[rows, None], r, out=r)
+                r *= 2.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r /= dd  # masked entries are overwritten below
+            r[masked] = np.inf
+            i, j = np.unravel_index(np.argmin(r), r.shape)
+            if r[i, j] < best_lo:
+                best_lo, at_lo = float(r[i, j]), (start + int(i), col + int(j))
+            r[masked] = -np.inf
+            i, j = np.unravel_index(np.argmax(r), r.shape)
+            if r[i, j] > best_hi:
+                best_hi, at_hi = float(r[i, j]), (start + int(i), col + int(j))
     if at_lo is None or at_hi is None:
         return None
     return at_lo, at_hi

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import genpgd
 from genpgd.cli import main
 
 
@@ -159,6 +163,24 @@ class TestSolve:
                      "--out", str(tmp_path / "res")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_huge_basis_entry_prints_one_error_line(self, tmp_path):
+        # B^T B overflows; in a fresh process, as a user runs it, no numpy
+        # warning may reach stderr before the error line
+        cfg = write_config(tmp_path, **{"problem.basis": "random", "problem.l": 2})
+        inst = tmp_path / "inst"
+        main(["gen", "--config", str(cfg), "--out", str(inst)])
+        B = np.load(inst / "basis.npy")
+        B[0, 0] = 1e300
+        np.save(inst / "basis.npy", B)
+        src = os.path.dirname(os.path.dirname(genpgd.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "genpgd.cli", "solve", "--config",
+             str(cfg), str(inst), "--out", str(tmp_path / "res")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: basis is not orthonormal")
 
     def test_csv_instance_directory_exit_code(self, tmp_path, capsys):
         # the matrix format before .npy; `genpgd gen` regenerates such a directory

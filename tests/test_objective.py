@@ -13,7 +13,7 @@ import pytest
 
 import genpgd.objective as objective_mod
 from genpgd.errors import ContractError, NumericError
-from genpgd.generator import forward, make_linear_generator, make_random_generator
+from genpgd.generator import forward, forward_batch, make_linear_generator, make_random_generator
 from genpgd.objective import (
     Objective,
     RegularityEstimates,
@@ -238,6 +238,45 @@ class TestCurvatureEstimator:
         obj = Objective("glm", A, np.ones(20), link="exp")
         with pytest.raises(NumericError, match="row 5"):
             estimate_rsc_rss(obj, latent_pair_sampler(net), num_pairs=50, seed=0)
+
+
+def brute_force_extremes(obj, pts):
+    """Independent oracle: every ordered pair through curvature_ratio, under
+    the scan's relative distance floor; ties go to the first pair in
+    row-major order.  Returns ((alpha, pair), (beta, pair))."""
+    lo = hi = None
+    for i, j in itertools.permutations(range(len(pts)), 2):
+        d = pts[j] - pts[i]
+        if d @ d < 1e-12 * (pts[i] @ pts[i] + 1.0 + pts[j] @ pts[j]):
+            continue
+        r = curvature_ratio(obj, pts[i], pts[j])
+        if lo is None or r < lo[0]:
+            lo = (r, (i, j))
+        if hi is None or r > hi[0]:
+            hi = (r, (i, j))
+    return lo, hi
+
+
+class TestCrossPairScan:
+    @pytest.mark.parametrize("count,chunk", [(5, 8), (16, 8), (21, 8), (30, 128)],
+                             ids=["under-one-block", "whole-blocks", "ragged", "default-chunk"])
+    @pytest.mark.parametrize("kind,link", [("least-squares", None), ("glm", "sigmoid"),
+                                           ("glm", "exp")])
+    def test_matches_all_ordered_pairs(self, kind, link, count, chunk):
+        obj = random_objective(kind, link, m=9, n=12, seed=count)
+        net = make_random_generator(3, 12, 2, [8], "relu", seed=count)
+        rng = np.random.default_rng(chunk)
+        pts = forward_batch(net, 0.5 * rng.standard_normal((3, count))).T
+        # a near-duplicate of point 0: its Gram-expanded distance is rounding
+        # noise, so only the mask keeps its ratio from winning
+        pts[-1] = pts[0] + 1e-9 * rng.standard_normal(12)
+        got = objective_mod._cross_pair_extremes(obj, pts, chunk=chunk)
+        for (i, j), (want, pair) in zip(got, brute_force_extremes(obj, pts)):
+            if kind == "glm":
+                assert (i, j) == pair
+            else:
+                assert i < j and (i, j) == tuple(sorted(pair))
+                assert curvature_ratio(obj, pts[i], pts[j]) == pytest.approx(want, rel=1e-12)
 
 
 class TestBatchedFit:

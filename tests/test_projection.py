@@ -467,6 +467,24 @@ class TestProjectLatentGd:
                     assert fi == pytest.approx(
                         0.5 * float(np.sum((forward(net, z) - x) ** 2)), rel=1e-12)
 
+    @pytest.mark.parametrize("activation,slope", [("relu", None), ("leaky-relu", 0.2),
+                                                  ("tanh", None)])
+    def test_origin_restart_is_dead_only_on_zero_bias_relu(self, activation, slope):
+        # zero biases put every preactivation at 0 at the origin, where relu's
+        # subgradient is 0: J(0) = 0, so restart 0 keeps f = 0.5 ||x||^2 and
+        # 10 restarts run 9 live descents; leaky-relu and tanh move from it
+        net = make_random_generator(4, 20, 2, [12], activation, seed=5, slope=slope)
+        x = forward(net, np.random.default_rng(6).standard_normal(4))
+        cfg = ProjectionConfig(method="latent-gd", restarts=10, inner_iters=50)
+        Z0 = _restart_starts(cfg.seed, cfg.restarts, tuple(cfg._resolve_bounds(net.k)))
+        Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters)
+        if activation == "relu":
+            np.testing.assert_array_equal(Z[0], np.zeros(4))
+            assert f[0] == pytest.approx(0.5 * float(x @ x), rel=1e-15)
+        else:
+            assert np.any(Z[0] != 0.0) and f[0] < 0.5 * float(x @ x)
+        assert np.all(np.any(Z[1:] != Z0[1:], axis=1))
+
     @pytest.mark.parametrize("case", ["tanh", "leaky-relu", "relu", "one-restart", "duplicate"])
     def test_lockstep_rows_match_sequential_reference(self, case, monkeypatch):
         stacked_solves = [0, 0]  # stacked, single-system
