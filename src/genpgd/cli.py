@@ -43,10 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "synthetic instances, solves, sweeps, reports.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True,
-                           help="experiment config JSON")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None,
                        help="output directory (overrides config out_dir)")
         p.add_argument("--seed", type=int, default=None,

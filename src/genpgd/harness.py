@@ -14,7 +14,6 @@ byte-identical (timing is kept out of comparable outputs for that reason).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
 import json
@@ -53,6 +52,9 @@ from .projection import OrthoBasis, ProjectionConfig
 from .seeding import check_seed, derive_seed, spawn_rng
 from .solver import (
     SolverConfig,
+    _fit_pairs,
+    _read_csv,
+    _write_csv,
     contraction_factor,
     contraction_report,
     epsilon_pgd,
@@ -478,26 +480,25 @@ def estimate_regularity(inst: ProblemInstance, objective: Objective,
     with a least-squares objective, and the pair-sampling estimators
     otherwise.  ``sparsity`` > 0 widens the curvature set to range + sparse
     sums and turns on the incoherence estimate.
+
+    The exact mu is exact per support but is the maximum over only 50 random
+    supports (plus the truth's), so it is a lower bound on the sum set's
+    incoherence; the greedy :func:`estimate_incoherence` can find more.
     """
     net, basis = inst.net, inst.basis
     if sparsity > 0 and basis is None:
         raise ConfigError("sparsity > 0 needs a basis")
     exact = net.is_single_affine and objective.kind == "least-squares"
+    alpha, beta = _curvature_bounds(objective, net, basis, sparsity, seed=derive_seed(seed, 0))
     if exact and sparsity > 0:
-        # one factor of span(W) serves alpha, beta and mu
-        kernel = _SumSetKernel(net.layers[0].weights, basis)
-        alpha, beta = kernel.curvature(objective.A, _sampled_supports(
-            basis.n, min(2 * sparsity, basis.n), spawn_rng(derive_seed(seed, 0))))
         supports = _sampled_supports(inst.meta.n, sparsity, spawn_rng(seed, 1))
         if inst.truth.nu_star is not None and inst.meta.l > 0:
             coeffs = basis.matrix.T @ inst.truth.nu_star
             live = np.flatnonzero(np.abs(coeffs) > 1e-12)
             if live.size:
                 supports.append(live)
-        mu = kernel.incoherence(supports)
+        mu = _SumSetKernel(net.layers[0].weights, basis).incoherence(supports)
     else:
-        alpha, beta = _curvature_bounds(objective, net, basis, sparsity,
-                                        seed=derive_seed(seed, 0))
         mu = (estimate_incoherence(net, basis, sparsity,
                                    num_samples=_NUM_PAIRS, seed=derive_seed(seed, 1))
               if sparsity > 0 and not exact else 0.0)
@@ -644,6 +645,7 @@ _SWEEP_STATUSES = frozenset(
 _SWEEP_COLUMNS = ("run", "m", "l", "noise_level", "trial", "seed", "status",
                   "final_gap", "final_dist", "fitted_rate", "theory_rate",
                   "violations")
+_SWEEP_KINDS = (str, int, int, float, int, int, str, float, float, float, float, int)
 
 
 def _run_label(m, l, nl, trial) -> str:
@@ -655,14 +657,6 @@ class SweepResult:
     rows: list
     aggregates: list
     directory: Path
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return format(v, ".17e")
-    return str(v)
 
 
 def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
@@ -705,11 +699,8 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
                 row["status"] = f"error: {type(e).__name__}"
             rows.append(row)
 
-    with open(root / "sweep.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([_csv_cell(row[c]) for c in _SWEEP_COLUMNS])
+    _write_csv(root / "sweep.csv", _SWEEP_COLUMNS,
+               [[row[c] for c in _SWEEP_COLUMNS] for row in rows])
 
     aggregates = _aggregate(rows)
     _write_table(root / "sweep.txt", aggregates, config.sweep.trials)
@@ -766,36 +757,13 @@ def _write_table(path, aggregates, trials) -> None:
 
 
 def _read_sweep_csv(path) -> list:
-    rows = []
-    try:
-        f = open(path, newline="")
-    except OSError as e:
-        raise ContractError(f"no sweep results at {path}: {e}") from e
-    with f:
-        reader = csv.DictReader(f)
-        if tuple(reader.fieldnames or ()) != _SWEEP_COLUMNS:
-            raise ContractError(f"unexpected sweep header in {path}")
-        for raw in reader:
-            # DictReader pads a short row with None and files extra cells under None
-            if None in raw or None in raw.values():
-                raise ContractError(
-                    f"sweep row at {path} line {reader.line_num} has "
-                    f"the wrong number of cells")
-            row = dict(raw)
-            try:
-                for name in ("m", "l", "trial", "seed", "violations"):
-                    row[name] = int(raw[name]) if raw[name] else None
-                for name in ("noise_level", "final_gap", "final_dist",
-                             "fitted_rate", "theory_rate"):
-                    row[name] = float(raw[name]) if raw[name] else None
-            except ValueError as e:
-                raise ContractError(
-                    f"malformed sweep row at {path} line {reader.line_num}: {e}") from e
-            if row["status"] not in _SWEEP_STATUSES:
-                raise ContractError(
-                    f"unknown status {row['status']!r:.60} in sweep row at {path} "
-                    f"line {reader.line_num}")
-            rows.append(row)
+    # an error row has empty results; an empty status reads None and is rejected below
+    rows = [dict(zip(_SWEEP_COLUMNS, cells)) for cells in _read_csv(
+        path, _SWEEP_COLUMNS, _SWEEP_KINDS, "sweep", optional=_SWEEP_COLUMNS[6:])]
+    for line, row in enumerate(rows, start=2):
+        if row["status"] not in _SWEEP_STATUSES:
+            raise ContractError(
+                f"unknown status {row['status']!r:.60} in sweep row at {path} line {line}")
     return rows
 
 
@@ -804,9 +772,9 @@ def emit_report(results_dir, out_dir=None) -> dict:
 
     ``report.txt`` gives one line per run: PASS when every recorded step
     respected the theory rate, FAIL on violations or solver failure, SKIP
-    when the bound is vacuous (no theory rate, or a rate of 1 or more),
-    plus an unrateable note when fewer than 3
-    usable points existed for the rate fit.  Output depends only on the
+    when the bound is vacuous (no theory rate, or a rate of 1 or more) or
+    the trace has no checked step, plus an unrateable note when fewer than
+    3 usable points existed for the rate fit.  Output depends only on the
     recorded files, so reports are byte-stable.
     """
     results_dir = Path(results_dir)
@@ -817,12 +785,12 @@ def emit_report(results_dir, out_dir=None) -> dict:
     gap_lines = ["x\tseries\tvalue"]
     scatter_lines = ["x\tseries\tvalue"]
     report_lines = ["contraction bound report", "=" * 24]
-    n_pass = n_fail = n_skip = 0
+    counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     for row in rows:
         label = row["run"]
         if row["status"] != "ok":
             report_lines.append(f"run {label}: status {row['status']}  FAIL")
-            n_fail += 1
+            counts["FAIL"] += 1
             continue
         records = trace_from_csv(results_dir / label / "trace.csv")
         gaps = np.array([np.nan if r.gap is None else r.gap for r in records])
@@ -844,30 +812,27 @@ def emit_report(results_dir, out_dir=None) -> dict:
             report_lines.append(
                 f"run {label}: theory rate vacuous{why}; "
                 + "; ".join(notes or ["no bound to check"]) + "  SKIP")
-            n_skip += 1
+            counts["SKIP"] += 1
             continue
         # display ratios over the same pre-plateau segment the rate was
         # fitted on; the floor region after convergence is pure noise
-        fit_end = contraction_report(gaps).fit_end if gaps.size >= 2 else gaps.size
-        prev, nxt = gaps[:fit_end - 1], gaps[1:fit_end]
+        prev, nxt = _fit_pairs(gaps, contraction_report(gaps).fit_end if gaps.size >= 2 else 0)
         finite = np.isfinite(prev) & np.isfinite(nxt) & (prev > 0)
         ratios = nxt[finite] / prev[finite]
-        max_ratio = float(np.max(ratios)) if ratios.size else float("nan")
-        steps = int(np.count_nonzero(finite))
-        verdict = "PASS" if row["violations"] == 0 else "FAIL"
-        if verdict == "PASS":
-            n_pass += 1
-        else:
-            n_fail += 1
-        margin = row["theory_rate"] - max_ratio if np.isfinite(max_ratio) else float("nan")
         note = ("; " + "; ".join(notes)) if notes else ""
-        report_lines.append(
-            f"run {label}: theory {row['theory_rate']:.6e}, "
-            f"max_ratio {max_ratio:.6e}, margin {margin:.3e}, "
-            f"violations {row['violations']}/{steps}{note}  {verdict}")
+        if not ratios.size:  # a count of 0 violations among 0 steps checks nothing
+            text, verdict = f"theory {rate:.6e}, no checked steps{note}", "SKIP"
+        else:
+            max_ratio = float(np.max(ratios))
+            margin = rate - max_ratio if np.isfinite(max_ratio) else float("nan")
+            verdict = "PASS" if row["violations"] == 0 else "FAIL"
+            text = (f"theory {rate:.6e}, max_ratio {max_ratio:.6e}, margin {margin:.3e}, "
+                    f"violations {row['violations']}/{ratios.size}{note}")
+        report_lines.append(f"run {label}: {text}  {verdict}")
+        counts[verdict] += 1
     report_lines.append("=" * 24)
-    report_lines.append(
-        f"total: {len(rows)} runs, {n_pass} pass, {n_fail} fail, {n_skip} skip")
+    report_lines.append(f"total: {len(rows)} runs, {counts['PASS']} pass, "
+                        f"{counts['FAIL']} fail, {counts['SKIP']} skip")
 
     paths = {
         "report": out_dir / "report.txt",

@@ -16,7 +16,7 @@ against such a factor.
 
 from __future__ import annotations
 
-import csv
+import math
 import time
 from dataclasses import dataclass
 
@@ -267,6 +267,13 @@ class ContractionReport:
 _PLATEAU_WINDOW = 5
 
 
+def _fit_pairs(gaps: np.ndarray, fit_end: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gap_t, gap_t+1) for each step inside the segment [0, ``fit_end``);
+    none when ``fit_end`` < 2."""
+    end = max(fit_end, 1)
+    return gaps[:end - 1], gaps[1:end]
+
+
 def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0.0
                        ) -> ContractionReport:
     """Measure a recorded gap sequence against a contraction bound.
@@ -309,11 +316,9 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
 
     violations = violation_fraction = None
     if rho is not None:
-        prev, nxt = gaps[:fit_end - 1], gaps[1:fit_end]
-        bad = nxt > rho * prev + floor
-        violations = int(np.count_nonzero(bad))
-        checked = max(fit_end - 1, 0)
-        violation_fraction = violations / checked if checked else 0.0
+        prev, nxt = _fit_pairs(gaps, fit_end)
+        violations = int(np.count_nonzero(nxt > rho * prev + floor))
+        violation_fraction = violations / prev.size if prev.size else 0.0
 
     ts = np.arange(fit_end)
     mask = gaps[:fit_end] > 0.0
@@ -344,53 +349,59 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
 
 
 # ---------------------------------------------------------------------------
-# trace serialization
+# CSV artifacts
 
 
-def _fmt(v) -> str:
-    return "" if v is None else format(float(v), ".17e")
+def _write_csv(path, columns, rows) -> None:
+    """The one CSV writer of ``trace.csv`` and ``sweep.csv``: the header
+    ``columns``, then one CRLF-ended line per row of values in column
+    order; None is an empty cell, a float ``format(v, ".17e")``."""
+    with open(path, "w", newline="") as f:
+        for cells in [columns, *rows]:
+            f.write(",".join("" if v is None else format(v, ".17e") if isinstance(v, float)
+                             else str(v) for v in cells) + "\r\n")
+
+
+def _read_csv(path, columns, kinds, what: str, optional=()) -> list[tuple]:
+    """The rows of a :func:`_write_csv` file, as tuples of cells parsed by
+    ``kinds`` (``int``, ``float`` or ``str``, one per column).  An empty
+    cell reads None in the ``optional`` columns.  An unreadable file, a
+    header other than ``columns``, a wrong cell count, an empty cell
+    elsewhere, an unparsable cell or a non-finite float raises
+    :class:`ContractError` naming the file and the line."""
+    try:
+        with open(path) as f:
+            lines = f.read().removesuffix("\n").split("\n")
+    except (OSError, ValueError) as e:
+        raise ContractError(f"cannot read {path}: {e}") from e
+    if tuple(lines[0].split(",")) != columns:
+        raise ContractError(f"unexpected {what} header at {path} line 1")
+    rows = []
+    for num, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        try:
+            if len(cells) != len(columns):
+                raise ValueError(f"{len(cells)} cells, expected {len(columns)}")
+            row = tuple(None if not cell and name in optional else kind(cell)
+                        for cell, kind, name in zip(cells, kinds, columns))
+            if "" in row or not all(math.isfinite(v) for v in row if isinstance(v, float)):
+                raise ValueError("empty or non-finite cell")
+        except ValueError as e:
+            raise ContractError(f"malformed {what} row at {path} line {num}: {e}") from e
+        rows.append(row)
+    return rows
 
 
 def trace_to_csv(trace: IterationTrace, path) -> None:
-    """One row per iteration; floats in full-precision scientific notation,
-    unknown gap/distance left empty."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRACE_COLUMNS)
-        for r in trace.records:
-            writer.writerow(
-                [r.t, _fmt(r.f_value), _fmt(r.gap), _fmt(r.dist_to_truth),
-                 _fmt(r.proj_residual_sq), _fmt(r.wall_time * 1e6)]
-            )
+    """One :func:`_write_csv` row per iteration; an unknown gap or distance
+    is an empty cell."""
+    _write_csv(path, TRACE_COLUMNS, [
+        (r.t, r.f_value, r.gap, r.dist_to_truth, r.proj_residual_sq, r.wall_time * 1e6)
+        for r in trace.records])
 
 
 def trace_from_csv(path) -> list[IterationRecord]:
-    """Read a :func:`trace_to_csv` file; a missing file, a wrong header or a
-    short or non-numeric row raises :class:`ContractError` naming the file
-    and the line."""
-    records = []
-    try:
-        f = open(path, newline="")
-    except OSError as e:
-        raise ContractError(f"no trace at {path}: {e}") from e
-    with f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_COLUMNS:
-            raise ContractError(f"unexpected trace header {header} in {path}")
-        for row in reader:
-            try:
-                records.append(
-                    IterationRecord(
-                        t=int(row[0]),
-                        f_value=float(row[1]),
-                        gap=float(row[2]) if row[2] else None,
-                        dist_to_truth=float(row[3]) if row[3] else None,
-                        proj_residual_sq=float(row[4]),
-                        wall_time=float(row[5]) / 1e6,
-                    )
-                )
-            except (IndexError, ValueError) as e:
-                raise ContractError(
-                    f"malformed trace row at {path} line {reader.line_num}: {e}") from e
-    return records
+    """Read a :func:`trace_to_csv` file through :func:`_read_csv`."""
+    rows = _read_csv(path, TRACE_COLUMNS, (int,) + (float,) * 5, "trace",
+                     optional=TRACE_COLUMNS[2:4])
+    return [IterationRecord(*cells[:5], wall_time=cells[5] / 1e6) for cells in rows]

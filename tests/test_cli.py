@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ import pytest
 
 import genpgd
 from genpgd.cli import main
+from genpgd.harness import _SWEEP_COLUMNS
+from genpgd.solver import TRACE_COLUMNS
 
 
 def write_config(tmp_path, **patches):
@@ -356,18 +359,10 @@ class TestSweepAndReport:
         assert main(["report", str(out)]) == 2
         assert "sweep.csv line 2" in capsys.readouterr().err
 
-    def _restatus(self, out, status):
-        sweep = out / "sweep.csv"
-        lines = sweep.read_text().splitlines()
-        cells = lines[1].split(",")
-        cells[6] = status
-        lines[1] = ",".join(cells)
-        sweep.write_text("\n".join(lines) + "\n")
-
     @pytest.mark.parametrize("status", ["weird", "error: KeyError", "OK", ""])
     def test_report_on_unknown_status_exit_code(self, tmp_path, capsys, status):
         out, _ = self._swept(tmp_path)
-        self._restatus(out, status)
+        _set_cell(out / "sweep.csv", 1, _SWEEP_COLUMNS.index("status"), status)
         capsys.readouterr()
         assert main(["report", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -377,9 +372,93 @@ class TestSweepAndReport:
         "divergence", "error: ConfigError", "error: ContractError", "error: NumericError"])
     def test_report_reads_every_status_a_sweep_writes(self, tmp_path, status):
         out, _ = self._swept(tmp_path)
-        self._restatus(out, status)
+        _set_cell(out / "sweep.csv", 1, _SWEEP_COLUMNS.index("status"), status)
         assert main(["report", str(out)]) == 0
         assert f"status {status}  FAIL" in (out / "report.txt").read_text()
+
+    def test_sweep_with_a_flat_start_completes(self, tmp_path):
+        # at eta = 1e-6 the gap falls less than 1 % in 5 steps: the plateau
+        # band reaches gaps[0] and the pre-plateau segment is empty
+        cfg = write_config(tmp_path, **{"problem.k": 3, "solver.eta": 1e-6,
+                                        "solver.iters": 20})
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as f:
+            (row,) = csv.DictReader(f)
+        assert row["status"] == "ok" and row["violations"] == "0"
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 0
+
+    @pytest.mark.parametrize("keep", ["header-only", "one-row", "no-gaps"])
+    def test_report_skips_a_run_with_no_checked_steps(self, tmp_path, graded_sweep, keep):
+        out = tmp_path / "out"
+        shutil.copytree(graded_sweep, out)
+        trace = out / "m90_l0_nl0_t0" / "trace.csv"
+        lines = trace.read_text().splitlines()
+        if keep == "no-gaps":
+            for i in range(1, len(lines)):
+                _set_cell(trace, i, TRACE_COLUMNS.index("gap"), "")
+        else:
+            trace.write_text("\n".join(lines[:1 if keep == "header-only" else 2]) + "\n")
+        assert main(["report", str(out)]) == 0
+        report = (out / "report.txt").read_text().splitlines()
+        assert report[2].startswith("run m90_l0_nl0_t0: theory 7.318")
+        assert report[2].endswith("no checked steps  SKIP")
+        assert report[-1] == "total: 1 runs, 0 pass, 0 fail, 1 skip"
+
+
+def _set_cell(path, line, column, value):
+    """Overwrite one cell of a CSV artifact (``line`` 0 is the header)."""
+    lines = path.read_text().splitlines()
+    cells = lines[line].split(",")
+    cells[column] = value
+    lines[line] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def graded_sweep(tmp_path_factory):
+    """A one-run sweep whose report grades its run: ``report.txt`` PASS."""
+    base = tmp_path_factory.mktemp("graded")
+    cfg = write_config(base, **{"problem.k": 3, "problem.m": 90, "solver.iters": 8})
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["report", str(base / "out")]) == 0
+    assert (base / "out" / "report.txt").read_text().splitlines()[2].endswith("PASS")
+    return base / "out"
+
+
+# what each mutation puts in place of one cell
+_MUTATIONS = {"extra": lambda cell: [cell, "1"], "missing": lambda cell: [],
+              "text": lambda cell: ["abc"], "inf": lambda cell: ["inf"],
+              "nan": lambda cell: ["nan"], "empty": lambda cell: [""]}
+# the cells a writer leaves empty: no truth, or no results for a failed trial
+_EMPTY_OK = {"trace.csv": TRACE_COLUMNS[2:4], "sweep.csv": _SWEEP_COLUMNS[7:]}
+
+
+@pytest.mark.parametrize("mutation", list(_MUTATIONS))
+@pytest.mark.parametrize("name,column", [("sweep.csv", c) for c in _SWEEP_COLUMNS]
+                         + [("trace.csv", c) for c in TRACE_COLUMNS])
+def test_report_on_a_mutated_cell(tmp_path, capsys, graded_sweep, name, column, mutation):
+    # report exits 0 or 2 with one error line; it rejects every cell the
+    # writers never write and reads every cell they do
+    out = tmp_path / "out"
+    shutil.copytree(graded_sweep, out)
+    path = out / name if name == "sweep.csv" else out / "m90_l0_nl0_t0" / name
+    columns = _SWEEP_COLUMNS if name == "sweep.csv" else TRACE_COLUMNS
+    lines = path.read_text().splitlines()
+    i = 2 if name == "trace.csv" else 1  # a trace row inside the graded segment
+    cells, j = lines[i].split(","), columns.index(column)
+    cells[j:j + 1] = _MUTATIONS[mutation](cells[j])
+    lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["report", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if mutation == "empty" and column in _EMPTY_OK[name]:
+        assert code == 0 and err == []
+    else:
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: ")
+        # a run label of text points at a trace.csv that is not there
+        relabeled = column == "run" and mutation in ("text", "inf", "nan")
+        assert ("trace.csv" if relabeled else f"{name} line {i + 1}") in err[0]
 
 
 class TestEstimate:

@@ -26,7 +26,7 @@ from genpgd.harness import (
     save_problem,
 )
 from genpgd.harness import _read_matrix
-from genpgd.objective import subspace_curvature
+from genpgd.objective import minkowski_curvature, subspace_curvature
 from genpgd.projection import ProjectionConfig, project
 from genpgd.seeding import derive_seed
 from genpgd.solver import contraction_factor, contraction_report, trace_from_csv
@@ -407,6 +407,10 @@ class TestEstimateRegularity:
         reg = estimate_regularity(inst, obj, sparsity=3, seed=0)
         assert 0 < reg.alpha <= reg.beta
         assert 0 <= reg.mu < 1
+        # the exact curvature is minkowski_curvature's, bit for bit
+        W = inst.net.layers[0].weights
+        assert (reg.alpha, reg.beta) == minkowski_curvature(
+            inst.A, W, inst.basis, 3, seed=derive_seed(0, 0))
 
     def test_nonlinear_falls_back_to_sampling(self):
         cfg = make_config(**{"problem.generator": {"kind": "mlp", "widths": [8]},

@@ -201,6 +201,13 @@ class TestContractionReport:
         assert rep.violations == 2
         assert abs(rep.violation_fraction - 2.0 / 3.0) < 1e-15
 
+    def test_flat_start_checks_no_step(self):
+        # the gap falls less than 1 % in the first 5 steps, so the plateau
+        # band reaches gaps[0] and the pre-plateau segment is empty
+        rep = contraction_report([1.0] * 8, rho=0.5)
+        assert rep.fit_end == 0 and not rep.rateable
+        assert rep.violations == 0 and rep.violation_fraction == 0.0
+
 
 class TestMyopic:
     def make_instance(self, n, k, l, m, seed):
@@ -294,3 +301,20 @@ class TestTraceCsv:
         assert row[2] == "" and row[3] == ""
         back = trace_from_csv(path)
         assert back[0].gap is None
+
+    @pytest.mark.parametrize("row", ["", "1.5,2,3,4,5,6", "1,2,3,4,-inf,6"],
+                             ids=["blank", "fractional-t", "minus-inf"])
+    def test_rejects_rows_the_writer_never_writes(self, tmp_path, row):
+        net, W, obj, x_star = linear_instance(20, 3, 30, seed=32)
+        path = tmp_path / "trace.csv"
+        trace_to_csv(epsilon_pgd(obj, net, EXACT, SolverConfig(iters=3), x_star=x_star), path)
+        with open(path, "a") as f:
+            f.write(row + "\n")
+        with pytest.raises(ContractError, match=r"trace.csv line 6"):
+            trace_from_csv(path)
+
+    def test_rejects_a_wrong_header(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,f_value,gap,dist_to_truth,proj_residual_sq\n")
+        with pytest.raises(ContractError, match=r"trace.csv line 1"):
+            trace_from_csv(path)
