@@ -214,11 +214,11 @@ def forward_batch(net: GeneratorNetwork, Z) -> np.ndarray:
 
 
 def vjp(net: GeneratorNetwork, z, cotangent) -> np.ndarray:
-    """Vector-Jacobian product ``J(z)^T @ cotangent``.
+    """Vector-Jacobian product ``J(z)^T @ cotangent`` by reverse mode.
 
-    This is the gradient workhorse for latent-space least squares: with
-    residual ``r = forward(net, z) - x``, the gradient of ``0.5 * ||r||^2``
-    in ``z`` is ``vjp(net, z, r)``.
+    With residual ``r = forward(net, z) - x``, ``vjp(net, z, r)`` is the
+    gradient of ``0.5 * ||r||^2`` in ``z``.  latent-gd uses whole Jacobians
+    from :func:`_forward_jacobian`; the tests check them against this pass.
     """
     z = _check_latent(net, z)
     c = np.asarray(cotangent, dtype=float)

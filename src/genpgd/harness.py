@@ -774,8 +774,9 @@ def emit_report(results_dir, out_dir=None) -> dict:
     respected the theory rate, FAIL on violations or solver failure, SKIP
     when the bound is vacuous (no theory rate, or a rate of 1 or more) or
     the trace has no checked step, plus an unrateable note when fewer than
-    3 usable points existed for the rate fit.  Output depends only on the
-    recorded files, so reports are byte-stable.
+    3 usable points existed for the rate fit.  A run with checked steps
+    and no violations count is a :class:`ContractError`.  Output depends
+    only on the recorded files, so reports are byte-stable.
     """
     results_dir = Path(results_dir)
     out_dir = Path(out_dir) if out_dir is not None else results_dir
@@ -786,7 +787,7 @@ def emit_report(results_dir, out_dir=None) -> dict:
     scatter_lines = ["x\tseries\tvalue"]
     report_lines = ["contraction bound report", "=" * 24]
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
         label = row["run"]
         if row["status"] != "ok":
             report_lines.append(f"run {label}: status {row['status']}  FAIL")
@@ -822,6 +823,8 @@ def emit_report(results_dir, out_dir=None) -> dict:
         note = ("; " + "; ".join(notes)) if notes else ""
         if not ratios.size:  # a count of 0 violations among 0 steps checks nothing
             text, verdict = f"theory {rate:.6e}, no checked steps{note}", "SKIP"
+        elif row["violations"] is None:  # a run with a checked step has a count
+            raise ContractError(f"{results_dir / 'sweep.csv'} line {line}: no violations count")
         else:
             max_ratio = float(np.max(ratios))
             margin = rate - max_ratio if np.isfinite(max_ratio) else float("nan")

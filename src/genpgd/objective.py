@@ -273,9 +273,9 @@ def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> 
             raise ContractError(f"sampler gave shape {pairs.shape}, want {(2 * count, obj.n)}")
         drawn += count
         d = pairs[1::2] - pairs[0::2]
-        kept.append(pairs.reshape(count, 2, obj.n)[np.einsum("ij,ij->i", d, d) >= 1e-24])
-        have += len(kept[-1])
-    pts = np.concatenate(kept).reshape(2 * num_pairs, obj.n)
+        kept.append(pairs[np.repeat(np.einsum("ij,ij->i", d, d) >= 1e-24, 2)])  # one copy
+        have += len(kept[-1]) // 2
+    pts = kept[0] if len(kept) == 1 else np.concatenate(kept)
     extremes = _cross_pair_extremes(obj, pts)
     if extremes is None:
         raise ContractError(

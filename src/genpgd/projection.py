@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _METHODS = ("closed-form-linear", "latent-gd", "grid")
+_DAMPING_FLOOR = 1e-12  # least LM lam, relative to tr(J^T J)
 
 
 @dataclass(frozen=True)
@@ -182,23 +183,6 @@ def _result(net: GeneratorNetwork, x: np.ndarray, z: np.ndarray, certified: bool
     )
 
 
-def _damped_steps(M: np.ndarray, g: np.ndarray):
-    """Solve every ``M[i] p = g[i]``: one stacked solve, or row by row when
-    some system is singular.  Returns the steps and a mask of the rows that
-    solved; a singular row's step is left at zero."""
-    try:
-        return np.linalg.solve(M, g[:, :, None])[:, :, 0], np.ones(len(g), dtype=bool)
-    except np.linalg.LinAlgError:
-        P = np.zeros_like(g)
-        solved = np.ones(len(g), dtype=bool)
-        for i in range(len(g)):
-            try:
-                P[i] = np.linalg.solve(M[i], g[i])
-            except np.linalg.LinAlgError:
-                solved[i] = False
-        return P, solved
-
-
 def _normal_equations(J: np.ndarray, r: np.ndarray):
     """``J^T r`` and ``J^T J`` for every row of a stack of Jacobians."""
     Jt = J.transpose(0, 2, 1)
@@ -216,8 +200,8 @@ def _descend_lockstep(net, x, Z0, inner_iters):
     lam starts at tr(J^T J), so the first steps are short gradient-like
     moves.  A row stops at ``inner_iters`` accepted steps, on a gradient norm
     below 1e-9, when 50 damping increases in a row find no decrease, or when
-    a step gains at most 1e-12 of f.  A singular damped system (dependent
-    Jacobian columns with lam below their rounding) counts as a reject.
+    a step gains at most 1e-12 of f.  Each new J lifts lam to at least
+    ``_DAMPING_FLOOR`` tr(J^T J), so J^T J + lam I stays positive definite.
 
     The rows advance in lockstep: one round is one stacked solve over the
     rows still running, one :func:`forward_batch` over their trial latents
@@ -235,19 +219,18 @@ def _descend_lockstep(net, x, Z0, inner_iters):
     active = np.einsum("ij,ij->i", g, g) >= 1e-18  # gradient norm at least 1e-9
     while active.any():
         rows = np.flatnonzero(active)
-        P, solved = _damped_steps(JtJ[rows] + lam[rows, None, None] * eye, g[rows])
-        tried, P = rows[solved], P[solved]
-        Z_try = Z[tried] - P
+        P = np.linalg.solve(JtJ[rows] + lam[rows, None, None] * eye, g[rows, :, None])[:, :, 0]
+        Z_try = Z[rows] - P
         r_try = forward_batch(net, Z_try.T).T - x
         f_try = 0.5 * np.einsum("ij,ij->i", r_try, r_try)
-        ok = f_try <= f[tried] - 1e-4 * np.einsum("ij,ij->i", g[tried], P)
+        ok = f_try <= f[rows] - 1e-4 * np.einsum("ij,ij->i", g[rows], P)
 
-        rej = np.concatenate([rows[~solved], tried[~ok]])
+        rej = rows[~ok]
         lam[rej] *= 4.0
         rejects[rej] += 1
         active[rej[rejects[rej] >= 50]] = False
 
-        acc = tried[ok]
+        acc = rows[ok]
         converged = f[acc] - f_try[ok] <= 1e-12 * f[acc]
         Z[acc], r[acc], f[acc] = Z_try[ok], r_try[ok], f_try[ok]
         lam[acc] *= 0.25
@@ -258,6 +241,7 @@ def _descend_lockstep(net, x, Z0, inner_iters):
         acc = acc[~done]
         if acc.size:
             g[acc], JtJ[acc] = _normal_equations(_forward_jacobian(net, Z[acc])[1], r[acc])
+            lam[acc] = np.maximum(lam[acc], _DAMPING_FLOOR * np.trace(JtJ[acc], axis1=1, axis2=2))
             active[acc] = np.einsum("ij,ij->i", g[acc], g[acc]) >= 1e-18
     return Z, f
 

@@ -285,6 +285,7 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
     ``rho``/``floor`` count violations of gap_{t+1} <= rho*gap_t + floor
     over that same pre-plateau segment: once the sequence has bottomed out,
     the bound's additive term dominates and ratios carry no information.
+    The count and its fraction are None without ``rho`` or with no step.
     """
     if isinstance(trace_or_gaps, IterationTrace):
         gaps = trace_or_gaps.gaps()
@@ -315,10 +316,10 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
         fit_end = gaps.size
 
     violations = violation_fraction = None
-    if rho is not None:
-        prev, nxt = _fit_pairs(gaps, fit_end)
+    prev, nxt = _fit_pairs(gaps, fit_end)
+    if rho is not None and prev.size:  # no count at all when no step is checked
         violations = int(np.count_nonzero(nxt > rho * prev + floor))
-        violation_fraction = violations / prev.size if prev.size else 0.0
+        violation_fraction = violations / prev.size
 
     ts = np.arange(fit_end)
     mask = gaps[:fit_end] > 0.0

@@ -384,7 +384,7 @@ class TestSweepAndReport:
         assert main(["sweep", "--config", str(cfg)]) == 0
         with open(tmp_path / "out" / "sweep.csv", newline="") as f:
             (row,) = csv.DictReader(f)
-        assert row["status"] == "ok" and row["violations"] == "0"
+        assert row["status"] == "ok" and row["violations"] == ""
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 0
 
     @pytest.mark.parametrize("keep", ["header-only", "one-row", "no-gaps"])
@@ -403,6 +403,10 @@ class TestSweepAndReport:
         assert report[2].startswith("run m90_l0_nl0_t0: theory 7.318")
         assert report[2].endswith("no checked steps  SKIP")
         assert report[-1] == "total: 1 runs, 0 pass, 0 fail, 1 skip"
+        # the empty count the sweep writes for such a run reads the same
+        _set_cell(out / "sweep.csv", 1, _SWEEP_COLUMNS.index("violations"), "")
+        assert main(["report", str(out)]) == 0
+        assert (out / "report.txt").read_text().splitlines() == report
 
 
 def _set_cell(path, line, column, value):
@@ -429,8 +433,9 @@ def graded_sweep(tmp_path_factory):
 _MUTATIONS = {"extra": lambda cell: [cell, "1"], "missing": lambda cell: [],
               "text": lambda cell: ["abc"], "inf": lambda cell: ["inf"],
               "nan": lambda cell: ["nan"], "empty": lambda cell: [""]}
-# the cells a writer leaves empty: no truth, or no results for a failed trial
-_EMPTY_OK = {"trace.csv": TRACE_COLUMNS[2:4], "sweep.csv": _SWEEP_COLUMNS[7:]}
+# the cells a writer leaves empty: no truth, or no results for a failed trial;
+# a graded run with checked steps always has a violations count
+_EMPTY_OK = {"trace.csv": TRACE_COLUMNS[2:4], "sweep.csv": _SWEEP_COLUMNS[7:-1]}
 
 
 @pytest.mark.parametrize("mutation", list(_MUTATIONS))

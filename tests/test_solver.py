@@ -206,7 +206,7 @@ class TestContractionReport:
         # band reaches gaps[0] and the pre-plateau segment is empty
         rep = contraction_report([1.0] * 8, rho=0.5)
         assert rep.fit_end == 0 and not rep.rateable
-        assert rep.violations == 0 and rep.violation_fraction == 0.0
+        assert rep.violations is None and rep.violation_fraction is None
 
 
 class TestMyopic:
