@@ -243,9 +243,10 @@ def _forward_jacobian(net: GeneratorNetwork, Z):
     and the (N, n, k) stack of Jacobians ``J(z)``.  Forward mode: the k
     tangent columns ride along with the activations,
     ``J <- act'(pre)[:, :, None] * (W @ J)`` per layer, which is cheap
-    because the latent dimension is small.  Kinks use the same one-sided
-    derivatives as :func:`vjp`, so ``J[i].T @ c == vjp(net, Z[i], c)`` up to
-    rounding.
+    because the latent dimension is small; an identity layer after the
+    first skips the multiply by ones, which changes no bit.  Kinks use the
+    same one-sided derivatives as :func:`vjp`, so
+    ``J[i].T @ c == vjp(net, Z[i], c)`` up to rounding.
     """
     A = np.asarray(Z, dtype=float)
     if A.ndim != 2 or A.shape[1] != net.k:
@@ -254,8 +255,12 @@ def _forward_jacobian(net: GeneratorNetwork, Z):
     for layer in net.layers:
         pre = A @ layer.weights.T + layer.bias
         A = layer.activation.apply(pre)
-        WJ = layer.weights if J is None else layer.weights @ J
-        J = layer.activation.derivative(pre)[:, :, None] * WJ
+        if J is None:  # the multiply also broadcasts W to one copy per row
+            J = layer.activation.derivative(pre)[:, :, None] * layer.weights
+        elif layer.activation.kind == "identity":  # act' = 1 would change no bit
+            J = layer.weights @ J
+        else:
+            J = layer.activation.derivative(pre)[:, :, None] * (layer.weights @ J)
     return A, J
 
 

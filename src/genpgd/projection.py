@@ -35,6 +35,7 @@ __all__ = [
 
 _METHODS = ("closed-form-linear", "latent-gd", "grid")
 _DAMPING_FLOOR = 1e-12  # least LM lam, relative to tr(J^T J)
+_LADDER = 3  # damping levels lam, 4 lam, 16 lam tried in one latent-gd round
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,15 @@ class ProjectionConfig:
 
     ``latent-gd`` runs ``restarts`` Levenberg–Marquardt descents on
     z -> 0.5 ||x - G(z)||^2.  ``inner_iters`` caps the accepted steps of
-    each (one Jacobian and one damped k-by-k solve per step).  The restarts
-    run in lockstep, one batched solve and one batched generator evaluation
-    per round, but each keeps its own damping and stopping rules, so every
-    restart ends where it would have ended alone.  Restart 0, the origin,
+    each (one Jacobian per step, one damped k-by-k solve per trial).  The
+    restarts run in lockstep: each round tries the damping levels lam,
+    4 lam and 16 lam of every running restart in one batched solve and one
+    batched generator evaluation, and each restart takes its first level
+    with sufficient decrease.  Each keeps its own damping and stopping
+    rules, so it makes the trials it would make alone, in fewer rounds, and
+    ends where it would have ended alone up to rounding: the batched
+    evaluation rounds differently with the number of restarts still
+    running.  Restart 0, the origin,
     never moves on a zero-bias ReLU network (J(0) = 0): 10 restarts, 9 descents.
     """
 
@@ -203,9 +209,20 @@ def _descend_lockstep(net, x, Z0, inner_iters):
     a step gains at most 1e-12 of f.  Each new J lifts lam to at least
     ``_DAMPING_FLOOR`` tr(J^T J), so J^T J + lam I stays positive definite.
 
-    The rows advance in lockstep: one round is one stacked solve over the
-    rows still running, one :func:`forward_batch` over their trial latents
-    and one Jacobian pass over the rows that accepted.
+    The rows advance in lockstep, and a round tries a ladder of ``_LADDER``
+    damping levels, lam, 4 lam, 16 lam, for every running row: one stacked
+    solve over (rows x levels), one :func:`forward_batch` over all those
+    trial latents and one Jacobian pass over the rows that accepted.  A row
+    takes its first level that passes, so its lam becomes lam 4^j / 4 for
+    level j; a row that passes no level books one reject per level tried,
+    lam 4^levels, and tries no level past its 50th reject in a row.  These
+    scalings are powers of two, so each row tries exactly the damping
+    sequence of the one-at-a-time descent above and stops by the same
+    rules; the levels above the one taken are spent evaluations.  A row
+    ends where it would end alone only up to rounding: :func:`forward_batch`
+    rounds a column differently with the batch's width, so a row's bits
+    depend on how many rows are still active, and a decrease test decided
+    within rounding may go the other way.
     """
     Z = np.array(Z0, dtype=float)
     out, J = _forward_jacobian(net, Z)
@@ -219,21 +236,31 @@ def _descend_lockstep(net, x, Z0, inner_iters):
     active = np.einsum("ij,ij->i", g, g) >= 1e-18  # gradient norm at least 1e-9
     while active.any():
         rows = np.flatnonzero(active)
-        P = np.linalg.solve(JtJ[rows] + lam[rows, None, None] * eye, g[rows, :, None])[:, :, 0]
-        Z_try = Z[rows] - P
+        depth = np.minimum(_LADDER, 50 - rejects[rows])  # never past the 50th reject
+        trial = np.repeat(rows, depth)  # the row of each trial, levels in order
+        first = np.cumsum(depth) - depth  # each row's first trial
+        level = np.arange(trial.size) - np.repeat(first, depth)
+        lam_try = lam[trial] * 4.0 ** level
+        g_try = g[trial]
+        P = np.linalg.solve(JtJ[trial] + lam_try[:, None, None] * eye, g_try[:, :, None])[:, :, 0]
+        Z_try = Z[trial] - P
         r_try = forward_batch(net, Z_try.T).T - x
         f_try = 0.5 * np.einsum("ij,ij->i", r_try, r_try)
-        ok = f_try <= f[rows] - 1e-4 * np.einsum("ij,ij->i", g[rows], P)
+        ok = np.zeros((rows.size, _LADDER), dtype=bool)
+        ok[np.repeat(np.arange(rows.size), depth), level] = (
+            f_try <= f[trial] - 1e-4 * np.einsum("ij,ij->i", g_try, P))
+        hit = ok.any(axis=1)
 
-        rej = rows[~ok]
-        lam[rej] *= 4.0
-        rejects[rej] += 1
+        rej = rows[~hit]
+        lam[rej] = lam_try[first[~hit] + depth[~hit] - 1] * 4.0
+        rejects[rej] += depth[~hit]
         active[rej[rejects[rej] >= 50]] = False
 
-        acc = rows[ok]
-        converged = f[acc] - f_try[ok] <= 1e-12 * f[acc]
-        Z[acc], r[acc], f[acc] = Z_try[ok], r_try[ok], f_try[ok]
-        lam[acc] *= 0.25
+        acc = rows[hit]
+        take = first[hit] + ok[hit].argmax(axis=1)  # the first level that passed
+        converged = f[acc] - f_try[take] <= 1e-12 * f[acc]
+        Z[acc], r[acc], f[acc] = Z_try[take], r_try[take], f_try[take]
+        lam[acc] = lam_try[take] * 0.25
         rejects[acc] = 0
         steps[acc] += 1
         done = converged | (steps[acc] >= inner_iters)

@@ -167,6 +167,34 @@ class TestForwardJacobian:
         with pytest.raises(ContractError, match="latent batch"):
             _forward_jacobian(net, np.zeros(net.k))
 
+    def test_single_identity_layer_gives_w_for_every_row(self):
+        W = np.array([[1.0, 0.5], [0.0, 2.0], [-1.0, 1.0]])
+        Z = np.random.default_rng(0).standard_normal((4, 2))
+        _, J = _forward_jacobian(make_linear_generator(W), Z)
+        assert J.shape == (4, 3, 2)
+        for Jz in J:
+            np.testing.assert_array_equal(Jz, W)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_random_generator(3, 12, 3, [6, 9], "relu", seed=7),  # identity output
+        lambda: GeneratorNetwork([Layer(np.eye(3)[:, :2] + 0.25, np.ones(3), Activation("identity")),
+                                  Layer(np.arange(12.0).reshape(4, 3) / 7, np.zeros(4),
+                                        Activation("identity"))]),
+    ], ids=["relu-identity", "identity-identity"])
+    def test_identity_skip_is_bit_identical(self, build):
+        # the pass with the multiply by act' kept on every layer, ones included
+        net = build()
+        Z = np.random.default_rng(1).standard_normal((6, net.k))
+        A, J = Z, None
+        for layer in net.layers:
+            pre = A @ layer.weights.T + layer.bias
+            A = layer.activation.apply(pre)
+            WJ = layer.weights if J is None else layer.weights @ J
+            J = layer.activation.derivative(pre)[:, :, None] * WJ
+        out, got = _forward_jacobian(net, Z)
+        np.testing.assert_array_equal(out, A)
+        np.testing.assert_array_equal(got, J)
+
 
 class TestBuilders:
     def test_linear_generator_rejects_rank_deficient(self):

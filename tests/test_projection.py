@@ -25,7 +25,7 @@ from genpgd.projection import (
     project,
 )
 from genpgd import generator, projection
-from genpgd.projection import _descend_lockstep, _restart_starts, _stable_hash
+from genpgd.projection import _LADDER, _descend_lockstep, _restart_starts, _stable_hash
 from genpgd.seeding import spawn_rng
 
 
@@ -59,11 +59,15 @@ def brute_force_grid(net, x, lo, hi, res):
 
 
 def sequential_descend(net, x, z0, inner_iters):
-    """Reference: one restart of Levenberg–Marquardt on its own, the loop
-    the lockstep descent replaces.  Each row of the lockstep run must end
-    where this ends from the same start.  It has no damping floor: a
-    singular damped system counts as a reject instead."""
+    """Reference: one restart of Levenberg–Marquardt on its own, one trial
+    at a time, the loop the lockstep descent replaces.  Each row of the
+    lockstep run must end where this ends from the same start, up to
+    rounding.  It has no damping floor: a singular damped system counts as
+    a reject instead.  Returns the final latent, its f and the trial
+    outcomes in order, "A" for an accept and "R" for a reject, in lower case
+    for a trial whose decrease test is decided by at most ``_TIE`` f."""
     eye = np.eye(net.k)
+    outcomes = []
     z = z0
     J = _jacobian(net, z)
     r = forward(net, z) - x
@@ -78,13 +82,18 @@ def sequential_descend(net, x, z0, inner_iters):
             try:
                 p = np.linalg.solve(JtJ + lam * eye, g)
             except np.linalg.LinAlgError:
+                outcomes.append("R")
                 lam *= 4.0
                 continue
             z_try = z - p
             r_try = forward(net, z_try) - x
             f_try = 0.5 * float(r_try @ r_try)
-            if f_try <= f - 1e-4 * float(g @ p):
+            margin = f - 1e-4 * float(g @ p) - f_try
+            tie = abs(margin) <= _TIE * f
+            if margin >= 0:
+                outcomes.append("a" if tie else "A")
                 break
+            outcomes.append("r" if tie else "R")
             lam *= 4.0
         else:
             break
@@ -94,11 +103,36 @@ def sequential_descend(net, x, z0, inner_iters):
         if converged:
             break
         J = _jacobian(net, z)
-    return z, f
+    return z, f, "".join(outcomes)
 
 
 def _jacobian(net, z):
     return _forward_jacobian(net, z[None])[1][0]
+
+
+# A trial's f differs by up to 5 eps f between forward and forward_batch
+# columns of other batch widths (measured on these nets), so a decrease test
+# decided by less than this may go the other way in the lockstep run.
+_TIE = 4e-15
+
+
+def ladder_rounds(outcomes):
+    """Lockstep rounds in which a row makes the trial sequence ``outcomes``
+    of :func:`sequential_descend`: a round tries up to ``_LADDER`` damping
+    levels, never one past the 50th reject in a row, and the row takes its
+    first passing level."""
+    outcomes = outcomes.upper()
+    rounds = i = rejects = 0
+    while i < len(outcomes):
+        tried = outcomes[i:i + min(_LADDER, 50 - rejects)]
+        rounds += 1
+        if "A" in tried:
+            i += tried.index("A") + 1
+            rejects = 0
+        else:
+            i += len(tried)
+            rejects += len(tried)
+    return rounds
 
 
 def duplicate_column_net():
@@ -490,10 +524,15 @@ class TestProjectLatentGd:
     def test_lockstep_rows_match_sequential_reference(self, case, monkeypatch):
         stacked_solves = [0, 0]  # stacked, single-system
         solve = np.linalg.solve
+        rounds = [0]  # one forward_batch call per lockstep round
 
         def counted(a, b):
             stacked_solves[np.ndim(a) == 2] += 1
             return solve(a, b)
+
+        def counted_batch(net, Z):
+            rounds[0] += 1
+            return forward_batch(net, Z)
 
         restarts = 1 if case == "one-restart" else 10
         if case == "duplicate":
@@ -510,19 +549,51 @@ class TestProjectLatentGd:
         for j in range(1, restarts):
             np.testing.assert_array_equal(Z0[j], spawn_rng(3, j).uniform(-3.0, 3.0, net.k))
         assert _restart_starts(cfg.seed, restarts, tuple(cfg._resolve_bounds(net.k))) is Z0
+        exact = 0  # draws whose round count is pinned exactly
         for s in range(6):
             x = np.random.default_rng(s).standard_normal(net.n)
+            rounds[0] = 0
             with monkeypatch.context() as patched:
                 patched.setattr(np.linalg, "solve", counted)
+                patched.setattr(projection, "forward_batch", counted_batch)
                 Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters)
-            ref = np.array([sequential_descend(net, x, z0, cfg.inner_iters)[1] for z0 in Z0])
+            _, ref, trials = zip(*(sequential_descend(net, x, z0, cfg.inner_iters) for z0 in Z0))
+            ref = np.array(ref)
             np.testing.assert_allclose(f, ref, rtol=1e-9, atol=0.0)
+            # the ladder makes each row's trials in fewer rounds, not other
+            # trials; past a tie the lockstep row may take the other branch,
+            # so a row with one only bounds the count from below
+            through_tie = [t[:next((i for i, c in enumerate(t) if c.islower()), len(t)) + 1]
+                           for t in trials]
+            assert rounds[0] >= max(map(ladder_rounds, through_tie))
+            if through_tie == list(trials):
+                assert rounds[0] == max(map(ladder_rounds, trials))
+                exact += 1
             # the same winner, unless two rows tie to within that tolerance
             win, ref_win = int(np.argmin(f)), int(np.argmin(ref))
             assert win == ref_win or ref[win] == pytest.approx(ref[ref_win], rel=1e-9)
             res = project(cfg, net, x)
             np.testing.assert_array_equal(res.latent, Z[win])
         assert stacked_solves[1] == 0  # the duplicate case too: the floor keeps it solvable
+        assert exact >= 2
+
+    def test_reject_cap_stops_a_row_at_its_fiftieth_trial(self, monkeypatch):
+        # no trial ever passes: 16 rounds of 3 levels, then 2, then the row stops
+        net = make_random_generator(3, 12, 2, [8], "tanh", seed=4)
+        x = np.random.default_rng(0).standard_normal(12)
+        Z0 = np.array([[0.5, -1.0, 2.0]])
+        f0 = 0.5 * float(np.sum((forward(net, Z0[0]) - x) ** 2))
+        trials = []
+
+        def never_passes(net, Z):
+            trials.append(Z.shape[1])
+            return np.full((net.n, Z.shape[1]), 1e6)
+
+        monkeypatch.setattr(projection, "forward_batch", never_passes)
+        Z, f = _descend_lockstep(net, x, Z0, 200)
+        assert trials == [3] * 16 + [2]
+        np.testing.assert_array_equal(Z, Z0)
+        assert f[0] == pytest.approx(f0, rel=1e-15)
 
     def test_dependent_latent_directions(self):
         # the range of the duplicate-column net is that of the one-latent
