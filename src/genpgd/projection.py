@@ -12,17 +12,16 @@ basis-sparse vectors, lives here too.
 from __future__ import annotations
 
 import functools
-import hashlib
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
 from .generator import GeneratorNetwork, _forward_jacobian, forward, forward_batch
 from .generator import vjp  # noqa: F401  (bench/test_bench.py traces it through this module)
-from .seeding import check_seed, spawn_rng
+from .seeding import _unit_direction, check_seed, spawn_rng
 
 __all__ = [
     "OrthoBasis",
@@ -325,11 +324,6 @@ def _project_closed_form(net: GeneratorNetwork, x: np.ndarray):
     return _result(net, x, layer.pseudo_inverse @ (x - layer.bias), certified=True)
 
 
-def _stable_hash(x: np.ndarray) -> int:
-    digest = hashlib.blake2b(np.ascontiguousarray(x).tobytes(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 def _affine_step(w: np.ndarray, r0: np.ndarray, slack: float) -> float:
     """Positive root s of ||r0 - s w||^2 = ||r0||^2 + slack, i.e. of
     a s^2 - 2 b s - slack = 0 with a = w.w and b = r0.w, in the form that
@@ -370,26 +364,25 @@ def _bisect_step(net, x, z: np.ndarray, d: np.ndarray, target: float) -> float:
     return hi
 
 
-def _degrade_within_range(net, x, res: ProjectionResult, slack: float, seed: int):
+def _degrade_within_range(net, x, res, slack: float, seed: int, certified: bool):
     """Move the projected point along the range until its squared residual
-    grows by ``slack``.  The perturbation stays inside Range(G) by
-    construction (it moves the latent), and the direction/scale are a pure
-    function of (seed, x).  The direction is seeded by a hash of x's exact
-    bits, so any upstream change that moves x by an ulp draws a new
-    direction: a different realization of the same random process.
+    grows by ``slack``; the result carries ``certified``.  The perturbation
+    stays inside Range(G) by construction (it moves the latent), and the
+    direction/scale are a pure function of (seed, x).  The unit direction is
+    read from a keyed hash of the seed and x's exact bits, so any upstream
+    change that moves x by an ulp draws a new direction: a different
+    realization of the same random process.
 
     On a single affine layer the residual along the line is the quadratic
     ||r0 - s W d||^2, so the step is its positive root (one ``forward``).
     Any other network doubles then bisects on the step to float resolution.
     """
-    rng = spawn_rng(seed, _stable_hash(x))
-    d = rng.standard_normal(net.k)
-    d /= np.linalg.norm(d)
+    d = _unit_direction(seed, x, net.k)
     if net.is_single_affine:
         s = _affine_step(net.layers[0].weights @ d, x - res.point, slack)
     else:
         s = _bisect_step(net, x, res.latent, d, res.residual_sq + slack)
-    return _result(net, x, res.latent + s * d, certified=res.certified)
+    return _result(net, x, res.latent + s * d, certified=certified)
 
 
 def project(cfg: ProjectionConfig, net: GeneratorNetwork, x) -> ProjectionResult:
@@ -407,11 +400,10 @@ def project(cfg: ProjectionConfig, net: GeneratorNetwork, x) -> ProjectionResult
     else:
         res = _project_latent_gd(cfg, net, x)
     if cfg.degrade_slack > 0.0:
-        degraded = _degrade_within_range(net, x, res, cfg.degrade_slack, cfg.seed)
         # the certificate only survives if the advertised slack covers the
         # injected one
         certified = res.certified and cfg.epsilon >= cfg.degrade_slack
-        res = replace(degraded, certified=certified)
+        res = _degrade_within_range(net, x, res, cfg.degrade_slack, cfg.seed, certified)
     return res
 
 

@@ -25,8 +25,8 @@ from genpgd.projection import (
     project,
 )
 from genpgd import generator, projection
-from genpgd.projection import _LADDER, _descend_lockstep, _restart_starts, _stable_hash
-from genpgd.seeding import spawn_rng
+from genpgd.projection import _LADDER, _descend_lockstep, _restart_starts
+from genpgd.seeding import _unit_direction, spawn_rng
 
 
 def brute_force_sparse_projection(B, v, l):
@@ -541,6 +541,13 @@ class TestProjectLatentGd:
             activation = "relu" if case == "one-restart" else case
             net = make_random_generator(3, 16, 2, [10], activation, seed=31,
                                         slope=0.2 if case == "leaky-relu" else None)
+        if case == "one-restart":
+            # a first-layer bias gives J(0) != 0, so the lone restart at the
+            # origin descends (with zero biases it would never move)
+            first = net.layers[0]
+            bias = np.random.default_rng(32).standard_normal(first.bias.size)
+            net = GeneratorNetwork([Layer(first.weights, bias, first.activation),
+                                    *net.layers[1:]])
         cfg = ProjectionConfig(method="latent-gd", restarts=restarts, inner_iters=50, seed=3)
         Z0 = _restart_starts(cfg.seed, restarts, tuple(cfg._resolve_bounds(net.k)))
         assert Z0.shape == (restarts, net.k) and not Z0.flags.writeable
@@ -557,6 +564,7 @@ class TestProjectLatentGd:
                 patched.setattr(np.linalg, "solve", counted)
                 patched.setattr(projection, "forward_batch", counted_batch)
                 Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters)
+            assert rounds[0] >= 1  # a descent ran: the rtol check compares two descents
             _, ref, trials = zip(*(sequential_descend(net, x, z0, cfg.inner_iters) for z0 in Z0))
             ref = np.array(ref)
             np.testing.assert_allclose(f, ref, rtol=1e-9, atol=0.0)
@@ -618,9 +626,7 @@ class TestProjectLatentGd:
 def _full_bisection_latent(net, x, res, slack, seed):
     """The degradation step with all 200 bisection steps and no early stop:
     the reference the early-stopping bisection must reproduce bit for bit."""
-    rng = spawn_rng(seed, _stable_hash(x))
-    d = rng.standard_normal(net.k)
-    d /= np.linalg.norm(d)
+    d = _unit_direction(seed, x, net.k)
     target = res.residual_sq + slack
 
     def h(s):
@@ -727,6 +733,56 @@ class TestDegradedProjection:
         a = project(cfg, net, x)
         b = project(cfg, net, x)
         np.testing.assert_array_equal(a.latent, b.latent)
+        # the config keeps a numpy seed as passed; it draws what the int draws
+        c = project(replace(cfg, seed=np.int64(2)), net, x)
+        np.testing.assert_array_equal(a.latent, c.latent)
+
+    @pytest.mark.parametrize("method", ["closed-form-linear", "grid", "latent-gd"])
+    def test_certificate_needs_epsilon_to_cover_the_slack(self, method):
+        W = np.linalg.qr(np.random.default_rng(17).standard_normal((10, 2)))[0]
+        net = make_linear_generator(W)
+        x = np.random.default_rng(18).standard_normal(10)
+        for epsilon in (0.0, 5e-4, 1e-3):
+            cfg = ProjectionConfig(method=method, epsilon=epsilon, degrade_slack=1e-3,
+                                   grid_resolution=11, restarts=2, inner_iters=5)
+            # latent-gd never certifies; the exact methods lose the
+            # certificate when the advertised slack is below the injected one
+            expected = method != "latent-gd" and epsilon >= 1e-3
+            assert project(cfg, net, x).certified == expected
+
+
+class TestDegradationDirection:
+    """The unit direction a degraded projection moves along, read from a
+    keyed hash of (seed, exact bits of x)."""
+
+    def test_keyed_by_seed_and_exact_bits(self):
+        x = np.random.default_rng(20).standard_normal(30)
+        d = _unit_direction(2, x, 5)
+        np.testing.assert_array_equal(_unit_direction(2, x.copy(), 5), d)
+        nudged = x.copy()
+        nudged[7] = np.nextafter(x[7], np.inf)
+        assert np.all(_unit_direction(2, nudged, 5) != d)
+        assert np.all(_unit_direction(3, x, 5) != d)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_unit_norm(self, k):
+        for s in range(20):
+            d = _unit_direction(s, np.random.default_rng(s).standard_normal(12), k)
+            assert d.shape == (k,)
+            assert abs(np.linalg.norm(d) - 1.0) <= 1e-15
+
+    def test_numpy_and_wide_integer_seeds(self):
+        x = np.linspace(-1.0, 1.0, 9)
+        d = _unit_direction(2, x, 4)
+        np.testing.assert_array_equal(_unit_direction(np.int64(2), x, 4), d)
+        wide = _unit_direction(2**70, x, 4)
+        assert np.all(np.isfinite(wide)) and np.all(wide != d)
+
+    def test_isotropic(self):
+        rng = np.random.default_rng(21)
+        D = np.array([_unit_direction(0, rng.standard_normal(6), 3) for _ in range(4000)])
+        assert np.all(np.abs(D.mean(axis=0)) <= 0.05)
+        assert np.all(np.abs((D ** 2).mean(axis=0) - 1.0 / 3.0) <= 0.03)
 
 
 class TestConfigAndResult:
