@@ -140,6 +140,8 @@ class GeneratorSpec:
             raise ConfigError("generator kind 'file' needs a path")
         if not (isinstance(self.widths, (list, tuple)) and all(_is_a(w, int) for w in self.widths)):
             raise ConfigError(f"widths must be a list of integers, got {self.widths!r}")
+        if self.slope is not None and not -float("inf") < self.slope < float("inf"):
+            raise ConfigError(f"slope must be finite, got {self.slope}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
     def build(self, k: int, n: int, seed: int) -> GeneratorNetwork:

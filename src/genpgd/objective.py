@@ -186,7 +186,9 @@ def latent_pair_sampler(net: GeneratorNetwork, scale: float = 1.0):
     """Pairs of range points from independent Gaussian latents:
     ``sample(rng, count)`` maps one ``standard_normal((count, 2, k))`` draw
     (the stream of ``count`` per-pair draws) by one :func:`forward_batch`
-    to a (2 * count, n) array, pair i in rows 2i and 2i + 1."""
+    to a (2 * count, n) array of 2 * ``count`` points, pair i in rows 2i
+    and 2i + 1.  :func:`estimate_rsc_rss` draws once and masks
+    near-duplicate points rather than redrawing them."""
 
     def sample(rng, count):
         z = scale * rng.standard_normal((count, 2, net.k))
@@ -200,8 +202,9 @@ def sum_pair_sampler(net: GeneratorNetwork, basis: OrthoBasis, l: int):
 
     Each point draws its own latent and its own sparse part on a uniform
     size-l support, point by point; ``sample(rng, count)`` maps all 2 *
-    ``count`` latents by one :func:`forward_batch`, rows as in
-    :func:`latent_pair_sampler`.
+    ``count`` latents by one :func:`forward_batch` to 2 * ``count`` points,
+    rows as in :func:`latent_pair_sampler`, drawn once: near-duplicates are
+    masked by :func:`estimate_rsc_rss`, not redrawn.
     """
 
     def sample(rng, count):
@@ -243,9 +246,9 @@ def _check_count(name: str, count, least: int):
 
 
 def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> CurvatureEstimate:
-    """Min/max curvature ratio over the 2 * ``num_pairs`` points of
-    ``num_pairs`` pairs drawn by ``sampler(rng, count)``, which returns a
-    (2 * count, n) array holding pair i in rows 2i and 2i + 1.
+    """Min/max curvature ratio over the 2 * ``num_pairs`` points drawn by one
+    call ``sampler(rng, num_pairs)``, which returns a (2 * count, n) array
+    holding pair i in rows 2i and 2i + 1.
 
     Every sampled point lies in the constraint set, so every cross pair among
     them is a valid direction: one batched pass takes F and its gradient at
@@ -254,28 +257,18 @@ def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> 
     is symmetric, and each ordered pair for glm.  :func:`curvature_ratio`
     recomputes ``alpha``/``beta`` on the winners, so each pair reproduces its value.
 
-    Pairs closer than 1e-12 are dropped and only the missing ones redrawn,
-    keeping the pairs a pair-by-pair draw keeps.  The sampler is reported
-    as degenerate (:class:`ContractError`) when it cannot produce distinct
-    pairs within 50x the requested count, or when its points are all too
-    close together for any ratio to rise above the rounding of the
-    distances.
+    The points are drawn once: near-duplicates are masked by the scan's
+    distance floor, not redrawn.  The sampler is rejected
+    (:class:`ContractError`) when its points are not finite, and reported as
+    degenerate when they are all too close together for any ratio to rise
+    above the rounding of the distances.
     """
     _check_count("num_pairs", num_pairs, 1)
-    rng = spawn_rng(seed)
-    kept, have, drawn = [], 0, 0
-    while have < num_pairs:
-        count = min(num_pairs - have, 50 * num_pairs - drawn)
-        if count == 0:
-            raise ContractError("sampler is degenerate: cannot produce distinct pairs")
-        pairs = np.asarray(sampler(rng, count), dtype=float)
-        if pairs.shape != (2 * count, obj.n):
-            raise ContractError(f"sampler gave shape {pairs.shape}, want {(2 * count, obj.n)}")
-        drawn += count
-        d = pairs[1::2] - pairs[0::2]
-        kept.append(pairs[np.repeat(np.einsum("ij,ij->i", d, d) >= 1e-24, 2)])  # one copy
-        have += len(kept[-1]) // 2
-    pts = kept[0] if len(kept) == 1 else np.concatenate(kept)
+    pts = np.ascontiguousarray(sampler(spawn_rng(seed), num_pairs), dtype=float)
+    if pts.shape != (2 * num_pairs, obj.n):
+        raise ContractError(f"sampler gave shape {pts.shape}, want {(2 * num_pairs, obj.n)}")
+    if not np.all(np.isfinite(pts)):
+        raise ContractError("sampler gave non-finite points")
     extremes = _cross_pair_extremes(obj, pts)
     if extremes is None:
         raise ContractError(
@@ -291,23 +284,23 @@ def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> 
     )
 
 
-def _sum_factors(X, c, a, b):
-    """Row factors L, R with ``(L @ R.T)[i, j] = c X_i . X_j + a_i + b_j``."""
+def _sum_factors(X, Y, c, a, b):
+    """Row factors L, R with ``(L @ R.T)[i, j] = c X_i . Y_j + a_i + b_j``."""
     one = np.ones((len(a), 1))
     L = np.hstack([X, a[:, None], one])
     L[:, :-2] *= c  # in place, with no scaled copy of X
-    return L, np.hstack([X, one, b[:, None]])
+    return L, np.hstack([Y, one, b[:, None]])
 
 
 def _cross_pair_extremes(obj: Objective, pts: np.ndarray, chunk: int = 128):
     """Index pairs (i, j) minimizing/maximizing the curvature ratio over the
-    cross pairs of the rows of ``pts``, in blocks of ``chunk`` rows.
+    cross pairs of the rows of ``pts``, in square blocks of ``chunk`` rows.
 
-    Least squares scans each unordered pair once (square blocks on and above
-    the diagonal, i < j): its ratio ``||T_i - T_j||^2 / ||p_i - p_j||^2``,
-    ``T = pts A^T``, is symmetric, and :func:`_sum_factors` gives a block of
-    numerators, distances or mask floors by one product.  glm scans every
-    ordered pair (from p_i to p_j) over whole rows, with F and the link
+    Each block's numerators, distances and mask floors are one product of
+    :func:`_sum_factors`.  Least squares scans each unordered pair once
+    (blocks on and above the diagonal, i < j): its ratio
+    ``||T_i - T_j||^2 / ||p_i - p_j||^2``, ``T = pts A^T``, is symmetric.
+    glm scans every ordered pair (from p_i to p_j), with F and the link
     residuals R from :func:`_fit_batch`: ``<grad F(p_i), p_j> = R_i . T_j``.
     Gram-expanded distances carry cancellation noise of about 1e-16 times the
     point scale, so pairs closer than ``1e-12 (|p_i|^2 + 1 + |p_j|^2)`` are
@@ -315,34 +308,26 @@ def _cross_pair_extremes(obj: Objective, pts: np.ndarray, chunk: int = 128):
     """
     fvals, R, T = _fit_batch(obj, pts)
     sq = np.sum(pts * pts, axis=1)
+    dist = _sum_factors(pts, pts, -2.0, sq, sq)
+    floor = _sum_factors(pts[:, :0], pts[:, :0], 0.0, 1e-12 * (sq + 1.0), 1e-12 * sq)
     symmetric = obj.kind == "least-squares"
     if symmetric:
         tq = np.sum(T * T, axis=1)
-        dist = _sum_factors(pts, -2.0, sq, sq)
-        rise = _sum_factors(T, -2.0, tq, tq)
-        floor = _sum_factors(pts[:, :0], 0.0, 1e-12 * (sq + 1.0), 1e-12 * sq)
-        lower = np.tri(chunk, dtype=bool)  # j <= i on a diagonal block
+        rise = _sum_factors(T, T, -2.0, tq, tq)
     else:
-        gp = np.sum(R * T, axis=1)
+        rise = _sum_factors(R, T, -2.0, 2.0 * (np.sum(R * T, axis=1) - fvals), 2.0 * fvals)
+    lower = np.tri(chunk, dtype=bool)  # j <= i on a diagonal block
     best_lo, best_hi = np.inf, -np.inf
     at_lo = at_hi = None
     for start in range(0, len(pts), chunk):
         rows = slice(start, start + chunk)
-        for col in range(start, len(pts), chunk) if symmetric else (0,):
-            if symmetric:
-                cols = slice(col, col + chunk)
-                dd = dist[0][rows] @ dist[1][cols].T
-                masked = dd < floor[0][rows] @ floor[1][cols].T
-                r = rise[0][rows] @ rise[1][cols].T
-                if col == start:
-                    masked |= lower[:len(r), :len(r)]
-            else:
-                dd = np.add.outer(sq[rows], sq) - 2.0 * (pts[rows] @ pts.T)
-                masked = dd < 1e-12 * np.add.outer(sq[rows] + 1.0, sq)
-                r = R[rows] @ T.T
-                r -= gp[rows, None]
-                np.subtract(fvals - fvals[rows, None], r, out=r)
-                r *= 2.0
+        for col in range(start if symmetric else 0, len(pts), chunk):
+            cols = slice(col, col + chunk)
+            dd = dist[0][rows] @ dist[1][cols].T
+            masked = dd < floor[0][rows] @ floor[1][cols].T
+            r = rise[0][rows] @ rise[1][cols].T
+            if symmetric and col == start:
+                masked |= lower[:len(r), :len(r)]
             with np.errstate(divide="ignore", invalid="ignore"):
                 r /= dd  # masked entries are overwritten below
             r[masked] = np.inf
@@ -413,8 +398,6 @@ class DiameterGammaEstimate:
 
     delta: float
     gamma: float | None
-    num_samples: int
-    seed: int
 
 
 def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective | None = None,
@@ -432,8 +415,7 @@ def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective | None =
     gamma = None
     if objective is not None and x_star is not None:
         gamma = float(np.linalg.norm(gradient(objective, x_star)))
-    return DiameterGammaEstimate(delta=delta, gamma=gamma,
-                                 num_samples=num_samples, seed=seed)
+    return DiameterGammaEstimate(delta=delta, gamma=gamma)
 
 
 @dataclass(frozen=True)

@@ -112,16 +112,17 @@ class ProjectionConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"unknown projection method {self.method!r}")
-        if self.epsilon < 0:
-            raise ConfigError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0 <= self.epsilon < float("inf"):
+            raise ConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.inner_iters < 1:
             raise ConfigError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if self.grid_resolution < 2:
             raise ConfigError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
-        if self.degrade_slack < 0:
-            raise ConfigError(f"degrade_slack must be nonnegative, got {self.degrade_slack}")
+        if not 0 <= self.degrade_slack < float("inf"):
+            raise ConfigError(
+                f"degrade_slack must be finite and nonnegative, got {self.degrade_slack}")
         check_seed(self.seed)
         object.__setattr__(self, "grid_bounds", _bound_pairs(self.grid_bounds))
 

@@ -65,14 +65,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("pgd", "myopic"):
             raise ConfigError(f"unknown solver mode {self.mode!r}")
-        if self.eta is not None and not self.eta > 0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
+        if self.eta is not None and not 0 < self.eta < float("inf"):
+            raise ConfigError(f"eta must be finite and positive, got {self.eta}")
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         if self.l < 0:
             raise ConfigError(f"sparsity l must be nonnegative, got {self.l}")
-        if self.stop_gap is not None and self.stop_gap < 0:
-            raise ConfigError(f"stop_gap must be nonnegative, got {self.stop_gap}")
+        if self.stop_gap is not None and not 0 <= self.stop_gap < float("inf"):
+            raise ConfigError(f"stop_gap must be finite and nonnegative, got {self.stop_gap}")
 
 
 @dataclass(frozen=True)

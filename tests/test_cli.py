@@ -254,6 +254,10 @@ class TestConfigErrors:
         {"projection": {"restarts": None}}, {"problem": {"generator": 3}},
         {"problem": {"noise_level": "nan"}}, {"problem": {"noise_level": float("nan")}},
         {"problem": {"noise_level": float("inf")}},
+        *({section: {name: bad}} for section, name in (
+            ("projection", "epsilon"), ("projection", "degrade_slack"),
+            ("solver", "eta"), ("solver", "stop_gap"))
+          for bad in (float("nan"), float("inf"))),
         {"out_dir": None}, {"out_dir": 5},
         {"problem": {"generator": {"kind": "mlp", "widths": ["a"]}}},
         {"problem": {"generator": {"kind": "mlp", "widths": 5}}},

@@ -4,12 +4,14 @@ import copy
 import csv
 import dataclasses
 import json
+import math
+import numbers
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genpgd.errors import ConfigError, ContractError, DivergenceError
 from genpgd.generator import forward, network_to_json, save_network
@@ -70,6 +72,19 @@ def _config_paths(cls, prefix=()):
             yield from _config_paths(f.default_factory, prefix + (f.name,))
 
 
+def _numbers(node):
+    """Every number held in a parsed config, through nested sections and
+    tuples."""
+    if dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _numbers(getattr(node, f.name))
+    elif isinstance(node, tuple):
+        for v in node:
+            yield from _numbers(v)
+    elif isinstance(node, numbers.Real) and not isinstance(node, bool):
+        yield node
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
@@ -80,12 +95,18 @@ _JSON_VALUES = st.recursive(
 class TestExperimentConfig:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(path=st.sampled_from(sorted(_config_paths(ExperimentConfig))), value=_JSON_VALUES)
+    @example(path=("projection", "epsilon"), value=math.nan)
+    @example(path=("projection", "epsilon"), value=math.inf)
+    @example(path=("problem", "generator", "slope"), value=math.nan)
     def test_any_json_value_parses_or_raises_a_config_error(self, path, value):
-        # parse only: a mutated n or m may ask a solve for a huge array
+        # parse only: a mutated n or m may ask a solve for a huge array; an
+        # accepted config holds only finite numbers (a nan or inf epsilon
+        # would make every violation check pass)
         try:
-            make_config(**{".".join(path): value})
+            cfg = make_config(**{".".join(path): value})
         except (ConfigError, ContractError):
-            pass
+            return
+        assert all(-math.inf < v < math.inf for v in _numbers(cfg))
 
     def test_per_axis_grid_bounds_from_json(self):
         cfg = make_config(**{"projection.grid_bounds": [[-1, 0], [0, 2]]})

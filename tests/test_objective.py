@@ -179,42 +179,37 @@ class TestCurvatureEstimator:
         with pytest.raises(ContractError, match="num_pairs"):
             estimate_rsc_rss(self.obj, latent_pair_sampler(self.net), num_pairs, seed=0)
 
-    def test_redraw_keeps_the_sequential_pairs(self, monkeypatch):
-        # a tape of pairs with duplicates at known positions: the batched
-        # redraw keeps exactly the first num_pairs distinct pairs and reads
-        # the tape no further than a pair-by-pair loop would
-        tape = np.random.default_rng(40).standard_normal((40, 2, 30))
-        dup = [0, 3, 4, 9, 10, 11, 17]
-        tape[dup, 1] = tape[dup, 0]
-        num_pairs = 12
-        distinct = [t for t in range(40) if t not in dup]
+    def test_sampler_is_called_once_for_all_pairs(self):
         counts = []
 
-        def stub(rng, count):
-            start = sum(counts)
+        def counted(rng, count):
             counts.append(count)
-            return tape[start:start + count].reshape(2 * count, 30)
+            return latent_pair_sampler(self.net)(rng, count)
 
-        seen = []
-        inner = objective_mod._cross_pair_extremes
-        monkeypatch.setattr(objective_mod, "_cross_pair_extremes",
-                            lambda obj, pts: seen.append(pts.copy()) or inner(obj, pts))
-        estimate_rsc_rss(self.obj, stub, num_pairs, seed=0)
-        np.testing.assert_array_equal(
-            seen[0], tape[distinct[:num_pairs]].reshape(2 * num_pairs, 30))
-        assert counts[0] == num_pairs
-        assert sum(counts) == distinct[num_pairs - 1] + 1
+        estimate_rsc_rss(self.obj, counted, num_pairs=25, seed=0)
+        assert counts == [25]
 
-    def test_redraw_cap_is_fifty_times_the_count(self):
-        drawn = []
-
+    def test_duplicate_points_are_masked_not_redrawn(self):
+        # 7 distinct points, each given twice: every as-sampled pair is a
+        # duplicate, and the cross pairs among the distinct points still bound
+        # the exact spectrum; no duplicate pair wins
         def duplicates(rng, count):
-            drawn.append(count)
-            return np.repeat(rng.standard_normal((count, 30)), 2, axis=0)
+            return np.repeat(rng.standard_normal((count, 4)) @ self.W.T, 2, axis=0)
 
-        with pytest.raises(ContractError, match="cannot produce distinct pairs"):
-            estimate_rsc_rss(self.obj, duplicates, 7, seed=0)
-        assert sum(drawn) == 50 * 7
+        est = estimate_rsc_rss(self.obj, duplicates, 7, seed=0)
+        assert self.lam_min - 1e-9 <= est.alpha <= est.beta <= self.lam_max + 1e-9
+        for p, q in (est.alpha_pair, est.beta_pair):
+            assert not np.array_equal(p, q)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sampler_points_rejected(self, bad):
+        def poisoned(rng, count):
+            pts = latent_pair_sampler(self.net)(rng, count)
+            pts[3, 5] = bad
+            return pts
+
+        with pytest.raises(ContractError, match="sampler gave non-finite"):
+            estimate_rsc_rss(self.obj, poisoned, num_pairs=10, seed=0)
 
     def test_latent_sampler_makes_no_per_point_work(self, monkeypatch):
         # a work count, not a timing: every point goes through forward_batch,
@@ -277,6 +272,18 @@ class TestCrossPairScan:
             else:
                 assert i < j and (i, j) == tuple(sorted(pair))
                 assert curvature_ratio(obj, pts[i], pts[j]) == pytest.approx(want, rel=1e-12)
+
+    def test_least_squares_winners_are_upper_triangle_pairs(self):
+        # the symmetric scan skips j <= i on diagonal blocks; the skipped twin
+        # of a pair can round below or above it, so over 200 draws a scan that
+        # kept it would report some winners as (j, i): about one draw in five
+        obj = random_objective("least-squares", None, m=9, n=12, seed=50)
+        net = make_random_generator(3, 12, 2, [8], "relu", seed=50)
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            pts = forward_batch(net, 0.5 * rng.standard_normal((3, 40))).T
+            for i, j in objective_mod._cross_pair_extremes(obj, pts):
+                assert i < j
 
 
 class TestBatchedFit:
