@@ -35,6 +35,7 @@ __all__ = [
 _METHODS = ("closed-form-linear", "latent-gd", "grid")
 _DAMPING_FLOOR = 1e-12  # least LM lam, relative to tr(J^T J)
 _LADDER = 3  # damping levels lam, 4 lam, 16 lam tried in one latent-gd round
+_PRUNE = 100.0  # a latent-gd row stops once f - _PRUNE * its last gain > a stopped f
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,15 @@ class ProjectionConfig:
     restarts run in lockstep: each round tries the damping levels lam,
     4 lam and 16 lam of every running restart in one batched solve and one
     batched generator evaluation, and each restart takes its first level
-    with sufficient decrease.  Each keeps its own damping and stopping
-    rules, so it makes the trials it would make alone, in fewer rounds, and
-    ends where it would have ended alone up to rounding: the batched
-    evaluation rounds differently with the number of restarts still
-    running.  Restart 0, the origin,
+    with sufficient decrease.  The rounds are compact: they hold state only
+    for the restarts still running.  Each restart keeps its own damping and
+    stopping rules, so it makes the trials it would make alone, in fewer
+    rounds, and ends where it would have ended alone up to rounding (the
+    batched evaluation rounds differently with the number of restarts still
+    running), unless it is pruned: a restart whose last accepted gain in f
+    is below the one before it stops once f - 100 gain exceeds the least f
+    of a restart already stopped, short of where it would end alone.
+    Restart 0, the origin,
     never moves on a zero-bias ReLU network (J(0) = 0): 10 restarts, 9 descents.
     """
 
@@ -112,7 +117,7 @@ class ProjectionConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"unknown projection method {self.method!r}")
-        if not 0 <= self.epsilon < float("inf"):
+        if not (_finite(self.epsilon) and self.epsilon >= 0):
             raise ConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
@@ -120,7 +125,7 @@ class ProjectionConfig:
             raise ConfigError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if self.grid_resolution < 2:
             raise ConfigError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
-        if not 0 <= self.degrade_slack < float("inf"):
+        if not (_finite(self.degrade_slack) and self.degrade_slack >= 0):
             raise ConfigError(
                 f"degrade_slack must be finite and nonnegative, got {self.degrade_slack}")
         check_seed(self.seed)
@@ -135,17 +140,20 @@ class ProjectionConfig:
         return out
 
 
+def _finite(v) -> bool:
+    """Whether a config value is a number of float range: a bool is no
+    number, and an integer beyond ``sys.float_info.max`` is no float."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
 def _bound_pairs(b):
     """``grid_bounds`` as a tuple of float ``(lo, hi)`` pairs, or None."""
-    def finite(v):  # a bool is no number; a huge int is no float
-        return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                and abs(v) <= sys.float_info.max)
-
     if b is None:
         return None
-    pairs = [b] if isinstance(b, (list, tuple)) and len(b) == 2 and finite(b[0]) else b
+    pairs = [b] if isinstance(b, (list, tuple)) and len(b) == 2 and _finite(b[0]) else b
     if not (isinstance(pairs, (list, tuple)) and pairs and all(
-            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(finite, p))
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_finite, p))
             for p in pairs)):
         raise ConfigError(f"grid_bounds must be one (lo, hi) pair of finite numbers "
                           f"or one per latent axis, got {b!r:.60}")
@@ -218,59 +226,96 @@ def _descend_lockstep(net, x, Z0, inner_iters):
     lam 4^levels, and tries no level past its 50th reject in a row.  These
     scalings are powers of two, so each row tries exactly the damping
     sequence of the one-at-a-time descent above and stops by the same
-    rules; the levels above the one taken are spent evaluations.  A row
-    ends where it would end alone only up to rounding: :func:`forward_batch`
-    rounds a column differently with the batch's width, so a row's bits
-    depend on how many rows are still active, and a decrease test decided
-    within rounding may go the other way.
+    rules; the levels above the one taken are spent evaluations.  The
+    rounds are compact and of fixed shape: state is kept only for the
+    running rows, with their indices into ``Z0``, a stopped row's latent
+    and f are written out once, and a round in which every row accepts
+    updates the state by whole-array assignment.
+
+    One more rule stops a row that cannot win.  After a round, a running
+    row whose last accepted gain in f is below the gain before it stops
+    when f - ``_PRUNE`` gain exceeds f_stop, the least f of the rows
+    already stopped.  If its gains decayed geometrically with ratio at most
+    ``_PRUNE`` / (1 + ``_PRUNE``), the row could gain at most ``_PRUNE``
+    gain more and never get below f_stop.  That premise is a heuristic, not
+    a bound: a pruned row ends short of where it would end alone.
+
+    An unpruned row ends where it would end alone only up to rounding:
+    :func:`forward_batch` rounds a column differently with the batch's
+    width, so a row's bits depend on how many rows are still running, and
+    a decrease test decided within rounding may go the other way.
     """
-    Z = np.array(Z0, dtype=float)
-    out, J = _forward_jacobian(net, Z)
+    Z_end = np.array(Z0, dtype=float)
+    out, J = _forward_jacobian(net, Z_end)
     r = out - x
-    f = 0.5 * np.einsum("ij,ij->i", r, r)
-    lam = np.einsum("ijk,ijk->i", J, J)  # tr(J^T J)
+    f_end = 0.5 * np.einsum("ij,ij->i", r, r)
     g, JtJ = _normal_equations(J, r)
+    run = np.einsum("ij,ij->i", g, g) >= 1e-18  # gradient norm at least 1e-9
+    f_stop = f_end[~run].min(initial=np.inf)  # the least f of a stopped row
+    idx = np.flatnonzero(run)  # the running rows, as indices into Z0
+    Z, r, f, g, JtJ = Z_end[idx], r[idx], f_end[idx], g[idx], JtJ[idx]
+    lam = np.einsum("ijk,ijk->i", J[idx], J[idx])  # tr(J^T J)
+    rejects = np.zeros(idx.size, dtype=int)  # in a row, since the last accept
+    steps = np.zeros(idx.size, dtype=int)  # accepted
+    gain = np.full(idx.size, -np.inf)  # f gained by the last accepted step
+    prev = gain.copy()  # and by the one before it
+    scale = 4.0 ** np.arange(_LADDER)
     eye = np.eye(net.k)
-    rejects = np.zeros(len(Z), dtype=int)  # in a row, since the last accept
-    steps = np.zeros(len(Z), dtype=int)  # accepted
-    active = np.einsum("ij,ij->i", g, g) >= 1e-18  # gradient norm at least 1e-9
-    while active.any():
-        rows = np.flatnonzero(active)
-        depth = np.minimum(_LADDER, 50 - rejects[rows])  # never past the 50th reject
-        trial = np.repeat(rows, depth)  # the row of each trial, levels in order
-        first = np.cumsum(depth) - depth  # each row's first trial
-        level = np.arange(trial.size) - np.repeat(first, depth)
-        lam_try = lam[trial] * 4.0 ** level
-        g_try = g[trial]
-        P = np.linalg.solve(JtJ[trial] + lam_try[:, None, None] * eye, g_try[:, :, None])[:, :, 0]
-        Z_try = Z[trial] - P
-        r_try = forward_batch(net, Z_try.T).T - x
-        f_try = 0.5 * np.einsum("ij,ij->i", r_try, r_try)
-        ok = np.zeros((rows.size, _LADDER), dtype=bool)
-        ok[np.repeat(np.arange(rows.size), depth), level] = (
-            f_try <= f[trial] - 1e-4 * np.einsum("ij,ij->i", g_try, P))
+    while idx.size:
+        lam_try = lam[:, None] * scale
+        P = np.linalg.solve(JtJ[:, None] + lam_try[:, :, None, None] * eye,
+                            g[:, None, :, None])[..., 0]
+        Z_try = (Z[:, None] - P).reshape(-1, net.k)  # row-major: (row, level)
+        room = 50 - rejects  # trials left before the reject cap
+        if room.min() >= _LADDER:
+            r_try = forward_batch(net, Z_try.T).T - x
+            f_try = 0.5 * np.einsum("ij,ij->i", r_try, r_try)
+        else:  # a row near the cap tries only the levels left to it
+            tried = (np.arange(_LADDER) < room[:, None]).ravel()
+            r_tried = forward_batch(net, Z_try[tried].T).T - x
+            r_try = np.empty((tried.size, net.n))
+            r_try[tried] = r_tried
+            f_try = np.full(tried.size, np.inf)
+            f_try[tried] = 0.5 * np.einsum("ij,ij->i", r_tried, r_tried)
+        ok = f_try.reshape(-1, _LADDER) <= f[:, None] - 1e-4 * np.einsum("ilk,ik->il", P, g)
         hit = ok.any(axis=1)
-
-        rej = rows[~hit]
-        lam[rej] = lam_try[first[~hit] + depth[~hit] - 1] * 4.0
-        rejects[rej] += depth[~hit]
-        active[rej[rejects[rej] >= 50]] = False
-
-        acc = rows[hit]
-        take = first[hit] + ok[hit].argmax(axis=1)  # the first level that passed
-        converged = f[acc] - f_try[take] <= 1e-12 * f[acc]
-        Z[acc], r[acc], f[acc] = Z_try[take], r_try[take], f_try[take]
-        lam[acc] = lam_try[take] * 0.25
-        rejects[acc] = 0
-        steps[acc] += 1
-        done = converged | (steps[acc] >= inner_iters)
-        active[acc[done]] = False
-        acc = acc[~done]
-        if acc.size:
-            g[acc], JtJ[acc] = _normal_equations(_forward_jacobian(net, Z[acc])[1], r[acc])
-            lam[acc] = np.maximum(lam[acc], _DAMPING_FLOOR * np.trace(JtJ[acc], axis1=1, axis2=2))
-            active[acc] = np.einsum("ij,ij->i", g[acc], g[acc]) >= 1e-18
-    return Z, f
+        pick = np.arange(idx.size) * _LADDER + ok.argmax(axis=1)  # first level that passed
+        f_new = f_try[pick]
+        if hit.all():  # the common round: every row accepts
+            Z, r, lam = Z_try[pick], r_try[pick], lam_try.ravel()[pick] * 0.25
+            prev, gain = gain, f - f_new
+            stop = gain <= 1e-12 * f
+            f = f_new
+            rejects[:] = 0
+            steps += 1
+            stop |= steps >= inner_iters
+        else:
+            depth = np.minimum(_LADDER, room)
+            Z = np.where(hit[:, None], Z_try[pick], Z)
+            r = np.where(hit[:, None], r_try[pick], r)
+            lam = np.where(hit, lam_try.ravel()[pick] * 0.25, lam * 4.0 ** depth)
+            prev, gain = np.where(hit, gain, prev), np.where(hit, f - f_new, gain)
+            converged = gain <= 1e-12 * f
+            f = np.where(hit, f_new, f)
+            rejects = np.where(hit, 0, rejects + depth)
+            steps = steps + hit
+            stop = np.where(hit, converged | (steps >= inner_iters), rejects >= 50)
+        fresh = hit & ~stop  # accepted and going on: a new J
+        if fresh.any():
+            new = slice(None) if fresh.all() else fresh
+            g[new], JtJ[new] = _normal_equations(_forward_jacobian(net, Z[new])[1], r[new])
+            lam[new] = np.maximum(lam[new], _DAMPING_FLOOR * np.trace(JtJ[new], axis1=1, axis2=2))
+            stop[new] = np.einsum("ij,ij->i", g[new], g[new]) < 1e-18
+        f_stop = f[stop].min(initial=f_stop)
+        shrink = (gain < prev) & ~stop  # two accepts, so gain > 0
+        if shrink.any():
+            stop[shrink] = f[shrink] - _PRUNE * gain[shrink] > f_stop
+        if stop.any():
+            Z_end[idx[stop]], f_end[idx[stop]] = Z[stop], f[stop]
+            go = ~stop
+            idx, Z, r, f, lam, g, JtJ, rejects, steps, gain, prev = (
+                a[go] for a in (idx, Z, r, f, lam, g, JtJ, rejects, steps, gain, prev))
+    return Z_end, f_end
 
 
 @functools.lru_cache(maxsize=32)
@@ -293,8 +338,11 @@ def _project_latent_gd(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarr
     (``grid_bounds``, same default as the grid method), which covers
     far-from-origin basins that standard normal draws rarely reach.
     Restarts use nested seed streams (seed, restart index), so growing
-    ``restarts`` only adds candidates; the best residual is therefore
-    nonincreasing in ``restarts``.  Ties go to the lowest restart index.
+    ``restarts`` only adds candidates.  The best residual is nonincreasing
+    in ``restarts`` only as far as the prune rule's premise holds: an added
+    restart that stops early may prune one that would have won, if that
+    one's gains would not have decayed geometrically.  Ties go to the
+    lowest restart index.
     """
     Z, f = _descend_lockstep(
         net, x, _restart_starts(cfg.seed, cfg.restarts, cfg._resolve_bounds(net.k)),

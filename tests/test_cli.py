@@ -281,6 +281,22 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["gen", "solve"])
+    @pytest.mark.parametrize("patch", [
+        {"projection.epsilon": 10 ** 400}, {"projection.degrade_slack": 10 ** 400},
+        {"solver.eta": 10 ** 400}, {"solver.stop_gap": 10 ** 400},
+        {"problem.noise_level": 10 ** 400}, {"sweep.noise_level": [0.0, 10 ** 400]},
+        {"problem.generator": {"kind": "mlp", "widths": [20], "activation": "leaky-relu",
+                               "slope": 10 ** 400}},
+    ], ids=["epsilon", "degrade_slack", "eta", "stop_gap", "noise_level", "sweep-noise_level",
+            "slope"])
+    def test_integer_beyond_float_range_exit_code(self, tmp_path, capsys, command, patch):
+        # JSON reads 10^400 as a Python int, which compares below float("inf")
+        cfg = write_config(tmp_path, **patch)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_missing_config_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["gen"])

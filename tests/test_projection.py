@@ -63,9 +63,10 @@ def sequential_descend(net, x, z0, inner_iters):
     at a time, the loop the lockstep descent replaces.  Each row of the
     lockstep run must end where this ends from the same start, up to
     rounding.  It has no damping floor: a singular damped system counts as
-    a reject instead.  Returns the final latent, its f and the trial
-    outcomes in order, "A" for an accept and "R" for a reject, in lower case
-    for a trial whose decrease test is decided by at most ``_TIE`` f."""
+    a reject instead.  Returns the final latent, the f at the start and
+    after each accept (the last is the final f), and the trial outcomes in
+    order, "A" for an accept and "R" for a reject, in lower case for a trial
+    whose decrease test is decided by at most ``_TIE`` f."""
     eye = np.eye(net.k)
     outcomes = []
     z = z0
@@ -73,6 +74,7 @@ def sequential_descend(net, x, z0, inner_iters):
     r = forward(net, z) - x
     f = 0.5 * float(r @ r)
     lam = float(np.sum(J * J))
+    fs = [f]
     for _ in range(inner_iters):
         g = J.T @ r
         if float(g @ g) < 1e-18:
@@ -99,11 +101,12 @@ def sequential_descend(net, x, z0, inner_iters):
             break
         converged = f - f_try <= 1e-12 * f
         z, r, f = z_try, r_try, f_try
+        fs.append(f)
         lam *= 0.25
         if converged:
             break
         J = _jacobian(net, z)
-    return z, f, "".join(outcomes)
+    return z, fs, "".join(outcomes)
 
 
 def _jacobian(net, z):
@@ -116,23 +119,51 @@ def _jacobian(net, z):
 _TIE = 4e-15
 
 
-def ladder_rounds(outcomes):
-    """Lockstep rounds in which a row makes the trial sequence ``outcomes``
-    of :func:`sequential_descend`: a round tries up to ``_LADDER`` damping
-    levels, never one past the 50th reject in a row, and the row takes its
-    first passing level."""
+def ladder_accepts(outcomes):
+    """The lockstep rounds in which a row makes the trial sequence
+    ``outcomes`` of :func:`sequential_descend`, as the row's accept count
+    after each round: a round tries up to ``_LADDER`` damping levels, never
+    one past the 50th reject in a row, and the row takes its first passing
+    level."""
     outcomes = outcomes.upper()
-    rounds = i = rejects = 0
+    accepts, i, rejects = [], 0, 0
     while i < len(outcomes):
         tried = outcomes[i:i + min(_LADDER, 50 - rejects)]
-        rounds += 1
         if "A" in tried:
             i += tried.index("A") + 1
             rejects = 0
         else:
             i += len(tried)
             rejects += len(tried)
-    return rounds
+        accepts.append(outcomes[:i].count("A"))
+    return accepts
+
+
+def pruned_replay(fs, trials, kappa):
+    """Replay the lockstep prune rule over the reference descents: row i
+    makes its accepts, f values ``fs[i]``, on the rounds of
+    :func:`ladder_accepts` and stops after its last round, unless after some
+    round its last accepted gain is below the one before it and f - kappa
+    gain exceeds the least f of the rows already stopped.  Returns each
+    row's f and round count where it stops."""
+    plan = [ladder_accepts(t) for t in trials]
+    end = {i: (row[-1], 0) for i, row in enumerate(fs) if not plan[i]}
+    f_stop = min((f for f, _ in end.values()), default=np.inf)
+    t = 0
+    while len(end) < len(fs):
+        t += 1
+        running = [i for i in range(len(fs)) if i not in end]
+        for i in running:
+            if len(plan[i]) == t:
+                end[i] = (fs[i][-1], t)
+                f_stop = min(f_stop, fs[i][-1])
+        for i in running:
+            a = plan[i][t - 1]
+            if i not in end and a >= 2:
+                f, gain, prev = fs[i][a], fs[i][a - 1] - fs[i][a], fs[i][a - 2] - fs[i][a - 1]
+                if gain < prev and f - kappa * gain > f_stop:
+                    end[i] = (f, t)
+    return [end[i] for i in range(len(fs))]
 
 
 def duplicate_column_net():
@@ -557,6 +588,7 @@ class TestProjectLatentGd:
             np.testing.assert_array_equal(Z0[j], spawn_rng(3, j).uniform(-3.0, 3.0, net.k))
         assert _restart_starts(cfg.seed, restarts, tuple(cfg._resolve_bounds(net.k))) is Z0
         exact = 0  # draws whose round count is pinned exactly
+        pruned = 0  # rows the replay stops before their last trial
         for s in range(6):
             x = np.random.default_rng(s).standard_normal(net.n)
             rounds[0] = 0
@@ -565,17 +597,20 @@ class TestProjectLatentGd:
                 patched.setattr(projection, "forward_batch", counted_batch)
                 Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters)
             assert rounds[0] >= 1  # a descent ran: the rtol check compares two descents
-            _, ref, trials = zip(*(sequential_descend(net, x, z0, cfg.inner_iters) for z0 in Z0))
-            ref = np.array(ref)
+            _, fs, trials = zip(*(sequential_descend(net, x, z0, cfg.inner_iters) for z0 in Z0))
+            ref, ref_rounds = map(np.array, zip(*pruned_replay(fs, trials, projection._PRUNE)))
+            # a pruned row stops at the reference's f of its prune round
             np.testing.assert_allclose(f, ref, rtol=1e-9, atol=0.0)
             # the ladder makes each row's trials in fewer rounds, not other
             # trials; past a tie the lockstep row may take the other branch,
             # so a row with one only bounds the count from below
             through_tie = [t[:next((i for i, c in enumerate(t) if c.islower()), len(t)) + 1]
                            for t in trials]
-            assert rounds[0] >= max(map(ladder_rounds, through_tie))
+            tie_rounds = [len(ladder_accepts(t)) for t in through_tie]
+            assert rounds[0] >= max(np.minimum(ref_rounds, tie_rounds))
+            pruned += sum(ref_rounds < [len(ladder_accepts(t)) for t in trials])
             if through_tie == list(trials):
-                assert rounds[0] == max(map(ladder_rounds, trials))
+                assert rounds[0] == max(ref_rounds)
                 exact += 1
             # the same winner, unless two rows tie to within that tolerance
             win, ref_win = int(np.argmin(f)), int(np.argmin(ref))
@@ -584,6 +619,44 @@ class TestProjectLatentGd:
             np.testing.assert_array_equal(res.latent, Z[win])
         assert stacked_solves[1] == 0  # the duplicate case too: the floor keeps it solvable
         assert exact >= 2
+        if case in ("tanh", "leaky-relu", "relu"):
+            assert pruned >= 1  # the replay checks pruned rows too
+
+    def test_prune_stops_restarts_in_the_losing_basin(self, monkeypatch):
+        # G(z) = tanh(w z + b) with one latent has two basins for this x:
+        # f near 0.13 around z = 0 and near 1.25 around z = -1.4.  Every
+        # generator value is one product and one tanh, so a row's bits do
+        # not depend on how many rows run beside it
+        net = GeneratorNetwork([Layer(np.array([[-2.0], [0.5], [-3.0]]),
+                                      np.array([0.5, 1.0, -0.5]), Activation("tanh"))])
+        x = np.array([0.5, 0.25, -0.5])
+        Z0 = _restart_starts(0, 10, ((-3.0, 3.0),))
+        rounds = [0]
+
+        def counted_batch(net, Z):
+            rounds[0] += 1
+            return forward_batch(net, Z)
+
+        def descend(Z0, kappa):
+            rounds[0] = 0
+            with monkeypatch.context() as patched:
+                patched.setattr(projection, "forward_batch", counted_batch)
+                patched.setattr(projection, "_PRUNE", kappa)
+                Z, f = _descend_lockstep(net, x, Z0, 50)
+            return Z, f, rounds[0]
+
+        # without pruning each row ends where it ends alone, bit for bit
+        Z, f, unpruned = descend(Z0, np.inf)
+        for i in range(len(Z0)):
+            Z_alone, f_alone, _ = descend(Z0[i:i + 1], np.inf)
+            np.testing.assert_array_equal(Z[i], Z_alone[0])
+            assert f[i] == f_alone[0]
+        assert np.sum(f > 5.0 * f.min()) >= 2  # restarts in the losing basin
+        Z_pruned, f_pruned, pruned = descend(Z0, 100.0)
+        assert pruned < unpruned
+        win = int(np.argmin(f))
+        assert int(np.argmin(f_pruned)) == win
+        np.testing.assert_array_equal(Z_pruned[win], Z[win])
 
     def test_reject_cap_stops_a_row_at_its_fiftieth_trial(self, monkeypatch):
         # no trial ever passes: 16 rounds of 3 levels, then 2, then the row stops
@@ -602,6 +675,26 @@ class TestProjectLatentGd:
         assert trials == [3] * 16 + [2]
         np.testing.assert_array_equal(Z, Z0)
         assert f[0] == pytest.approx(f0, rel=1e-15)
+
+    def test_accept_resets_the_reject_count(self, monkeypatch):
+        # 9 rejects, an accept in round 4, then no trial passes: the cap
+        # counts 50 rejects from the accept, not from the start
+        net = make_random_generator(3, 12, 2, [8], "tanh", seed=4)
+        x = np.random.default_rng(0).standard_normal(12)
+        Z0 = np.array([[0.5, -1.0, 2.0]])
+        f0 = 0.5 * float(np.sum((forward(net, Z0[0]) - x) ** 2))
+        trials = []
+
+        def passes_once(net, Z):
+            trials.append(Z.shape[1])
+            if len(trials) == 4:
+                return forward_batch(net, Z)
+            return np.full((net.n, Z.shape[1]), 1e6)
+
+        monkeypatch.setattr(projection, "forward_batch", passes_once)
+        Z, f = _descend_lockstep(net, x, Z0, 200)
+        assert trials == [3] * 20 + [2]
+        assert f[0] < f0 and np.any(Z != Z0)
 
     def test_dependent_latent_directions(self):
         # the range of the duplicate-column net is that of the one-latent
