@@ -48,8 +48,8 @@ from .objective import (
     estimate_diameter_gamma,
     estimate_incoherence,
 )
-from .projection import OrthoBasis, ProjectionConfig, _finite
-from .seeding import check_seed, derive_seed, spawn_rng
+from .projection import OrthoBasis, ProjectionConfig
+from .seeding import check_seed, derive_seed, finite_real, spawn_rng
 from .solver import (
     SolverConfig,
     _fit_pairs,
@@ -140,7 +140,7 @@ class GeneratorSpec:
             raise ConfigError("generator kind 'file' needs a path")
         if not (isinstance(self.widths, (list, tuple)) and all(_is_a(w, int) for w in self.widths)):
             raise ConfigError(f"widths must be a list of integers, got {self.widths!r}")
-        if self.slope is not None and not _finite(self.slope):
+        if self.slope is not None and not finite_real(self.slope):
             raise ConfigError(f"slope must be finite, got {self.slope}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
@@ -182,7 +182,7 @@ class ProblemSpec:
             raise ConfigError(f"need m >= 1, got m={self.m}")
         if self.l < 0 or self.l > self.n:
             raise ConfigError(f"need 0 <= l <= n, got l={self.l} with n={self.n}")
-        if not (_finite(self.noise_level) and self.noise_level >= 0):
+        if not (finite_real(self.noise_level) and self.noise_level >= 0):
             raise ConfigError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
         if self.l > 0 and self.basis is None:
             raise ConfigError("sparse deviation (l > 0) needs a basis")
@@ -214,7 +214,7 @@ class SweepSpec:
                     f"sweep axis {name!r} must be a list of {_JSON_TYPES[kind][1]}s, got {axis!r}")
             if not axis:
                 raise ConfigError(f"sweep axis {name!r} is empty")
-            if kind is float and not all(map(_finite, axis)):
+            if kind is float and not all(map(finite_real, axis)):
                 raise ConfigError(f"sweep axis {name!r} must hold finite numbers, got {axis!r:.60}")
             object.__setattr__(self, name, tuple(axis))
 

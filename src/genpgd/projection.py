@@ -12,8 +12,6 @@ basis-sparse vectors, lives here too.
 from __future__ import annotations
 
 import functools
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .generator import GeneratorNetwork, _forward_jacobian, forward, forward_batch
 from .generator import vjp  # noqa: F401  (bench/test_bench.py traces it through this module)
-from .seeding import _unit_direction, check_seed, spawn_rng
+from .seeding import _unit_direction, check_seed, finite_real, spawn_rng
 
 __all__ = [
     "OrthoBasis",
@@ -117,7 +115,7 @@ class ProjectionConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"unknown projection method {self.method!r}")
-        if not (_finite(self.epsilon) and self.epsilon >= 0):
+        if not (finite_real(self.epsilon) and self.epsilon >= 0):
             raise ConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
@@ -125,7 +123,7 @@ class ProjectionConfig:
             raise ConfigError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if self.grid_resolution < 2:
             raise ConfigError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
-        if not (_finite(self.degrade_slack) and self.degrade_slack >= 0):
+        if not (finite_real(self.degrade_slack) and self.degrade_slack >= 0):
             raise ConfigError(
                 f"degrade_slack must be finite and nonnegative, got {self.degrade_slack}")
         check_seed(self.seed)
@@ -140,20 +138,13 @@ class ProjectionConfig:
         return out
 
 
-def _finite(v) -> bool:
-    """Whether a config value is a number of float range: a bool is no
-    number, and an integer beyond ``sys.float_info.max`` is no float."""
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
-
-
 def _bound_pairs(b):
     """``grid_bounds`` as a tuple of float ``(lo, hi)`` pairs, or None."""
     if b is None:
         return None
-    pairs = [b] if isinstance(b, (list, tuple)) and len(b) == 2 and _finite(b[0]) else b
+    pairs = [b] if isinstance(b, (list, tuple)) and len(b) == 2 and finite_real(b[0]) else b
     if not (isinstance(pairs, (list, tuple)) and pairs and all(
-            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_finite, p))
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(finite_real, p))
             for p in pairs)):
         raise ConfigError(f"grid_bounds must be one (lo, hi) pair of finite numbers "
                           f"or one per latent axis, got {b!r:.60}")
@@ -267,7 +258,7 @@ def _descend_lockstep(net, x, Z0, inner_iters):
                             g[:, None, :, None])[..., 0]
         Z_try = (Z[:, None] - P).reshape(-1, net.k)  # row-major: (row, level)
         room = 50 - rejects  # trials left before the reject cap
-        if room.min() >= _LADDER:
+        if room.min() >= _LADDER:  # the common round: every level of every row
             r_try = forward_batch(net, Z_try.T).T - x
             f_try = 0.5 * np.einsum("ij,ij->i", r_try, r_try)
         else:  # a row near the cap tries only the levels left to it

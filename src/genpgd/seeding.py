@@ -5,13 +5,16 @@ Every random draw in the package starts here.  Most flow through a
 plus a tuple of integer coordinates (restart index, axis index, trial
 index, ...); the degradation direction, keyed by the exact bits of a
 vector, is read from a hash instead.  Derivation is pure, so changing one
-leaf of an experiment tree never perturbs another.
+leaf of an experiment tree never perturbs another.  The config checks
+that every module shares, ``check_seed`` and ``finite_real``, live here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -25,6 +28,13 @@ def check_seed(seed) -> int:
     if seed < 0:
         raise ContractError(f"seed must be nonnegative, got {seed}")
     return int(seed)
+
+
+def finite_real(v) -> bool:
+    """Whether a config value is a number of float range: a bool is no
+    number, and an integer beyond ``sys.float_info.max`` is no float."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def derive_seed(root: int, *coords: int) -> int:

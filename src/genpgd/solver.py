@@ -25,7 +25,8 @@ import numpy as np
 from .errors import ConfigError, ContractError, DivergenceError
 from .generator import GeneratorNetwork
 from .objective import Objective, _curvature_bounds, gradient, value
-from .projection import OrthoBasis, ProjectionConfig, _finite, hard_threshold_coeffs, project
+from .projection import OrthoBasis, ProjectionConfig, hard_threshold_coeffs, project
+from .seeding import finite_real
 
 __all__ = [
     "SolverConfig",
@@ -65,13 +66,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("pgd", "myopic"):
             raise ConfigError(f"unknown solver mode {self.mode!r}")
-        if self.eta is not None and not (_finite(self.eta) and self.eta > 0):
+        if self.eta is not None and not (finite_real(self.eta) and self.eta > 0):
             raise ConfigError(f"eta must be finite and positive, got {self.eta}")
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         if self.l < 0:
             raise ConfigError(f"sparsity l must be nonnegative, got {self.l}")
-        if self.stop_gap is not None and not (_finite(self.stop_gap) and self.stop_gap >= 0):
+        if self.stop_gap is not None and not (finite_real(self.stop_gap) and self.stop_gap >= 0):
             raise ConfigError(f"stop_gap must be finite and nonnegative, got {self.stop_gap}")
 
 

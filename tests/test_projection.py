@@ -139,31 +139,90 @@ def ladder_accepts(outcomes):
     return accepts
 
 
-def pruned_replay(fs, trials, kappa):
+def pruned_replays(fs, trials, kappa):
     """Replay the lockstep prune rule over the reference descents: row i
     makes its accepts, f values ``fs[i]``, on the rounds of
     :func:`ladder_accepts` and stops after its last round, unless after some
     round its last accepted gain is below the one before it and f - kappa
-    gain exceeds the least f of the rows already stopped.  Returns each
-    row's f and round count where it stops."""
+    gain exceeds the least f of the rows already stopped.
+
+    Each f is off by at most ``_TIE`` f in the lockstep run, so a prune test
+    decided within that rounding may go either way: it forks the replay.
+    A row with a tie (see :func:`sequential_descend`) may branch at that
+    round, so from the first tie of any row the least f may differ too; a
+    prune test that could stop a row from then on makes the row loose, not
+    a fork.  Returns every outcome as arrays of each row's f and round count
+    where it stops, and the round from which the lockstep row may stop
+    elsewhere (inf for a pinned row)."""
     plan = [ladder_accepts(t) for t in trials]
+    tie = [next((len(ladder_accepts(t[:j + 1])) for j, c in enumerate(t) if c.islower()),
+                np.inf) for t in trials]
+    shaky = min(tie)  # the first round whose least f may differ
     end = {i: (row[-1], 0) for i, row in enumerate(fs) if not plan[i]}
-    f_stop = min((f for f, _ in end.values()), default=np.inf)
+    states = [(end, min((f for f, _ in end.values()), default=np.inf), list(tie))]
+    outcomes = []
     t = 0
-    while len(end) < len(fs):
+    while states:
         t += 1
-        running = [i for i in range(len(fs)) if i not in end]
-        for i in running:
-            if len(plan[i]) == t:
-                end[i] = (fs[i][-1], t)
-                f_stop = min(f_stop, fs[i][-1])
-        for i in running:
-            a = plan[i][t - 1]
-            if i not in end and a >= 2:
+        forked = []
+        for end, f_stop, loose in states:
+            if len(end) == len(fs):
+                outcomes.append(tuple(map(np.array, zip(*(
+                    (*end[i], loose[i]) for i in range(len(fs)))))))
+                continue
+            end, loose = dict(end), list(loose)
+            running = [i for i in range(len(fs)) if i not in end]
+            for i in running:
+                if len(plan[i]) == t:
+                    end[i] = (fs[i][-1], t)
+                    f_stop = min(f_stop, fs[i][-1])
+            either = []  # rows whose prune test may go either way
+            for i in running:
+                a = plan[i][t - 1]
+                if i in end or a < 2:
+                    continue
                 f, gain, prev = fs[i][a], fs[i][a - 1] - fs[i][a], fs[i][a - 2] - fs[i][a - 1]
-                if gain < prev and f - kappa * gain > f_stop:
+                margin = f - kappa * gain - f_stop
+                blur = _TIE * fs[i][a - 2]  # each test is off by a multiple of this
+                if abs(prev - gain) > 4 * blur and gain >= prev:
+                    continue  # no shrink: no prune whatever the least f
+                if t >= shaky:
+                    loose[i] = min(loose[i], t)
+                elif abs(prev - gain) <= 4 * blur or abs(margin) <= (2 * kappa + 2) * blur:
+                    if margin > -(2 * kappa + 2) * blur:
+                        either.append((i, (f, t)))
+                elif margin > 0:
                     end[i] = (f, t)
-    return [end[i] for i in range(len(fs))]
+            for k in range(2 ** len(either)):
+                stops = {i: e for j, (i, e) in enumerate(either) if k >> j & 1}
+                forked.append(({**end, **stops}, f_stop, loose))
+        states = forked
+        assert len(states) <= 256  # the forks stay few
+    return outcomes
+
+
+def lockstep_agrees(f, rounds, fs, trials, outcome):
+    """Whether a lockstep run's f per row and round count agree with one
+    outcome of :func:`pruned_replays`: a pinned row ends at the outcome's f
+    to rtol 1e-9, a loose row without ties at one of its later reference f
+    to rtol 1e-9, a loose row with a tie no higher than before the round it
+    came loose, and the round count equals the outcome's if every row is
+    pinned and is no lower than any row's pinned rounds otherwise."""
+    ref, ref_rounds, loose = outcome
+    pinned = np.isinf(loose)
+    if not np.all(np.abs(f[pinned] - ref[pinned]) <= 1e-9 * np.abs(ref[pinned])):
+        return False
+    for i in np.flatnonzero(~pinned):
+        accepts = ladder_accepts(trials[i])
+        if trials[i].isupper():
+            later = np.array(fs[i][accepts[int(loose[i]) - 1]:])
+            if not np.any(np.abs(f[i] - later) <= 1e-9 * later):
+                return False
+        elif f[i] > fs[i][accepts[int(loose[i]) - 2] if loose[i] > 1 else 0] * (1.0 + 1e-9):
+            return False
+    if pinned.all():
+        return rounds == max(ref_rounds)
+    return rounds >= max(np.minimum(ref_rounds, loose))
 
 
 def duplicate_column_net():
@@ -588,7 +647,7 @@ class TestProjectLatentGd:
             np.testing.assert_array_equal(Z0[j], spawn_rng(3, j).uniform(-3.0, 3.0, net.k))
         assert _restart_starts(cfg.seed, restarts, tuple(cfg._resolve_bounds(net.k))) is Z0
         exact = 0  # draws whose round count is pinned exactly
-        pruned = 0  # rows the replay stops before their last trial
+        pruned = 0  # pinned rows the replay stops before their last trial
         for s in range(6):
             x = np.random.default_rng(s).standard_normal(net.n)
             rounds[0] = 0
@@ -598,23 +657,21 @@ class TestProjectLatentGd:
                 Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters)
             assert rounds[0] >= 1  # a descent ran: the rtol check compares two descents
             _, fs, trials = zip(*(sequential_descend(net, x, z0, cfg.inner_iters) for z0 in Z0))
-            ref, ref_rounds = map(np.array, zip(*pruned_replay(fs, trials, projection._PRUNE)))
-            # a pruned row stops at the reference's f of its prune round
-            np.testing.assert_allclose(f, ref, rtol=1e-9, atol=0.0)
-            # the ladder makes each row's trials in fewer rounds, not other
-            # trials; past a tie the lockstep row may take the other branch,
-            # so a row with one only bounds the count from below
-            through_tie = [t[:next((i for i, c in enumerate(t) if c.islower()), len(t)) + 1]
-                           for t in trials]
-            tie_rounds = [len(ladder_accepts(t)) for t in through_tie]
-            assert rounds[0] >= max(np.minimum(ref_rounds, tie_rounds))
-            pruned += sum(ref_rounds < [len(ladder_accepts(t)) for t in trials])
-            if through_tie == list(trials):
-                assert rounds[0] == max(ref_rounds)
-                exact += 1
+            # a pinned row, pruned or not, stops at the reference's f of its
+            # last round; the ladder makes each row's trials in fewer rounds,
+            # not other trials
+            outcomes = pruned_replays(fs, trials, projection._PRUNE)
+            agree = [o for o in outcomes if lockstep_agrees(f, rounds[0], fs, trials, o)]
+            assert agree, f"no replay outcome of {len(outcomes)} agrees"
+            ref, ref_rounds, loose = agree[0]
+            pinned = np.isinf(loose)
+            plans = [len(ladder_accepts(t)) for t in trials]
+            pruned += sum((ref_rounds < plans) & pinned)
+            exact += pinned.all()
             # the same winner, unless two rows tie to within that tolerance
             win, ref_win = int(np.argmin(f)), int(np.argmin(ref))
-            assert win == ref_win or ref[win] == pytest.approx(ref[ref_win], rel=1e-9)
+            if pinned[win] and pinned[ref_win]:
+                assert win == ref_win or ref[win] == pytest.approx(ref[ref_win], rel=1e-9)
             res = project(cfg, net, x)
             np.testing.assert_array_equal(res.latent, Z[win])
         assert stacked_solves[1] == 0  # the duplicate case too: the floor keeps it solvable
