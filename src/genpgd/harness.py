@@ -389,7 +389,7 @@ def _read_matrix(path, shape) -> np.ndarray:
 
 
 def _vec(arr) -> list:
-    return [float(v) for v in arr]
+    return np.asarray(arr, dtype=float).tolist()
 
 
 def save_problem(inst: ProblemInstance, directory) -> Path:
@@ -416,8 +416,7 @@ def save_problem(inst: ProblemInstance, directory) -> Path:
         },
     }
     with open(directory / "instance.json", "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")  # one write, json.dump's bytes
     return directory
 
 
@@ -517,7 +516,8 @@ def estimate_regularity(inst: ProblemInstance, objective: Objective,
 @dataclass(frozen=True)
 class SolveSummary:
     """What one solve did, stripped of anything non-deterministic except the
-    runtime block (which is reported but never compared byte-wise)."""
+    runtime block (which is reported but never compared byte-wise).
+    ``grad_time_total`` is the trace's: the products A^T R only."""
 
     status: str
     iters: int
@@ -631,8 +631,7 @@ def run_solve(inst: ProblemInstance, config: ExperimentConfig,
         os.makedirs(out_dir, exist_ok=True)
         trace_to_csv(trace, out_dir / "trace.csv")
         with open(out_dir / "summary.json", "w") as f:
-            json.dump(summary.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(summary.to_json(), indent=2, sort_keys=True) + "\n")
     return summary, trace
 
 

@@ -95,30 +95,34 @@ def _inner(obj: Objective, x) -> np.ndarray:
 
 
 def _check_rows_finite(rows: np.ndarray):
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         i = int(np.flatnonzero(~np.isfinite(rows))[0]) % rows.shape[-1]
         raise NumericError(f"non-finite intermediate at row {i}")
+
+
+def _fit(obj: Objective, x) -> tuple[float, np.ndarray]:
+    """F(x) and the link residual R (``A x - y``, or ``phi'(A x) - y`` for
+    glm) from one product with A, so the gradient is ``A^T R``.  Raises
+    NumericError naming the first overflowing row; an exp link's phi' is
+    its phi, so checking the potential covers R too."""
+    t = _inner(obj, x)
+    if obj.kind == "least-squares":
+        R = t - obj.y
+        return 0.5 * float(R @ R), R
+    f = float(np.sum(_potential(t, obj.link) - obj.y * t))
+    return f, _link_mean(t, obj.link) - obj.y
 
 
 def value(obj: Objective, x) -> float:
     """Objective value at ``x``; raises NumericError naming the first
     offending row if any per-row term overflows."""
-    t = _inner(obj, x)
-    if obj.kind == "least-squares":
-        r = t - obj.y
-        return 0.5 * float(r @ r)
-    return float(np.sum(_potential(t, obj.link) - obj.y * t))
+    return _fit(obj, x)[0]
 
 
 def gradient(obj: Objective, x) -> np.ndarray:
     """Gradient of :func:`value` at ``x``: ``A^T (A x - y)`` for least
     squares, ``A^T (phi'(A x) - y)`` for glm."""
-    t = _inner(obj, x)
-    if obj.kind == "least-squares":
-        return obj.A.T @ (t - obj.y)
-    mean = _link_mean(t, obj.link)
-    _check_rows_finite(mean)
-    return obj.A.T @ (mean - obj.y)
+    return obj.A.T @ _fit(obj, x)[1]
 
 
 def _link_mean(t: np.ndarray, link: str) -> np.ndarray:

@@ -173,19 +173,19 @@ def _check_target(n: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ContractError(f"target must have shape ({n},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ContractError("target must be finite")
     return x
 
 
+def _sq_dist(x: np.ndarray, point: np.ndarray) -> float:
+    return float(((x - point) ** 2).sum())
+
+
 def _result(net: GeneratorNetwork, x: np.ndarray, z: np.ndarray, certified: bool) -> ProjectionResult:
     point = forward(net, z)
-    return ProjectionResult(
-        point=point,
-        latent=z,
-        residual_sq=float(np.sum((x - point) ** 2)),
-        certified=certified,
-    )
+    return ProjectionResult(point=point, latent=z, residual_sq=_sq_dist(x, point),
+                            certified=certified)
 
 
 def _normal_equations(J: np.ndarray, r: np.ndarray):
@@ -338,8 +338,7 @@ def _project_latent_gd(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarr
     Z, f = _descend_lockstep(
         net, x, _restart_starts(cfg.seed, cfg.restarts, cfg._resolve_bounds(net.k)),
         cfg.inner_iters)
-    best = int(np.argmin(f))  # first minimum wins: deterministic tie-break
-    return _result(net, x, Z[best], certified=False)
+    return Z[int(np.argmin(f))]  # first minimum wins: deterministic tie-break
 
 
 def _project_grid(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarray):
@@ -351,8 +350,7 @@ def _project_grid(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarray):
     Z = np.stack([m.ravel() for m in mesh])
     X = forward_batch(net, Z)
     resid = np.sum((X - x[:, None]) ** 2, axis=0)
-    best = int(np.argmin(resid))  # first minimum wins: deterministic tie-break
-    return _result(net, x, Z[:, best], certified=True)
+    return Z[:, int(np.argmin(resid))]  # first minimum wins: deterministic tie-break
 
 
 def _project_closed_form(net: GeneratorNetwork, x: np.ndarray):
@@ -361,7 +359,7 @@ def _project_closed_form(net: GeneratorNetwork, x: np.ndarray):
     if not net.is_single_affine:
         raise ConfigError("closed-form-linear needs a single identity-activation layer")
     layer = net.layers[0]
-    return _result(net, x, layer.pseudo_inverse @ (x - layer.bias), certified=True)
+    return layer.pseudo_inverse @ (x - layer.bias)
 
 
 def _affine_step(w: np.ndarray, r0: np.ndarray, slack: float) -> float:
@@ -376,14 +374,15 @@ def _affine_step(w: np.ndarray, r0: np.ndarray, slack: float) -> float:
     return float(slack / (root - b) if b <= 0 else (b + root) / a)
 
 
-def _bisect_step(net, x, z: np.ndarray, d: np.ndarray, target: float) -> float:
+def _bisect_step(net, x, z: np.ndarray, d: np.ndarray, slack: float) -> float:
     """Smallest s found by doubling then bisection with residual at z + s d
-    at least ``target``.  Bisection stops once the midpoint rounds onto an
-    endpoint: every later step would leave both endpoints unchanged."""
+    at least ``slack`` above the residual at z.  Bisection stops once the
+    midpoint rounds onto an endpoint: every later step would leave both
+    endpoints unchanged."""
+    target = _sq_dist(x, forward(net, z)) + slack
 
     def h(s):
-        p = forward(net, z + s * d)
-        return float(np.sum((x - p) ** 2)) - target
+        return _sq_dist(x, forward(net, z + s * d)) - target
 
     hi = 1e-8
     for _ in range(400):
@@ -404,25 +403,26 @@ def _bisect_step(net, x, z: np.ndarray, d: np.ndarray, target: float) -> float:
     return hi
 
 
-def _degrade_within_range(net, x, res, slack: float, seed: int, certified: bool):
-    """Move the projected point along the range until its squared residual
-    grows by ``slack``; the result carries ``certified``.  The perturbation
-    stays inside Range(G) by construction (it moves the latent), and the
-    direction/scale are a pure function of (seed, x).  The unit direction is
-    read from a keyed hash of the seed and x's exact bits, so any upstream
-    change that moves x by an ulp draws a new direction: a different
-    realization of the same random process.
+def _degrade_within_range(net, x, z: np.ndarray, slack: float, seed: int) -> np.ndarray:
+    """The latent moved from ``z`` along the range until the squared
+    residual of its point grows by ``slack``.  The perturbation stays
+    inside Range(G) by construction (it moves the latent), and the
+    direction/scale are a pure function of (seed, x, z).  The unit direction
+    is read from a keyed hash of the seed and x's exact bits, so any
+    upstream change that moves x by an ulp draws a new direction: a
+    different realization of the same random process.
 
     On a single affine layer the residual along the line is the quadratic
-    ||r0 - s W d||^2, so the step is its positive root (one ``forward``).
-    Any other network doubles then bisects on the step to float resolution.
+    ||r0 - s W d||^2, r0 = x - G(z), so the step is its positive root (one
+    ``forward``).  Any other network doubles then bisects on the step to
+    float resolution.
     """
     d = _unit_direction(seed, x, net.k)
     if net.is_single_affine:
-        s = _affine_step(net.layers[0].weights @ d, x - res.point, slack)
+        s = _affine_step(net.layers[0].weights @ d, x - forward(net, z), slack)
     else:
-        s = _bisect_step(net, x, res.latent, d, res.residual_sq + slack)
-    return _result(net, x, res.latent + s * d, certified=certified)
+        s = _bisect_step(net, x, z, d, slack)
+    return z + s * d
 
 
 def project(cfg: ProjectionConfig, net: GeneratorNetwork, x) -> ProjectionResult:
@@ -430,21 +430,23 @@ def project(cfg: ProjectionConfig, net: GeneratorNetwork, x) -> ProjectionResult
 
     Pure given (cfg, net, x): all randomness (restart starts, degradation
     direction) derives from ``cfg.seed``.  ``x`` must be a finite length-n
-    vector, else :class:`ContractError`, whatever the method.
+    vector, else :class:`ContractError`, whatever the method.  Each method
+    gives a latent, and its point and residual are taken once, after any
+    degradation.
     """
     x = _check_target(net.n, x)
     if cfg.method == "closed-form-linear":
-        res = _project_closed_form(net, x)
+        z, certified = _project_closed_form(net, x), True
     elif cfg.method == "grid":
-        res = _project_grid(cfg, net, x)
+        z, certified = _project_grid(cfg, net, x), True
     else:
-        res = _project_latent_gd(cfg, net, x)
+        z, certified = _project_latent_gd(cfg, net, x), False
     if cfg.degrade_slack > 0.0:
         # the certificate only survives if the advertised slack covers the
         # injected one
-        certified = res.certified and cfg.epsilon >= cfg.degrade_slack
-        res = _degrade_within_range(net, x, res, cfg.degrade_slack, cfg.seed, certified)
-    return res
+        certified = certified and cfg.epsilon >= cfg.degrade_slack
+        z = _degrade_within_range(net, x, z, cfg.degrade_slack, cfg.seed)
+    return _result(net, x, z, certified)
 
 
 def hard_threshold_coeffs(basis: OrthoBasis, v, l: int):

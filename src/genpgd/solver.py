@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DivergenceError
 from .generator import GeneratorNetwork
-from .objective import Objective, _curvature_bounds, gradient, value
+from .objective import Objective, _curvature_bounds, _fit, value
 from .projection import OrthoBasis, ProjectionConfig, hard_threshold_coeffs, project
 from .seeding import finite_real
 
@@ -91,7 +91,9 @@ class IterationTrace:
     """Everything a solve recorded: per-iteration rows plus final state.
 
     ``final_components`` (range block, sparse block) and ``sparse_nnz`` (one
-    count per row) are set only by a solve with a sparse block."""
+    count per row) are set only by a solve with a sparse block.
+    ``grad_time_total`` times the products A^T R only: the product A x that
+    R comes from is shared with, and timed as part of, the value step."""
 
     records: list[IterationRecord]
     final_point: np.ndarray
@@ -157,19 +159,20 @@ def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
     records = []
 
     def record(t, f, residual_sq, wall):
+        d = None if x_star is None else x - x_star
         records.append(IterationRecord(
             t=t, f_value=f, gap=None if f_star is None else f - f_star,
-            dist_to_truth=None if x_star is None else float(np.linalg.norm(x - x_star)),
+            dist_to_truth=None if d is None else math.sqrt(d @ d),
             proj_residual_sq=residual_sq, wall_time=wall))
 
-    f = value(objective, x)
+    f, R = _fit(objective, x)
     record(0, f, 0.0, 0.0)
     threshold = 1e3 * max(f, 1e-12)
     proj_t = grad_t = 0.0
     diverged = False
     for t in range(1, cfg.iters + 1):
         tic = time.perf_counter()
-        g = gradient(objective, x)
+        g = objective.A.T @ R  # the gradient at x, from the product of the value step
         grad_t += time.perf_counter() - tic
         toc = time.perf_counter()
         res = project(proj_cfg, net, u - eta * g)
@@ -178,7 +181,7 @@ def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
         if basis is not None:
             v, coeffs = hard_threshold_coeffs(basis, v - eta * g, cfg.l)
             x = u + v
-        f = value(objective, x)
+        f, R = _fit(objective, x)
         diverged = not np.isfinite(f) or f > threshold
         if diverged:
             break

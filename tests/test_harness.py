@@ -304,6 +304,26 @@ class TestSaveLoad:
             B = back.basis.matrix
             assert np.max(np.abs(B.T @ B - np.eye(back.meta.n))) <= 1e-8
 
+    @pytest.mark.parametrize("patches", [{}, {"problem.basis": "random", "problem.l": 2}])
+    def test_instance_file_matches_streaming_encoder(self, tmp_path, patches):
+        inst = gen_problem(make_config(**patches).problem, seed=17)
+        save_problem(inst, tmp_path / "inst")
+
+        def vec(a):
+            return None if a is None else [float(v) for v in a]
+
+        truth = {name: vec(getattr(inst.truth, name))
+                 for name in ("z_star", "nu_star", "x_star", "noise")}
+        doc = {"format": "genpgd-instance", "meta": dataclasses.asdict(inst.meta),
+               "truth": truth, "y": vec(inst.y),
+               "files": {"A": "A.npy", "network": "network.json",
+                         "basis": None if inst.basis is None else "basis.npy"}}
+        with open(tmp_path / "ref.json", "w") as f:
+            json.dump(doc, f, indent=2, sort_keys=True)
+            f.write("\n")
+        assert ((tmp_path / "inst" / "instance.json").read_bytes()
+                == (tmp_path / "ref.json").read_bytes())
+
     def test_network_file_matches_streaming_encoder(self, tmp_path):
         mlp = {"kind": "mlp", "widths": [6], "activation": "leaky-relu", "slope": 0.2}
         inst = gen_problem(make_config(**{"problem.generator": mlp}).problem, seed=15)

@@ -286,6 +286,49 @@ class TestCrossPairScan:
                 assert i < j
 
 
+def written_out_fit(obj, x):
+    """F(x) and grad F(x) by the formulas written out term by term, each
+    from its own product with A: the reference :func:`objective_mod._fit`
+    must reproduce bit for bit."""
+    t = obj.A @ x
+    if obj.kind == "least-squares":
+        r = t - obj.y
+        return 0.5 * float(r @ r), obj.A.T @ (t - obj.y)
+    if obj.link == "sigmoid":
+        phi = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
+        mean = 0.5 * (1.0 + np.tanh(0.5 * t))
+    else:
+        phi = mean = np.exp(t)
+    return float(np.sum(phi - obj.y * t)), obj.A.T @ (mean - obj.y)
+
+
+class TestFusedFit:
+    @pytest.mark.parametrize(
+        "kind,link",
+        [("least-squares", None), ("glm", "sigmoid"), ("glm", "exp")],
+    )
+    def test_matches_written_out_formulas_bitwise(self, kind, link):
+        obj = random_objective(kind, link, m=12, n=7, seed=45)
+        rng = np.random.default_rng(46)
+        for scale in (0.0, 0.5, 3.0):
+            x = scale * rng.standard_normal(7)
+            f_ref, g_ref = written_out_fit(obj, x)
+            f, R = objective_mod._fit(obj, x)
+            assert f == f_ref and value(obj, x) == f_ref
+            np.testing.assert_array_equal(obj.A.T @ R, g_ref)
+            np.testing.assert_array_equal(gradient(obj, x), g_ref)
+
+    def test_exp_overflow_names_the_same_row_everywhere(self):
+        A = np.array([[1.0], [-2.0], [1000.0], [2000.0]])
+        obj = Objective("glm", A=A, y=np.ones(4), link="exp")
+        for call in (objective_mod._fit, value, gradient):
+            with pytest.raises(NumericError, match="row 2$"):
+                call(obj, np.array([1.0]))
+        # a negative latent overflows the other row first
+        with pytest.raises(NumericError, match="row 1$"):
+            objective_mod._fit(obj, np.array([-400.0]))
+
+
 class TestBatchedFit:
     @pytest.mark.parametrize(
         "kind,link",

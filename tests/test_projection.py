@@ -872,6 +872,33 @@ class TestDegradedProjection:
             # doublings plus bisection to float resolution, not 200 steps
             assert used < 120
 
+    @pytest.mark.parametrize("kind,method", [("affine", "closed-form-linear"),
+                                             ("affine", "latent-gd"), ("relu", "latent-gd")])
+    def test_degraded_result_is_the_composed_latent(self, kind, method):
+        # project builds one result, after the degradation: its latent must
+        # be the undegraded latent plus s d, its point and residual those of
+        # that latent, whichever route found s
+        rng = np.random.default_rng(19)
+        if kind == "affine":
+            net = make_linear_generator(np.linalg.qr(rng.standard_normal((14, 3)))[0])
+        else:
+            net = make_random_generator(3, 14, 2, [8], activation="relu", seed=6)
+        x = forward(net, rng.standard_normal(3)) + 0.1 * rng.standard_normal(14)
+        start = ProjectionConfig(method=method, restarts=3, inner_iters=20, seed=7)
+        base = project(start, net, x)
+        for slack, epsilon in ((1e-4, 1e-3), (1e-3, 1e-4)):
+            res = project(replace(start, epsilon=epsilon, degrade_slack=slack), net, x)
+            if kind == "affine":
+                d = _unit_direction(start.seed, x, net.k)
+                s = projection._affine_step(net.layers[0].weights @ d, x - base.point, slack)
+                want = base.latent + s * d
+            else:
+                want = _full_bisection_latent(net, x, base, slack, start.seed)
+            np.testing.assert_array_equal(res.latent, want)
+            np.testing.assert_array_equal(res.point, forward(net, res.latent))
+            assert res.residual_sq == float(np.sum((x - res.point) ** 2))
+            assert res.certified == (method != "latent-gd" and epsilon >= slack)
+
     def test_degraded_is_pure(self):
         rng = np.random.default_rng(15)
         W = np.linalg.qr(rng.standard_normal((12, 3)))[0]

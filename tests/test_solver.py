@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from genpgd.errors import ConfigError, ContractError, DivergenceError
-from genpgd.generator import forward, make_linear_generator
-from genpgd.objective import Objective, subspace_curvature
-from genpgd.projection import OrthoBasis, ProjectionConfig
+from genpgd import solver
+from genpgd.errors import ConfigError, ContractError, DivergenceError, NumericError
+from genpgd.generator import forward, make_linear_generator, make_random_generator
+from genpgd.objective import Objective, gradient, subspace_curvature, value
+from genpgd.projection import OrthoBasis, ProjectionConfig, hard_threshold_coeffs, project
 from genpgd.solver import (
     SolverConfig,
     contraction_factor,
@@ -129,6 +130,111 @@ class TestPgdBasics:
         assert all(r.gap is None and r.dist_to_truth is None for r in trace.records)
         with pytest.raises(ContractError, match="gap"):
             contraction_report(trace, rho=0.5)
+
+
+def composed_pgd(objective, net, proj_cfg, cfg, x_star=None, basis=None):
+    """The ε-PGD loop written out from :func:`value`, :func:`gradient`,
+    :func:`project` and :func:`hard_threshold_coeffs`, one call of each per
+    iteration, with the divergence guard but no stop gap.
+
+    Returns the records as (t, f_value, gap, dist_to_truth,
+    proj_residual_sq) tuples, the last point, and whether the guard fired;
+    :func:`epsilon_pgd` must reproduce every one of them bit for bit.
+    """
+    f_star = None if x_star is None else value(objective, x_star)
+    u = x = np.zeros(net.n)
+    v = np.zeros(net.n)
+
+    def row(t, f, residual_sq):
+        return (t, f, None if f_star is None else f - f_star,
+                None if x_star is None else float(np.linalg.norm(x - x_star)), residual_sq)
+
+    f = value(objective, x)
+    rows = [row(0, f, 0.0)]
+    threshold = 1e3 * max(f, 1e-12)
+    for t in range(1, cfg.iters + 1):
+        g = gradient(objective, x)
+        res = project(proj_cfg, net, u - cfg.eta * g)
+        u = x = res.point
+        if basis is not None:
+            v = hard_threshold_coeffs(basis, v - cfg.eta * g, cfg.l)[0]
+            x = u + v
+        f = value(objective, x)
+        if not np.isfinite(f) or f > threshold:
+            return rows, x, True
+        rows.append(row(t, f, res.residual_sq))
+    return rows, x, False
+
+
+def _composed_cases():
+    net, W, obj, x_star = linear_instance(40, 4, 30, seed=40)
+    yield "linear-exact", (obj, net, EXACT, SolverConfig(eta=0.5, iters=30), x_star, None)
+    degraded = ProjectionConfig(method="closed-form-linear", degrade_slack=1e-4, seed=3)
+    yield "linear-degraded", (obj, net, degraded, SolverConfig(eta=0.5, iters=30), x_star, None)
+    yield "linear-diverges", (obj, net, EXACT, SolverConfig(eta=40.0, iters=30), x_star, None)
+    basis = OrthoBasis.random(40, seed=41)
+    nu = basis.matrix[:, [3, 17]] @ np.array([0.8, -0.5])
+    obj_sum = Objective("least-squares", obj.A, obj.A @ (x_star + nu))
+    yield "myopic", (obj_sum, net, EXACT, SolverConfig(eta=0.5, iters=30, mode="myopic", l=2),
+                     x_star + nu, basis)
+    relu = make_random_generator(3, 24, 2, [10], activation="relu", seed=42)
+    rng = np.random.default_rng(43)
+    x_relu = forward(relu, rng.standard_normal(3))
+    A = rng.standard_normal((18, 24)) / np.sqrt(18)
+    gd = ProjectionConfig(method="latent-gd", restarts=3, inner_iters=10, seed=4)
+    yield "relu-latent-gd", (Objective("least-squares", A, A @ x_relu), relu, gd,
+                             SolverConfig(eta=0.5, iters=6), x_relu, None)
+    y = (rng.uniform(size=30) < 0.5 * (1.0 + np.tanh(0.5 * obj.A @ x_star))).astype(float)
+    yield "glm-sigmoid", (Objective("glm", obj.A, y, link="sigmoid"), net, EXACT,
+                          SolverConfig(eta=1.0, iters=30), x_star, None)
+
+
+_COMPOSED = dict(_composed_cases())
+
+
+class TestFusedLoop:
+    """:func:`epsilon_pgd` takes F and the next gradient from one product
+    with A per iterate and builds one projection result; none of it may
+    move a bit of what the composed loop records."""
+
+    @pytest.mark.parametrize("case", list(_COMPOSED))
+    def test_records_equal_the_composed_loop(self, case):
+        obj, net, proj_cfg, cfg, x_star, basis = _COMPOSED[case]
+        rows, x, diverged = composed_pgd(obj, net, proj_cfg, cfg, x_star, basis)
+        assert diverged == (case == "linear-diverges")
+        if diverged:
+            with pytest.raises(DivergenceError) as exc:
+                epsilon_pgd(obj, net, proj_cfg, cfg, x_star=x_star, basis=basis)
+            trace = exc.value.trace  # the partial trace, up to the guard
+        else:
+            trace = epsilon_pgd(obj, net, proj_cfg, cfg, x_star=x_star, basis=basis)
+        got = [(r.t, r.f_value, r.gap, r.dist_to_truth, r.proj_residual_sq)
+               for r in trace.records]
+        assert got == rows
+        np.testing.assert_array_equal(trace.final_point, x)
+
+    def test_glm_exp_overflow_surfaces_at_the_same_iteration(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        net = make_linear_generator(np.linalg.qr(rng.standard_normal((12, 2)))[0])
+        A = rng.standard_normal((8, 12))
+        obj = Objective("glm", A, rng.uniform(0.5, 2.0, 8), link="exp")
+        cfg = SolverConfig(eta=0.35, iters=30)
+        real, calls = project, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(solver, "project", counted)
+        monkeypatch.setitem(globals(), "project", counted)  # composed_pgd's
+        outcomes = []
+        for run in (epsilon_pgd, composed_pgd):
+            calls[0] = 0
+            with pytest.raises(NumericError) as exc:
+                run(obj, net, EXACT, cfg)
+            outcomes.append((calls[0], str(exc.value)))
+        # the fourth iterate's value overflows, after its projection
+        assert outcomes == [(4, "non-finite intermediate at row 5")] * 2
 
 
 class TestContractionBound:
