@@ -37,22 +37,11 @@ from .generator import (
     make_random_generator,
     save_network,
 )
-from .objective import (
-    Objective,
-    RegularityEstimates,
-    _NUM_PAIRS,
-    _SumSetKernel,
-    _curvature_bounds,
-    _link_mean,
-    _sampled_supports,
-    estimate_diameter_gamma,
-    estimate_incoherence,
-)
+from .objective import Objective, RegularityEstimates, _link_mean, _regularity
 from .projection import OrthoBasis, ProjectionConfig
 from .seeding import check_seed, derive_seed, finite_real, spawn_rng
 from .solver import (
     SolverConfig,
-    _fit_pairs,
     _read_csv,
     _write_csv,
     contraction_factor,
@@ -278,6 +267,16 @@ class InstanceMeta:
     seed: int
 
 
+def _truth_support(inst: ProblemInstance) -> np.ndarray:
+    """The truth's sparse support: the basis coefficients of nu* above
+    1e-12 max(1, ||nu*||); empty without a basis or a nu*."""
+    nu = inst.truth.nu_star
+    if nu is None or inst.basis is None:
+        return np.empty(0, dtype=int)
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(nu)))
+    return np.flatnonzero(np.abs(inst.basis.matrix.T @ nu) > tol)
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A solvable instance plus the ground truth it was built from.
@@ -303,13 +302,10 @@ class ProblemInstance:
         recon = forward(self.net, self.truth.z_star)
         if self.truth.nu_star is not None:
             recon = recon + self.truth.nu_star
-            if self.basis is not None:
-                coeffs = self.basis.matrix.T @ self.truth.nu_star
-                tol = 1e-12 * max(1.0, float(np.linalg.norm(self.truth.nu_star)))
-                nnz = int(np.count_nonzero(np.abs(coeffs) > tol))
-                if nnz > self.meta.l:
-                    raise ContractError(
-                        f"nu_star has {nnz} active basis coefficients, budget is {self.meta.l}")
+        nnz = _truth_support(self).size
+        if nnz > self.meta.l:
+            raise ContractError(
+                f"nu_star has {nnz} active basis coefficients, budget is {self.meta.l}")
         err = float(np.max(np.abs(self.truth.x_star - recon)))
         if err > 1e-12:
             raise ContractError(
@@ -477,40 +473,15 @@ def build_objective(inst: ProblemInstance, measurement: str) -> Objective:
 
 def estimate_regularity(inst: ProblemInstance, objective: Objective,
                         sparsity: int = 0, seed: int = 0) -> RegularityEstimates:
-    """Curvature, incoherence, gradient-at-truth, and diameter constants.
-
-    Uses the exact eigen/SVD oracles when the instance is a linear generator
-    with a least-squares objective, and the pair-sampling estimators
-    otherwise.  ``sparsity`` > 0 widens the curvature set to range + sparse
-    sums and turns on the incoherence estimate.
-
-    The exact mu is exact per support but is the maximum over only 50 random
-    supports (plus the truth's), so it is a lower bound on the sum set's
-    incoherence; the greedy :func:`estimate_incoherence` can find more.
-    """
-    net, basis = inst.net, inst.basis
-    if sparsity > 0 and basis is None:
+    """Curvature, incoherence, gradient-at-truth, and diameter constants of
+    ``objective`` on ``inst``.  ``sparsity`` > 0 widens the curvature set to
+    range + sparse sums and turns on the incoherence estimate.  Only the
+    instance is read here; the oracle choice (exact for least squares on a
+    linear generator), sample sizes and seeds are ``objective._regularity``'s."""
+    if sparsity > 0 and inst.basis is None:
         raise ConfigError("sparsity > 0 needs a basis")
-    exact = net.is_single_affine and objective.kind == "least-squares"
-    alpha, beta = _curvature_bounds(objective, net, basis, sparsity, seed=derive_seed(seed, 0))
-    if exact and sparsity > 0:
-        supports = _sampled_supports(inst.meta.n, sparsity, spawn_rng(seed, 1))
-        if inst.truth.nu_star is not None and inst.meta.l > 0:
-            coeffs = basis.matrix.T @ inst.truth.nu_star
-            live = np.flatnonzero(np.abs(coeffs) > 1e-12)
-            if live.size:
-                supports.append(live)
-        mu = _SumSetKernel(net.layers[0].weights, basis).incoherence(supports)
-    else:
-        mu = (estimate_incoherence(net, basis, sparsity,
-                                   num_samples=_NUM_PAIRS, seed=derive_seed(seed, 1))
-              if sparsity > 0 and not exact else 0.0)
-    used = 0 if exact else _NUM_PAIRS
-    dg = estimate_diameter_gamma(
-        net, objective=objective, x_star=inst.truth.x_star, seed=derive_seed(seed, 2))
-    return RegularityEstimates(alpha=alpha, beta=beta, mu=mu,
-                               gamma=dg.gamma, delta=dg.delta,
-                               num_samples=used, seed=seed)
+    return _regularity(objective, inst.net, inst.basis, sparsity, inst.truth.x_star,
+                       _truth_support(inst), seed)
 
 
 @dataclass(frozen=True)
@@ -598,10 +569,8 @@ def run_solve(inst: ProblemInstance, config: ExperimentConfig,
     # the contraction guarantee carries an additive term of the order of
     # the gradient-at-truth times the set diameter plus the projection
     # slack; violations are only meaningful above that floor
-    floor = 0.0
-    if reg.gamma is not None and reg.delta is not None:
-        floor += 2.0 * reg.gamma * reg.delta
-    floor += reg.beta * (config.projection.epsilon + config.projection.degrade_slack)
+    floor = (2.0 * reg.gamma * reg.delta
+             + reg.beta * (config.projection.epsilon + config.projection.degrade_slack))
     report = contraction_report(trace, rho=theory_rate, floor=floor)
     last = trace.records[-1]
     summary = SolveSummary(
@@ -773,7 +742,7 @@ def _read_sweep_csv(path) -> list:
 def emit_report(results_dir, out_dir=None) -> dict:
     """Turn a sweep directory into plot-ready TSVs and a text verdict.
 
-    ``report.txt`` gives one line per run: PASS when every recorded step
+    ``report.txt`` gives one line per run: PASS when every checked step
     respected the theory rate, FAIL on violations or solver failure, SKIP
     when the bound is vacuous (no theory rate, or a rate of 1 or more) or
     the trace has no checked step, plus an unrateable note when fewer than
@@ -818,22 +787,19 @@ def emit_report(results_dir, out_dir=None) -> dict:
                 + "; ".join(notes or ["no bound to check"]) + "  SKIP")
             counts["SKIP"] += 1
             continue
-        # display ratios over the same pre-plateau segment the rate was
-        # fitted on; the floor region after convergence is pure noise
-        prev, nxt = _fit_pairs(gaps, contraction_report(gaps).fit_end if gaps.size >= 2 else 0)
-        finite = np.isfinite(prev) & np.isfinite(nxt) & (prev > 0)
-        ratios = nxt[finite] / prev[finite]
+        # the checked steps the solve counted its violations over
+        checked = contraction_report(gaps).checked if gaps.size >= 2 else gaps[:0]
         note = ("; " + "; ".join(notes)) if notes else ""
-        if not ratios.size:  # a count of 0 violations among 0 steps checks nothing
+        if not checked.size:  # a count of 0 violations among 0 steps checks nothing
             text, verdict = f"theory {rate:.6e}, no checked steps{note}", "SKIP"
         elif row["violations"] is None:  # a run with a checked step has a count
             raise ContractError(f"{results_dir / 'sweep.csv'} line {line}: no violations count")
         else:
-            max_ratio = float(np.max(ratios))
+            max_ratio = float(np.max(checked))
             margin = rate - max_ratio if np.isfinite(max_ratio) else float("nan")
             verdict = "PASS" if row["violations"] == 0 else "FAIL"
             text = (f"theory {rate:.6e}, max_ratio {max_ratio:.6e}, margin {margin:.3e}, "
-                    f"violations {row['violations']}/{ratios.size}{note}")
+                    f"violations {row['violations']}/{checked.size}{note}")
         report_lines.append(f"run {label}: {text}  {verdict}")
         counts[verdict] += 1
     report_lines.append("=" * 24)

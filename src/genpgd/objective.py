@@ -21,12 +21,11 @@ import numpy as np
 from .errors import ContractError, NumericError
 from .generator import GeneratorNetwork, forward, forward_batch
 from .projection import OrthoBasis
-from .seeding import spawn_rng
+from .seeding import derive_seed, spawn_rng
 
 __all__ = [
     "Objective",
     "CurvatureEstimate",
-    "DiameterGammaEstimate",
     "RegularityEstimates",
     "value",
     "gradient",
@@ -75,10 +74,6 @@ class Objective:
             raise ContractError("least-squares takes no link")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
 
     @property
     def n(self) -> int:
@@ -396,20 +391,13 @@ def estimate_incoherence(net: GeneratorNetwork, basis: OrthoBasis, l: int,
     return best
 
 
-@dataclass(frozen=True)
-class DiameterGammaEstimate:
-    """Sampled constraint-set diameter and gradient norm at the truth."""
-
-    delta: float
-    gamma: float | None
-
-
 def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective | None = None,
                             x_star=None, num_samples: int = _NUM_SAMPLES, seed: int = 0
-                            ) -> DiameterGammaEstimate:
-    """Max pairwise distance between the images of ``num_samples``
-    standard-normal latents (one draw, mapped by one :func:`forward_batch`),
-    plus the gradient norm at a known truth when one is supplied."""
+                            ) -> tuple[float, float | None]:
+    """``(delta, gamma)``: the max pairwise distance between the images of
+    ``num_samples`` standard-normal latents (one draw, mapped by one
+    :func:`forward_batch`), and the gradient norm at ``x_star``, None
+    without ``objective`` and ``x_star``."""
     _check_count("num_samples", num_samples, 2)
     rng = spawn_rng(seed)
     pts = forward_batch(net, rng.standard_normal((num_samples, net.k)).T).T
@@ -419,7 +407,7 @@ def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective | None =
     gamma = None
     if objective is not None and x_star is not None:
         gamma = float(np.linalg.norm(gradient(objective, x_star)))
-    return DiameterGammaEstimate(delta=delta, gamma=gamma)
+    return delta, gamma
 
 
 @dataclass(frozen=True)
@@ -452,7 +440,7 @@ class RegularityEstimates:
 
 # a support whose sparse directions keep a squared sine of less than this to
 # span(W) (the smallest eigenvalue of C_S in :class:`_SumSetKernel`) is left
-# to :func:`_span_curvature`: the Cholesky route's rounding grows as
+# to :func:`subspace_curvature`: the Cholesky route's rounding grows as
 # eps / lambda_min(C_S)
 _MIN_SINE_SQ = 0.1
 
@@ -464,19 +452,13 @@ def _span_basis(M: np.ndarray) -> np.ndarray:
     return U[:, s > max(M.shape) * np.finfo(float).eps * s[0]]
 
 
-def _span_curvature(A: np.ndarray, M: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of ``(A Q)^T (A Q)`` with ``Q`` the
-    :func:`_span_basis` of ``M``, the smallest and largest curvature of
-    ``0.5 ||y - A x||^2`` along span(M)."""
-    AQ = A @ _span_basis(M)
-    lams = np.linalg.eigvalsh(AQ.T @ AQ)
-    return float(lams[0]), float(lams[-1])
-
-
 def subspace_curvature(A, W) -> tuple[float, float]:
     """Exact smallest/largest curvature of ``0.5 ||y - A x||^2`` along the
-    column span of ``W`` (:func:`_span_curvature` on ``W``)."""
-    return _span_curvature(np.asarray(A, dtype=float), np.asarray(W, dtype=float))
+    column span of ``W``: the extreme eigenvalues of ``(A Q)^T (A Q)`` with
+    ``Q`` the :func:`_span_basis` of ``W``."""
+    AQ = np.asarray(A, dtype=float) @ _span_basis(np.asarray(W, dtype=float))
+    lams = np.linalg.eigvalsh(AQ.T @ AQ)
+    return float(lams[0]), float(lams[-1])
 
 
 def _by_size(supports):
@@ -530,7 +512,7 @@ class _SumSetKernel:
         X^T X, X^T Y and Y^T Y (taken once, over the columns the supports
         use), then one batched cholesky/inv/eigvalsh per support size.  A
         support whose C_S is not safely positive definite (B_S close to
-        span(W), or rank(W) + |S| > n) goes to :func:`_span_curvature`.
+        span(W), or rank(W) + |S| > n) goes to :func:`subspace_curvature`.
         """
         A = np.asarray(A, dtype=float)
         groups = _by_size(supports)
@@ -549,7 +531,7 @@ class _SumSetKernel:
             safe = (np.linalg.eigvalsh(C_S)[:, 0] > _MIN_SINE_SQ if s
                     else np.ones(len(J), dtype=bool))
             for S in idx[~safe]:
-                lo, hi = _span_curvature(A, np.hstack([self.W, self.B[:, S]]))
+                lo, hi = subspace_curvature(A, np.hstack([self.W, self.B[:, S]]))
                 alpha, beta = min(alpha, lo), max(beta, hi)
             if not safe.any():
                 continue
@@ -586,17 +568,22 @@ def minkowski_curvature(A, W, basis: OrthoBasis, l: int, supports=None,
     return _SumSetKernel(W, basis).curvature(A, supports)
 
 
+def _exact(obj: Objective, net: GeneratorNetwork) -> bool:
+    """Whether the exact oracles apply: least squares on a single affine layer."""
+    return obj.kind == "least-squares" and net.is_single_affine
+
+
 def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis | None = None,
                       l: int = 0, seed: int = 0) -> tuple[float, float]:
     """(alpha, beta) of ``obj`` over the range of ``net``, or over the
     range-plus-l-sparse sum set when a basis and l > 0 are given.
 
-    Exact (:func:`subspace_curvature` / :func:`minkowski_curvature`) for
-    least squares on a single affine layer; otherwise
-    :func:`estimate_rsc_rss` over ``_NUM_PAIRS`` sampled pairs.
+    Exact (:func:`subspace_curvature` / :func:`minkowski_curvature`) when
+    :func:`_exact`; otherwise :func:`estimate_rsc_rss` over ``_NUM_PAIRS``
+    sampled pairs.
     """
     sparse = basis is not None and l > 0
-    if obj.kind == "least-squares" and net.is_single_affine:
+    if _exact(obj, net):
         W = net.layers[0].weights
         if sparse:
             return minkowski_curvature(obj.A, W, basis, l, seed=seed)
@@ -604,6 +591,30 @@ def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis |
     sampler = sum_pair_sampler(net, basis, l) if sparse else latent_pair_sampler(net)
     est = estimate_rsc_rss(obj, sampler, _NUM_PAIRS, seed=seed)
     return est.alpha, est.beta
+
+
+def _regularity(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis | None, l: int,
+                x_star, truth_support, seed: int) -> RegularityEstimates:
+    """The regularity bundle of ``obj`` on ``net`` (plus l-sparse-in-``basis``
+    deviations when l > 0), gamma at ``x_star``: alpha and beta from
+    :func:`_curvature_bounds`; mu 0 when l = 0, else exact over 50 sampled
+    l-supports plus ``truth_support`` (a lower bound) or sampled by
+    :func:`estimate_incoherence`; delta and gamma from
+    :func:`estimate_diameter_gamma`.  Every oracle choice, sample size and
+    seed of the bundle is made here."""
+    exact = _exact(obj, net)
+    alpha, beta = _curvature_bounds(obj, net, basis, l, seed=derive_seed(seed, 0))
+    if l == 0:
+        mu = 0.0
+    elif exact:
+        supports = _sampled_supports(basis.n, l, spawn_rng(seed, 1)) + [truth_support]
+        mu = _SumSetKernel(net.layers[0].weights, basis).incoherence(supports)
+    else:
+        mu = estimate_incoherence(net, basis, l, num_samples=_NUM_PAIRS,
+                                  seed=derive_seed(seed, 1))
+    delta, gamma = estimate_diameter_gamma(net, obj, x_star, seed=derive_seed(seed, 2))
+    return RegularityEstimates(alpha=alpha, beta=beta, mu=mu, gamma=gamma, delta=delta,
+                               num_samples=0 if exact else _NUM_PAIRS, seed=seed)
 
 
 def subspace_incoherence(W, basis: OrthoBasis, support) -> float:

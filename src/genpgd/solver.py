@@ -251,13 +251,15 @@ def contraction_factor(alpha: float, beta: float, mu: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class ContractionReport:
-    """How a gap sequence behaved: per-step ratios, violations of a bound,
-    fitted geometric rate over the pre-plateau segment, detected plateau.
+    """How a gap sequence behaved: checked-step ratios, violations of a
+    bound, fitted geometric rate over the pre-plateau segment, plateau.
 
     ``fit_end`` is the exclusive end of the segment used for both the rate
-    fit and violation counting (the whole sequence when no plateau)."""
+    fit and the checked steps (the whole sequence when no plateau).  A
+    checked step is a pair (gap_t, gap_t+1) inside that segment with both
+    values finite and gap_t > 0; ``checked`` holds their ratios in order."""
 
-    ratios: np.ndarray
+    checked: np.ndarray
     violations: int | None
     violation_fraction: float | None
     fitted_rate: float | None
@@ -271,13 +273,6 @@ class ContractionReport:
 _PLATEAU_WINDOW = 5
 
 
-def _fit_pairs(gaps: np.ndarray, fit_end: int) -> tuple[np.ndarray, np.ndarray]:
-    """(gap_t, gap_t+1) for each step inside the segment [0, ``fit_end``);
-    none when ``fit_end`` < 2."""
-    end = max(fit_end, 1)
-    return gaps[:end - 1], gaps[1:end]
-
-
 def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0.0
                        ) -> ContractionReport:
     """Measure a recorded gap sequence against a contraction bound.
@@ -287,9 +282,10 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
     is the least-squares slope of log gap over the points strictly before
     that window.  Fewer than 3 such points flags the sequence unrateable.
     ``rho``/``floor`` count violations of gap_{t+1} <= rho*gap_t + floor
-    over that same pre-plateau segment: once the sequence has bottomed out,
-    the bound's additive term dominates and ratios carry no information.
-    The count and its fraction are None without ``rho`` or with no step.
+    over the checked steps (:class:`ContractionReport`) of that segment:
+    once the sequence has bottomed out, the bound's additive term dominates
+    and ratios carry no information.  The count and its fraction are None
+    without ``rho`` or with no checked step.
     """
     if isinstance(trace_or_gaps, IterationTrace):
         gaps = trace_or_gaps.gaps()
@@ -297,9 +293,6 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
         gaps = np.asarray(trace_or_gaps, dtype=float)
     if gaps.ndim != 1 or gaps.size < 2:
         raise ContractError("need a 1-d gap sequence with at least 2 entries")
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = gaps[1:] / gaps[:-1]
 
     plateau_index = None
     w = _PLATEAU_WINDOW
@@ -319,8 +312,12 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
         plateau_level = None
         fit_end = gaps.size
 
+    prev, nxt = gaps[:max(fit_end - 1, 0)], gaps[1:max(fit_end, 1)]
+    keep = np.isfinite(prev) & np.isfinite(nxt) & (prev > 0)
+    prev, nxt = prev[keep], nxt[keep]
+    with np.errstate(over="ignore"):  # a denormal gap_t can overflow its ratio
+        checked = nxt / prev
     violations = violation_fraction = None
-    prev, nxt = _fit_pairs(gaps, fit_end)
     if rho is not None and prev.size:  # no count at all when no step is checked
         violations = int(np.count_nonzero(nxt > rho * prev + floor))
         violation_fraction = violations / prev.size
@@ -341,7 +338,7 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
         rateable = False
 
     return ContractionReport(
-        ratios=ratios,
+        checked=checked,
         violations=violations,
         violation_fraction=violation_fraction,
         fitted_rate=fitted_rate,

@@ -28,9 +28,19 @@ from genpgd.harness import (
     save_problem,
 )
 from genpgd.harness import _read_matrix
-from genpgd.objective import minkowski_curvature, subspace_curvature
+from genpgd.objective import (
+    RegularityEstimates,
+    _NUM_PAIRS,
+    _SumSetKernel,
+    _curvature_bounds,
+    _sampled_supports,
+    estimate_diameter_gamma,
+    estimate_incoherence,
+    minkowski_curvature,
+    subspace_curvature,
+)
 from genpgd.projection import ProjectionConfig, project
-from genpgd.seeding import derive_seed
+from genpgd.seeding import derive_seed, spawn_rng
 from genpgd.solver import contraction_factor, contraction_report, trace_from_csv
 
 
@@ -460,6 +470,58 @@ class TestEstimateRegularity:
         obj = build_objective(inst, cfg.problem.measurement)
         reg = estimate_regularity(inst, obj, seed=0)
         assert 0 < reg.alpha <= reg.beta
+
+
+def _reference_regularity(inst, objective, sparsity, seed):
+    """The bundle as the harness once assembled it from the objective's
+    parts, with the truth support's coefficients above an absolute 1e-12."""
+    net, basis = inst.net, inst.basis
+    exact = net.is_single_affine and objective.kind == "least-squares"
+    alpha, beta = _curvature_bounds(objective, net, basis, sparsity, seed=derive_seed(seed, 0))
+    if exact and sparsity > 0:
+        supports = _sampled_supports(inst.meta.n, sparsity, spawn_rng(seed, 1))
+        if inst.truth.nu_star is not None and inst.meta.l > 0:
+            live = np.flatnonzero(np.abs(basis.matrix.T @ inst.truth.nu_star) > 1e-12)
+            if live.size:
+                supports.append(live)
+        mu = _SumSetKernel(net.layers[0].weights, basis).incoherence(supports)
+    else:
+        mu = (estimate_incoherence(net, basis, sparsity,
+                                   num_samples=_NUM_PAIRS, seed=derive_seed(seed, 1))
+              if sparsity > 0 and not exact else 0.0)
+    delta, gamma = estimate_diameter_gamma(
+        net, objective=objective, x_star=inst.truth.x_star, seed=derive_seed(seed, 2))
+    return RegularityEstimates(alpha=alpha, beta=beta, mu=mu, gamma=gamma, delta=delta,
+                               num_samples=0 if exact else _NUM_PAIRS, seed=seed)
+
+
+_MLP = {"kind": "mlp", "widths": [8]}
+
+
+class TestRegularityReference:
+    """Every route of the bundle gives the reference's bits."""
+
+    @pytest.mark.parametrize("patches, sparsity, exact", [
+        ({}, 0, True),  # exact subspace
+        ({"problem.basis": "random", "problem.l": 3}, 3, True),  # sum set + truth support
+        ({"problem.basis": "random"}, 2, True),  # l = 2 on an l = 0 instance
+        ({"problem.generator": _MLP}, 0, False),  # sampled pairs
+        ({"problem.basis": "random", "problem.l": 2,
+          "problem.measurement": "glm-sigmoid"}, 2, False),  # refined sampled mu
+        ({"problem.generator": _MLP, "problem.basis": "identity",
+          "problem.l": 2}, 2, False),  # sum_pair_sampler
+    ])
+    def test_bundle_matches_reference(self, patches, sparsity, exact):
+        cfg = make_config(**patches)
+        # at this seed the sum set's mu is the truth support's
+        inst = gen_problem(cfg.problem, seed=89)
+        obj = build_objective(inst, cfg.problem.measurement)
+        got = estimate_regularity(inst, obj, sparsity=sparsity, seed=7)
+        want = _reference_regularity(inst, obj, sparsity, seed=7)
+        for f in dataclasses.fields(RegularityEstimates):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert got.num_samples == (0 if exact else _NUM_PAIRS)
+        assert (got.mu > 0) == (sparsity > 0)
 
 
 class TestRunSweep:

@@ -285,7 +285,7 @@ class TestContractionReport:
         assert abs(rep.fitted_rate - 0.5) < 1e-6
         assert rep.violations == 0
         assert rep.plateau_index is None
-        np.testing.assert_allclose(rep.ratios, 0.5 * np.ones(39), rtol=1e-12)
+        np.testing.assert_allclose(rep.checked, 0.5 * np.ones(39), rtol=1e-12)
 
     def test_floored_geometric_sequence(self):
         gaps = np.maximum(0.5 ** np.arange(60), 1e-8)
@@ -294,6 +294,34 @@ class TestContractionReport:
         assert abs(rep.plateau_level - 1e-8) < 1e-14
         assert abs(rep.fitted_rate - 0.5) < 1e-3
         assert rep.violations == 0  # the floor term absorbs the plateau
+
+    def test_flat_negative_tail_is_not_checked(self):
+        # a noisy solve's gap turns negative and stays flat; the plateau
+        # detector never fires on such a tail, so the segment runs to the end
+        gaps = np.array([1.0, 0.4, 0.1, 0.06, -0.003] + [-0.003] * 10)
+        rep = contraction_report(gaps, rho=0.5)
+        assert rep.plateau_index is None and rep.fit_end == gaps.size
+        np.testing.assert_array_equal(rep.checked, gaps[1:5] / gaps[:4])
+        assert rep.violations == 1  # 0.06 > 0.5 * 0.1
+        assert rep.violation_fraction == rep.violations / rep.checked.size
+        # each flat step -0.003 > 2 * -0.003 would be a violation at rho = 2
+        rep = contraction_report(gaps, rho=2.0)
+        assert rep.violations == 0 and rep.violation_fraction == 0.0
+
+    def test_nan_gap_leaves_both_its_steps_unchecked(self):
+        gaps = 0.5 ** np.arange(12)
+        gaps[4] = np.nan
+        rep = contraction_report(gaps, rho=0.4)
+        keep = np.array([t not in (3, 4) for t in range(11)])
+        np.testing.assert_array_equal(rep.checked, (gaps[1:] / gaps[:-1])[keep])
+        assert rep.violations == rep.checked.size == 9  # every ratio is 0.5
+        assert rep.violation_fraction == 1.0
+
+    def test_denormal_gap_overflows_its_ratio_quietly(self):
+        gaps = np.array([1.0, 5e-324, 1.0, 0.5])
+        rep = contraction_report(gaps, rho=0.5)
+        assert rep.checked[1] == np.inf
+        assert rep.violations == 1 and rep.violation_fraction == 1 / 3
 
     def test_too_short_is_unrateable(self):
         rep = contraction_report(np.array([1.0, 0.5]), rho=None)
