@@ -26,6 +26,7 @@ from .errors import ConfigError, ContractError, DivergenceError, NumericError
 from .harness import (
     ExperimentConfig,
     _solve_setup,
+    _trial_seed,
     emit_report,
     gen_problem,
     load_problem,
@@ -33,7 +34,6 @@ from .harness import (
     run_sweep,
     save_problem,
 )
-from .seeding import derive_seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,9 +81,9 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _single_instance(cfg: ExperimentConfig):
-    # same derivation as sweep point 0, trial 0, so `gen` reproduces the
-    # first trial of the corresponding sweep
-    return gen_problem(cfg.problem, derive_seed(cfg.master_seed, 0, 0))
+    # the seed of sweep point 0's trial 0, so `gen` reproduces the first
+    # trial of a sweep whose first point is the config's problem
+    return gen_problem(cfg.problem, _trial_seed(cfg.master_seed))
 
 
 def _cmd_gen(args) -> int:

@@ -631,6 +631,49 @@ class SweepResult:
     directory: Path
 
 
+def _trial_seed(master_seed: int, point: int = 0, trial: int = 0) -> int:
+    """The instance seed of a sweep's (point, trial) run.  ``gen``, ``solve``
+    and ``estimate`` draw their one instance with point 0's trial 0, so they
+    reproduce a sweep's first trial when that point is the config's problem."""
+    return derive_seed(master_seed, point, trial)
+
+
+def _run_trial(task) -> dict:
+    """One sweep trial, ``task`` = (config at its point, run directory, row
+    of inputs with the seed): generate, save, solve, and return the row with
+    its results.  A trial failure becomes the row's status; anything else
+    (``MemoryError``, ``OSError``, ...) propagates."""
+    config, run_dir, row = task
+    row = dict(row, status="ok", final_gap=None, final_dist=None, fitted_rate=None,
+               theory_rate=None, violations=None)
+    try:
+        inst = gen_problem(config.problem, row["seed"])
+        save_problem(inst, run_dir / "instance")
+        summary, _ = run_solve(inst, config, out_dir=run_dir)
+        row.update(
+            final_gap=summary.final_gap,
+            final_dist=summary.final_dist,
+            fitted_rate=summary.fitted_rate,
+            theory_rate=summary.theory_rate,
+            violations=summary.violations,
+        )
+    except DivergenceError:
+        row["status"] = "divergence"
+    except _TRIAL_ERRORS as e:
+        row["status"] = f"error: {type(e).__name__}"
+    return row
+
+
+def _sweep_workers(tasks: int) -> int:
+    """Forked workers for a sweep of ``tasks`` trials: one per usable CPU.
+    1, to run inline, where CPU affinity is unknown (not Linux) or the
+    caller is a daemonic multiprocessing worker, which may start no process."""
+    import multiprocessing  # here, not at the top: its import costs every command ~8 ms
+    if not hasattr(os, "sched_getaffinity") or multiprocessing.current_process().daemon:
+        return 1
+    return min(tasks, len(os.sched_getaffinity(0)))
+
+
 def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
     """Cartesian sweep over the configured axes, ``trials`` instances each.
 
@@ -639,37 +682,43 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
     failures become rows with status != ok; the sweep always completes and
     the per-trial CSV contains no timing, so identical configs give
     byte-identical files.
+
+    On Linux the trials run in forked workers, one per usable CPU; elsewhere,
+    and inside a daemonic worker, they run inline.  Rows come back in
+    (point, trial) order either way, so no output byte depends on the worker
+    count.  Each trial's ``summary.json`` ``runtime`` block is timed inside
+    the worker that ran it.  ``MemoryError``, ``OSError`` and
+    ``KeyboardInterrupt`` leave the sweep as they would inline; a worker
+    killed by a signal raises ``BrokenProcessPool``.  No worker outlives
+    the call.
     """
     root = Path(out_dir if out_dir is not None else config.out_dir)
     os.makedirs(root, exist_ok=True)
-    rows = []
+    tasks = []
     for p_idx, (m, l, nl) in enumerate(config.sweep_points()):
         spec_pt = dataclasses.replace(config.problem, m=m, l=l, noise_level=nl)
         cfg_pt = dataclasses.replace(config, problem=spec_pt)
         for trial in range(config.sweep.trials):
-            seed = derive_seed(config.master_seed, p_idx, trial)
+            seed = _trial_seed(config.master_seed, p_idx, trial)
             label = _run_label(m, l, nl, trial)
-            run_dir = root / label
-            row = {"run": label, "m": m, "l": l, "noise_level": nl,
-                   "trial": trial, "seed": seed, "status": "ok",
-                   "final_gap": None, "final_dist": None, "fitted_rate": None,
-                   "theory_rate": None, "violations": None}
-            try:
-                inst = gen_problem(spec_pt, seed)
-                save_problem(inst, run_dir / "instance")
-                summary, _ = run_solve(inst, cfg_pt, out_dir=run_dir)
-                row.update(
-                    final_gap=summary.final_gap,
-                    final_dist=summary.final_dist,
-                    fitted_rate=summary.fitted_rate,
-                    theory_rate=summary.theory_rate,
-                    violations=summary.violations,
-                )
-            except DivergenceError:
-                row["status"] = "divergence"
-            except _TRIAL_ERRORS as e:
-                row["status"] = f"error: {type(e).__name__}"
-            rows.append(row)
+            tasks.append((cfg_pt, root / label, {
+                "run": label, "m": m, "l": l, "noise_level": nl,
+                "trial": trial, "seed": seed}))
+
+    workers = _sweep_workers(len(tasks))
+    if workers == 1:
+        rows = [_run_trial(task) for task in tasks]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # fork, not spawn: a spawned worker imports numpy afresh, which takes
+        # longer than a small sweep's trials.  A worker that dies (say, to the
+        # kernel's OOM killer) raises BrokenProcessPool here, where a
+        # multiprocessing.Pool would wait for its trial forever.  On any
+        # exception the queued trials are cancelled and the running ones
+        # finish before the pool shuts down.
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            rows = list(pool.map(_run_trial, tasks))  # in task order
 
     _write_csv(root / "sweep.csv", _SWEEP_COLUMNS,
                [[row[c] for c in _SWEEP_COLUMNS] for row in rows])

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import genpgd
+import genpgd.harness
 from genpgd.cli import main
 from genpgd.harness import _SWEEP_COLUMNS
 from genpgd.solver import TRACE_COLUMNS
@@ -331,6 +333,40 @@ class TestSweepAndReport:
                          "--out", str(res)]) == 0
             summary = json.loads((res / "summary.json").read_text())
             assert summary["final_dist"] == float(row["final_dist"])
+
+    def test_gen_writes_the_first_trial_instance_of_a_sweep(self, tmp_path):
+        cfg = write_config(tmp_path, **{
+            "problem.basis": "random", "problem.l": 2, "problem.noise_level": 0.1,
+            "sweep.m": [40, 20], "sweep.trials": 2})
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 0
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as f:
+            first = tmp_path / "out" / next(csv.DictReader(f))["run"] / "instance"
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "gen").iterdir())
+        for name in names:
+            assert (tmp_path / "gen" / name).read_bytes() == (first / name).read_bytes(), name
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_sweep_leaves_no_worker_behind(self, tmp_path, monkeypatch, capsys, fails):
+        # a MemoryError inside a worker exits 2 as it does inline
+        real, caller = genpgd.harness.gen_problem, os.getpid()
+
+        def in_a_worker(spec, seed):
+            assert os.getpid() != caller, "trial ran outside a worker"
+            if fails:
+                raise MemoryError
+            return real(spec, seed)
+        monkeypatch.setattr("genpgd.harness.gen_problem", in_a_worker)
+        monkeypatch.setattr("genpgd.harness._sweep_workers", lambda tasks: 2)
+        cfg = write_config(tmp_path, **{"sweep.trials": 4})
+        assert main(["sweep", "--config", str(cfg)]) == (2 if fails else 0)
+        err = capsys.readouterr().err.splitlines()
+        if fails:
+            assert len(err) == 1 and err[0].startswith("error: ") and "too large" in err[0]
+        else:
+            assert err == []
+        assert multiprocessing.active_children() == []
 
     def test_sweep_survives_divergent_trials(self, tmp_path):
         cfg = write_config(tmp_path, **{"solver.eta": 500.0})

@@ -5,8 +5,12 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import numbers
+import os
+import signal
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +31,7 @@ from genpgd.harness import (
     run_sweep,
     save_problem,
 )
-from genpgd.harness import _read_matrix
+from genpgd.harness import _read_matrix, _sweep_workers
 from genpgd.objective import (
     RegularityEstimates,
     _NUM_PAIRS,
@@ -571,6 +575,91 @@ class TestRunSweep:
         assert all(row["final_dist"] is None for row in result.rows)
         text = (tmp_path / "s" / "sweep.csv").read_text()
         assert "divergence" in text
+
+
+def _comparable_files(root):
+    """Every file under ``root`` by relative path, less its timings: the
+    ``wall_time_us`` column of a ``trace.csv`` and the ``runtime`` block of
+    a ``summary.json``."""
+    files = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        if path.name == "trace.csv":
+            lines = path.read_text().splitlines()
+            assert lines[0].endswith(",wall_time_us")
+            content = [line.rsplit(",", 1)[0] for line in lines]
+        elif path.name == "summary.json":
+            content = json.loads(path.read_text())
+            del content["runtime"]
+        else:
+            content = path.read_bytes()
+        files[str(path.relative_to(root))] = content
+    return files
+
+
+class TestParallelSweep:
+    # glm-exp at a fixed step: some trials converge, some diverge, one overflows
+    MIXED = {"problem.measurement": "glm-exp", "solver.eta": 1.2, "solver.iters": 20,
+             "sweep.m": [10, 20, 40, 80], "sweep.trials": 3}
+
+    def test_pool_writes_the_bytes_of_an_inline_sweep(self, tmp_path, monkeypatch):
+        files, rows = {}, {}
+        for name, workers in (("pool", lambda tasks: min(tasks, 3)),
+                              ("inline", lambda tasks: 1)):
+            monkeypatch.setattr("genpgd.harness._sweep_workers", workers)
+            cfg = make_config(**self.MIXED, out_dir=str(tmp_path / name))
+            rows[name] = run_sweep(cfg).rows
+            emit_report(tmp_path / name)
+            files[name] = _comparable_files(tmp_path / name)
+        assert rows["pool"] == rows["inline"]
+        assert {"ok", "divergence", "error: NumericError"} <= {r["status"] for r in rows["pool"]}
+        # rows in (point, trial) order, in the result and in sweep.csv
+        runs = [f"m{m}_l0_nl0_t{t}" for m in self.MIXED["sweep.m"] for t in range(3)]
+        assert [r["run"] for r in rows["pool"]] == runs
+        with open(tmp_path / "pool" / "sweep.csv", newline="") as f:
+            assert [r["run"] for r in csv.DictReader(f)] == runs
+        assert files["pool"].keys() == files["inline"].keys()
+        for path, content in files["pool"].items():
+            assert content == files["inline"][path], path
+
+    def test_sweep_in_a_daemonic_worker_runs_inline(self, tmp_path, monkeypatch):
+        # three usable CPUs would fork a pool, which a daemonic process may not
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        cfg = make_config(**{"sweep.trials": 2, "out_dir": str(tmp_path / "s")})
+        worker = multiprocessing.get_context("fork").Process(
+            target=run_sweep, args=(cfg,), daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert worker.exitcode == 0  # None while it still runs
+        assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 3
+
+    def test_a_killed_worker_raises_instead_of_hanging(self, tmp_path, monkeypatch):
+        cfg = make_config(**{"sweep.trials": 4, "out_dir": str(tmp_path / "s")})
+        doomed, caller = derive_seed(11, 0, 2), os.getpid()
+        real = gen_problem
+
+        def killed(spec, seed):
+            if seed == doomed and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer does
+            return real(spec, seed)
+
+        def sweep():  # in its own process, which a hang cannot stall
+            try:
+                run_sweep(cfg)
+            except BrokenProcessPool:
+                os._exit(0)
+            os._exit(1)
+        monkeypatch.setattr("genpgd.harness.gen_problem", killed)
+        monkeypatch.setattr("genpgd.harness._sweep_workers", lambda tasks: 2)
+        caller_process = multiprocessing.get_context("fork").Process(target=sweep)
+        caller_process.start()
+        caller_process.join(timeout=120)
+        if caller_process.exitcode is None:
+            caller_process.kill()
+        assert caller_process.exitcode == 0
+
+    def test_one_worker_without_cpu_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _sweep_workers(8) == 1
 
 
 class TestEmitReport:
