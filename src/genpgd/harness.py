@@ -689,8 +689,8 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
     count.  Each trial's ``summary.json`` ``runtime`` block is timed inside
     the worker that ran it.  ``MemoryError``, ``OSError`` and
     ``KeyboardInterrupt`` leave the sweep as they would inline; a worker
-    killed by a signal raises ``BrokenProcessPool``.  No worker outlives
-    the call.
+    killed by a signal raises a :class:`ConfigError` (exit 2) that is also
+    a ``BrokenProcessPool``.  No worker outlives the call.
     """
     root = Path(out_dir if out_dir is not None else config.out_dir)
     os.makedirs(root, exist_ok=True)
@@ -710,15 +710,24 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
         rows = [_run_trial(task) for task in tasks]
     else:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        class WorkerDied(ConfigError, BrokenProcessPool):
+            """Exit 2 in ``cli``, and still a BrokenProcessPool to a caller."""
+
         # fork, not spawn: a spawned worker imports numpy afresh, which takes
         # longer than a small sweep's trials.  A worker that dies (say, to the
-        # kernel's OOM killer) raises BrokenProcessPool here, where a
+        # kernel's OOM killer) breaks the pool here, where a
         # multiprocessing.Pool would wait for its trial forever.  On any
         # exception the queued trials are cancelled and the running ones
         # finish before the pool shuts down.
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            rows = list(pool.map(_run_trial, tasks))  # in task order
+        fork = multiprocessing.get_context("fork")
+        try:
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                rows = list(pool.map(_run_trial, tasks))  # in task order
+        except BrokenProcessPool as e:
+            raise WorkerDied("a sweep worker died, killed by a signal (the kernel's OOM "
+                             "killer does this to a trial too large for memory)") from e
 
     _write_csv(root / "sweep.csv", _SWEEP_COLUMNS,
                [[row[c] for c in _SWEEP_COLUMNS] for row in rows])

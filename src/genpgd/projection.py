@@ -12,6 +12,7 @@ basis-sparse vectors, lives here too.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .generator import GeneratorNetwork, _forward_jacobian, forward, forward_batch
 from .generator import vjp  # noqa: F401  (bench/test_bench.py traces it through this module)
-from .seeding import _unit_direction, check_seed, finite_real, spawn_rng
+from .seeding import _direction_reader, check_seed, finite_real, spawn_rng
 
 __all__ = [
     "OrthoBasis",
@@ -182,12 +183,6 @@ def _sq_dist(x: np.ndarray, point: np.ndarray) -> float:
     return float(((x - point) ** 2).sum())
 
 
-def _result(net: GeneratorNetwork, x: np.ndarray, z: np.ndarray, certified: bool) -> ProjectionResult:
-    point = forward(net, z)
-    return ProjectionResult(point=point, latent=z, residual_sq=_sq_dist(x, point),
-                            certified=certified)
-
-
 def _normal_equations(J: np.ndarray, r: np.ndarray):
     """``J^T r`` and ``J^T J`` for every row of a stack of Jacobians."""
     Jt = J.transpose(0, 2, 1)
@@ -313,7 +308,10 @@ def _descend_lockstep(net, x, Z0, inner_iters):
 def _restart_starts(seed: int, restarts: int, bounds: tuple) -> np.ndarray:
     """The latent-gd start points as rows of a read-only (restarts, k)
     array: the origin, then row j uniform in the box ``bounds`` (one
-    (lo, hi) pair per latent coordinate) from the nested stream (seed, j)."""
+    (lo, hi) pair per latent coordinate; it reaches far-from-origin basins)
+    from the nested stream (seed, j), so more restarts only add candidates.
+    The best residual is nonincreasing in ``restarts`` only as far as the
+    prune rule's premise holds (:func:`_descend_lockstep`)."""
     lo, hi = np.array(bounds).T
     Z0 = np.zeros((restarts, len(bounds)))
     for j in range(1, restarts):
@@ -322,56 +320,16 @@ def _restart_starts(seed: int, restarts: int, bounds: tuple) -> np.ndarray:
     return Z0
 
 
-def _project_latent_gd(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarray):
-    """Multi-restart Levenberg–Marquardt in latent space, all restarts in
-    lockstep (see :func:`_descend_lockstep`).  Restart 0 starts at the
-    origin; later restarts draw uniformly from the search box
-    (``grid_bounds``, same default as the grid method), which covers
-    far-from-origin basins that standard normal draws rarely reach.
-    Restarts use nested seed streams (seed, restart index), so growing
-    ``restarts`` only adds candidates.  The best residual is nonincreasing
-    in ``restarts`` only as far as the prune rule's premise holds: an added
-    restart that stops early may prune one that would have won, if that
-    one's gains would not have decayed geometrically.  Ties go to the
-    lowest restart index.
-    """
-    Z, f = _descend_lockstep(
-        net, x, _restart_starts(cfg.seed, cfg.restarts, cfg._resolve_bounds(net.k)),
-        cfg.inner_iters)
-    return Z[int(np.argmin(f))]  # first minimum wins: deterministic tie-break
-
-
-def _project_grid(cfg: ProjectionConfig, net: GeneratorNetwork, x: np.ndarray):
-    if net.k > 3:
-        raise ConfigError(f"grid projection requires k <= 3, got k={net.k}")
-    bounds = cfg._resolve_bounds(net.k)
-    axes = [np.linspace(lo, hi, cfg.grid_resolution) for lo, hi in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    Z = np.stack([m.ravel() for m in mesh])
-    X = forward_batch(net, Z)
-    resid = np.sum((X - x[:, None]) ** 2, axis=0)
-    return Z[:, int(np.argmin(resid))]  # first minimum wins: deterministic tie-break
-
-
-def _project_closed_form(net: GeneratorNetwork, x: np.ndarray):
-    """Latent ``pinv(W) @ (x - bias)``, with the pseudo-inverse factored once
-    per layer and cached on it (:attr:`Layer.pseudo_inverse`)."""
-    if not net.is_single_affine:
-        raise ConfigError("closed-form-linear needs a single identity-activation layer")
-    layer = net.layers[0]
-    return layer.pseudo_inverse @ (x - layer.bias)
-
-
 def _affine_step(w: np.ndarray, r0: np.ndarray, slack: float) -> float:
     """Positive root s of ||r0 - s w||^2 = ||r0||^2 + slack, i.e. of
     a s^2 - 2 b s - slack = 0 with a = w.w and b = r0.w, in the form that
-    avoids cancellation for either sign of b."""
-    a = w @ w
+    avoids cancellation for either sign of b; taken in Python floats."""
+    a = float(w @ w)
     if not a > 0:  # w = 0: the range is a single point, the residual never grows
         raise ContractError("could not calibrate degradation slack along the range")
-    b = r0 @ w
-    root = np.sqrt(b * b + a * slack)
-    return float(slack / (root - b) if b <= 0 else (b + root) / a)
+    b = float(r0 @ w)
+    root = math.sqrt(b * b + a * slack)
+    return slack / (root - b) if b <= 0 else (b + root) / a
 
 
 def _bisect_step(net, x, z: np.ndarray, d: np.ndarray, slack: float) -> float:
@@ -403,26 +361,69 @@ def _bisect_step(net, x, z: np.ndarray, d: np.ndarray, slack: float) -> float:
     return hi
 
 
-def _degrade_within_range(net, x, z: np.ndarray, slack: float, seed: int) -> np.ndarray:
-    """The latent moved from ``z`` along the range until the squared
-    residual of its point grows by ``slack``.  The perturbation stays
-    inside Range(G) by construction (it moves the latent), and the
-    direction/scale are a pure function of (seed, x, z).  The unit direction
-    is read from a keyed hash of the seed and x's exact bits, so any
-    upstream change that moves x by an ulp draws a new direction: a
-    different realization of the same random process.
+_ORACLES = 8  # (config, network) oracles kept, each holding its network
 
+
+@functools.lru_cache(maxsize=_ORACLES)
+def _oracle(cfg: ProjectionConfig, net: GeneratorNetwork):
+    """The map from a checked target x to ``project(cfg, net, x)``.
+
+    What depends on (cfg, net) alone is resolved here once: the method and
+    its checks, the pseudo-inverse, latent-gd's starts, the certificate
+    rule and the degradation's direction reader.  An error raises here, on
+    every call, since no error is cached.  ``forward`` is looked up at call
+    time, so a wrapper installed later sees every generator evaluation.
+
+    Each method gives a latent: ``pinv(W) (x - bias)``, the first best grid
+    point, or the first best latent-gd restart.  A degraded oracle then
+    moves it along the range until the squared residual of its point grows
+    by ``degrade_slack``, in a unit direction read from a keyed hash of the
+    seed and x's exact bits (an ulp's change in x draws a new direction).
     On a single affine layer the residual along the line is the quadratic
     ||r0 - s W d||^2, r0 = x - G(z), so the step is its positive root (one
-    ``forward``).  Any other network doubles then bisects on the step to
-    float resolution.
+    ``forward``); any other network doubles then bisects on the step to
+    float resolution.  The point and residual are taken once, at the end.
     """
-    d = _unit_direction(seed, x, net.k)
-    if net.is_single_affine:
-        s = _affine_step(net.layers[0].weights @ d, x - forward(net, z), slack)
+    if cfg.method == "closed-form-linear":
+        if not net.is_single_affine:
+            raise ConfigError("closed-form-linear needs a single identity-activation layer")
+        P, bias = net.layers[0].pseudo_inverse, net.layers[0].bias  # factored once per layer
+
+        def latent(x):
+            return P @ (x - bias)
+    elif cfg.method == "grid":
+        if net.k > 3:
+            raise ConfigError(f"grid projection requires k <= 3, got k={net.k}")
+        axes = [np.linspace(lo, hi, cfg.grid_resolution) for lo, hi in cfg._resolve_bounds(net.k)]
+
+        def latent(x):  # the mesh is built on every call: kept, it would pin 100s of MB at k = 3
+            Z = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+            resid = np.sum((forward_batch(net, Z) - x[:, None]) ** 2, axis=0)
+            return Z[:, int(np.argmin(resid))]  # first minimum wins: deterministic tie-break
     else:
-        s = _bisect_step(net, x, z, d, slack)
-    return z + s * d
+        Z0 = _restart_starts(cfg.seed, cfg.restarts, cfg._resolve_bounds(net.k))
+
+        def latent(x):
+            Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters)
+            return Z[int(np.argmin(f))]  # first minimum wins: deterministic tie-break
+    certified, slack = cfg.method != "latent-gd", cfg.degrade_slack
+    if slack > 0.0:
+        # the certificate only survives if the advertised slack covers the injected one
+        certified = certified and cfg.epsilon >= slack
+        undegraded, direction = latent, _direction_reader(cfg.seed, net.k)
+        W = net.layers[0].weights if net.is_single_affine else None
+
+        def latent(x):
+            z, d = undegraded(x), direction(x)
+            if W is None:
+                return z + _bisect_step(net, x, z, d, slack) * d
+            return z + _affine_step(W @ d, x - forward(net, z), slack) * d
+
+    def oracle(x):
+        z = latent(x)
+        point = forward(net, z)
+        return ProjectionResult(point, z, _sq_dist(x, point), certified)
+    return oracle
 
 
 def project(cfg: ProjectionConfig, net: GeneratorNetwork, x) -> ProjectionResult:
@@ -430,23 +431,13 @@ def project(cfg: ProjectionConfig, net: GeneratorNetwork, x) -> ProjectionResult
 
     Pure given (cfg, net, x): all randomness (restart starts, degradation
     direction) derives from ``cfg.seed``.  ``x`` must be a finite length-n
-    vector, else :class:`ContractError`, whatever the method.  Each method
-    gives a latent, and its point and residual are taken once, after any
-    degradation.
+    vector, else :class:`ContractError`, whatever the method; the target is
+    checked first.  The oracle is resolved once per (config, network) by
+    :func:`_oracle`, whose cache keeps the last 8 pairs, so at most 8
+    networks (keyed by identity) stay alive.
     """
     x = _check_target(net.n, x)
-    if cfg.method == "closed-form-linear":
-        z, certified = _project_closed_form(net, x), True
-    elif cfg.method == "grid":
-        z, certified = _project_grid(cfg, net, x), True
-    else:
-        z, certified = _project_latent_gd(cfg, net, x), False
-    if cfg.degrade_slack > 0.0:
-        # the certificate only survives if the advertised slack covers the
-        # injected one
-        certified = certified and cfg.epsilon >= cfg.degrade_slack
-        z = _degrade_within_range(net, x, z, cfg.degrade_slack, cfg.seed)
-    return _result(net, x, z, certified)
+    return _oracle(cfg, net)(x)
 
 
 def hard_threshold_coeffs(basis: OrthoBasis, v, l: int):

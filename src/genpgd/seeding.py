@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import struct
 import sys
 
 import numpy as np
@@ -50,16 +51,28 @@ def spawn_rng(root: int, *coords: int) -> np.random.Generator:
 
 
 def _unit_direction(seed: int, x: np.ndarray, k: int) -> np.ndarray:
-    """A uniformly distributed unit vector in R^k, a pure function of
-    ``seed`` and the exact bits of ``x``: a SHAKE-256 digest of both gives
-    53-bit uniforms, which Box–Muller turns into k normals."""
-    key = b"%d:%b" % (int(seed), x.tobytes())  # the decimal seed ends at ":"
-    digest = hashlib.shake_256(key).digest(16 * ((k + 1) // 2))
-    normals = []
-    for i in range(0, len(digest), 16):
-        u = (int.from_bytes(digest[i:i + 8], "big") >> 11) + 1  # in (0, 2^53]: finite log
-        r = math.sqrt(-2.0 * math.log(u * 2.0**-53))
-        t = 2.0 * math.pi * (int.from_bytes(digest[i + 8:i + 16], "big") >> 11) * 2.0**-53
-        normals += (r * math.cos(t), r * math.sin(t))
-    norm = math.hypot(*normals[:k])
-    return np.array(normals[:k]) / norm
+    """``_direction_reader(seed, k)(x)``."""
+    return _direction_reader(seed, k)(x)
+
+
+def _direction_reader(seed: int, k: int):
+    """The map from x to a uniformly distributed unit vector in R^k, a pure
+    function of ``seed`` and the exact bits of ``x``: a SHAKE-256 digest of
+    both gives 53-bit uniforms, which Box–Muller turns into k normals.  The
+    seed's key prefix and the digest's layout are resolved once."""
+    prefix, words = b"%d:" % int(seed), 2 * ((k + 1) // 2)  # the decimal seed ends at ":"
+    unpack = struct.Struct(">%dQ" % words).unpack
+
+    def read(x: np.ndarray) -> np.ndarray:
+        h = hashlib.shake_256(prefix)
+        h.update(np.ascontiguousarray(x))  # the key ends with x's C-order bytes
+        q = unpack(h.digest(8 * words))
+        normals = []
+        for i in range(0, words, 2):
+            u = (q[i] >> 11) + 1  # in (0, 2^53]: finite log
+            r = math.sqrt(-2.0 * math.log(u * 2.0**-53))
+            t = 2.0 * math.pi * (q[i + 1] >> 11) * 2.0**-53
+            normals += (r * math.cos(t), r * math.sin(t))
+        norm = math.hypot(*normals[:k])
+        return np.array([v / norm for v in normals[:k]])
+    return read

@@ -357,11 +357,18 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
 def _write_csv(path, columns, rows) -> None:
     """The one CSV writer of ``trace.csv`` and ``sweep.csv``: the header
     ``columns``, then one CRLF-ended line per row of values in column
-    order; None is an empty cell, a float ``format(v, ".17e")``."""
+    order; None is an empty cell, a float ``format(v, ".17e")``.  One ``%``
+    over the rows' templates (one per shape of cell types) makes the file."""
+    templates, lines, cells_in_order = {}, [], []
+    for cells in [columns, *rows]:
+        shape = tuple(map(type, cells))
+        if shape not in templates:
+            templates[shape] = ",".join("%.0s" if t is type(None) else "%.17e"
+                                        if issubclass(t, float) else "%s" for t in shape) + "\r\n"
+        lines.append(templates[shape])
+        cells_in_order += cells
     with open(path, "w", newline="") as f:
-        for cells in [columns, *rows]:
-            f.write(",".join("" if v is None else format(v, ".17e") if isinstance(v, float)
-                             else str(v) for v in cells) + "\r\n")
+        f.write("".join(lines) % tuple(cells_in_order))
 
 
 def _read_csv(path, columns, kinds, what: str, optional=()) -> list[tuple]:

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -15,8 +16,20 @@ import pytest
 import genpgd
 import genpgd.harness
 from genpgd.cli import main
-from genpgd.harness import _SWEEP_COLUMNS
+from genpgd.harness import _SWEEP_COLUMNS, _run_trial
 from genpgd.solver import TRACE_COLUMNS
+
+
+_CALLER = os.getpid()
+
+
+def _killed_at_trial_1(task):
+    """``harness._run_trial``, except that the worker running trial 1 kills
+    itself as the kernel's OOM killer would; module level, so the pool can
+    send it to its workers by name.  Inline, trial 1 runs as usual."""
+    if task[2]["trial"] == 1 and os.getpid() != _CALLER:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _run_trial(task)
 
 
 def write_config(tmp_path, **patches):
@@ -366,6 +379,16 @@ class TestSweepAndReport:
             assert len(err) == 1 and err[0].startswith("error: ") and "too large" in err[0]
         else:
             assert err == []
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_worker_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("genpgd.harness._run_trial", _killed_at_trial_1)
+        monkeypatch.setattr("genpgd.harness._sweep_workers", lambda tasks: 2)
+        cfg = write_config(tmp_path, **{"sweep.trials": 4})
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sweep worker died") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert multiprocessing.active_children() == []
 
     def test_sweep_survives_divergent_trials(self, tmp_path):

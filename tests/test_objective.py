@@ -381,6 +381,17 @@ class TestExactOracles:
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
+    def test_import_loads_no_process_pool(self):
+        # the sweep imports its process pool when it forks; at import time
+        # it would cost every command ~8 ms
+        src = os.path.dirname(os.path.dirname(objective_mod.__file__))
+        code = ("import sys, genpgd, genpgd.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'multiprocessing' or m[:19] == 'concurrent.futures'))")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
     def test_minkowski_curvature_brackets_subspace(self):
         rng = np.random.default_rng(22)
         W = np.linalg.qr(rng.standard_normal((8, 2)))[0]

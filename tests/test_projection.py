@@ -1,6 +1,8 @@
 """Projection oracles: closed form, grid, latent descent, hard thresholding."""
 
+import hashlib
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +27,9 @@ from genpgd.projection import (
     project,
 )
 from genpgd import generator, projection
-from genpgd.projection import _LADDER, _descend_lockstep, _restart_starts
+from genpgd.objective import Objective
+from genpgd.solver import SolverConfig, epsilon_pgd
+from genpgd.projection import _LADDER, _ORACLES, _descend_lockstep, _oracle, _restart_starts
 from genpgd.seeding import _unit_direction, spawn_rng
 
 
@@ -960,6 +964,145 @@ class TestDegradationDirection:
         D = np.array([_unit_direction(0, rng.standard_normal(6), 3) for _ in range(4000)])
         assert np.all(np.abs(D.mean(axis=0)) <= 0.05)
         assert np.all(np.abs((D ** 2).mean(axis=0) - 1.0 / 3.0) <= 0.03)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_matches_the_written_out_formula(self, k):
+        def reference(seed, x, k):
+            key = b"%d:%b" % (seed, x.tobytes())
+            digest = hashlib.shake_256(key).digest(16 * ((k + 1) // 2))
+            normals = []
+            for i in range(0, len(digest), 16):
+                u = (int.from_bytes(digest[i:i + 8], "big") >> 11) + 1
+                r = math.sqrt(-2.0 * math.log(u * 2.0**-53))
+                t = 2.0 * math.pi * (int.from_bytes(digest[i + 8:i + 16], "big") >> 11) * 2.0**-53
+                normals += (r * math.cos(t), r * math.sin(t))
+            return np.array(normals[:k]) / math.hypot(*normals[:k])
+
+        wide = np.random.default_rng(k).standard_normal(40)
+        for x in (wide[:20], wide[::2], wide[::-2]):  # contiguous, strided, reversed
+            for seed in (0, 7, 2**63 - 1):
+                got = _unit_direction(seed, x, k)
+                assert got.tobytes() == reference(seed, x, k).tobytes()
+                assert got.tobytes() == _unit_direction(seed, x.copy(), k).tobytes()
+
+
+class TestAffineStep:
+    @staticmethod
+    def reference(w, r0, slack):
+        # the root in numpy scalars, as the step was first written
+        a = w @ w
+        b = r0 @ w
+        root = np.sqrt(b * b + a * slack)
+        return float(slack / (root - b) if b <= 0 else (b + root) / a)
+
+    def test_matches_the_numpy_scalar_formula(self):
+        rng = np.random.default_rng(41)
+        cases = [(np.array([1.0, 0.0]), np.array([-1e4, 3.0])),  # far, b < 0
+                 (np.array([1.0, 0.0]), np.array([1e4, 3.0])),  # far, b > 0
+                 (np.array([0.0, 2.0]), np.array([5.0, 0.0]))]  # b = 0
+        for _ in range(50):
+            w, r0 = rng.standard_normal(30), rng.standard_normal(30)
+            cases += [(w, r0), (w, -r0)]  # both signs of b
+        for w, r0 in cases:
+            for slack in (1e-12, 1e-4, 1e-2, 1.0, 3):
+                got = projection._affine_step(w, r0, slack)
+                assert type(got) is float and got == self.reference(w, r0, slack) and got > 0
+
+
+def _linear_problem(seed, n=20, k=3, m=30):
+    rng = np.random.default_rng(seed)
+    net = make_linear_generator(np.linalg.qr(rng.standard_normal((n, k)))[0])
+    x_star = forward(net, rng.standard_normal(k))
+    A = rng.standard_normal((m, n)) / np.sqrt(m)
+    return net, Objective("least-squares", A, A @ x_star), x_star
+
+
+class TestOracle:
+    """``project`` resolves one oracle per (config, network) in ``_oracle``."""
+
+    def test_a_solve_builds_each_oracle_once(self):
+        net, obj, x_star = _linear_problem(42)
+        for cfg in (ProjectionConfig(method="closed-form-linear"),
+                    ProjectionConfig(method="closed-form-linear", degrade_slack=1e-4),
+                    ProjectionConfig(method="grid", grid_resolution=5),
+                    ProjectionConfig(method="latent-gd", restarts=2, inner_iters=3,
+                                     degrade_slack=1e-4)):
+            _oracle.cache_clear()
+            trace = epsilon_pgd(obj, net, cfg, SolverConfig(iters=200), x_star=x_star)
+            assert len(trace.records) == 201
+            info = _oracle.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 199, 1)
+
+    def test_cached_results_equal_fresh_ones(self):
+        net = _linear_problem(43)[0]
+        relu = make_random_generator(3, 20, 2, [8], "relu", seed=4)
+        rng = np.random.default_rng(44)
+        xs = [rng.standard_normal(20) for _ in range(3)]
+        cases = []
+        for g, base in ((net, ProjectionConfig(method="closed-form-linear", seed=3)),
+                        (relu, ProjectionConfig(method="latent-gd", restarts=3, inner_iters=5))):
+            cases += [(g, c) for c in (base, replace(base, seed=4), replace(base, epsilon=1e-3),
+                                       replace(base, degrade_slack=1e-3),
+                                       replace(base, degrade_slack=1e-3, seed=4),
+                                       replace(base, degrade_slack=1e-3, epsilon=1e-3),
+                                       replace(base, degrade_slack=1e-2))]
+        warm = [[project(c, g, x) for g, c in cases] for x in xs]  # interleaved, cache warm
+        assert _oracle.cache_info().currsize == _ORACLES
+        for x, row in zip(xs, warm):
+            for (g, c), got in zip(cases, row):
+                _oracle.cache_clear()
+                fresh = project(c, g, x)
+                assert got.latent.tobytes() == fresh.latent.tobytes()
+                assert got.point.tobytes() == fresh.point.tobytes()
+                assert (got.residual_sq, got.certified) == (fresh.residual_sq, fresh.certified)
+
+    def test_errors_raise_on_every_call(self):
+        rng = np.random.default_rng(45)
+        good = make_linear_generator(rng.standard_normal((6, 2)))
+        relu = make_random_generator(2, 8, 2, [4], "relu", seed=0)
+        wide = make_linear_generator(rng.standard_normal((10, 4)))
+        singular = GeneratorNetwork([Layer(np.ones((5, 2)), np.zeros(5), Activation("identity"))])
+        closed, grid = ProjectionConfig(method="closed-form-linear"), ProjectionConfig(method="grid")
+        cases = [(ConfigError, "identity", closed, relu, np.zeros(8)),
+                 (ConfigError, "k <= 3", grid, wide, np.zeros(10)),
+                 (ContractError, "singular value", closed, singular, np.zeros(5)),
+                 (ContractError, "finite", closed, good, np.array([0.0, 1.0, np.nan, 0, 0, 0])),
+                 (ContractError, "shape", closed, good, np.zeros(7)),
+                 # a bad target is named before a bad config
+                 (ContractError, "finite", closed, relu, np.full(8, np.inf)),
+                 (ContractError, "shape", grid, wide, np.zeros(3))]
+        _oracle.cache_clear()
+        for _ in range(3):
+            for error, match, cfg, net, x in cases:
+                with pytest.raises(error, match=match):
+                    project(cfg, net, x)
+        assert _oracle.cache_info().currsize == 0
+
+    def test_latent_gd_starts_are_drawn_once(self, monkeypatch):
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return spawn_rng(*args)
+
+        monkeypatch.setattr(projection, "spawn_rng", counted)
+        net = make_random_generator(3, 12, 2, [6], "tanh", seed=8)
+        cfg = ProjectionConfig(method="latent-gd", restarts=5, inner_iters=4, seed=9)
+        _oracle.cache_clear()
+        _restart_starts.cache_clear()
+        for s in range(3):
+            project(cfg, net, np.random.default_rng(s).standard_normal(12))
+        assert calls[0] == cfg.restarts - 1
+
+    def test_generator_is_looked_up_at_call_time(self, monkeypatch):
+        # a cached oracle still evaluates through the module's forward, so
+        # a wrapper installed after it was built sees every evaluation
+        net, _, x_star = _linear_problem(46)
+        cfg = ProjectionConfig(method="closed-form-linear", degrade_slack=1e-4)
+        project(cfg, net, x_star)
+        calls = _count_forward(monkeypatch)
+        project(cfg, net, x_star + 0.1)
+        assert calls[0] == 2  # the exact point and the degraded one
 
 
 class TestConfigAndResult:

@@ -452,3 +452,28 @@ class TestTraceCsv:
         path.write_text("t,f_value,gap,dist_to_truth,proj_residual_sq\n")
         with pytest.raises(ContractError, match=r"trace.csv line 1"):
             trace_from_csv(path)
+
+    def test_writer_matches_the_per_cell_writer(self, tmp_path):
+        # the per-cell formatting the template writer replaced, written out
+        def per_cell(path, columns, rows):
+            with open(path, "w", newline="") as f:
+                for cells in [columns, *rows]:
+                    f.write(",".join("" if v is None else format(v, ".17e")
+                                     if isinstance(v, float) else str(v) for v in cells) + "\r\n")
+
+        cells = [0.1, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
+                 np.float64(-2.5e-7), np.float64(np.nan)]
+        rows = [(t, v, None if t % 2 else -v, None, v * 3.0, 12.5) for t, v in enumerate(cells)]
+        rows += [[7, "run_m80_l2_t0", 3, np.int64(-4), True, "error: NumericError"],
+                 ("a,b", None, None, None, None, None), (3, 1.0, 2.0, 3.0, 4.0, np.float64(5.0))]
+        net, W, obj, x_star = linear_instance(20, 3, 30, seed=33)
+        traces = [epsilon_pgd(obj, net, EXACT, SolverConfig(iters=4), x_star=x_star),
+                  epsilon_pgd(obj, net, EXACT, SolverConfig(iters=4))]  # unknown truth
+        for trace in traces:
+            rows += [(r.t, r.f_value, r.gap, r.dist_to_truth, r.proj_residual_sq,
+                      r.wall_time * 1e6) for r in trace.records]
+        columns = ("t", "f_value", "gap", "dist_to_truth", "proj_residual_sq", "wall_time_us")
+        for some in (rows, rows[::-1], rows[:1], []):
+            per_cell(tmp_path / "want.csv", columns, some)
+            solver._write_csv(tmp_path / "got.csv", columns, some)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
