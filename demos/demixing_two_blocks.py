@@ -16,8 +16,8 @@ from genpgd import (
     SolverConfig,
     build_objective,
     gen_problem,
-    myopic_pgd,
 )
+from genpgd.solver import myopic_pgd
 
 spec = ProblemSpec(
     n=80, k=5, m=50, l=4, basis="identity",

@@ -1,13 +1,13 @@
 """Compare the three projection routes on the same target.
 
-closed-form-linear is exact but only exists for single affine layers; grid
-certifies a best-on-grid point for tiny latent dimension; latent-gd is the
-workhorse for anything else and never certifies.  latent-gd runs
-Levenberg–Marquardt from several latent starts: each iteration builds the
-n-by-k Jacobian, solves the damped k-by-k Gauss–Newton system, and raises the
-damping until the step lowers the residual, so a restart converges in tens
-of iterations and the best restart wins.  The last section shows the
-deliberately degraded oracle used for slack studies.
+closed-form-linear is exact, and the only route that certifies, but it only
+exists for single affine layers; grid returns the best point of a latent mesh
+for tiny latent dimension; latent-gd is the workhorse for anything else.
+latent-gd runs Levenberg–Marquardt from several latent starts: each
+iteration builds the n-by-k Jacobian, solves the damped k-by-k Gauss–Newton
+system, and raises the damping until the step lowers the residual, so a
+restart converges in tens of iterations and the best restart wins.  The last
+section shows the deliberately degraded oracle used for slack studies.
 """
 
 import numpy as np

@@ -7,123 +7,25 @@ solvers, empirical estimators for the curvature and incoherence constants
 that govern the convergence theory, and a small experiment harness with a
 CLI (``genpgd gen|solve|sweep|report|estimate``).
 
-The root exports the entry points and their types; helpers live in their
-submodules.
+Each module's ``__all__`` is its export list, and the root re-exports those
+lists: the entry points and their types.  Helpers live in their submodules
+(``genpgd.projection.hard_threshold``, ``genpgd.solver.myopic_pgd``).
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    ContractError,
-    DivergenceError,
-    GenpgdError,
-    NumericError,
-)
-from .generator import (
-    Activation,
-    GeneratorNetwork,
-    Layer,
-    forward,
-    forward_batch,
-    load_network,
-    make_linear_generator,
-    make_random_generator,
-    save_network,
-    vjp,
-)
-from .objective import (
-    Objective,
-    estimate_incoherence,
-    estimate_rsc_rss,
-    gradient,
-    latent_pair_sampler,
-    minkowski_curvature,
-    subspace_curvature,
-    subspace_incoherence,
-    value,
-)
-from .projection import (
-    OrthoBasis,
-    ProjectionConfig,
-    ProjectionResult,
-    hard_threshold,
-    project,
-)
-from .harness import (
-    ExperimentConfig,
-    GeneratorSpec,
-    ProblemInstance,
-    ProblemSpec,
-    SolveSummary,
-    SweepSpec,
-    build_objective,
-    emit_report,
-    estimate_regularity,
-    gen_problem,
-    load_problem,
-    run_solve,
-    run_sweep,
-    save_problem,
-)
-from .solver import (
-    IterationTrace,
-    SolverConfig,
-    contraction_factor,
-    contraction_report,
-    epsilon_pgd,
-    myopic_pgd,
-)
+from .errors import *
+from .generator import *
+from .objective import *
+from .projection import *
+from .harness import *
+from .solver import *
+from . import errors, generator, objective, projection, harness, solver
 
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "ContractError",
-    "DivergenceError",
-    "GenpgdError",
-    "NumericError",
-    "Activation",
-    "GeneratorNetwork",
-    "Layer",
-    "forward",
-    "forward_batch",
-    "load_network",
-    "make_linear_generator",
-    "make_random_generator",
-    "save_network",
-    "vjp",
-    "Objective",
-    "estimate_incoherence",
-    "estimate_rsc_rss",
-    "gradient",
-    "latent_pair_sampler",
-    "minkowski_curvature",
-    "subspace_curvature",
-    "subspace_incoherence",
-    "value",
-    "OrthoBasis",
-    "ProjectionConfig",
-    "ProjectionResult",
-    "hard_threshold",
-    "project",
-    "ExperimentConfig",
-    "GeneratorSpec",
-    "ProblemInstance",
-    "ProblemSpec",
-    "SolveSummary",
-    "SweepSpec",
-    "build_objective",
-    "emit_report",
-    "estimate_regularity",
-    "gen_problem",
-    "load_problem",
-    "run_solve",
-    "run_sweep",
-    "save_problem",
-    "IterationTrace",
-    "SolverConfig",
-    "contraction_factor",
-    "contraction_report",
-    "epsilon_pgd",
-    "myopic_pgd",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += generator.__all__
+__all__ += objective.__all__
+__all__ += projection.__all__
+__all__ += harness.__all__
+__all__ += solver.__all__

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["GenpgdError", "ContractError", "ConfigError", "NumericError", "DivergenceError"]
+
 
 class GenpgdError(Exception):
     """Base class for all errors raised by this package."""

@@ -29,8 +29,6 @@ __all__ = [
     "vjp",
     "make_linear_generator",
     "make_random_generator",
-    "network_to_json",
-    "network_from_json",
     "save_network",
     "load_network",
 ]

@@ -56,11 +56,8 @@ __all__ = [
     "ProblemSpec",
     "SweepSpec",
     "ExperimentConfig",
-    "Truth",
-    "InstanceMeta",
     "ProblemInstance",
     "SolveSummary",
-    "SweepResult",
     "gen_problem",
     "save_problem",
     "load_problem",

@@ -25,16 +25,11 @@ from .seeding import derive_seed, spawn_rng
 
 __all__ = [
     "Objective",
-    "CurvatureEstimate",
-    "RegularityEstimates",
     "value",
     "gradient",
-    "curvature_ratio",
     "estimate_rsc_rss",
     "estimate_incoherence",
-    "estimate_diameter_gamma",
     "latent_pair_sampler",
-    "sum_pair_sampler",
     "subspace_curvature",
     "minkowski_curvature",
     "subspace_incoherence",

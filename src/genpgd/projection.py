@@ -1,12 +1,13 @@
 """Approximate and exact projection onto the range of a generator.
 
 Three routes are provided.  ``closed-form-linear`` is the exact least-squares
-projection available when the generator is a single affine layer; ``grid``
-certifies a best-on-grid point for latent dimension at most 3; ``latent-gd``
-runs multi-restart Levenberg–Marquardt in latent space and never certifies
-optimality (the landscape is nonconvex).  Hard thresholding of analysis
-coefficients in an orthonormal basis, the exact projection onto the set of
-basis-sparse vectors, lives here too.
+projection available when the generator is a single affine layer, and the
+only route that certifies its result; ``grid`` returns the best point of a
+latent mesh for latent dimension at most 3 (the projection may lie between
+mesh points or outside the box); ``latent-gd`` runs multi-restart
+Levenberg–Marquardt in latent space (the landscape is nonconvex).  Hard
+thresholding of analysis coefficients in an orthonormal basis, the exact
+projection onto the set of basis-sparse vectors, lives here too.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ __all__ = [
     "ProjectionConfig",
     "ProjectionResult",
     "project",
-    "hard_threshold",
-    "hard_threshold_coeffs",
 ]
 
 _METHODS = ("closed-form-linear", "latent-gd", "grid")
@@ -75,8 +74,8 @@ class ProjectionConfig:
 
     ``epsilon`` is the advertised slack of the oracle: a certified result
     promises squared residual within ``epsilon`` of the true minimum over the
-    range.  ``degrade_slack`` deliberately perturbs an otherwise certified
-    output along the range by (up to) that much squared residual; it exists
+    range.  ``degrade_slack`` deliberately perturbs the method's output
+    along the range by (up to) that much squared residual; it exists
     to study how solvers respond to inexact oracles.  On a single affine
     layer the step along the range is the closed-form root of the quadratic
     residual; on any other network it is found by bisection to float
@@ -160,8 +159,9 @@ class ProjectionResult:
     """Outcome of one projection call.
 
     ``point`` always equals ``forward(net, latent)``; ``certified`` is True
-    only for methods that can guarantee ``residual_sq`` is within the
-    config's ``epsilon`` of the true squared distance to the range.
+    only for ``closed-form-linear``, the one method that can guarantee
+    ``residual_sq`` is within the config's ``epsilon`` of the true squared
+    distance to the range.
     """
 
     point: np.ndarray
@@ -406,7 +406,7 @@ def _oracle(cfg: ProjectionConfig, net: GeneratorNetwork):
         def latent(x):
             Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters)
             return Z[int(np.argmin(f))]  # first minimum wins: deterministic tie-break
-    certified, slack = cfg.method != "latent-gd", cfg.degrade_slack
+    certified, slack = cfg.method == "closed-form-linear", cfg.degrade_slack
     if slack > 0.0:
         # the certificate only survives if the advertised slack covers the injected one
         certified = certified and cfg.epsilon >= slack

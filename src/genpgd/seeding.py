@@ -50,11 +50,6 @@ def spawn_rng(root: int, *coords: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(parts))
 
 
-def _unit_direction(seed: int, x: np.ndarray, k: int) -> np.ndarray:
-    """``_direction_reader(seed, k)(x)``."""
-    return _direction_reader(seed, k)(x)
-
-
 def _direction_reader(seed: int, k: int):
     """The map from x to a uniformly distributed unit vector in R^k, a pure
     function of ``seed`` and the exact bits of ``x``: a SHAKE-256 digest of

@@ -30,16 +30,10 @@ from .seeding import finite_real
 
 __all__ = [
     "SolverConfig",
-    "IterationRecord",
     "IterationTrace",
-    "ContractionReport",
     "epsilon_pgd",
-    "myopic_pgd",
-    "default_step_size",
     "contraction_report",
     "contraction_factor",
-    "trace_to_csv",
-    "trace_from_csv",
 ]
 
 TRACE_COLUMNS = ("t", "f_value", "gap", "dist_to_truth", "proj_residual_sq", "wall_time_us")

@@ -31,19 +31,19 @@ from genpgd import (
     estimate_rsc_rss,
     gen_problem,
     gradient,
-    hard_threshold,
     latent_pair_sampler,
     make_linear_generator,
     make_random_generator,
     minkowski_curvature,
-    myopic_pgd,
     project,
     run_sweep,
     subspace_incoherence,
     value,
 )
 from genpgd.generator import _forward_jacobian, forward, vjp
+from genpgd.projection import hard_threshold
 from genpgd.seeding import derive_seed, spawn_rng
+from genpgd.solver import myopic_pgd
 
 EXACT = ProjectionConfig(method="closed-form-linear")
 
@@ -208,7 +208,7 @@ def test_latent_descent_matches_grid_oracle(capsys):
             wins += 1
     elapsed = time.perf_counter() - t0
     ok = wins >= 95 and elapsed < 30.0
-    _line(capsys, "latent descent vs certified grid", ok,
+    _line(capsys, "latent descent vs grid", ok,
           f"wins {wins}/100, {elapsed:.1f}s")
 
 

@@ -30,7 +30,7 @@ from genpgd import generator, projection
 from genpgd.objective import Objective
 from genpgd.solver import SolverConfig, epsilon_pgd
 from genpgd.projection import _LADDER, _ORACLES, _descend_lockstep, _oracle, _restart_starts
-from genpgd.seeding import _unit_direction, spawn_rng
+from genpgd.seeding import _direction_reader, spawn_rng
 
 
 def brute_force_sparse_projection(B, v, l):
@@ -513,7 +513,7 @@ class TestProjectGrid:
             r_oracle, z_oracle = brute_force_grid(self.net, x, -2.0, 2.0, 9)
             assert abs(res.residual_sq - r_oracle) <= 1e-12
             np.testing.assert_allclose(res.latent, z_oracle, atol=1e-12)
-            assert res.certified
+            assert not res.certified  # a mesh point is no certificate
             np.testing.assert_array_equal(res.point, forward(self.net, res.latent))
 
     def test_grid_limited_to_small_latent_dim(self):
@@ -759,7 +759,7 @@ class TestProjectLatentGd:
 
     def test_dependent_latent_directions(self):
         # the range of the duplicate-column net is that of the one-latent
-        # net, which the grid certifies
+        # net, which a fine grid covers
         dup, one = duplicate_column_net()
         lgd = ProjectionConfig(method="latent-gd", restarts=3, seed=0)
         grid = ProjectionConfig(method="grid", grid_bounds=(-6.0, 6.0), grid_resolution=2001)
@@ -780,7 +780,7 @@ class TestProjectLatentGd:
 def _full_bisection_latent(net, x, res, slack, seed):
     """The degradation step with all 200 bisection steps and no early stop:
     the reference the early-stopping bisection must reproduce bit for bit."""
-    d = _unit_direction(seed, x, net.k)
+    d = _direction_reader(seed, net.k)(x)
     target = res.residual_sq + slack
 
     def h(s):
@@ -893,7 +893,7 @@ class TestDegradedProjection:
         for slack, epsilon in ((1e-4, 1e-3), (1e-3, 1e-4)):
             res = project(replace(start, epsilon=epsilon, degrade_slack=slack), net, x)
             if kind == "affine":
-                d = _unit_direction(start.seed, x, net.k)
+                d = _direction_reader(start.seed, net.k)(x)
                 s = projection._affine_step(net.layers[0].weights @ d, x - base.point, slack)
                 want = base.latent + s * d
             else:
@@ -926,9 +926,9 @@ class TestDegradedProjection:
         for epsilon in (0.0, 5e-4, 1e-3):
             cfg = ProjectionConfig(method=method, epsilon=epsilon, degrade_slack=1e-3,
                                    grid_resolution=11, restarts=2, inner_iters=5)
-            # latent-gd never certifies; the exact methods lose the
-            # certificate when the advertised slack is below the injected one
-            expected = method != "latent-gd" and epsilon >= 1e-3
+            # only the closed form certifies, and it loses the certificate
+            # when the advertised slack is below the injected one
+            expected = method == "closed-form-linear" and epsilon >= 1e-3
             assert project(cfg, net, x).certified == expected
 
 
@@ -938,30 +938,30 @@ class TestDegradationDirection:
 
     def test_keyed_by_seed_and_exact_bits(self):
         x = np.random.default_rng(20).standard_normal(30)
-        d = _unit_direction(2, x, 5)
-        np.testing.assert_array_equal(_unit_direction(2, x.copy(), 5), d)
+        d = _direction_reader(2, 5)(x)
+        np.testing.assert_array_equal(_direction_reader(2, 5)(x.copy()), d)
         nudged = x.copy()
         nudged[7] = np.nextafter(x[7], np.inf)
-        assert np.all(_unit_direction(2, nudged, 5) != d)
-        assert np.all(_unit_direction(3, x, 5) != d)
+        assert np.all(_direction_reader(2, 5)(nudged) != d)
+        assert np.all(_direction_reader(3, 5)(x) != d)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     def test_unit_norm(self, k):
         for s in range(20):
-            d = _unit_direction(s, np.random.default_rng(s).standard_normal(12), k)
+            d = _direction_reader(s, k)(np.random.default_rng(s).standard_normal(12))
             assert d.shape == (k,)
             assert abs(np.linalg.norm(d) - 1.0) <= 1e-15
 
     def test_numpy_and_wide_integer_seeds(self):
         x = np.linspace(-1.0, 1.0, 9)
-        d = _unit_direction(2, x, 4)
-        np.testing.assert_array_equal(_unit_direction(np.int64(2), x, 4), d)
-        wide = _unit_direction(2**70, x, 4)
+        d = _direction_reader(2, 4)(x)
+        np.testing.assert_array_equal(_direction_reader(np.int64(2), 4)(x), d)
+        wide = _direction_reader(2**70, 4)(x)
         assert np.all(np.isfinite(wide)) and np.all(wide != d)
 
     def test_isotropic(self):
         rng = np.random.default_rng(21)
-        D = np.array([_unit_direction(0, rng.standard_normal(6), 3) for _ in range(4000)])
+        D = np.array([_direction_reader(0, 3)(rng.standard_normal(6)) for _ in range(4000)])
         assert np.all(np.abs(D.mean(axis=0)) <= 0.05)
         assert np.all(np.abs((D ** 2).mean(axis=0) - 1.0 / 3.0) <= 0.03)
 
@@ -981,9 +981,9 @@ class TestDegradationDirection:
         wide = np.random.default_rng(k).standard_normal(40)
         for x in (wide[:20], wide[::2], wide[::-2]):  # contiguous, strided, reversed
             for seed in (0, 7, 2**63 - 1):
-                got = _unit_direction(seed, x, k)
+                got = _direction_reader(seed, k)(x)
                 assert got.tobytes() == reference(seed, x, k).tobytes()
-                assert got.tobytes() == _unit_direction(seed, x.copy(), k).tobytes()
+                assert got.tobytes() == _direction_reader(seed, k)(x.copy()).tobytes()
 
 
 class TestAffineStep:
