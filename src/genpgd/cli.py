@@ -26,7 +26,6 @@ from .errors import ConfigError, ContractError, DivergenceError, NumericError
 from .harness import (
     ExperimentConfig,
     _solve_setup,
-    _trial_seed,
     emit_report,
     gen_problem,
     load_problem,
@@ -34,6 +33,7 @@ from .harness import (
     run_sweep,
     save_problem,
 )
+from .seeding import derive_seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +83,7 @@ def _load_config(args) -> ExperimentConfig:
 def _single_instance(cfg: ExperimentConfig):
     # the seed of sweep point 0's trial 0, so `gen` reproduces the first
     # trial of a sweep whose first point is the config's problem
-    return gen_problem(cfg.problem, _trial_seed(cfg.master_seed))
+    return gen_problem(cfg.problem, derive_seed(cfg.master_seed, 0, 0))
 
 
 def _cmd_gen(args) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .seeding import check_seed, spawn_rng
+from .seeding import check_count, spawn_rng
 
 __all__ = [
     "Activation",
@@ -87,13 +87,11 @@ class Activation:
 
 
 def _pseudo_inverse(W: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of ``W`` from one thin SVD, which is also the rank
-    check: ``W`` must be finite and have full column rank (at least one
-    column, no more columns than rows, smallest singular value above
-    1e-10), else :class:`ContractError`.  ``_pseudo_inverse(W) @ x`` is the
-    least-squares latent of ``x``."""
-    if not np.all(np.isfinite(W)):
-        raise ContractError("W must be finite")
+    """Pseudo-inverse of ``W`` (a :class:`Layer`'s weights, so finite) from
+    one thin SVD, which is also the rank check: ``W`` must have full column
+    rank (at least one column, no more columns than rows, smallest singular
+    value above 1e-10), else :class:`ContractError`.
+    ``_pseudo_inverse(W) @ x`` is the least-squares latent of ``x``."""
     U, s, Vt = np.linalg.svd(W, full_matrices=False)
     smin = s[-1] if 1 <= W.shape[1] <= W.shape[0] else 0.0
     if not smin > 1e-10:
@@ -296,7 +294,7 @@ def make_random_generator(k, n, d, widths, activation="relu", seed=0, slope=None
     Widths that are not expansive (k <= w1 <= ... <= n) trigger a warning but
     still build; latent-descent projection tends to behave worse on such nets.
     """
-    check_seed(seed)
+    check_count("seed", seed)
     widths = [int(w) for w in widths]
     if d < 1 or len(widths) != d - 1:
         raise ContractError(f"widths must list d-1={d - 1} hidden sizes, got {len(widths)}")

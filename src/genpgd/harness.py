@@ -39,7 +39,7 @@ from .generator import (
 )
 from .objective import Objective, RegularityEstimates, _link_mean, _regularity
 from .projection import OrthoBasis, ProjectionConfig
-from .seeding import check_seed, derive_seed, finite_real, spawn_rng
+from .seeding import check_count, derive_seed, finite_real, spawn_rng
 from .solver import (
     SolverConfig,
     _read_csv,
@@ -68,7 +68,7 @@ __all__ = [
     "emit_report",
 ]
 
-_MEASUREMENTS = ("linear", "glm-sigmoid", "glm-exp")
+_LINKS = {"linear": None, "glm-sigmoid": "sigmoid", "glm-exp": "exp"}  # measurement -> glm link
 _BASES = (None, "identity", "random")
 
 
@@ -164,6 +164,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise ConfigError(f"need n, k >= 1, got n={self.n}, k={self.k}")
+        if self.generator.kind == "linear" and self.k > self.n:
+            raise ConfigError(f"a linear generator needs k <= n, got k={self.k}, n={self.n}")
         if self.m < 1:
             raise ConfigError(f"need m >= 1, got m={self.m}")
         if self.l < 0 or self.l > self.n:
@@ -174,9 +176,9 @@ class ProblemSpec:
             raise ConfigError("sparse deviation (l > 0) needs a basis")
         if self.basis not in _BASES:
             raise ConfigError(f"basis must be one of {_BASES}, got {self.basis!r}")
-        if self.measurement not in _MEASUREMENTS:
+        if self.measurement not in _LINKS:
             raise ConfigError(
-                f"measurement must be one of {_MEASUREMENTS}, got {self.measurement!r}")
+                f"measurement must be one of {tuple(_LINKS)}, got {self.measurement!r}")
 
 
 @dataclass(frozen=True)
@@ -222,9 +224,14 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.master_seed)
-        for m, l, nl in self.sweep_points():  # each point is a valid problem
+        check_count("master_seed", self.master_seed)
+        labels = set()
+        for m, l, nl in self.sweep_points():  # each point is a valid problem with its own runs
             dataclasses.replace(self.problem, m=m, l=l, noise_level=nl)
+            label = _run_label(m, l, nl, 0)
+            if label in labels:
+                raise ConfigError(f"two sweep points share the run label {label!r}")
+            labels.add(label)
 
     def sweep_points(self) -> list[tuple[int, int, float]]:
         ms = self.sweep.m or (self.problem.m,)
@@ -316,7 +323,7 @@ def gen_problem(spec: ProblemSpec, seed: int) -> ProblemInstance:
     ``seed``: Gaussian A with entry variance 1/m, standard Gaussian latent
     truth, uniformly-supported Gaussian sparse deviation, and noise scaled
     to the requested level relative to the clean response."""
-    check_seed(seed)
+    check_count("seed", seed)
     net = spec.generator.build(spec.k, spec.n, derive_seed(seed, 0))
     if spec.basis == "identity":
         basis = OrthoBasis.identity(spec.n)
@@ -338,8 +345,8 @@ def gen_problem(spec: ProblemSpec, seed: int) -> ProblemInstance:
 
     A = spawn_rng(seed, 5).standard_normal((spec.m, spec.n)) / np.sqrt(spec.m)
     clean = A @ x_star
-    mean = clean if spec.measurement == "linear" else _link_mean(
-        clean, spec.measurement.split("-")[1])
+    link = _LINKS[spec.measurement]
+    mean = clean if link is None else _link_mean(clean, link)
     if spec.noise_level > 0:
         e = spawn_rng(seed, 6).standard_normal(spec.m)
         scale = float(np.linalg.norm(mean)) or 1.0
@@ -461,11 +468,10 @@ def load_problem(directory) -> ProblemInstance:
 
 
 def build_objective(inst: ProblemInstance, measurement: str) -> Objective:
-    if measurement == "linear":
-        return Objective("least-squares", inst.A, inst.y)
-    if measurement not in _MEASUREMENTS:
+    if measurement not in _LINKS:
         raise ConfigError(f"unknown measurement model {measurement!r}")
-    return Objective("glm", inst.A, inst.y, link=measurement.split("-")[1])
+    link = _LINKS[measurement]
+    return Objective("least-squares" if link is None else "glm", inst.A, inst.y, link=link)
 
 
 def estimate_regularity(inst: ProblemInstance, objective: Objective,
@@ -517,6 +523,11 @@ class SolveSummary:
         return doc
 
 
+# the ContractionReport fields a SolveSummary carries
+_REPORT_FIELDS = ("fitted_rate", "fit_r2", "rateable", "plateau_index", "plateau_level",
+                  "violations", "violation_fraction")
+
+
 def _solve_setup(inst: ProblemInstance, config: ExperimentConfig):
     """The objective, the resolved solver config, the one regularity
     bundle of a solve of ``inst`` under ``config`` and its wall time.
@@ -553,11 +564,12 @@ def run_solve(inst: ProblemInstance, config: ExperimentConfig,
     ``solver.eta`` is null, the step size 1/beta (``summary.json`` records
     it as ``regularity``); ``genpgd estimate`` prints the same bundle.  A
     myopic solve inherits the instance's sparsity budget when the solver
-    config leaves ``l`` at 0.  Divergence propagates to the caller with the
+    config leaves ``l`` at 0.  A bundle with alpha = 0 gives no theory rate,
+    so no violation count.  Divergence propagates to the caller with the
     partial trace attached.
     """
     obj, solver_cfg, reg, reg_time = _solve_setup(inst, config)
-    theory = contraction_factor(reg.alpha, reg.beta, reg.mu)
+    theory = contraction_factor(reg.alpha, reg.beta, reg.mu) if reg.alpha > 0 else np.inf
     theory_rate = float(theory) if np.isfinite(theory) else None
     basis = inst.basis if solver_cfg.mode == "myopic" else None
     trace = epsilon_pgd(obj, inst.net, config.projection, solver_cfg,
@@ -579,18 +591,12 @@ def run_solve(inst: ProblemInstance, config: ExperimentConfig,
         final_f=last.f_value,
         final_gap=last.gap,
         final_dist=last.dist_to_truth,
-        fitted_rate=report.fitted_rate,
-        fit_r2=report.fit_r2,
-        rateable=report.rateable,
-        plateau_index=report.plateau_index,
-        plateau_level=report.plateau_level,
         theory_rate=theory_rate,
-        violations=report.violations,
-        violation_fraction=report.violation_fraction,
         regularity=reg,
         proj_time_total=trace.proj_time_total,
         grad_time_total=trace.grad_time_total,
         regularity_time_total=reg_time,
+        **{name: getattr(report, name) for name in _REPORT_FIELDS},
     )
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -611,6 +617,7 @@ _TRIAL_ERRORS = (ConfigError, ContractError, NumericError)
 _SWEEP_STATUSES = frozenset(
     ["ok", "divergence"] + [f"error: {e.__name__}" for e in _TRIAL_ERRORS])
 
+# a trial's inputs, its status, then the SolveSummary fields it reports
 _SWEEP_COLUMNS = ("run", "m", "l", "noise_level", "trial", "seed", "status",
                   "final_gap", "final_dist", "fitted_rate", "theory_rate",
                   "violations")
@@ -624,15 +631,7 @@ def _run_label(m, l, nl, trial) -> str:
 @dataclass
 class SweepResult:
     rows: list
-    aggregates: list
     directory: Path
-
-
-def _trial_seed(master_seed: int, point: int = 0, trial: int = 0) -> int:
-    """The instance seed of a sweep's (point, trial) run.  ``gen``, ``solve``
-    and ``estimate`` draw their one instance with point 0's trial 0, so they
-    reproduce a sweep's first trial when that point is the config's problem."""
-    return derive_seed(master_seed, point, trial)
 
 
 def _run_trial(task) -> dict:
@@ -641,19 +640,12 @@ def _run_trial(task) -> dict:
     its results.  A trial failure becomes the row's status; anything else
     (``MemoryError``, ``OSError``, ...) propagates."""
     config, run_dir, row = task
-    row = dict(row, status="ok", final_gap=None, final_dist=None, fitted_rate=None,
-               theory_rate=None, violations=None)
+    row = dict(row, status="ok", **dict.fromkeys(_SWEEP_COLUMNS[7:]))
     try:
         inst = gen_problem(config.problem, row["seed"])
         save_problem(inst, run_dir / "instance")
         summary, _ = run_solve(inst, config, out_dir=run_dir)
-        row.update(
-            final_gap=summary.final_gap,
-            final_dist=summary.final_dist,
-            fitted_rate=summary.fitted_rate,
-            theory_rate=summary.theory_rate,
-            violations=summary.violations,
-        )
+        row.update((name, getattr(summary, name)) for name in _SWEEP_COLUMNS[7:])
     except DivergenceError:
         row["status"] = "divergence"
     except _TRIAL_ERRORS as e:
@@ -696,11 +688,10 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
         spec_pt = dataclasses.replace(config.problem, m=m, l=l, noise_level=nl)
         cfg_pt = dataclasses.replace(config, problem=spec_pt)
         for trial in range(config.sweep.trials):
-            seed = _trial_seed(config.master_seed, p_idx, trial)
             label = _run_label(m, l, nl, trial)
             tasks.append((cfg_pt, root / label, {
                 "run": label, "m": m, "l": l, "noise_level": nl,
-                "trial": trial, "seed": seed}))
+                "trial": trial, "seed": derive_seed(config.master_seed, p_idx, trial)}))
 
     workers = _sweep_workers(len(tasks))
     if workers == 1:
@@ -729,53 +720,33 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
     _write_csv(root / "sweep.csv", _SWEEP_COLUMNS,
                [[row[c] for c in _SWEEP_COLUMNS] for row in rows])
 
-    aggregates = _aggregate(rows)
-    _write_table(root / "sweep.txt", aggregates, config.sweep.trials)
-    return SweepResult(rows=rows, aggregates=aggregates, directory=root)
+    _write_table(root / "sweep.txt", rows)
+    return SweepResult(rows=rows, directory=root)
 
 
-def _quartiles(values):
+def _cell3(values) -> str:
+    """The median [q1, q3] of ``values``, or "-" for none."""
     if not values:
-        return None, None, None
-    q1, med, q3 = np.percentile(values, [25, 50, 75])
-    return float(med), float(q1), float(q3)
-
-
-def _aggregate(rows) -> list:
-    out = []
-    for (m, l, nl), group in itertools.groupby(
-            rows, key=lambda r: (r["m"], r["l"], r["noise_level"])):
-        group = list(group)
-        ok = [r for r in group if r["status"] == "ok"]
-        dist = _quartiles([r["final_dist"] for r in ok if r["final_dist"] is not None])
-        rate = _quartiles([r["fitted_rate"] for r in ok if r["fitted_rate"] is not None])
-        out.append({
-            "m": m, "l": l, "noise_level": nl,
-            "trials": len(group), "ok": len(ok),
-            "final_dist_median": dist[0], "final_dist_q1": dist[1],
-            "final_dist_q3": dist[2],
-            "fitted_rate_median": rate[0], "fitted_rate_q1": rate[1],
-            "fitted_rate_q3": rate[2],
-        })
-    return out
-
-
-def _cell3(med, q1, q3) -> str:
-    if med is None:
         return "-"
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
     return f"{med:.3e} [{q1:.3e}, {q3:.3e}]"
 
 
-def _write_table(path, aggregates, trials) -> None:
+def _write_table(path, rows) -> None:
+    """One line per sweep point: its ok trials out of its rows, and the
+    median [q1, q3] of the ok rows' final_dist and fitted_rate.  A point's
+    rows are consecutive, and no other point has its trial-0 run label."""
     header = (f"{'m':>6} {'l':>4} {'noise':>8} {'ok':>5}  "
               f"{'final_dist med [q1, q3]':<42} {'fitted_rate med [q1, q3]':<42}")
     lines = [header, "-" * len(header)]
-    for a in aggregates:
-        lines.append(
-            f"{a['m']:>6} {a['l']:>4} {a['noise_level']:>8g} "
-            f"{a['ok']:>3}/{trials:<2}  "
-            f"{_cell3(a['final_dist_median'], a['final_dist_q1'], a['final_dist_q3']):<42} "
-            f"{_cell3(a['fitted_rate_median'], a['fitted_rate_q1'], a['fitted_rate_q3']):<42}")
+    for _, group in itertools.groupby(
+            rows, key=lambda r: _run_label(r["m"], r["l"], r["noise_level"], 0)):
+        group = list(group)
+        ok = [r for r in group if r["status"] == "ok"]
+        m, l, nl = group[0]["m"], group[0]["l"], group[0]["noise_level"]
+        lines.append(f"{m:>6} {l:>4} {nl:>8g} {len(ok):>3}/{len(group):<2}  " + " ".join(
+            f"{_cell3([r[c] for r in ok if r[c] is not None]):<42}"
+            for c in ("final_dist", "fitted_rate")))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

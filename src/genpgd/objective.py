@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractError, NumericError
 from .generator import GeneratorNetwork, forward, forward_batch
 from .projection import OrthoBasis
-from .seeding import derive_seed, spawn_rng
+from .seeding import check_count, derive_seed, spawn_rng
 
 __all__ = [
     "Objective",
@@ -234,11 +234,6 @@ class CurvatureEstimate:
     beta_pair: tuple
 
 
-def _check_count(name: str, count, least: int):
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:
-        raise ContractError(f"{name} must be an integer >= {least}, got {count!r}")
-
-
 def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> CurvatureEstimate:
     """Min/max curvature ratio over the 2 * ``num_pairs`` points drawn by one
     call ``sampler(rng, num_pairs)``, which returns a (2 * count, n) array
@@ -257,7 +252,7 @@ def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> 
     degenerate when they are all too close together for any ratio to rise
     above the rounding of the distances.
     """
-    _check_count("num_pairs", num_pairs, 1)
+    check_count("num_pairs", num_pairs, 1)
     pts = np.ascontiguousarray(sampler(spawn_rng(seed), num_pairs), dtype=float)
     if pts.shape != (2 * num_pairs, obj.n):
         raise ContractError(f"sampler gave shape {pts.shape}, want {(2 * num_pairs, obj.n)}")
@@ -350,7 +345,7 @@ def estimate_incoherence(net: GeneratorNetwork, basis: OrthoBasis, l: int,
     estimate is monotone nondecreasing in ``num_samples`` for a fixed seed
     because samples are drawn from one nested stream.
     """
-    _check_count("num_samples", num_samples, 1)
+    check_count("num_samples", num_samples, 1)
     rng = spawn_rng(seed)
     B = basis.matrix
     sup = None if support is None else np.asarray(support, dtype=int)
@@ -393,7 +388,7 @@ def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective | None =
     ``num_samples`` standard-normal latents (one draw, mapped by one
     :func:`forward_batch`), and the gradient norm at ``x_star``, None
     without ``objective`` and ``x_star``."""
-    _check_count("num_samples", num_samples, 2)
+    check_count("num_samples", num_samples, 2)
     rng = spawn_rng(seed)
     pts = forward_batch(net, rng.standard_normal((num_samples, net.k)).T).T
     sq = np.sum(pts**2, axis=1)
@@ -407,7 +402,9 @@ def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective | None =
 
 @dataclass(frozen=True)
 class RegularityEstimates:
-    """The bundle of constants the convergence bounds consume."""
+    """The bundle of constants the convergence bounds consume.  alpha may be
+    0 (a span wider than A has rows), which leaves no theory rate; beta
+    must be positive, since the default step size is 1/beta."""
 
     alpha: float
     beta: float
@@ -418,10 +415,11 @@ class RegularityEstimates:
     seed: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta) and self.alpha > 0):
-            raise ContractError(f"need finite beta >= alpha > 0, got alpha={self.alpha}")
-        if self.beta < self.alpha:
-            raise ContractError(f"need beta >= alpha, got beta={self.beta} < alpha={self.alpha}")
+        if not (np.isfinite(self.beta) and self.beta > 0):
+            raise ContractError(f"need a finite beta > 0, got beta={self.beta}")
+        if not 0.0 <= self.alpha <= self.beta:
+            raise ContractError(
+                f"need 0 <= alpha <= beta, got alpha={self.alpha}, beta={self.beta}")
         if not 0.0 <= self.mu < 1.0:
             raise ContractError(f"mu must lie in [0, 1), got {self.mu}")
 
@@ -450,10 +448,12 @@ def _span_basis(M: np.ndarray) -> np.ndarray:
 def subspace_curvature(A, W) -> tuple[float, float]:
     """Exact smallest/largest curvature of ``0.5 ||y - A x||^2`` along the
     column span of ``W``: the extreme eigenvalues of ``(A Q)^T (A Q)`` with
-    ``Q`` the :func:`_span_basis` of ``W``."""
+    ``Q`` the :func:`_span_basis` of ``W``.  The smallest is exactly 0 when
+    A Q has more columns than rows, where eigvalsh would return rounding
+    of either sign."""
     AQ = np.asarray(A, dtype=float) @ _span_basis(np.asarray(W, dtype=float))
     lams = np.linalg.eigvalsh(AQ.T @ AQ)
-    return float(lams[0]), float(lams[-1])
+    return float(lams[0]) if AQ.shape[1] <= AQ.shape[0] else 0.0, float(lams[-1])
 
 
 def _by_size(supports):
@@ -508,6 +508,8 @@ class _SumSetKernel:
         use), then one batched cholesky/inv/eigvalsh per support size.  A
         support whose C_S is not safely positive definite (B_S close to
         span(W), or rank(W) + |S| > n) goes to :func:`subspace_curvature`.
+        Like there, the smallest curvature of a span wider than A has rows
+        is exactly 0.
         """
         A = np.asarray(A, dtype=float)
         groups = _by_size(supports)
@@ -539,7 +541,7 @@ class _SumSetKernel:
             H[:, :r, r:] = H[:, r:, :r].transpose(0, 2, 1)
             H[:, r:, r:] = Li @ Gyy[J[:, :, None], J[:, None, :]] @ LiT
             lams = np.linalg.eigvalsh(H)
-            alpha = min(alpha, float(lams[:, 0].min()))
+            alpha = min(alpha, float(lams[:, 0].min()) if r + s <= len(A) else 0.0)
             beta = max(beta, float(lams[:, -1].max()))
         return alpha, beta
 

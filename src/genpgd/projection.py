@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .generator import GeneratorNetwork, _forward_jacobian, forward, forward_batch
 from .generator import vjp  # noqa: F401  (bench/test_bench.py traces it through this module)
-from .seeding import _direction_reader, check_seed, finite_real, spawn_rng
+from .seeding import _direction_reader, check_count, finite_real, spawn_rng
 
 __all__ = [
     "OrthoBasis",
@@ -72,35 +72,23 @@ class OrthoBasis:
 class ProjectionConfig:
     """How to project onto a generator range.
 
+    ``method`` is ``closed-form-linear``, ``latent-gd`` or ``grid``.
     ``epsilon`` is the advertised slack of the oracle: a certified result
-    promises squared residual within ``epsilon`` of the true minimum over the
-    range.  ``degrade_slack`` deliberately perturbs the method's output
-    along the range by (up to) that much squared residual; it exists
-    to study how solvers respond to inexact oracles.  On a single affine
-    layer the step along the range is the closed-form root of the quadratic
-    residual; on any other network it is found by bisection to float
-    resolution.  ``grid_bounds`` is the latent search box, one ``(lo, hi)``
-    pair for every coordinate or one pair per coordinate (default (-3, 3)
-    per coordinate), stored as a tuple of float pairs: the grid method
-    evaluates on a mesh over it, and latent-gd samples restart points
-    from it.
-
-    ``latent-gd`` runs ``restarts`` Levenberg–Marquardt descents on
-    z -> 0.5 ||x - G(z)||^2.  ``inner_iters`` caps the accepted steps of
-    each (one Jacobian per step, one damped k-by-k solve per trial).  The
-    restarts run in lockstep: each round tries the damping levels lam,
-    4 lam and 16 lam of every running restart in one batched solve and one
-    batched generator evaluation, and each restart takes its first level
-    with sufficient decrease.  The rounds are compact: they hold state only
-    for the restarts still running.  Each restart keeps its own damping and
-    stopping rules, so it makes the trials it would make alone, in fewer
-    rounds, and ends where it would have ended alone up to rounding (the
-    batched evaluation rounds differently with the number of restarts still
-    running), unless it is pruned: a restart whose last accepted gain in f
-    is below the one before it stops once f - 100 gain exceeds the least f
-    of a restart already stopped, short of where it would end alone.
-    Restart 0, the origin,
-    never moves on a zero-bias ReLU network (J(0) = 0): 10 restarts, 9 descents.
+    promises squared residual within ``epsilon`` of the true minimum over
+    the range.  ``restarts`` counts latent-gd's start points; restart 0, the
+    origin, never moves on a zero-bias ReLU network (J(0) = 0), so 10
+    restarts are 9 descents.  ``inner_iters`` caps the accepted
+    Levenberg–Marquardt steps of each restart (:func:`_descend_lockstep`).
+    ``grid_bounds`` is the latent search box, one ``(lo, hi)`` pair for
+    every coordinate or one pair per coordinate (default (-3, 3) per
+    coordinate), stored as a tuple of float pairs: the grid method
+    evaluates on a mesh of ``grid_resolution`` points per axis over it,
+    and latent-gd samples restart points from it.  ``seed`` keys the
+    restart points and the degradation direction.  ``degrade_slack``
+    deliberately moves the method's output along the range until its
+    squared residual grows by that much, to study how solvers respond to
+    inexact oracles (:func:`_oracle`); a degraded result is certified only
+    when ``epsilon`` covers it.
     """
 
     method: str = "latent-gd"
@@ -126,7 +114,7 @@ class ProjectionConfig:
         if not (finite_real(self.degrade_slack) and self.degrade_slack >= 0):
             raise ConfigError(
                 f"degrade_slack must be finite and nonnegative, got {self.degrade_slack}")
-        check_seed(self.seed)
+        check_count("seed", self.seed)
         object.__setattr__(self, "grid_bounds", _bound_pairs(self.grid_bounds))
 
     def _resolve_bounds(self, k: int) -> tuple[tuple[float, float], ...]:
@@ -448,8 +436,7 @@ def hard_threshold_coeffs(basis: OrthoBasis, v, l: int):
     the lowest index.  This is the exact Euclidean projection onto the set
     of vectors whose analysis representation has at most ``l`` nonzeros.
     """
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
-        raise ContractError(f"sparsity l must be a nonnegative integer, got {l!r}")
+    check_count("sparsity l", l)
     v = np.asarray(v, dtype=float)
     B = basis.matrix
     if v.shape != (B.shape[0],):

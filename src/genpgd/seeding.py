@@ -6,7 +6,7 @@ plus a tuple of integer coordinates (restart index, axis index, trial
 index, ...); the degradation direction, keyed by the exact bits of a
 vector, is read from a hash instead.  Derivation is pure, so changing one
 leaf of an experiment tree never perturbs another.  The config checks
-that every module shares, ``check_seed`` and ``finite_real``, live here.
+that every module shares, ``check_count`` and ``finite_real``, live here.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ import numpy as np
 from .errors import ContractError
 
 
-def check_seed(seed) -> int:
-    """Validate that ``seed`` is a plain nonnegative integer and return it."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ContractError(f"seed must be a nonnegative integer, got {seed!r}")
-    if seed < 0:
-        raise ContractError(f"seed must be nonnegative, got {seed}")
-    return int(seed)
+def check_count(name: str, value, least: int = 0) -> int:
+    """``value`` as an int if it is a plain integer (not a bool) no smaller
+    than ``least``, else :class:`ContractError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def finite_real(v) -> bool:
@@ -40,13 +39,13 @@ def finite_real(v) -> bool:
 
 def derive_seed(root: int, *coords: int) -> int:
     """Map (root, coords...) to a single derived seed, deterministically."""
-    parts = [check_seed(root)] + [check_seed(c) for c in coords]
+    parts = [check_count("seed", c) for c in (root, *coords)]
     return int(np.random.SeedSequence(parts).generate_state(1, dtype=np.uint64)[0])
 
 
 def spawn_rng(root: int, *coords: int) -> np.random.Generator:
     """A fresh Generator seeded from (root, coords...)."""
-    parts = [check_seed(root)] + [check_seed(c) for c in coords]
+    parts = [check_count("seed", c) for c in (root, *coords)]
     return np.random.default_rng(np.random.SeedSequence(parts))
 
 

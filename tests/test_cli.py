@@ -319,6 +319,33 @@ class TestConfigErrors:
 
 
 class TestSweepAndReport:
+    @pytest.mark.parametrize("axis,values,label", [
+        ("sweep.m", [40, 40], "m40_l0_nl0_t0"),
+        ("sweep.noise_level", [0.1, 0.1000001], "m40_l0_nl0.1_t0"),
+    ])
+    def test_points_sharing_a_run_directory_exit_2(self, tmp_path, capsys, axis, values, label):
+        cfg = write_config(tmp_path, **{axis: values})
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert f"share the run label '{label}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_curvature_runs_solve_and_skip(self, tmp_path, capsys):
+        # 3 rows against a 4-dimensional range: alpha = 0, so every run has
+        # no theory rate, and the report skips it as vacuous
+        cfg = write_config(tmp_path, **{"problem.m": 3, "solver.iters": 20})
+        for seed in range(6):
+            out = tmp_path / f"solve{seed}"
+            assert main(["solve", "--config", str(cfg), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["regularity"]["alpha"] == 0.0 and summary["theory_rate"] is None
+        cfg = write_config(tmp_path, **{"problem.m": 3, "solver.iters": 20, "sweep.trials": 3})
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert main(["report", str(tmp_path / "out")]) == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert report.count("theory rate vacuous") == 3
+        assert "total: 3 runs, 0 pass, 0 fail, 3 skip" in report
+
     def test_sweep_then_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"sweep.m": [20, 40], "sweep.trials": 2})
         assert main(["sweep", "--config", str(cfg)]) == 0

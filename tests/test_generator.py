@@ -316,3 +316,24 @@ class TestSerialization:
         obj["n"] = 99
         with pytest.raises(ContractError, match="n"):
             network_from_json(obj)
+
+
+class TestRejectedInputs:
+    def test_unknown_activation(self):
+        with pytest.raises(ContractError, match="activation kind 'swish'"):
+            Activation("swish")
+
+    @pytest.mark.parametrize("Z", [np.zeros(3), np.zeros((2, 4)), np.zeros((3, 4, 1))])
+    def test_latent_batch_shape(self, Z):
+        net = make_linear_generator(np.eye(5)[:, :3])
+        with pytest.raises(ContractError, match="latent batch"):
+            forward_batch(net, Z)
+
+    def test_linear_generator_needs_a_matrix(self):
+        with pytest.raises(ContractError, match="2-d"):
+            make_linear_generator(np.ones(4))
+
+    @pytest.mark.parametrize("k,n,widths", [(0, 6, [4]), (2, 0, [4]), (2, 6, [0])])
+    def test_random_generator_needs_positive_dimensions(self, k, n, widths):
+        with pytest.raises(ContractError, match="positive"):
+            make_random_generator(k, n, 2, widths, "relu", seed=0)

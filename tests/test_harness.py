@@ -21,7 +21,9 @@ from genpgd.errors import ConfigError, ContractError, DivergenceError
 from genpgd.generator import forward, network_to_json, save_network
 from genpgd.harness import (
     ExperimentConfig,
+    GeneratorSpec,
     ProblemInstance,
+    ProblemSpec,
     build_objective,
     emit_report,
     estimate_regularity,
@@ -153,6 +155,30 @@ class TestExperimentConfig:
             make_config(**{"problem.l": 2})  # sparse part with no basis
         with pytest.raises(ConfigError, match="measurement"):
             make_config(**{"problem.measurement": "poisson-count"})
+
+    @pytest.mark.parametrize("dims", [{"problem.n": 0}, {"problem.k": 0}])
+    def test_dimensions_at_least_one(self, dims):
+        with pytest.raises(ConfigError, match="need n, k >= 1"):
+            make_config(**dims)
+
+    def test_linear_generator_needs_k_at_most_n(self):
+        with pytest.raises(ConfigError, match="linear generator needs k <= n"):
+            ProblemSpec(n=3, k=5)
+        # an mlp may map up from a small output space (its widths warn instead)
+        ProblemSpec(n=3, k=5, generator=GeneratorSpec(kind="mlp"))
+
+    def test_value_that_breaks_a_check_is_a_config_error(self):
+        # from_json takes Python values too; an array's == has no truth value
+        with pytest.raises(ConfigError, match="malformed config.problem"):
+            make_config(**{"problem.basis": np.zeros(2)})
+
+    @pytest.mark.parametrize("axis,values,label", [
+        ("sweep.m", [20, 40, 20], "m20_l0_nl0_t0"),
+        ("sweep.noise_level", [0.1, 0.1000001], "m40_l0_nl0.1_t0"),  # the same %g
+    ])
+    def test_sweep_points_need_distinct_run_labels(self, axis, values, label):
+        with pytest.raises(ConfigError, match=f"share the run label '{label}'"):
+            make_config(**{axis: values})
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -440,6 +466,55 @@ class TestRunSolve:
         assert err.value.trace is not None
 
 
+class TestRejectedInstances:
+    def inst(self):
+        return gen_problem(make_config().problem, seed=15)
+
+    @pytest.mark.parametrize("field,match", [("A", "A shape"), ("y", "y shape")])
+    def test_arrays_must_match_meta(self, field, match):
+        inst = self.inst()
+        with pytest.raises(ContractError, match=match):
+            dataclasses.replace(inst, **{field: getattr(inst, field)[:-1]})
+
+    def test_meta_must_be_an_object(self, tmp_path):
+        save_problem(self.inst(), tmp_path)
+        doc = json.loads((tmp_path / "instance.json").read_text())
+        doc["meta"] = list(doc["meta"].values())
+        (tmp_path / "instance.json").write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match="meta must be a JSON object"):
+            load_problem(tmp_path)
+
+    def test_unknown_measurement(self):
+        with pytest.raises(ConfigError, match="unknown measurement model 'poisson'"):
+            build_objective(self.inst(), "poisson")
+
+    def test_sparsity_needs_a_basis(self):
+        inst = self.inst()
+        with pytest.raises(ConfigError, match="needs a basis"):
+            estimate_regularity(inst, build_objective(inst, "linear"), sparsity=2)
+
+
+class TestZeroCurvature:
+    """A span wider than A has rows has the exact curvature alpha = 0: the
+    solve runs, with no theory rate and so no violation count."""
+
+    CONFIGS = {
+        "pgd, m < k": {"problem.m": 3, "solver.iters": 20},
+        "myopic, m < k + 2l": {"problem.n": 100, "problem.k": 5, "problem.m": 12,
+                               "problem.l": 4, "problem.basis": "random",
+                               "solver.mode": "myopic", "solver.iters": 20},
+    }
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_solve_records_no_theory_rate(self, name, seed):
+        cfg = make_config(**self.CONFIGS[name], master_seed=seed)
+        inst = gen_problem(cfg.problem, derive_seed(seed, 0, 0))
+        summary, _ = run_solve(inst, cfg)
+        assert summary.regularity.alpha == 0.0 and summary.regularity.beta > 0
+        assert summary.theory_rate is None and summary.violations is None
+
+
 class TestEstimateRegularity:
     def test_linear_least_squares_uses_exact_oracle(self):
         cfg = make_config()
@@ -554,7 +629,9 @@ class TestRunSweep:
                              "solver.iters": 60,
                              "out_dir": str(tmp_path / "s")})
         result = run_sweep(cfg)
-        med = [a["final_dist_median"] for a in result.aggregates]
+        med = [np.median([r["final_dist"] for r in result.rows
+                          if r["m"] == m and r["status"] == "ok"])
+               for m in cfg.sweep.m]
         assert all(med[i + 1] <= med[i] for i in range(len(med) - 1))
 
     def test_sweep_csv_is_byte_stable(self, tmp_path):
@@ -620,6 +697,18 @@ class TestParallelSweep:
         assert files["pool"].keys() == files["inline"].keys()
         for path, content in files["pool"].items():
             assert content == files["inline"][path], path
+
+    def test_table_has_one_line_per_point_from_its_rows(self, tmp_path):
+        rows = run_sweep(make_config(**self.MIXED, out_dir=str(tmp_path))).rows
+        lines = (tmp_path / "sweep.txt").read_text().splitlines()[2:]
+        assert len(lines) == len(self.MIXED["sweep.m"])
+        for m, line in zip(self.MIXED["sweep.m"], lines):
+            ok = [r for r in rows if r["m"] == m and r["status"] == "ok"]
+            dist = [r["final_dist"] for r in ok]
+            cells = line.split()
+            assert cells[:4] == [str(m), "0", "0", f"{len(ok)}/3"]
+            assert cells[4] == (f"{np.median(dist):.3e}" if dist else "-")
+        assert {line.split()[3] for line in lines} >= {"0/3", "2/3"}
 
     def test_sweep_in_a_daemonic_worker_runs_inline(self, tmp_path, monkeypatch):
         # three usable CPUs would fork a pool, which a daemonic process may not

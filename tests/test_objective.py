@@ -372,6 +372,28 @@ class TestExactOracles:
             a, b = subspace_curvature(A, M)
             assert abs(a - lams[0]) <= 1e-12 * lams[-1] and abs(b - lams[-1]) <= 1e-12 * lams[-1]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_span_wider_than_rows_has_zero_alpha(self, seed):
+        # 3 rows against a 4-dimensional span: A Q has a null vector, whose
+        # eigenvalue eigvalsh returns as rounding of either sign
+        rng = np.random.default_rng(seed)
+        W = np.linalg.qr(rng.standard_normal((30, 4)))[0]
+        A = rng.standard_normal((3, 30)) / np.sqrt(3)
+        a, b = subspace_curvature(A, W)
+        assert a == 0.0
+        assert abs(b - np.linalg.eigvalsh(W.T @ A.T @ A @ W)[-1]) <= 1e-12 * b
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sum_set_wider_than_rows_has_zero_alpha(self, seed):
+        # rank(W) + 2l = 13 > 12 rows on every support; 5 + 2 = 7 rows would do
+        rng = np.random.default_rng(seed)
+        W = np.linalg.qr(rng.standard_normal((100, 5)))[0]
+        basis = OrthoBasis.random(100, seed=seed)
+        A = rng.standard_normal((12, 100)) / np.sqrt(12)
+        a, b = minkowski_curvature(A, W, basis, l=4, seed=seed)
+        assert a == 0.0 and b > 0
+        assert minkowski_curvature(A, W, basis, l=1, seed=seed)[0] > 0
+
     def test_import_loads_no_scipy(self):
         # numpy is the only runtime dependency
         src = os.path.dirname(os.path.dirname(objective_mod.__file__))
@@ -671,6 +693,20 @@ class TestRegularityEstimates:
             RegularityEstimates(alpha=0.5, beta=1.0, mu=1.0, gamma=0.0, delta=1.0,
                                 num_samples=10, seed=0)
 
+    @pytest.mark.parametrize("alpha,beta,match", [
+        (0.5, np.inf, "finite beta"), (0.5, np.nan, "finite beta"), (0.0, 0.0, "beta > 0"),
+        (-1e-16, 1.0, "0 <= alpha"), (np.nan, 1.0, "0 <= alpha")])
+    def test_rejected_curvatures(self, alpha, beta, match):
+        with pytest.raises(ContractError, match=match):
+            RegularityEstimates(alpha=alpha, beta=beta, mu=0.0, gamma=None, delta=None,
+                                num_samples=0, seed=0)
+
+    def test_zero_alpha_is_accepted(self):
+        # a span wider than A has rows: no theory rate, but a step size 1/beta
+        est = RegularityEstimates(alpha=0.0, beta=2.0, mu=0.0, gamma=None, delta=None,
+                                  num_samples=0, seed=0)
+        assert est.alpha == 0.0
+
     def test_optional_fields(self):
         est = RegularityEstimates(alpha=0.5, beta=1.5, mu=0.0, gamma=None, delta=None,
                                   num_samples=50, seed=1)
@@ -726,3 +762,19 @@ class TestSumPairSampler:
         # identity measurement: curvature of the sum set is exactly 1
         est = estimate_rsc_rss(obj, sampler, num_pairs=50, seed=0)
         np.testing.assert_allclose([est.alpha, est.beta], np.ones(2), rtol=1e-9)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("A,y,match", [
+        (np.ones(3), np.ones(3), "2-d"),
+        (np.full((2, 3), np.nan), np.ones(2), "finite"),
+        (np.ones((2, 3)), np.array([1.0, np.inf]), "finite"),
+    ])
+    def test_objective_data(self, A, y, match):
+        with pytest.raises(ContractError, match=match):
+            Objective("least-squares", A, y)
+
+    def test_curvature_ratio_needs_distinct_points(self):
+        obj = Objective("least-squares", np.eye(3), np.ones(3))
+        with pytest.raises(ContractError, match="distinct"):
+            curvature_ratio(obj, np.ones(3), np.ones(3) + 1e-13)

@@ -1113,3 +1113,27 @@ class TestConfigAndResult:
     def test_bad_bounds(self):
         with pytest.raises(ConfigError, match="grid_bounds"):
             ProjectionConfig(grid_bounds=(2.0, -2.0))
+
+    @pytest.mark.parametrize("name,least", [("restarts", 1), ("inner_iters", 1),
+                                            ("grid_resolution", 2)])
+    def test_counts_below_their_floor(self, name, least):
+        with pytest.raises(ConfigError, match=name):
+            ProjectionConfig(**{name: least - 1})
+
+    def test_per_axis_bounds_must_match_the_latent_dimension(self):
+        net = make_random_generator(3, 8, 2, [5], seed=0)
+        cfg = ProjectionConfig(method="grid", grid_bounds=((-1, 1), (-2, 2)), grid_resolution=3)
+        with pytest.raises(ConfigError, match="2 intervals for latent dim 3"):
+            project(cfg, net, np.zeros(8))
+
+    def test_bounded_range_cannot_take_the_slack(self):
+        # a tanh output keeps every point of the range in [-1, 1]^4, so no
+        # step along it adds 1e6 to the squared residual of the target 0
+        net = GeneratorNetwork([Layer(np.eye(4)[:, :2], np.zeros(4), Activation("tanh"))])
+        cfg = ProjectionConfig(restarts=1, inner_iters=1, degrade_slack=1e6)
+        with pytest.raises(ContractError, match="could not calibrate"):
+            project(cfg, net, np.zeros(4))
+
+    def test_threshold_vector_must_match_the_basis(self):
+        with pytest.raises(ContractError, match=r"shape \(4,\)"):
+            hard_threshold_coeffs(OrthoBasis.identity(4), np.ones(3), 1)

@@ -477,3 +477,21 @@ class TestTraceCsv:
             per_cell(tmp_path / "want.csv", columns, some)
             solver._write_csv(tmp_path / "got.csv", columns, some)
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+class TestRejectedInputs:
+    def test_default_step_needs_positive_smoothness(self):
+        net = make_linear_generator(np.eye(6)[:, :2])
+        obj = Objective("least-squares", np.zeros((4, 6)), np.zeros(4))
+        with pytest.raises(ContractError, match="smoothness"):
+            default_step_size(obj, net)
+
+    def test_stop_gap_needs_a_truth(self):
+        net, _, obj, _ = linear_instance(20, 3, 20, seed=0)
+        with pytest.raises(ConfigError, match="stop_gap"):
+            epsilon_pgd(obj, net, EXACT, SolverConfig(eta=1.0, stop_gap=1e-6))
+
+    @pytest.mark.parametrize("gaps", [[], [1.0], [[1.0, 0.5], [0.2, 0.1]]])
+    def test_contraction_report_needs_a_gap_sequence(self, gaps):
+        with pytest.raises(ContractError, match="1-d gap sequence"):
+            contraction_report(gaps)
