@@ -6,10 +6,10 @@ import numpy as np
 
 from genpgd import (
     GeneratorSpec,
+    Objective,
     ProblemSpec,
     ProjectionConfig,
     SolverConfig,
-    build_objective,
     contraction_report,
     contraction_factor,
     epsilon_pgd,
@@ -21,7 +21,7 @@ from genpgd import (
 # worst-case rate is a genuine contraction and the comparison means something
 spec = ProblemSpec(n=80, k=5, m=250, generator=GeneratorSpec(kind="linear"))
 inst = gen_problem(spec, seed=4)
-obj = build_objective(inst, "linear")
+obj = Objective("linear", inst.A, inst.y)
 W = inst.net.layers[0].weights
 alpha, beta = subspace_curvature(inst.A, W)
 

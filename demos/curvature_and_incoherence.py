@@ -23,7 +23,7 @@ rng = np.random.default_rng(5)
 n, k, m = 60, 4, 30
 W = np.linalg.qr(rng.standard_normal((n, k)))[0]
 A = rng.standard_normal((m, n)) / np.sqrt(m)
-obj = Objective("least-squares", A, rng.standard_normal(m))
+obj = Objective("linear", A, rng.standard_normal(m))
 net = make_linear_generator(W)
 
 alpha, beta = subspace_curvature(A, W)

@@ -11,10 +11,10 @@ import numpy as np
 
 from genpgd import (
     GeneratorSpec,
+    Objective,
     ProblemSpec,
     ProjectionConfig,
     SolverConfig,
-    build_objective,
     gen_problem,
 )
 from genpgd.solver import myopic_pgd
@@ -33,7 +33,7 @@ print(f"true sparse part uses coordinates "
 # the sparsity budget is part of the solver config; direct calls do not
 # inherit it from the instance the way the harness runner does
 cfg = SolverConfig(mode="myopic", l=4, iters=120)
-trace = myopic_pgd(build_objective(inst, "linear"), inst.net, inst.basis,
+trace = myopic_pgd(Objective("linear", inst.A, inst.y), inst.net, inst.basis,
                    ProjectionConfig(method="closed-form-linear"), cfg,
                    x_star=truth.x_star)
 

@@ -8,10 +8,10 @@ contraction before the floor should look exactly like the exact-oracle run.
 
 from genpgd import (
     GeneratorSpec,
+    Objective,
     ProblemSpec,
     ProjectionConfig,
     SolverConfig,
-    build_objective,
     contraction_report,
     epsilon_pgd,
     gen_problem,
@@ -19,7 +19,7 @@ from genpgd import (
 
 spec = ProblemSpec(n=80, k=5, m=50, generator=GeneratorSpec(kind="linear"))
 inst = gen_problem(spec, seed=4)
-obj = build_objective(inst, "linear")
+obj = Objective("linear", inst.A, inst.y)
 cfg = SolverConfig(iters=150)
 
 print(f"{'slack':>8} {'plateau level':>15} {'plateau start':>14}")

@@ -21,7 +21,6 @@ import numbers
 import os
 import time
 import tokenize
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DivergenceError, NumericError
 from .generator import (
+    Activation,
     GeneratorNetwork,
     _read_json,
     forward,
@@ -37,7 +37,7 @@ from .generator import (
     make_random_generator,
     save_network,
 )
-from .objective import Objective, RegularityEstimates, _link_mean, _regularity
+from .objective import _MEASUREMENTS, Objective, RegularityEstimates, _link_mean, _regularity
 from .projection import OrthoBasis, ProjectionConfig
 from .seeding import check_count, derive_seed, finite_real, spawn_rng
 from .solver import (
@@ -61,31 +61,29 @@ __all__ = [
     "gen_problem",
     "save_problem",
     "load_problem",
-    "build_objective",
     "estimate_regularity",
     "run_solve",
     "run_sweep",
     "emit_report",
 ]
 
-_LINKS = {"linear": None, "glm-sigmoid": "sigmoid", "glm-exp": "exp"}  # measurement -> glm link
 _BASES = (None, "identity", "random")
 
 
-_JSON_TYPES = {int: (numbers.Integral, "integer"), float: (numbers.Real, "number"),
-               str: (str, "string")}
+_JSON_TYPES = {"int": (numbers.Integral, "integer"), "float": (numbers.Real, "number"),
+               "str": (str, "string")}
 
 
-def _is_a(value, kind) -> bool:
-    """JSON typing for config values: a bool is no number, an int is a float."""
+def _is_a(value, kind: str) -> bool:
+    """JSON typing of input values: a bool is no number, an int is a float."""
     return isinstance(value, _JSON_TYPES[kind][0]) and not isinstance(value, bool)
 
 
 def _load(cls, doc, where: str):
-    """Build config dataclass ``cls`` from the JSON object ``doc``, naming
-    ``where`` in every error.  A field whose default factory is a dataclass
-    is a nested section; a field whose default is an int, float or str takes
-    only that JSON type; the dataclass validates the rest itself."""
+    """Build dataclass ``cls``, a config section or an instance's meta, from
+    the JSON object ``doc``, naming ``where`` in every error.  A dataclass
+    default factory makes a nested section, an ``int``, ``float`` or ``str``
+    annotation admits only that JSON type; ``cls`` validates the rest."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, got {doc!r:.60}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -94,12 +92,11 @@ def _load(cls, doc, where: str):
         f = fields.get(key)
         if f is None:
             raise ConfigError(f"unknown key {key!r} in {where}")
-        kind = type(f.default)
         if dataclasses.is_dataclass(f.default_factory):
             value = _load(f.default_factory, value, f"{where}.{key}")
-        elif kind in _JSON_TYPES and not _is_a(value, kind):
+        elif f.type in _JSON_TYPES and not _is_a(value, f.type):
             raise ConfigError(
-                f"{where}.{key} must be a JSON {_JSON_TYPES[kind][1]}, got {value!r:.60}")
+                f"{where}.{key} must be a JSON {_JSON_TYPES[f.type][1]}, got {value!r:.60}")
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -124,10 +121,13 @@ class GeneratorSpec:
             raise ConfigError(f"unknown generator kind {self.kind!r}")
         if self.kind == "file" and not (isinstance(self.path, (str, os.PathLike)) and self.path):
             raise ConfigError("generator kind 'file' needs a path")
-        if not (isinstance(self.widths, (list, tuple)) and all(_is_a(w, int) for w in self.widths)):
-            raise ConfigError(f"widths must be a list of integers, got {self.widths!r}")
+        if not (isinstance(self.widths, (list, tuple))
+                and all(_is_a(w, "int") and w >= 1 for w in self.widths)):
+            raise ConfigError(f"widths must be a list of positive integers, got {self.widths!r}")
         if self.slope is not None and not finite_real(self.slope):
             raise ConfigError(f"slope must be finite, got {self.slope}")
+        if self.kind == "mlp":  # the hidden layers' activation, checked before any trial
+            Activation(self.activation, self.slope)
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
     def build(self, k: int, n: int, seed: int) -> GeneratorNetwork:
@@ -176,9 +176,9 @@ class ProblemSpec:
             raise ConfigError("sparse deviation (l > 0) needs a basis")
         if self.basis not in _BASES:
             raise ConfigError(f"basis must be one of {_BASES}, got {self.basis!r}")
-        if self.measurement not in _LINKS:
+        if self.measurement not in _MEASUREMENTS:
             raise ConfigError(
-                f"measurement must be one of {tuple(_LINKS)}, got {self.measurement!r}")
+                f"measurement must be one of {_MEASUREMENTS}, got {self.measurement!r}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        for name, kind in (("m", int), ("l", int), ("noise_level", float)):
+        for name, kind in (("m", "int"), ("l", "int"), ("noise_level", "float")):
             axis = getattr(self, name)
             if axis is None:
                 continue
@@ -202,7 +202,7 @@ class SweepSpec:
                     f"sweep axis {name!r} must be a list of {_JSON_TYPES[kind][1]}s, got {axis!r}")
             if not axis:
                 raise ConfigError(f"sweep axis {name!r} is empty")
-            if kind is float and not all(map(finite_real, axis)):
+            if kind == "float" and not all(map(finite_real, axis)):
                 raise ConfigError(f"sweep axis {name!r} must hold finite numbers, got {axis!r:.60}")
             object.__setattr__(self, name, tuple(axis))
 
@@ -286,8 +286,9 @@ class ProblemInstance:
     """A solvable instance plus the ground truth it was built from.
 
     Construction re-checks the bookkeeping identities, so a corrupted or
-    hand-edited instance file cannot masquerade as a valid one:
-    x* must equal G(z*) + nu* to 1e-12 and y must equal A x* + noise exactly.
+    hand-edited instance file cannot masquerade as a valid one: the meta's
+    k and n must be the network's, x* must equal G(z*) + nu* to 1e-12 and
+    y must equal A x* + noise exactly.
     """
 
     net: GeneratorNetwork
@@ -299,6 +300,9 @@ class ProblemInstance:
 
     def __post_init__(self):
         m, n = self.meta.m, self.meta.n
+        if (self.meta.k, n) != (self.net.k, self.net.n):
+            raise ContractError(f"meta k={self.meta.k}, n={n} does not match the network's "
+                                f"k={self.net.k}, n={self.net.n}")
         if self.A.shape != (m, n):
             raise ContractError(f"A shape {self.A.shape} does not match meta ({m}, {n})")
         if self.y.shape != (m,):
@@ -345,8 +349,7 @@ def gen_problem(spec: ProblemSpec, seed: int) -> ProblemInstance:
 
     A = spawn_rng(seed, 5).standard_normal((spec.m, spec.n)) / np.sqrt(spec.m)
     clean = A @ x_star
-    link = _LINKS[spec.measurement]
-    mean = clean if link is None else _link_mean(clean, link)
+    mean = _link_mean(clean, spec.measurement)
     if spec.noise_level > 0:
         e = spawn_rng(seed, 6).standard_normal(spec.m)
         scale = float(np.linalg.norm(mean)) or 1.0
@@ -420,25 +423,13 @@ def save_problem(inst: ProblemInstance, directory) -> Path:
     return directory
 
 
-def _read_meta(doc) -> InstanceMeta:
-    """InstanceMeta from its JSON object, each field held to the JSON type
-    of its annotation by the config loader's rule (:func:`_is_a`)."""
-    if not isinstance(doc, dict):
-        raise ContractError(f"meta must be a JSON object, got {doc!r:.60}")
-    for name, kind in typing.get_type_hints(InstanceMeta).items():
-        if name in doc and not _is_a(doc[name], kind):
-            raise ContractError(
-                f"meta.{name} must be a JSON {_JSON_TYPES[kind][1]}, got {doc[name]!r:.60}")
-    return InstanceMeta(**doc)
-
-
 def load_problem(directory) -> ProblemInstance:
     directory = Path(directory)
     doc = _read_json(directory / "instance.json", ContractError)
     if not isinstance(doc, dict) or doc.get("format") != "genpgd-instance":
         raise ContractError(f"{directory} does not hold a problem instance")
     try:
-        meta = _read_meta(doc["meta"])
+        meta = _load(InstanceMeta, doc["meta"], "meta")
         files, truth = doc["files"], doc["truth"]
         nu = truth["nu_star"]
         return ProblemInstance(
@@ -465,13 +456,6 @@ def load_problem(directory) -> ProblemInstance:
 
 # ---------------------------------------------------------------------------
 # solving
-
-
-def build_objective(inst: ProblemInstance, measurement: str) -> Objective:
-    if measurement not in _LINKS:
-        raise ConfigError(f"unknown measurement model {measurement!r}")
-    link = _LINKS[measurement]
-    return Objective("least-squares" if link is None else "glm", inst.A, inst.y, link=link)
 
 
 def estimate_regularity(inst: ProblemInstance, objective: Objective,
@@ -537,7 +521,7 @@ def _solve_setup(inst: ProblemInstance, config: ExperimentConfig):
     null ``eta`` becomes 1/beta of the bundle, so the step size and the
     theory rate rest on the same beta-hat.
     """
-    obj = build_objective(inst, config.problem.measurement)
+    obj = Objective(config.problem.measurement, inst.A, inst.y)
     solver_cfg = config.solver
     sparsity = 0
     if solver_cfg.mode == "myopic":
@@ -612,8 +596,9 @@ def run_solve(inst: ProblemInstance, config: ExperimentConfig,
 
 
 # the failures a sweep records as a trial status "error: <name>"; with "ok"
-# and "divergence" these are the only statuses a sweep writes
-_TRIAL_ERRORS = (ConfigError, ContractError, NumericError)
+# and "divergence" the only statuses it writes.  A ConfigError, a fault of
+# the config that every trial shares, ends the sweep instead
+_TRIAL_ERRORS = (ContractError, NumericError)
 _SWEEP_STATUSES = frozenset(
     ["ok", "divergence"] + [f"error: {e.__name__}" for e in _TRIAL_ERRORS])
 
@@ -637,8 +622,8 @@ class SweepResult:
 def _run_trial(task) -> dict:
     """One sweep trial, ``task`` = (config at its point, run directory, row
     of inputs with the seed): generate, save, solve, and return the row with
-    its results.  A trial failure becomes the row's status; anything else
-    (``MemoryError``, ``OSError``, ...) propagates."""
+    its results.  A divergence or a ``_TRIAL_ERRORS`` failure becomes the
+    row's status; anything else (``ConfigError``, ``OSError``, ...) propagates."""
     config, run_dir, row = task
     row = dict(row, status="ok", **dict.fromkeys(_SWEEP_COLUMNS[7:]))
     try:
@@ -668,9 +653,9 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
 
     Each (axis point, trial) pair gets its own derived seed, so rerunning a
     sweep or reordering points never changes any individual trial.  Trial
-    failures become rows with status != ok; the sweep always completes and
-    the per-trial CSV contains no timing, so identical configs give
-    byte-identical files.
+    failures become rows with status != ok, but a :class:`ConfigError` ends
+    the sweep; the per-trial CSV contains no timing, so identical configs
+    give byte-identical files.
 
     On Linux the trials run in forked workers, one per usable CPU; elsewhere,
     and inside a daemonic worker, they run inline.  Rows come back in

@@ -35,25 +35,23 @@ __all__ = [
     "subspace_incoherence",
 ]
 
-_KINDS = ("least-squares", "glm")
-_LINKS = ("sigmoid", "exp")
+_MEASUREMENTS = ("linear", "glm-sigmoid", "glm-exp")
 
 
 @dataclass(frozen=True)
 class Objective:
-    """A data-fit objective over signals of length n.
+    """A data-fit objective over signals of length n, named by the config's
+    ``problem.measurement``: ``linear`` (least squares), ``glm-sigmoid`` or
+    ``glm-exp``."""
 
-    ``least-squares`` ignores ``link``; ``glm`` requires one.
-    """
-
-    kind: str
+    measurement: str
     A: np.ndarray
     y: np.ndarray
-    link: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ContractError(f"unknown objective kind {self.kind!r}")
+        if self.measurement not in _MEASUREMENTS:
+            raise ContractError(
+                f"measurement must be one of {_MEASUREMENTS}, got {self.measurement!r}")
         A = np.asarray(self.A, dtype=float)
         y = np.asarray(self.y, dtype=float)
         if A.ndim != 2:
@@ -62,11 +60,6 @@ class Objective:
             raise ContractError(f"y shape {y.shape} does not match A rows {A.shape[0]}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
             raise ContractError("A and y must be finite")
-        if self.kind == "glm":
-            if self.link not in _LINKS:
-                raise ContractError(f"glm link must be one of {_LINKS}, got {self.link!r}")
-        elif self.link is not None:
-            raise ContractError("least-squares takes no link")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
 
@@ -96,11 +89,11 @@ def _fit(obj: Objective, x) -> tuple[float, np.ndarray]:
     NumericError naming the first overflowing row; an exp link's phi' is
     its phi, so checking the potential covers R too."""
     t = _inner(obj, x)
-    if obj.kind == "least-squares":
+    if obj.measurement == "linear":
         R = t - obj.y
         return 0.5 * float(R @ R), R
-    f = float(np.sum(_potential(t, obj.link) - obj.y * t))
-    return f, _link_mean(t, obj.link) - obj.y
+    f = float(np.sum(_potential(t, obj.measurement) - obj.y * t))
+    return f, _link_mean(t, obj.measurement) - obj.y
 
 
 def value(obj: Objective, x) -> float:
@@ -115,19 +108,22 @@ def gradient(obj: Objective, x) -> np.ndarray:
     return obj.A.T @ _fit(obj, x)[1]
 
 
-def _link_mean(t: np.ndarray, link: str) -> np.ndarray:
-    """GLM response mean phi'(t) of the link's potential; overflow of the
-    exp link is left as inf for the caller to reject."""
-    if link == "sigmoid":
+def _link_mean(t: np.ndarray, measurement: str) -> np.ndarray:
+    """Response mean of ``measurement`` at inner products ``t``: ``t`` itself
+    for ``linear``, else phi'(t) of the GLM potential; overflow of the exp
+    link is left as inf for the caller to reject."""
+    if measurement == "linear":
+        return t
+    if measurement == "glm-sigmoid":
         return 0.5 * (1.0 + np.tanh(0.5 * t))  # stable logistic
     with np.errstate(over="ignore"):
         return np.exp(t)
 
 
-def _potential(t: np.ndarray, link: str) -> np.ndarray:
-    """GLM potential phi(t) of the link, elementwise; an overflowing exp
-    raises NumericError naming its row."""
-    if link == "sigmoid":
+def _potential(t: np.ndarray, measurement: str) -> np.ndarray:
+    """GLM potential phi(t) of a glm ``measurement``, elementwise; an
+    overflowing exp raises NumericError naming its row."""
+    if measurement == "glm-sigmoid":
         # log(1 + e^t) computed without overflow for any t
         return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
     with np.errstate(over="ignore"):
@@ -141,17 +137,16 @@ def _fit_batch(obj: Objective, pts: np.ndarray):
 
     Returns ``(values, R, T)``: ``T = pts A^T`` holds the inner products and
     ``R`` the link residuals (``T - y`` for least squares, ``phi'(T) - y``
-    for glm), so the gradients are the rows of ``R A``.
+    for glm), so the gradients are the rows of ``R A``; as in :func:`_fit`,
+    the finite checks of T and of the potential cover R.
     """
     T = pts @ obj.A.T
     _check_rows_finite(T)
-    if obj.kind == "least-squares":
+    if obj.measurement == "linear":
         R = T - obj.y
         return 0.5 * np.einsum("ij,ij->i", R, R), R, T
-    fvals = np.sum(_potential(T, obj.link) - obj.y * T, axis=1)
-    R = _link_mean(T, obj.link) - obj.y
-    _check_rows_finite(R)
-    return fvals, R, T
+    fvals = np.sum(_potential(T, obj.measurement) - obj.y * T, axis=1)
+    return fvals, _link_mean(T, obj.measurement) - obj.y, T
 
 
 def curvature_ratio(obj: Objective, x, y_pt) -> float:
@@ -299,7 +294,7 @@ def _cross_pair_extremes(obj: Objective, pts: np.ndarray, chunk: int = 128):
     sq = np.sum(pts * pts, axis=1)
     dist = _sum_factors(pts, pts, -2.0, sq, sq)
     floor = _sum_factors(pts[:, :0], pts[:, :0], 0.0, 1e-12 * (sq + 1.0), 1e-12 * sq)
-    symmetric = obj.kind == "least-squares"
+    symmetric = obj.measurement == "linear"
     if symmetric:
         tq = np.sum(T * T, axis=1)
         rise = _sum_factors(T, T, -2.0, tq, tq)
@@ -567,7 +562,7 @@ def minkowski_curvature(A, W, basis: OrthoBasis, l: int, supports=None,
 
 def _exact(obj: Objective, net: GeneratorNetwork) -> bool:
     """Whether the exact oracles apply: least squares on a single affine layer."""
-    return obj.kind == "least-squares" and net.is_single_affine
+    return obj.measurement == "linear" and net.is_single_affine
 
 
 def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis | None = None,

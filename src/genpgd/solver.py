@@ -127,9 +127,10 @@ def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
                 x0=None, x_star=None, basis: OrthoBasis | None = None) -> IterationTrace:
     """Gradient step then range projection, from ``x0`` (default zero).
 
-    With a ``basis`` the iterate is x_t = u_t + v_t, a range block plus a
-    ``cfg.l``-sparse block in that basis (which starts at zero).  Both
-    blocks consume the one gradient g taken at x_t: the range block
+    With a ``basis``, which mode "myopic" needs and "pgd" forbids (else
+    :class:`ConfigError`), the iterate is x_t = u_t + v_t, a range block
+    plus a ``cfg.l``-sparse block in that basis (which starts at zero).
+    Both blocks consume the one gradient g taken at x_t: the range block
     re-projects u_t - eta*g, the sparse block re-thresholds v_t - eta*g, and
     neither sees the other's update within an iteration.  Without a basis
     there is no sparse block and x_t = u_t.
@@ -140,6 +141,9 @@ def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
     """
     if cfg.stop_gap is not None and x_star is None:
         raise ConfigError("stop_gap needs a known truth point")
+    if (cfg.mode == "myopic") != (basis is not None):
+        need = "needs a" if basis is None else "takes no"
+        raise ConfigError(f"solver mode {cfg.mode!r} {need} basis")
     f_star = None
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)

@@ -23,7 +23,6 @@ from genpgd import (
     ProjectionConfig,
     SolverConfig,
     SweepSpec,
-    build_objective,
     contraction_factor,
     contraction_report,
     epsilon_pgd,
@@ -84,7 +83,7 @@ def _one_step_contraction(capsys, m, label):
         qualified += 1
         bound = hi / lo - 1.0 + 0.05
         cfg = SolverConfig(eta=1.0 / hi, iters=3000, stop_gap=1e-12)
-        trace = epsilon_pgd(build_objective(inst, "linear"), inst.net, EXACT,
+        trace = epsilon_pgd(Objective("linear", inst.A, inst.y), inst.net, EXACT,
                             cfg, x_star=inst.truth.x_star)
         gaps = trace.gaps()
         for t in range(gaps.size - 1):
@@ -116,7 +115,7 @@ def test_iterations_grow_linearly_in_log_accuracy(capsys):
         inst = _family_instance(i)
         _, hi = _range_spectrum(inst)
         cfg = SolverConfig(eta=1.0 / hi, iters=3000, stop_gap=1e-10)
-        trace = epsilon_pgd(build_objective(inst, "linear"), inst.net, EXACT,
+        trace = epsilon_pgd(Objective("linear", inst.A, inst.y), inst.net, EXACT,
                             cfg, x_star=inst.truth.x_star)
         gaps = trace.gaps()
         assert gaps.min() <= deltas.min(), f"instance {i} never reached 1e-8"
@@ -140,7 +139,7 @@ def test_gap_plateau_grows_with_oracle_slack(capsys):
         for s in slacks:
             proj = ProjectionConfig(method="closed-form-linear", degrade_slack=s)
             cfg = SolverConfig(iters=200)
-            trace = epsilon_pgd(build_objective(inst, "linear"), inst.net, proj,
+            trace = epsilon_pgd(Objective("linear", inst.A, inst.y), inst.net, proj,
                                 cfg, x_star=inst.truth.x_star)
             rep = contraction_report(trace)
             per_slack.append(rep.plateau_level)
@@ -175,7 +174,7 @@ def test_myopic_contraction_and_recovery(capsys):
         mu = max(subspace_incoherence(W, inst.basis, S) for S in supports)
         rho = contraction_factor(lo, hi, mu)
         cfg = SolverConfig(mode="myopic", l=5, eta=1.0 / hi, iters=200)
-        trace = myopic_pgd(build_objective(inst, "linear"), inst.net, inst.basis,
+        trace = myopic_pgd(Objective("linear", inst.A, inst.y), inst.net, inst.basis,
                            EXACT, cfg, x_star=inst.truth.x_star)
         gaps = trace.gaps()
         all_finite &= bool(np.all(np.isfinite(gaps)))
@@ -258,15 +257,15 @@ def test_derivatives_match_central_differences(capsys):
     worst_grad = 0.0
     rng = spawn_rng(7)
     A = rng.standard_normal((20, 12)) / np.sqrt(20)
-    for kind, link in (("least-squares", None), ("glm", "sigmoid"), ("glm", "exp")):
+    for measurement in ("linear", "glm-sigmoid", "glm-exp"):
         t_ref = A @ rng.standard_normal(12)
-        if kind == "least-squares":
+        if measurement == "linear":
             y = t_ref + 0.1 * rng.standard_normal(20)
-        elif link == "sigmoid":
+        elif measurement == "glm-sigmoid":
             y = 0.5 * (1.0 + np.tanh(0.5 * t_ref))
         else:
             y = np.exp(t_ref)
-        obj = Objective(kind, A, y, link=link)
+        obj = Objective(measurement, A, y)
         for _ in range(50):
             x = rng.standard_normal(12)
             g = gradient(obj, x)
@@ -316,7 +315,7 @@ def test_curvature_and_incoherence_estimates_track_oracles(capsys):
     for i in range(2):
         inst = _family_instance(i)
         lo, hi = _range_spectrum(inst)
-        obj = build_objective(inst, "linear")
+        obj = Objective("linear", inst.A, inst.y)
         sampler = latent_pair_sampler(inst.net)
         for est_seed in range(2):
             est = estimate_rsc_rss(obj, sampler, num_pairs=2000, seed=est_seed)

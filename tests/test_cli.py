@@ -155,8 +155,9 @@ class TestSolve:
         lambda doc: doc["meta"].update(bogus=1),
         lambda doc: doc["files"].update(A="missing.csv"),
         lambda doc: doc["meta"].update(m=str(doc["meta"]["m"])),
+        lambda doc: doc["meta"].update(k=7),
     ], ids=["missing-truth-noise", "unknown-meta-key", "missing-matrix-file",
-            "string-meta-m"])
+            "string-meta-m", "meta-k-not-the-network-k"])
     def test_malformed_instance_exit_code(self, tmp_path, capsys, corrupt):
         cfg = write_config(tmp_path)
         inst = tmp_path / "inst"
@@ -418,6 +419,35 @@ class TestSweepAndReport:
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
 
+    _MLP = {"kind": "mlp", "widths": [8]}
+    # configs that every trial would reject: the first three as the config
+    # loads, the others as a trial builds its network or projection
+    REJECTED = {
+        "zero-width": ({"problem.generator": {"kind": "mlp", "widths": [0]}},
+                       "widths must be a list of positive integers, got [0]"),
+        "sigmoid": ({"problem.generator": {**_MLP, "activation": "sigmoid"}},
+                    "unknown activation kind 'sigmoid'"),
+        "relu-slope": ({"problem.generator": {**_MLP, "slope": 0.2}},
+                       "activation 'relu' takes no slope"),
+        "grid_bounds-count": ({"problem.k": 2, "projection": {
+            "method": "latent-gd", "restarts": 3, "inner_iters": 10,
+            "grid_bounds": [[-3, 3]] * 3}}, "grid_bounds lists 3 intervals for latent dim 2"),
+        "closed-form-on-mlp": ({"problem.generator": _MLP},
+                               "closed-form-linear needs a single identity-activation layer"),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", list(REJECTED))
+    def test_sweep_of_a_rejected_config_exits_2(self, tmp_path, monkeypatch, capsys, name,
+                                                workers):
+        patches, message = self.REJECTED[name]
+        monkeypatch.setattr("genpgd.harness._sweep_workers", lambda tasks: workers)
+        cfg = write_config(tmp_path, **patches, **{"sweep.trials": 2})
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert multiprocessing.active_children() == []
+
     def test_sweep_survives_divergent_trials(self, tmp_path):
         cfg = write_config(tmp_path, **{"solver.eta": 500.0})
         assert main(["sweep", "--config", str(cfg)]) == 0
@@ -465,7 +495,8 @@ class TestSweepAndReport:
         assert main(["report", str(out)]) == 2
         assert "sweep.csv line 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("status", ["weird", "error: KeyError", "OK", ""])
+    @pytest.mark.parametrize("status", ["weird", "error: KeyError", "OK", "",
+                                        "error: ConfigError"])
     def test_report_on_unknown_status_exit_code(self, tmp_path, capsys, status):
         out, _ = self._swept(tmp_path)
         _set_cell(out / "sweep.csv", 1, _SWEEP_COLUMNS.index("status"), status)
@@ -475,7 +506,7 @@ class TestSweepAndReport:
         assert len(err) == 1 and "unknown status" in err[0] and "sweep.csv line 2" in err[0]
 
     @pytest.mark.parametrize("status", [
-        "divergence", "error: ConfigError", "error: ContractError", "error: NumericError"])
+        "divergence", "error: ContractError", "error: NumericError"])
     def test_report_reads_every_status_a_sweep_writes(self, tmp_path, status):
         out, _ = self._swept(tmp_path)
         _set_cell(out / "sweep.csv", 1, _SWEEP_COLUMNS.index("status"), status)

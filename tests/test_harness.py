@@ -24,7 +24,6 @@ from genpgd.harness import (
     GeneratorSpec,
     ProblemInstance,
     ProblemSpec,
-    build_objective,
     emit_report,
     estimate_regularity,
     gen_problem,
@@ -35,6 +34,7 @@ from genpgd.harness import (
 )
 from genpgd.harness import _read_matrix, _sweep_workers
 from genpgd.objective import (
+    Objective,
     RegularityEstimates,
     _NUM_PAIRS,
     _SumSetKernel,
@@ -304,6 +304,16 @@ class TestSaveLoad:
         with pytest.raises(ContractError, match=f"meta.{field} must be a JSON {kind}"):
             load_problem(tmp_path / "inst")
 
+    def test_meta_k_disagreeing_with_the_network_rejected(self, tmp_path):
+        inst = gen_problem(make_config().problem, seed=14)
+        save_problem(inst, tmp_path / "inst")
+        doc = json.loads((tmp_path / "inst" / "instance.json").read_text())
+        doc["meta"]["k"] = 7
+        (tmp_path / "inst" / "instance.json").write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match="meta k=7, n=30 does not match the network's "
+                                                "k=4, n=30"):
+            load_problem(tmp_path / "inst")
+
     @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 100), (100, 100)])
     def test_matrix_npy_round_trip_bitwise(self, tmp_path, shape):
         rng = np.random.default_rng(sum(shape))
@@ -485,13 +495,14 @@ class TestRejectedInstances:
             load_problem(tmp_path)
 
     def test_unknown_measurement(self):
-        with pytest.raises(ConfigError, match="unknown measurement model 'poisson'"):
-            build_objective(self.inst(), "poisson")
+        inst = self.inst()
+        with pytest.raises(ContractError, match="measurement must be one of .*, got 'poisson'"):
+            Objective("poisson", inst.A, inst.y)
 
     def test_sparsity_needs_a_basis(self):
         inst = self.inst()
         with pytest.raises(ConfigError, match="needs a basis"):
-            estimate_regularity(inst, build_objective(inst, "linear"), sparsity=2)
+            estimate_regularity(inst, Objective("linear", inst.A, inst.y), sparsity=2)
 
 
 class TestZeroCurvature:
@@ -519,7 +530,7 @@ class TestEstimateRegularity:
     def test_linear_least_squares_uses_exact_oracle(self):
         cfg = make_config()
         inst = gen_problem(cfg.problem, seed=30)
-        obj = build_objective(inst, cfg.problem.measurement)
+        obj = Objective(cfg.problem.measurement, inst.A, inst.y)
         reg = estimate_regularity(inst, obj, seed=0)
         W = inst.net.layers[0].weights
         alpha, beta = subspace_curvature(inst.A, W)
@@ -533,7 +544,7 @@ class TestEstimateRegularity:
         cfg = make_config(**{"problem.basis": "identity", "problem.l": 3,
                              "solver.mode": "myopic"})
         inst = gen_problem(cfg.problem, seed=31)
-        obj = build_objective(inst, cfg.problem.measurement)
+        obj = Objective(cfg.problem.measurement, inst.A, inst.y)
         reg = estimate_regularity(inst, obj, sparsity=3, seed=0)
         assert 0 < reg.alpha <= reg.beta
         assert 0 <= reg.mu < 1
@@ -546,7 +557,7 @@ class TestEstimateRegularity:
         cfg = make_config(**{"problem.generator": {"kind": "mlp", "widths": [8]},
                              "problem.n": 12, "problem.k": 2})
         inst = gen_problem(cfg.problem, seed=32)
-        obj = build_objective(inst, cfg.problem.measurement)
+        obj = Objective(cfg.problem.measurement, inst.A, inst.y)
         reg = estimate_regularity(inst, obj, seed=0)
         assert 0 < reg.alpha <= reg.beta
 
@@ -555,7 +566,7 @@ def _reference_regularity(inst, objective, sparsity, seed):
     """The bundle as the harness once assembled it from the objective's
     parts, with the truth support's coefficients above an absolute 1e-12."""
     net, basis = inst.net, inst.basis
-    exact = net.is_single_affine and objective.kind == "least-squares"
+    exact = net.is_single_affine and objective.measurement == "linear"
     alpha, beta = _curvature_bounds(objective, net, basis, sparsity, seed=derive_seed(seed, 0))
     if exact and sparsity > 0:
         supports = _sampled_supports(inst.meta.n, sparsity, spawn_rng(seed, 1))
@@ -594,7 +605,7 @@ class TestRegularityReference:
         cfg = make_config(**patches)
         # at this seed the sum set's mu is the truth support's
         inst = gen_problem(cfg.problem, seed=89)
-        obj = build_objective(inst, cfg.problem.measurement)
+        obj = Objective(cfg.problem.measurement, inst.A, inst.y)
         got = estimate_regularity(inst, obj, sparsity=sparsity, seed=7)
         want = _reference_regularity(inst, obj, sparsity, seed=7)
         for f in dataclasses.fields(RegularityEstimates):
@@ -749,6 +760,35 @@ class TestParallelSweep:
     def test_one_worker_without_cpu_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert _sweep_workers(8) == 1
+
+
+class TestRejectedConfig:
+    """A config that every trial would reject is a fault of the config, not
+    a trial status: the loader raises it, or the sweep does, from a trial
+    run inline or in a forked worker, and writes no sweep.csv."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("patches, message", [
+        ({"problem.k": 2, "projection": {"method": "latent-gd", "restarts": 3, "inner_iters": 10,
+                                         "grid_bounds": [[-3, 3]] * 3}},
+         "grid_bounds lists 3 intervals for latent dim 2"),
+        ({"problem.generator": _MLP}, "closed-form-linear needs a single identity-activation"),
+    ], ids=["grid_bounds-count", "closed-form-on-mlp"])
+    def test_run_sweep_raises_the_config_error(self, tmp_path, monkeypatch, patches, message,
+                                               workers):
+        monkeypatch.setattr("genpgd.harness._sweep_workers", lambda tasks: workers)
+        cfg = make_config(**patches, **{"sweep.trials": 2, "out_dir": str(tmp_path)})
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(cfg)
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("generator, message", [
+        ({**_MLP, "activation": "sigmoid"}, "unknown activation kind 'sigmoid'"),
+        ({**_MLP, "slope": 0.2}, "activation 'relu' takes no slope"),
+    ], ids=["sigmoid", "relu-slope"])
+    def test_activation_is_checked_as_the_config_loads(self, generator, message):
+        with pytest.raises(ContractError, match=message):
+            make_config(**{"problem.generator": generator})
 
 
 class TestEmitReport:

@@ -47,36 +47,36 @@ def random_objective(kind, link, m, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n)) / np.sqrt(m)
     if kind == "least-squares":
-        return Objective(kind="least-squares", A=A, y=rng.standard_normal(m))
+        return Objective("linear", A=A, y=rng.standard_normal(m))
     y = rng.uniform(0.2, 0.8, size=m) if link == "sigmoid" else rng.uniform(0.5, 2.0, size=m)
-    return Objective(kind="glm", A=A, y=y, link=link)
+    return Objective(f"glm-{link}", A=A, y=y)
 
 
 class TestValueGradient:
     def test_least_squares_hand_value(self):
-        obj = Objective("least-squares", A=np.array([[1.0, 0.0], [0.0, 2.0]]), y=np.array([1.0, 2.0]))
+        obj = Objective("linear", A=np.array([[1.0, 0.0], [0.0, 2.0]]), y=np.array([1.0, 2.0]))
         # residual at x = (0, 0) is y itself: value = 0.5 * (1 + 4)
         assert value(obj, np.zeros(2)) == 2.5
         np.testing.assert_array_equal(gradient(obj, np.zeros(2)), np.array([-1.0, -4.0]))
 
     def test_glm_sigmoid_hand_value(self):
-        obj = Objective("glm", A=np.array([[1.0]]), y=np.array([0.5]), link="sigmoid")
+        obj = Objective("glm-sigmoid", A=np.array([[1.0]]), y=np.array([0.5]))
         assert abs(value(obj, np.zeros(1)) - math.log(2.0)) < 1e-15
 
     def test_glm_sigmoid_stable_at_large_inputs(self):
-        obj = Objective("glm", A=np.array([[1.0]]), y=np.array([0.5]), link="sigmoid")
+        obj = Objective("glm-sigmoid", A=np.array([[1.0]]), y=np.array([0.5]))
         v = value(obj, np.array([800.0]))
         # log(1 + e^t) - 0.5 t -> 0.5 t for large t
         assert abs(v - 400.0) < 1e-9
         assert np.isfinite(gradient(obj, np.array([800.0]))[0])
 
     def test_glm_exp_hand_value(self):
-        obj = Objective("glm", A=np.array([[1.0], [2.0]]), y=np.array([1.0, 0.5]), link="exp")
+        obj = Objective("glm-exp", A=np.array([[1.0], [2.0]]), y=np.array([1.0, 0.5]))
         # F = (e^t1 - 1*t1) + (e^t2 - 0.5*t2) at x = 0: 1 + 1
         assert value(obj, np.zeros(1)) == 2.0
 
     def test_glm_exp_overflow_names_row(self):
-        obj = Objective("glm", A=np.array([[1.0], [1000.0]]), y=np.array([1.0, 1.0]), link="exp")
+        obj = Objective("glm-exp", A=np.array([[1.0], [1000.0]]), y=np.array([1.0, 1.0]))
         with pytest.raises(NumericError, match="row 1"):
             value(obj, np.array([2.0]))
         with pytest.raises(NumericError, match="row 1"):
@@ -102,14 +102,20 @@ class TestValueGradient:
 
     def test_validation(self):
         A, y = np.eye(2), np.zeros(2)
-        with pytest.raises(ContractError, match="kind"):
+        with pytest.raises(ContractError, match="measurement"):
             Objective("huber", A, y)
-        with pytest.raises(ContractError, match="link"):
-            Objective("glm", A, y, link="probit")
-        with pytest.raises(ContractError, match="link"):
-            Objective("least-squares", A, y, link="sigmoid")
+        with pytest.raises(ContractError, match="measurement"):
+            Objective("glm-probit", A, y)
         with pytest.raises(ContractError, match="shape"):
-            Objective("least-squares", A, np.zeros(3))
+            Objective("linear", A, np.zeros(3))
+
+    @pytest.mark.parametrize("name", ["least-squares", "glm", "sigmoid", "exp"])
+    def test_names_outside_the_config_vocabulary_are_rejected(self, name):
+        # the objective takes problem.measurement's names and no others
+        with pytest.raises(ContractError) as exc:
+            Objective(name, np.eye(2), np.zeros(2))
+        assert str(exc.value) == (
+            f"measurement must be one of ('linear', 'glm-sigmoid', 'glm-exp'), got {name!r}")
 
 
 class TestCurvatureEstimator:
@@ -117,7 +123,7 @@ class TestCurvatureEstimator:
         rng = np.random.default_rng(17)
         self.W = np.linalg.qr(rng.standard_normal((30, 4)))[0]
         self.A = rng.standard_normal((50, 30)) / np.sqrt(50)
-        self.obj = Objective("least-squares", self.A, rng.standard_normal(50))
+        self.obj = Objective("linear", self.A, rng.standard_normal(50))
         self.net = make_linear_generator(self.W)
         # independent spectral oracle, raw numpy
         H = self.W.T @ self.A.T @ self.A @ self.W
@@ -230,7 +236,7 @@ class TestCurvatureEstimator:
         net = make_random_generator(3, 10, 2, [6], "relu", seed=1)
         A = np.random.default_rng(42).standard_normal((20, 10))
         A[5] *= 1e4
-        obj = Objective("glm", A, np.ones(20), link="exp")
+        obj = Objective("glm-exp", A, np.ones(20))
         with pytest.raises(NumericError, match="row 5"):
             estimate_rsc_rss(obj, latent_pair_sampler(net), num_pairs=50, seed=0)
 
@@ -291,10 +297,10 @@ def written_out_fit(obj, x):
     from its own product with A: the reference :func:`objective_mod._fit`
     must reproduce bit for bit."""
     t = obj.A @ x
-    if obj.kind == "least-squares":
+    if obj.measurement == "linear":
         r = t - obj.y
         return 0.5 * float(r @ r), obj.A.T @ (t - obj.y)
-    if obj.link == "sigmoid":
+    if obj.measurement == "glm-sigmoid":
         phi = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
         mean = 0.5 * (1.0 + np.tanh(0.5 * t))
     else:
@@ -320,7 +326,7 @@ class TestFusedFit:
 
     def test_exp_overflow_names_the_same_row_everywhere(self):
         A = np.array([[1.0], [-2.0], [1000.0], [2000.0]])
-        obj = Objective("glm", A=A, y=np.ones(4), link="exp")
+        obj = Objective("glm-exp", A=A, y=np.ones(4))
         for call in (objective_mod._fit, value, gradient):
             with pytest.raises(NumericError, match="row 2$"):
                 call(obj, np.array([1.0]))
@@ -655,10 +661,10 @@ class TestDiameterGamma:
         net = make_linear_generator(W)
         A = rng.standard_normal((30, 20)) / np.sqrt(30)
         x_star = W @ rng.standard_normal(3)
-        obj = Objective("least-squares", A, A @ x_star)
+        obj = Objective("linear", A, A @ x_star)
         _, gamma = estimate_diameter_gamma(net, obj, x_star=x_star, num_samples=40, seed=3)
         assert gamma < 1e-12
-        noisy = Objective("least-squares", A, A @ x_star + 0.1 * rng.standard_normal(30))
+        noisy = Objective("linear", A, A @ x_star + 0.1 * rng.standard_normal(30))
         _, gamma2 = estimate_diameter_gamma(net, noisy, x_star=x_star, num_samples=40, seed=3)
         assert abs(gamma2 - np.linalg.norm(gradient(noisy, x_star))) < 1e-14
 
@@ -758,7 +764,7 @@ class TestSumPairSampler:
         sampler = sum_pair_sampler(net, basis, l=2)
         x, y = sampler(np.random.default_rng(0), 1)
         assert x.shape == (12,) and y.shape == (12,)
-        obj = Objective("least-squares", np.eye(12), np.zeros(12))
+        obj = Objective("linear", np.eye(12), np.zeros(12))
         # identity measurement: curvature of the sum set is exactly 1
         est = estimate_rsc_rss(obj, sampler, num_pairs=50, seed=0)
         np.testing.assert_allclose([est.alpha, est.beta], np.ones(2), rtol=1e-9)
@@ -772,9 +778,9 @@ class TestRejectedInputs:
     ])
     def test_objective_data(self, A, y, match):
         with pytest.raises(ContractError, match=match):
-            Objective("least-squares", A, y)
+            Objective("linear", A, y)
 
     def test_curvature_ratio_needs_distinct_points(self):
-        obj = Objective("least-squares", np.eye(3), np.ones(3))
+        obj = Objective("linear", np.eye(3), np.ones(3))
         with pytest.raises(ContractError, match="distinct"):
             curvature_ratio(obj, np.ones(3), np.ones(3) + 1e-13)

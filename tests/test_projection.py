@@ -1014,7 +1014,7 @@ def _linear_problem(seed, n=20, k=3, m=30):
     net = make_linear_generator(np.linalg.qr(rng.standard_normal((n, k)))[0])
     x_star = forward(net, rng.standard_normal(k))
     A = rng.standard_normal((m, n)) / np.sqrt(m)
-    return net, Objective("least-squares", A, A @ x_star), x_star
+    return net, Objective("linear", A, A @ x_star), x_star
 
 
 class TestOracle:

@@ -32,7 +32,7 @@ def linear_instance(n, k, m, seed, noise=0.0):
     if noise:
         e = rng.standard_normal(m)
         y = y + noise * np.linalg.norm(A @ x_star) / np.linalg.norm(e) * e
-    obj = Objective("least-squares", A, y)
+    obj = Objective("linear", A, y)
     return net, W, obj, x_star
 
 
@@ -42,7 +42,7 @@ EXACT = ProjectionConfig(method="closed-form-linear")
 class TestPgdBasics:
     def test_denoising_converges_in_one_step(self):
         net, W, _, x_star = linear_instance(20, 3, 20, seed=0)
-        obj = Objective("least-squares", np.eye(20), x_star)
+        obj = Objective("linear", np.eye(20), x_star)
         # one exact step lands on the truth up to rounding, so a near-zero
         # stop threshold fires immediately after it
         cfg = SolverConfig(eta=1.0, iters=5, stop_gap=1e-24)
@@ -57,7 +57,7 @@ class TestPgdBasics:
         W = np.eye(15)[:, :2]
         net = make_linear_generator(W)
         x_star = W @ np.array([0.7, -1.3])
-        obj = Objective("least-squares", np.eye(15), x_star)
+        obj = Objective("linear", np.eye(15), x_star)
         cfg = SolverConfig(eta=0.7, iters=6)
         trace = epsilon_pgd(obj, net, EXACT, cfg, x0=x_star, x_star=x_star)
         assert len(trace.records) == 7
@@ -174,7 +174,7 @@ def _composed_cases():
     yield "linear-diverges", (obj, net, EXACT, SolverConfig(eta=40.0, iters=30), x_star, None)
     basis = OrthoBasis.random(40, seed=41)
     nu = basis.matrix[:, [3, 17]] @ np.array([0.8, -0.5])
-    obj_sum = Objective("least-squares", obj.A, obj.A @ (x_star + nu))
+    obj_sum = Objective("linear", obj.A, obj.A @ (x_star + nu))
     yield "myopic", (obj_sum, net, EXACT, SolverConfig(eta=0.5, iters=30, mode="myopic", l=2),
                      x_star + nu, basis)
     relu = make_random_generator(3, 24, 2, [10], activation="relu", seed=42)
@@ -182,10 +182,10 @@ def _composed_cases():
     x_relu = forward(relu, rng.standard_normal(3))
     A = rng.standard_normal((18, 24)) / np.sqrt(18)
     gd = ProjectionConfig(method="latent-gd", restarts=3, inner_iters=10, seed=4)
-    yield "relu-latent-gd", (Objective("least-squares", A, A @ x_relu), relu, gd,
+    yield "relu-latent-gd", (Objective("linear", A, A @ x_relu), relu, gd,
                              SolverConfig(eta=0.5, iters=6), x_relu, None)
     y = (rng.uniform(size=30) < 0.5 * (1.0 + np.tanh(0.5 * obj.A @ x_star))).astype(float)
-    yield "glm-sigmoid", (Objective("glm", obj.A, y, link="sigmoid"), net, EXACT,
+    yield "glm-sigmoid", (Objective("glm-sigmoid", obj.A, y), net, EXACT,
                           SolverConfig(eta=1.0, iters=30), x_star, None)
 
 
@@ -217,7 +217,7 @@ class TestFusedLoop:
         rng = np.random.default_rng(2)
         net = make_linear_generator(np.linalg.qr(rng.standard_normal((12, 2)))[0])
         A = rng.standard_normal((8, 12))
-        obj = Objective("glm", A, rng.uniform(0.5, 2.0, 8), link="exp")
+        obj = Objective("glm-exp", A, rng.uniform(0.5, 2.0, 8))
         cfg = SolverConfig(eta=0.35, iters=30)
         real, calls = project, [0]
 
@@ -355,7 +355,7 @@ class TestMyopic:
         nu[sup] = rng.standard_normal(l)
         x_star = W @ z_star + nu
         A = rng.standard_normal((m, n)) / np.sqrt(m)
-        obj = Objective("least-squares", A, A @ x_star)
+        obj = Objective("linear", A, A @ x_star)
         return net, basis, obj, x_star
 
     def test_reduces_to_pgd_when_sparsity_zero(self):
@@ -397,6 +397,16 @@ class TestMyopic:
         u1 = project(EXACT, net, -eta * g).point
         v1 = hard_threshold(basis, -eta * g, 3)
         np.testing.assert_allclose(trace.final_point, u1 + v1, atol=1e-14)
+
+    @pytest.mark.parametrize("mode, with_basis, message", [
+        ("myopic", False, "solver mode 'myopic' needs a basis"),
+        ("pgd", True, "solver mode 'pgd' takes no basis"),
+    ])
+    def test_mode_and_basis_must_agree(self, mode, with_basis, message):
+        net, basis, obj, x_star = self.make_instance(30, 3, 2, 40, seed=25)
+        cfg = SolverConfig(mode=mode, iters=3, l=2, eta=0.4)
+        with pytest.raises(ConfigError, match=message):
+            epsilon_pgd(obj, net, EXACT, cfg, x_star=x_star, basis=basis if with_basis else None)
 
     def test_divergence_trace_keeps_both_blocks(self):
         net, basis, obj, x_star = self.make_instance(30, 3, 2, 40, seed=24)
@@ -482,7 +492,7 @@ class TestTraceCsv:
 class TestRejectedInputs:
     def test_default_step_needs_positive_smoothness(self):
         net = make_linear_generator(np.eye(6)[:, :2])
-        obj = Objective("least-squares", np.zeros((4, 6)), np.zeros(4))
+        obj = Objective("linear", np.zeros((4, 6)), np.zeros(4))
         with pytest.raises(ContractError, match="smoothness"):
             default_step_size(obj, net)
 

@@ -37,3 +37,49 @@ def test_digest_repeats_and_ignores_timings(tmp_path, name):
     doc["final_f"] += 1.0
     summary.write_text(json.dumps(doc))
     assert digest.tree_digest(roots[1]) != first
+
+
+_CL_PATH = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+_CL_SPEC = importlib.util.spec_from_file_location("code_lines", _CL_PATH)
+code_lines = importlib.util.module_from_spec(_CL_SPEC)
+_CL_SPEC.loader.exec_module(code_lines)
+
+_FIXTURE = '''"""Module docstring,
+on two lines."""
+
+import os  # a trailing comment keeps its line
+
+# a comment alone
+
+
+class C:
+    """Class docstring."""
+
+    x = """not a docstring,
+    an assignment"""
+
+    def f(self):
+        """Function docstring."""
+        return os.sep
+
+
+async def g():
+    "one-line docstring"
+    return [
+        1,
+    ]
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks():
+    # code: import, class, both lines of x, def, return, async def, the list's 3 lines
+    assert code_lines.count(_FIXTURE) == (24, 10)
+
+
+def test_code_lines_prints_each_module_and_the_sum(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(_FIXTURE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines[1:]] == [
+        ["a.py", "24", "10"], ["b.py", "3", "1"], ["sum", "27", "11"]]
