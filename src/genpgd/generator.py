@@ -232,7 +232,7 @@ def vjp(net: GeneratorNetwork, z, cotangent) -> np.ndarray:
     return g
 
 
-def _forward_jacobian(net: GeneratorNetwork, Z):
+def _forward_jacobian(net: GeneratorNetwork, Z, outputs=True):
     """Outputs and Jacobians at a batch of latents in one pass.
 
     ``Z`` holds one latent per row, (N, k); the result is the (N, n) outputs
@@ -243,21 +243,29 @@ def _forward_jacobian(net: GeneratorNetwork, Z):
     first skips the multiply by ones, which changes no bit.  Kinks use the
     same one-sided derivatives as :func:`vjp`, so
     ``J[i].T @ c == vjp(net, Z[i], c)`` up to rounding.
+
+    With ``outputs=False`` the result is J alone, for callers that have the
+    outputs already (latent-gd's accepted rows).  A last identity layer after
+    the first then skips its forward product: J's update ``W @ J`` does not
+    need it, so J has the same bits as in the full pass.
     """
     A = np.asarray(Z, dtype=float)
     if A.ndim != 2 or A.shape[1] != net.k:
         raise ContractError(f"latent batch must have shape (N, {net.k}), got {A.shape}")
     J = None
     for layer in net.layers:
+        identity = layer.activation.kind == "identity"
+        if J is not None and identity:  # act' = 1 would change no bit
+            J = layer.weights @ J
+            if not outputs and layer is net.layers[-1]:
+                break
         pre = A @ layer.weights.T + layer.bias
         A = layer.activation.apply(pre)
         if J is None:  # the multiply also broadcasts W to one copy per row
             J = layer.activation.derivative(pre)[:, :, None] * layer.weights
-        elif layer.activation.kind == "identity":  # act' = 1 would change no bit
-            J = layer.weights @ J
-        else:
+        elif not identity:
             J = layer.activation.derivative(pre)[:, :, None] * (layer.weights @ J)
-    return A, J
+    return (A, J) if outputs else J
 
 
 def make_linear_generator(W) -> GeneratorNetwork:

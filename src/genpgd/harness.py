@@ -108,7 +108,15 @@ def _load(cls, doc, where: str):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Which generator to use: a fresh random one or one from disk."""
+    """Which generator to use: a fresh random one or one from disk.
+
+    ``widths``, ``activation`` and ``slope`` describe an ``mlp`` and
+    ``path`` names a ``file``; another kind that sets one of them away from
+    its default is a :class:`ConfigError` naming the field, not a silent
+    no-op.  ``activation`` defaults to ``"relu"``, so a linear generator
+    that states ``"activation": "relu"`` cannot be told from one that
+    leaves it out, and is accepted.
+    """
 
     kind: str = "linear"
     widths: tuple = ()
@@ -129,6 +137,10 @@ class GeneratorSpec:
         if self.kind == "mlp":  # the hidden layers' activation, checked before any trial
             Activation(self.activation, self.slope)
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        for name, default, kind in (("widths", (), "mlp"), ("activation", "relu", "mlp"),
+                                    ("slope", None, "mlp"), ("path", None, "file")):
+            if self.kind != kind and getattr(self, name) != default:
+                raise ConfigError(f"generator kind {self.kind!r} takes no {name} (only {kind!r})")
 
     def build(self, k: int, n: int, seed: int) -> GeneratorNetwork:
         if self.kind == "linear":

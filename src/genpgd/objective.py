@@ -280,7 +280,7 @@ def _cross_pair_extremes(obj: Objective, pts: np.ndarray, chunk: int = 128):
     """Index pairs (i, j) minimizing/maximizing the curvature ratio over the
     cross pairs of the rows of ``pts``, in square blocks of ``chunk`` rows.
 
-    Each block's numerators, distances and mask floors are one product of
+    Each block's numerators and distances are one product of
     :func:`_sum_factors`.  Least squares scans each unordered pair once
     (blocks on and above the diagonal, i < j): its ratio
     ``||T_i - T_j||^2 / ||p_i - p_j||^2``, ``T = pts A^T``, is symmetric.
@@ -288,12 +288,25 @@ def _cross_pair_extremes(obj: Objective, pts: np.ndarray, chunk: int = 128):
     residuals R from :func:`_fit_batch`: ``<grad F(p_i), p_j> = R_i . T_j``.
     Gram-expanded distances carry cancellation noise of about 1e-16 times the
     point scale, so pairs closer than ``1e-12 (|p_i|^2 + 1 + |p_j|^2)`` are
-    masked out rather than trusted; returns None if nothing survives.
+    masked out rather than trusted (the floor is summed as ``fa_i + fb_j``,
+    which has the bits a product of the factors ``[fa_i, 1]`` and
+    ``[1, fb_j]`` has); returns None if nothing survives.
+
+    A block builds that floor mask only when a winner needs it: its first
+    argmin and argmax are taken on the raw ratios (j <= i left out on a
+    least-squares diagonal block), and only when one of them is a pair
+    under the floor, or a NaN, is the block masked and scanned again.  The
+    winners cannot change: masking only turns entries into +inf (-inf for
+    the max), so a raw first minimum that is not masked and not NaN (then
+    no entry is NaN) is still the masked block's first minimum, or ties it
+    at inf, which wins nothing.  No least-squares block of the 128 seed-11
+    relu-latentgd items needed its mask; a glm scan masks each diagonal
+    block, whose i = j pairs lie under the floor.
     """
     fvals, R, T = _fit_batch(obj, pts)
     sq = np.sum(pts * pts, axis=1)
     dist = _sum_factors(pts, pts, -2.0, sq, sq)
-    floor = _sum_factors(pts[:, :0], pts[:, :0], 0.0, 1e-12 * (sq + 1.0), 1e-12 * sq)
+    fa, fb = 1e-12 * (sq + 1.0), 1e-12 * sq  # the floor of pair (i, j) is fa_i + fb_j
     symmetric = obj.measurement == "linear"
     if symmetric:
         tq = np.sum(T * T, axis=1)
@@ -303,25 +316,30 @@ def _cross_pair_extremes(obj: Objective, pts: np.ndarray, chunk: int = 128):
     lower = np.tri(chunk, dtype=bool)  # j <= i on a diagonal block
     best_lo, best_hi = np.inf, -np.inf
     at_lo = at_hi = None
-    for start in range(0, len(pts), chunk):
-        rows = slice(start, start + chunk)
-        for col in range(start if symmetric else 0, len(pts), chunk):
-            cols = slice(col, col + chunk)
-            dd = dist[0][rows] @ dist[1][cols].T
-            masked = dd < floor[0][rows] @ floor[1][cols].T
-            r = rise[0][rows] @ rise[1][cols].T
-            if symmetric and col == start:
-                masked |= lower[:len(r), :len(r)]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r /= dd  # masked entries are overwritten below
-            r[masked] = np.inf
-            i, j = np.unravel_index(np.argmin(r), r.shape)
-            if r[i, j] < best_lo:
-                best_lo, at_lo = float(r[i, j]), (start + int(i), col + int(j))
-            r[masked] = -np.inf
-            i, j = np.unravel_index(np.argmax(r), r.shape)
-            if r[i, j] > best_hi:
-                best_hi, at_hi = float(r[i, j]), (start + int(i), col + int(j))
+    with np.errstate(divide="ignore", invalid="ignore"):  # x/0 and 0/0 lie under the floor
+        for start in range(0, len(pts), chunk):
+            rows = slice(start, start + chunk)
+            for col in range(start if symmetric else 0, len(pts), chunk):
+                cols = slice(col, col + chunk)
+                dd = dist[0][rows] @ dist[1][cols].T
+                r = rise[0][rows] @ rise[1][cols].T
+                r /= dd
+                tri = lower[:len(r), :len(r)] if symmetric and col == start else False
+                for masked in (tri, None):  # the floor mask only when a winner needs it
+                    if masked is None:
+                        masked = tri | (dd < fa[rows, None] + fb[cols])
+                    r[masked] = np.inf
+                    lo = divmod(int(np.argmin(r)), r.shape[1])
+                    v_lo = r[lo]
+                    r[masked] = -np.inf
+                    hi = divmod(int(np.argmax(r)), r.shape[1])
+                    if v_lo == v_lo and all(dd[i, j] >= fa[start + i] + fb[col + j]
+                                            for i, j in (lo, hi)):
+                        break
+                if v_lo < best_lo:
+                    best_lo, at_lo = float(v_lo), (start + lo[0], col + lo[1])
+                if r[hi] > best_hi:
+                    best_hi, at_hi = float(r[hi]), (start + hi[0], col + hi[1])
     if at_lo is None or at_hi is None:
         return None
     return at_lo, at_hi

@@ -253,6 +253,20 @@ class TestConfigErrors:
         assert main(["gen", "--config", str(cfg)]) == 2
         assert "inner_step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("generator,field", [
+        ({"kind": "linear", "widths": [8, 9], "activation": "tanh", "slope": 0.3}, "widths"),
+        ({"kind": "mlp", "widths": [20], "path": "net.json"}, "path"),
+    ], ids=["linear-with-mlp-fields", "mlp-with-path"])
+    def test_generator_field_of_another_kind_exit_code(self, tmp_path, capsys, generator,
+                                                        field):
+        # both configs used to exit 0: one wrote a single identity layer,
+        # the other never read its path
+        cfg = write_config(tmp_path, **{"problem.generator": generator})
+        assert main(["gen", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f"no {field}" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -195,6 +195,23 @@ class TestForwardJacobian:
         np.testing.assert_array_equal(out, A)
         np.testing.assert_array_equal(got, J)
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("last", ["identity", "relu", "leaky-relu", "tanh"])
+    def test_jacobian_alone_equals_the_full_pass(self, depth, last):
+        # the J-alone pass skips a last identity layer's output after the
+        # first layer; J must keep every bit of the full pass
+        rng = np.random.default_rng(depth)
+        dims = [3, 7, 9, 12][:depth] + [12]
+        acts = ["tanh", "relu"][:depth - 1] + [last]
+        net = GeneratorNetwork([
+            Layer(rng.standard_normal((dims[i + 1], dims[i])), rng.standard_normal(dims[i + 1]),
+                  Activation(a, 0.3 if a == "leaky-relu" else None))
+            for i, a in enumerate(acts)])
+        Z = rng.standard_normal((5, net.k))
+        J, full = _forward_jacobian(net, Z, outputs=False), _forward_jacobian(net, Z)[1]
+        assert J.shape == full.shape == (5, net.n, net.k)
+        assert J.tobytes() == full.tobytes()
+
 
 class TestBuilders:
     def test_linear_generator_rejects_rank_deficient(self):

@@ -167,6 +167,24 @@ class TestExperimentConfig:
         # an mlp may map up from a small output space (its widths warn instead)
         ProblemSpec(n=3, k=5, generator=GeneratorSpec(kind="mlp"))
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("linear", "widths", [8, 9]), ("linear", "activation", "tanh"),
+        ("linear", "slope", 0.3), ("linear", "path", "net.json"),
+        ("file", "widths", [8]), ("file", "activation", "leaky-relu"), ("file", "slope", 0.3),
+        ("mlp", "path", "net.json"),
+    ])
+    def test_generator_fields_belong_to_their_kind(self, kind, field, value):
+        gen = {"kind": kind, field: value}
+        if kind == "file":
+            gen.setdefault("path", "net.json")
+        with pytest.raises(ConfigError, match=f"generator kind '{kind}' takes no {field}"):
+            make_config(**{"problem.generator": gen})
+
+    def test_generator_defaults_stated_on_another_kind_are_accepted(self):
+        # the defaults cannot be told from fields left out, "relu" included
+        gen = {"kind": "linear", "widths": [], "activation": "relu", "slope": None, "path": None}
+        assert make_config(**{"problem.generator": gen}) == make_config()
+
     def test_value_that_breaks_a_check_is_a_config_error(self):
         # from_json takes Python values too; an array's == has no truth value
         with pytest.raises(ConfigError, match="malformed config.problem"):

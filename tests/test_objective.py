@@ -258,6 +258,51 @@ def brute_force_extremes(obj, pts):
     return lo, hi
 
 
+def always_masked_extremes(obj, pts, chunk, tally):
+    """The pair scan with every block's floor mask built, as it was before
+    the scan built the mask only when a block's winner needs it.  Appends
+    to ``tally`` each off-diagonal block whose unmasked argmin or argmax is
+    a masked pair."""
+    fvals, R, T = objective_mod._fit_batch(obj, pts)
+    sum_factors = objective_mod._sum_factors
+    sq = np.sum(pts * pts, axis=1)
+    dist = sum_factors(pts, pts, -2.0, sq, sq)
+    floor = sum_factors(pts[:, :0], pts[:, :0], 0.0, 1e-12 * (sq + 1.0), 1e-12 * sq)
+    symmetric = obj.measurement == "linear"
+    if symmetric:
+        tq = np.sum(T * T, axis=1)
+        rise = sum_factors(T, T, -2.0, tq, tq)
+    else:
+        rise = sum_factors(R, T, -2.0, 2.0 * (np.sum(R * T, axis=1) - fvals), 2.0 * fvals)
+    lower = np.tri(chunk, dtype=bool)
+    best_lo, best_hi = np.inf, -np.inf
+    at_lo = at_hi = None
+    for start in range(0, len(pts), chunk):
+        rows = slice(start, start + chunk)
+        for col in range(start if symmetric else 0, len(pts), chunk):
+            cols = slice(col, col + chunk)
+            dd = dist[0][rows] @ dist[1][cols].T
+            masked = dd < floor[0][rows] @ floor[1][cols].T
+            r = rise[0][rows] @ rise[1][cols].T
+            if symmetric and col == start:
+                masked |= lower[:len(r), :len(r)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r /= dd
+            if col != start and (masked.flat[np.argmin(r)] or masked.flat[np.argmax(r)]):
+                tally.append((start, col))
+            r[masked] = np.inf
+            i, j = np.unravel_index(np.argmin(r), r.shape)
+            if r[i, j] < best_lo:
+                best_lo, at_lo = float(r[i, j]), (start + int(i), col + int(j))
+            r[masked] = -np.inf
+            i, j = np.unravel_index(np.argmax(r), r.shape)
+            if r[i, j] > best_hi:
+                best_hi, at_hi = float(r[i, j]), (start + int(i), col + int(j))
+    if at_lo is None or at_hi is None:
+        return None
+    return at_lo, at_hi
+
+
 class TestCrossPairScan:
     @pytest.mark.parametrize("count,chunk", [(5, 8), (16, 8), (21, 8), (30, 128)],
                              ids=["under-one-block", "whole-blocks", "ragged", "default-chunk"])
@@ -278,6 +323,29 @@ class TestCrossPairScan:
             else:
                 assert i < j and (i, j) == tuple(sorted(pair))
                 assert curvature_ratio(obj, pts[i], pts[j]) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,link", [("least-squares", None), ("glm", "sigmoid"),
+                                           ("glm", "exp")])
+    def test_on_demand_mask_matches_the_always_masked_scan(self, kind, link):
+        # the scan builds a block's floor mask only when the block's raw
+        # winner is masked or NaN; near-duplicate and duplicate pairs across
+        # blocks make such winners, and the winners must not move
+        obj = random_objective(kind, link, m=9, n=12, seed=60)
+        net = make_random_generator(3, 12, 2, [8], "relu", seed=60)
+        rng = np.random.default_rng(60)
+        tally = []
+        for draw in range(60):
+            pts = forward_batch(net, rng.standard_normal((3, int(rng.integers(9, 40))))).T
+            for _ in range(draw % 4):  # a copy of a point in another block
+                i = int(rng.integers(0, 8))
+                j = int(rng.integers(8, len(pts)))
+                pts[j] = pts[i] + (1e-9 if draw % 8 < 4 else 0.0) * rng.standard_normal(12)
+            want = always_masked_extremes(obj, pts, 8, tally)
+            assert objective_mod._cross_pair_extremes(obj, pts, chunk=8) == want
+        assert len(tally) >= 5  # off-diagonal blocks whose raw winner is masked
+        same = np.repeat(pts[:1], 20, axis=0)  # every pair under the floor
+        assert always_masked_extremes(obj, same, 8, []) is None
+        assert objective_mod._cross_pair_extremes(obj, same, chunk=8) is None
 
     def test_least_squares_winners_are_upper_triangle_pairs(self):
         # the symmetric scan skips j <= i on diagonal blocks; the skipped twin

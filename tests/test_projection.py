@@ -757,6 +757,44 @@ class TestProjectLatentGd:
         assert trials == [3] * 20 + [2]
         assert f[0] < f0 and np.any(Z != Z0)
 
+    def test_reject_cap_survives_the_compaction_of_another_row(self, monkeypatch):
+        # row 0 starts at the origin, and each of its first 50 trials lands
+        # in a poisoned shell around it (output 1e6); its 51st would land
+        # inside the shell and pass.  Row 1 descends far away and stops at
+        # inner_iters in round 16, after which row 0 has 48 rejects: round 17
+        # must try only its last 2 levels although the compaction of round
+        # 16 left row 0 alone
+        net = make_random_generator(2, 12, 2, [8], "tanh", seed=1)
+        x = forward(net, np.array([2.0, -1.5])) + np.random.default_rng(1).standard_normal(12)
+        Z0 = np.array([[0.0, 0.0], [2.5, -2.0]])
+        J = _jacobian(net, Z0[0])
+        lam = float(np.sum(J * J))  # trial j tries damping lam 4^j
+        first, fiftieth = (np.linalg.norm(np.linalg.solve(J.T @ J + lam * 4.0 ** j * np.eye(2),
+                                                          -J.T @ x)) for j in (0, 49))
+
+        def poisoned(z):
+            return fiftieth / 2 < np.linalg.norm(z) < 2 * first
+
+        widths = []
+
+        def poisoned_batch(net, Z):
+            widths.append(Z.shape[1])
+            out = forward_batch(net, Z)
+            out[:, [poisoned(z) for z in Z.T]] = 1e6
+            return out
+
+        monkeypatch.setattr(projection, "forward_batch", poisoned_batch)
+        Z, f = _descend_lockstep(net, x, Z0, 16)
+        monkeypatch.setitem(globals(), "forward", lambda net, z: (
+            np.full(net.n, 1e6) if poisoned(z) else generator.forward(net, z)))
+        (z0, fs0, trials0), (z1, fs1, trials1) = (sequential_descend(net, x, z, 16) for z in Z0)
+        assert (trials0, trials1) == ("R" * 50, "A" * 16)
+        assert widths == [6] * 16 + [2]
+        np.testing.assert_array_equal(Z[0], z0)
+        assert f[0] == pytest.approx(fs0[-1], rel=1e-15)
+        np.testing.assert_allclose(Z[1], z1, rtol=1e-9)
+        assert f[1] == pytest.approx(fs1[-1], rel=1e-9)
+
     def test_dependent_latent_directions(self):
         # the range of the duplicate-column net is that of the one-latent
         # net, which a fine grid covers

@@ -83,3 +83,45 @@ def test_code_lines_prints_each_module_and_the_sum(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines[1:]] == [
         ["a.py", "24", "10"], ["b.py", "3", "1"], ["sum", "27", "11"]]
+
+
+_BP_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_BP_SPEC = importlib.util.spec_from_file_location("bench_pairs", _BP_PATH)
+bench_pairs = importlib.util.module_from_spec(_BP_SPEC)
+_BP_SPEC.loader.exec_module(bench_pairs)
+
+
+def _fake_run(**metrics):
+    return {"metrics": metrics}
+
+
+def test_bench_pairs_summary_arithmetic():
+    base_p50 = [1.66, 1.62, 1.70, 1.65, 1.63]
+    change_p50 = [1.50, 1.49, 1.52, 1.70, 1.51]  # the change loses pair 3
+    base_rate = [0.57, 0.56, 0.58, 0.57, 0.55]
+    change_rate = [0.63, 0.55, 0.62, 0.64, 0.60]  # and its rate pair 1
+    pairs = [{"base": _fake_run(p50=b, rate=br), "change": _fake_run(p50=c, rate=cr)}
+             for b, c, br, cr in zip(base_p50, change_p50, base_rate, change_rate)]
+    got = bench_pairs.summarize(pairs, {"p50": "lower", "rate": "higher"})
+    p50 = got["p50"]
+    # inclusive quartiles of 5 values: the 2nd, 3rd and 4th smallest
+    assert p50["base"] == {"median": 1.65, "q1": 1.63, "q3": 1.66}
+    assert p50["change"] == {"median": 1.51, "q1": 1.50, "q3": 1.52}
+    assert p50["median_change"] == pytest.approx(1.51 / 1.65 - 1)
+    assert (p50["change_won"], p50["pairs"], p50["better"]) == (4, 5, "lower")
+    rate = got["rate"]
+    assert rate["base"] == {"median": 0.57, "q1": 0.56, "q3": 0.57}
+    assert rate["change_won"] == 4
+    # a tie is no win, and one pair has its value as every quartile
+    one = bench_pairs.summarize([{"base": _fake_run(p50=2.0), "change": _fake_run(p50=2.0)}],
+                                {"p50": "lower"})["p50"]
+    assert one["base"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert one["change_won"] == 0 and one["median_change"] == 0.0
+
+
+def test_bench_pairs_alternate_and_cover_every_end_to_end_metric():
+    assert [bench_pairs.order(i) for i in range(3)] == [
+        ("base", "change"), ("change", "base"), ("base", "change")]
+    assert bench_pairs.directions() == {
+        "solve_ref.p50": "lower", "solve_ref.tail": "lower", "solves_per_ref": "higher",
+        "recovered_frac": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
