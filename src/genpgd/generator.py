@@ -253,11 +253,11 @@ def _forward_jacobian(net: GeneratorNetwork, Z, outputs=True):
     if A.ndim != 2 or A.shape[1] != net.k:
         raise ContractError(f"latent batch must have shape (N, {net.k}), got {A.shape}")
     J = None
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         identity = layer.activation.kind == "identity"
         if J is not None and identity:  # act' = 1 would change no bit
             J = layer.weights @ J
-            if not outputs and layer is net.layers[-1]:
+            if not outputs and i == len(net.layers) - 1:
                 break
         pre = A @ layer.weights.T + layer.bias
         A = layer.activation.apply(pre)

@@ -137,9 +137,10 @@ class GeneratorSpec:
         if self.kind == "mlp":  # the hidden layers' activation, checked before any trial
             Activation(self.activation, self.slope)
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        for name, default, kind in (("widths", (), "mlp"), ("activation", "relu", "mlp"),
-                                    ("slope", None, "mlp"), ("path", None, "file")):
-            if self.kind != kind and getattr(self, name) != default:
+        default = {f.name: f.default for f in dataclasses.fields(self)}
+        for name, kind in (("widths", "mlp"), ("activation", "mlp"), ("slope", "mlp"),
+                           ("path", "file")):
+            if self.kind != kind and getattr(self, name) != default[name]:
                 raise ConfigError(f"generator kind {self.kind!r} takes no {name} (only {kind!r})")
 
     def build(self, k: int, n: int, seed: int) -> GeneratorNetwork:

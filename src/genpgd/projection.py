@@ -211,15 +211,13 @@ def _descend_lockstep(net, x, Z0, inner_iters):
     needs.  Over the first 40 seed-11 relu-latentgd bench items (276
     projections, 3905 rounds) every row accepted in 2779 rounds, every row
     took a new J in 2169, a reject was on the books at the start of 1102, a
-    row neared the reject cap in 14, some row stopped in 931, and no
-    descent reached round ``inner_iters`` (50).  So the reject counts are
-    reset, and checked against the cap, only while a flag says a running
-    row may hold a reject (set by a round with a miss, re-read after a
-    compaction); ``steps >= inner_iters`` waits for round ``inner_iters``,
-    as no row has more accepts than there were rounds; each row's first
-    trial column is computed once and cut with the rows; and when every row
-    takes a new J, g, J^T J and the stop flags are rebound to the pass's
-    arrays and lam is raised in place.  None of this changes a value.
+    row neared the reject cap in 14 and some row stopped in 931.  So the
+    reject counts are reset, and checked against the cap, only while a flag
+    says a running row may hold a reject (set by a round with a miss,
+    re-read after a compaction); each row's first trial column is computed
+    once and cut with the rows; and when every row takes a new J, g, J^T J
+    and the stop flags are rebound to the pass's arrays and lam is raised
+    in place.  None of this changes a value.
 
     One more rule stops a row that cannot win.  After a round, a running
     row whose last accepted gain in f is below the gain before it stops
@@ -252,9 +250,7 @@ def _descend_lockstep(net, x, Z0, inner_iters):
     eye = np.eye(net.k)
     base = np.arange(idx.size) * _LADDER  # each running row's first trial column
     rejected = False  # a running row may have rejects since its last accept
-    rounds = 0  # so far; no row has accepted more steps than that
     while idx.size:
-        rounds += 1
         lam_try = lam[:, None] * scale
         P = np.linalg.solve(JtJ[:, None] + lam_try[:, :, None, None] * eye,
                             g[:, None, :, None])[..., 0]
@@ -282,8 +278,7 @@ def _descend_lockstep(net, x, Z0, inner_iters):
                 rejects[:] = 0
                 rejected = False
             steps += 1
-            if rounds >= inner_iters:
-                stop |= steps >= inner_iters
+            stop |= steps >= inner_iters
         else:
             depth = np.minimum(_LADDER, 50 - rejects)
             Z = np.where(hit[:, None], Z_try[pick], Z)
@@ -295,9 +290,7 @@ def _descend_lockstep(net, x, Z0, inner_iters):
             rejects = np.where(hit, 0, rejects + depth)
             rejected = True  # by the rows that missed
             steps = steps + hit
-            if rounds >= inner_iters:
-                converged |= steps >= inner_iters
-            stop = np.where(hit, converged, rejects >= 50)
+            stop = np.where(hit, converged | (steps >= inner_iters), rejects >= 50)
         fresh = hit & ~stop  # accepted and going on: a new J
         if fresh.all():  # whole arrays: rebind, no copy through an index
             g, JtJ = _normal_equations(_forward_jacobian(net, Z, outputs=False), r)

@@ -212,6 +212,18 @@ class TestForwardJacobian:
         assert J.shape == full.shape == (5, net.n, net.k)
         assert J.tobytes() == full.tobytes()
 
+    def test_jacobian_alone_with_the_last_layer_object_repeated(self):
+        # one square identity layer twice: the J-alone pass must stop at the
+        # last position, not at the first layer that is the last one's object
+        rng = np.random.default_rng(0)
+        square = Layer(rng.standard_normal((6, 6)), rng.standard_normal(6), Activation("identity"))
+        net = GeneratorNetwork([
+            Layer(rng.standard_normal((6, 3)), rng.standard_normal(6), Activation("relu")),
+            square, square])
+        Z = rng.standard_normal((5, net.k))
+        full = _forward_jacobian(net, Z)[1]
+        assert _forward_jacobian(net, Z, outputs=False).tobytes() == full.tobytes()
+
 
 class TestBuilders:
     def test_linear_generator_rejects_rank_deficient(self):

@@ -4,12 +4,14 @@ alternating pairs, and write the summary to a bench file.
     python3 tools/bench_pairs.py --base REV --workload relu-latentgd --pairs 5 \\
         --seed 11 --out BENCH_29.json
 
-The base side is the committed files of ``REV``, unpacked with ``git
-archive`` into a temporary directory that is removed at the end; the change
-side is the working tree.  Pair i runs ``bench/run.py --workload W --seed S
---seconds T --trace 0`` on both sides, the base first in even pairs and the
-change first in odd ones, so a drift of the machine load falls on both
-sides alike.
+Both sides run from fresh temporary directories, removed at the end: the
+base side holds the committed files of ``REV`` and the change side the
+working tree's tracked files (``git stash create``, or ``HEAD`` when
+nothing is modified), each unpacked with ``git archive``.  Pair i runs
+``bench/run.py --workload W --seed S --seconds T --trace 0`` on both sides,
+T being ``BENCHMARK.json``'s ``run_seconds``, the base first in even pairs
+and the change first in odd ones, so a drift of the machine load falls on
+both sides alike.
 
 ``OUT`` holds one entry per workload; a run replaces its workload's entry
 and keeps the others.  An entry records the two sides, every run (its
@@ -33,12 +35,12 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((REPO / "BENCHMARK.json").read_text())
 
 
 def directions() -> dict:
     """Each end-to-end metric's better direction, "lower" or "higher"."""
-    doc = json.loads((REPO / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in doc["end_to_end"]}
+    return {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 
 
 def order(i: int) -> tuple[str, str]:
@@ -97,28 +99,33 @@ def _git(*args) -> str:
                           check=True).stdout.strip()
 
 
+def _unpack(rev: str, into: str) -> Path:
+    """The files of commit ``rev``, written to the directory ``into``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=REPO, capture_output=True,
+                             check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)
+    return Path(into)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision of the base side")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--out", required=True, help="bench file to write, e.g. BENCH_29.json")
     args = p.parse_args(argv)
     sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    trees = {"change": REPO}
+    revs = {"base": sha, "change": _git("stash", "create") or "HEAD"}
+    seconds = BENCHMARK["run_seconds"]
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        archive = subprocess.run(["git", "archive", sha], cwd=REPO, capture_output=True,
-                                 check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp)
-        trees["base"] = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: _unpack(rev, f"{tmp}/{side}") for side, rev in revs.items()}
         for i in range(args.pairs):
             pair = {"first": order(i)[0]}
             for side in order(i):
-                pair[side] = run_bench(trees[side], args.workload, args.seed, args.seconds)
+                pair[side] = run_bench(trees[side], args.workload, args.seed, seconds)
                 m = pair[side]["metrics"]
                 print(f"pair {i} {side:<6} " + " ".join(f"{k}={v:.4g}" for k, v in m.items()),
                       file=sys.stderr)
@@ -128,7 +135,7 @@ def main(argv=None) -> int:
     same = len({r["fingerprint"] for r in runs}) == 1
     entry = {"base": sha, "change": {"head": _git("rev-parse", "HEAD"),
                                      "dirty": bool(_git("status", "--porcelain", "--", "src"))},
-             "seed": args.seed, "seconds": args.seconds, "all_correct": ok,
+             "seed": args.seed, "seconds": seconds, "all_correct": ok,
              "same_fingerprint": same, "metrics": summarize(pairs, directions()),
              "pairs": pairs}
     out = Path(args.out)
