@@ -32,9 +32,9 @@ print(f"exact curvature over the range: alpha {alpha:.6f}, beta {beta:.6f} "
 
 print("sampled estimates (pair sampling + cross-pair recombination):")
 for num_pairs in (50, 200, 1000):
-    est = estimate_rsc_rss(obj, latent_pair_sampler(net), num_pairs=num_pairs, seed=0)
-    print(f"  N={num_pairs:<5} alpha_hat {est.alpha:.6f}  beta_hat {est.beta:.6f}  "
-          f"rel errs {abs(est.alpha - alpha) / alpha:.1e} / {abs(est.beta - beta) / beta:.1e}")
+    a_hat, b_hat = estimate_rsc_rss(obj, latent_pair_sampler(net), num_pairs=num_pairs, seed=0)
+    print(f"  N={num_pairs:<5} alpha_hat {a_hat:.6f}  beta_hat {b_hat:.6f}  "
+          f"rel errs {abs(a_hat - alpha) / alpha:.1e} / {abs(b_hat - beta) / beta:.1e}")
 
 # alignment between the range and a sparse-in-basis set, for one support:
 # the exact value is the top singular value of W^T B_S

@@ -175,13 +175,11 @@ class ProblemSpec:
     measurement: str = "linear"
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise ConfigError(f"need n, k >= 1, got n={self.n}, k={self.k}")
+        for name, least in (("n", 1), ("k", 1), ("m", 1), ("l", 0)):
+            check_count(name, getattr(self, name), least, ConfigError)
         if self.generator.kind == "linear" and self.k > self.n:
             raise ConfigError(f"a linear generator needs k <= n, got k={self.k}, n={self.n}")
-        if self.m < 1:
-            raise ConfigError(f"need m >= 1, got m={self.m}")
-        if self.l < 0 or self.l > self.n:
+        if self.l > self.n:
             raise ConfigError(f"need 0 <= l <= n, got l={self.l} with n={self.n}")
         if not (finite_real(self.noise_level) and self.noise_level >= 0):
             raise ConfigError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
@@ -204,8 +202,7 @@ class SweepSpec:
     trials: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        check_count("trials", self.trials, 1, ConfigError)
         for name, kind in (("m", "int"), ("l", "int"), ("noise_level", "float")):
             axis = getattr(self, name)
             if axis is None:
@@ -237,7 +234,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        check_count("master_seed", self.master_seed)
+        check_count("master_seed", self.master_seed, 0, ConfigError)
         labels = set()
         for m, l, nl in self.sweep_points():  # each point is a valid problem with its own runs
             dataclasses.replace(self.problem, m=m, l=l, noise_level=nl)

@@ -171,7 +171,7 @@ def curvature_ratio(obj: Objective, x, y_pt) -> float:
 # samplers
 
 
-def latent_pair_sampler(net: GeneratorNetwork, scale: float = 1.0):
+def latent_pair_sampler(net: GeneratorNetwork):
     """Pairs of range points from independent Gaussian latents:
     ``sample(rng, count)`` maps one ``standard_normal((count, 2, k))`` draw
     (the stream of ``count`` per-pair draws) by one :func:`forward_batch`
@@ -180,7 +180,7 @@ def latent_pair_sampler(net: GeneratorNetwork, scale: float = 1.0):
     near-duplicate points rather than redrawing them."""
 
     def sample(rng, count):
-        z = scale * rng.standard_normal((count, 2, net.k))
+        z = rng.standard_normal((count, 2, net.k))
         return forward_batch(net, z.reshape(2 * count, net.k).T).T
 
     return sample
@@ -219,27 +219,18 @@ _NUM_SAMPLES = 64
 _NUM_SUPPORTS = 50
 
 
-@dataclass(frozen=True)
-class CurvatureEstimate:
-    """Empirical restricted curvature range with the extreme-achieving pairs."""
-
-    alpha: float
-    beta: float
-    alpha_pair: tuple
-    beta_pair: tuple
-
-
-def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> CurvatureEstimate:
-    """Min/max curvature ratio over the 2 * ``num_pairs`` points drawn by one
-    call ``sampler(rng, num_pairs)``, which returns a (2 * count, n) array
-    holding pair i in rows 2i and 2i + 1.
+def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0
+                     ) -> tuple[float, float]:
+    """``(alpha, beta)``: the min/max curvature ratio over the 2 *
+    ``num_pairs`` points drawn by one call ``sampler(rng, num_pairs)``, which
+    returns a (2 * count, n) array holding pair i in rows 2i and 2i + 1.
 
     Every sampled point lies in the constraint set, so every cross pair among
     them is a valid direction: one batched pass takes F and its gradient at
     all points and the extremes over all those pairs, the as-sampled ones
     included: each unordered pair once for least squares, whose Bregman ratio
-    is symmetric, and each ordered pair for glm.  :func:`curvature_ratio`
-    recomputes ``alpha``/``beta`` on the winners, so each pair reproduces its value.
+    is symmetric, and each ordered pair for glm.  Each value is
+    :func:`curvature_ratio` at the pair :func:`_cross_pair_extremes` picks.
 
     The points are drawn once: near-duplicates are masked by the scan's
     distance floor, not redrawn.  The sampler is rejected
@@ -258,14 +249,7 @@ def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0) -> 
         raise ContractError(
             "sampler is degenerate: no pair of its points is far enough apart "
             "for a curvature ratio above rounding")
-    (i_lo, j_lo), (i_hi, j_hi) = extremes
-    pair_lo, pair_hi = (pts[i_lo], pts[j_lo]), (pts[i_hi], pts[j_hi])
-    return CurvatureEstimate(
-        alpha=curvature_ratio(obj, *pair_lo),
-        beta=curvature_ratio(obj, *pair_hi),
-        alpha_pair=pair_lo,
-        beta_pair=pair_hi,
-    )
+    return tuple(curvature_ratio(obj, pts[i], pts[j]) for i, j in extremes)
 
 
 def _sum_factors(X, Y, c, a, b):
@@ -394,36 +378,32 @@ def estimate_incoherence(net: GeneratorNetwork, basis: OrthoBasis, l: int,
     return best
 
 
-def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective | None = None,
-                            x_star=None, num_samples: int = _NUM_SAMPLES, seed: int = 0
-                            ) -> tuple[float, float | None]:
+def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective, x_star,
+                            seed: int = 0) -> tuple[float, float]:
     """``(delta, gamma)``: the max pairwise distance between the images of
-    ``num_samples`` standard-normal latents (one draw, mapped by one
-    :func:`forward_batch`), and the gradient norm at ``x_star``, None
-    without ``objective`` and ``x_star``."""
-    check_count("num_samples", num_samples, 2)
+    ``_NUM_SAMPLES`` standard-normal latents (one draw, mapped by one
+    :func:`forward_batch`), and the norm of the gradient of ``objective``
+    at ``x_star``."""
     rng = spawn_rng(seed)
-    pts = forward_batch(net, rng.standard_normal((num_samples, net.k)).T).T
+    pts = forward_batch(net, rng.standard_normal((_NUM_SAMPLES, net.k)).T).T
     sq = np.sum(pts**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     delta = float(np.sqrt(max(np.max(d2), 0.0)))
-    gamma = None
-    if objective is not None and x_star is not None:
-        gamma = float(np.linalg.norm(gradient(objective, x_star)))
-    return delta, gamma
+    return delta, float(np.linalg.norm(gradient(objective, x_star)))
 
 
 @dataclass(frozen=True)
 class RegularityEstimates:
     """The bundle of constants the convergence bounds consume.  alpha may be
     0 (a span wider than A has rows), which leaves no theory rate; beta
-    must be positive, since the default step size is 1/beta."""
+    must be positive, since the default step size is 1/beta.  gamma and
+    delta are :func:`estimate_diameter_gamma`'s."""
 
     alpha: float
     beta: float
     mu: float
-    gamma: float | None
-    delta: float | None
+    gamma: float
+    delta: float
     num_samples: int
     seed: int
 
@@ -478,10 +458,10 @@ def _by_size(supports):
     return [np.array(g, dtype=int).reshape(len(g), size) for size, g in groups.items()]
 
 
-def _sampled_supports(n: int, size: int, rng, count: int = _NUM_SUPPORTS) -> list:
-    """``count`` sorted uniform size-``size`` subsets of range(n), one
-    ``rng.choice`` each."""
-    return [np.sort(rng.choice(n, size=size, replace=False)) for _ in range(count)]
+def _sampled_supports(n: int, size: int, rng) -> list:
+    """``_NUM_SUPPORTS`` sorted uniform size-``size`` subsets of range(n),
+    one ``rng.choice`` each."""
+    return [np.sort(rng.choice(n, size=size, replace=False)) for _ in range(_NUM_SUPPORTS)]
 
 
 class _SumSetKernel:
@@ -559,8 +539,7 @@ class _SumSetKernel:
         return alpha, beta
 
 
-def minkowski_curvature(A, W, basis: OrthoBasis, l: int, supports=None,
-                        num_supports: int = _NUM_SUPPORTS, seed: int = 0
+def minkowski_curvature(A, W, basis: OrthoBasis, l: int, supports=None, seed: int = 0
                         ) -> tuple[float, float]:
     """Curvature range of the least-squares objective over the sum set
     {range point + l-sparse-in-basis deviation}.
@@ -568,13 +547,13 @@ def minkowski_curvature(A, W, basis: OrthoBasis, l: int, supports=None,
     Differences of two such points live in span(W) plus a 2l-sparse part, so
     the exact constants per support are those of span([W, B_S])
     (:meth:`_SumSetKernel.curvature`); supports are enumerated when given,
-    otherwise sampled.  Each support's bound is exact; sampling only
+    otherwise ``_NUM_SUPPORTS`` are sampled from ``seed`` by
+    :func:`_sampled_supports`.  Each support's bound is exact; sampling only
     controls how much of the union is covered, so alpha is an upper bound
     and beta a lower bound on the true constants over the full set.
     """
     if supports is None:
-        supports = _sampled_supports(basis.n, min(2 * l, basis.n), spawn_rng(seed),
-                                     num_supports)
+        supports = _sampled_supports(basis.n, min(2 * l, basis.n), spawn_rng(seed))
     return _SumSetKernel(W, basis).curvature(A, supports)
 
 
@@ -599,8 +578,7 @@ def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis |
             return minkowski_curvature(obj.A, W, basis, l, seed=seed)
         return subspace_curvature(obj.A, W)
     sampler = sum_pair_sampler(net, basis, l) if sparse else latent_pair_sampler(net)
-    est = estimate_rsc_rss(obj, sampler, _NUM_PAIRS, seed=seed)
-    return est.alpha, est.beta
+    return estimate_rsc_rss(obj, sampler, _NUM_PAIRS, seed=seed)
 
 
 def _regularity(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis | None, l: int,

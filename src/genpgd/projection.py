@@ -105,16 +105,12 @@ class ProjectionConfig:
             raise ConfigError(f"unknown projection method {self.method!r}")
         if not (finite_real(self.epsilon) and self.epsilon >= 0):
             raise ConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
-        if self.restarts < 1:
-            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
-        if self.inner_iters < 1:
-            raise ConfigError(f"inner_iters must be >= 1, got {self.inner_iters}")
-        if self.grid_resolution < 2:
-            raise ConfigError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
+        for name, least in (("restarts", 1), ("inner_iters", 1), ("grid_resolution", 2),
+                            ("seed", 0)):
+            check_count(name, getattr(self, name), least, ConfigError)
         if not (finite_real(self.degrade_slack) and self.degrade_slack >= 0):
             raise ConfigError(
                 f"degrade_slack must be finite and nonnegative, got {self.degrade_slack}")
-        check_count("seed", self.seed)
         object.__setattr__(self, "grid_bounds", _bound_pairs(self.grid_bounds))
 
     def _resolve_bounds(self, k: int) -> tuple[tuple[float, float], ...]:

@@ -22,11 +22,12 @@ import numpy as np
 from .errors import ContractError
 
 
-def check_count(name: str, value, least: int = 0) -> int:
+def check_count(name: str, value, least: int = 0, error=ContractError) -> int:
     """``value`` as an int if it is a plain integer (not a bool) no smaller
-    than ``least``, else :class:`ContractError` naming ``name``."""
+    than ``least``, else ``error`` naming ``name``: a config class passes
+    :class:`ConfigError`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 

@@ -26,7 +26,7 @@ from .errors import ConfigError, ContractError, DivergenceError
 from .generator import GeneratorNetwork
 from .objective import Objective, _curvature_bounds, _fit, value
 from .projection import OrthoBasis, ProjectionConfig, hard_threshold_coeffs, project
-from .seeding import finite_real
+from .seeding import check_count, finite_real
 
 __all__ = [
     "SolverConfig",
@@ -62,10 +62,8 @@ class SolverConfig:
             raise ConfigError(f"unknown solver mode {self.mode!r}")
         if self.eta is not None and not (finite_real(self.eta) and self.eta > 0):
             raise ConfigError(f"eta must be finite and positive, got {self.eta}")
-        if self.iters < 1:
-            raise ConfigError(f"iters must be >= 1, got {self.iters}")
-        if self.l < 0:
-            raise ConfigError(f"sparsity l must be nonnegative, got {self.l}")
+        check_count("iters", self.iters, 1, ConfigError)
+        check_count("sparsity l", self.l, 0, ConfigError)
         if self.stop_gap is not None and not (finite_real(self.stop_gap) and self.stop_gap >= 0):
             raise ConfigError(f"stop_gap must be finite and nonnegative, got {self.stop_gap}")
 
@@ -104,19 +102,18 @@ class IterationTrace:
 
 
 def default_step_size(objective: Objective, net: GeneratorNetwork,
-                      basis: OrthoBasis | None = None, l: int = 0,
-                      seed: int = 0) -> float:
+                      basis: OrthoBasis | None = None, l: int = 0) -> float:
     """1/beta-hat for the given problem, for solver calls made without a
     step size.
 
     beta-hat comes from the curvature routine behind
-    ``harness.estimate_regularity`` (same oracle choice, same pair count):
-    exact for least squares on a single affine layer, over the range alone
-    or over the range-plus-sparse sum set when a basis and ``l`` > 0 are
-    supplied, and sampled otherwise.  ``run_solve`` never calls this; it
-    sets eta from its regularity bundle.
+    ``harness.estimate_regularity`` (same oracle choice, same pair count)
+    at seed 0: exact for least squares on a single affine layer, over the
+    range alone or over the range-plus-sparse sum set when a basis and
+    ``l`` > 0 are supplied, and sampled otherwise.  ``run_solve`` never
+    calls this; it sets eta from its regularity bundle.
     """
-    _, beta = _curvature_bounds(objective, net, basis, l, seed=seed)
+    _, beta = _curvature_bounds(objective, net, basis, l)
     if not beta > 0:
         raise ContractError(f"estimated smoothness {beta} is not positive")
     return 1.0 / beta
@@ -275,8 +272,11 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
                        ) -> ContractionReport:
     """Measure a recorded gap sequence against a contraction bound.
 
-    The plateau is detected at the first index whose gap failed to decrease
-    by at least 1% over the trailing 5-iteration window; the geometric rate
+    The plateau is detected at the first index whose gap magnitude failed
+    to decrease by at least 1% over the trailing 5-iteration window (a noisy
+    solve's gap can settle at a negative level, which a signed test never
+    flags); ``plateau_level`` is the median of the gaps from that window's
+    start on.  The geometric rate
     is the least-squares slope of log gap over the points strictly before
     that window.  Fewer than 3 such points flags the sequence unrateable.
     ``rho``/``floor`` count violations of gap_{t+1} <= rho*gap_t + floor
@@ -295,7 +295,7 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
     plateau_index = None
     w = _PLATEAU_WINDOW
     for t in range(w, gaps.size):
-        if gaps[t] > 0.99 * gaps[t - w]:
+        if abs(gaps[t]) > 0.99 * abs(gaps[t - w]):
             plateau_index = t
             break
     if plateau_index is not None:

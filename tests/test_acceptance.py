@@ -318,11 +318,11 @@ def test_curvature_and_incoherence_estimates_track_oracles(capsys):
         obj = Objective("linear", inst.A, inst.y)
         sampler = latent_pair_sampler(inst.net)
         for est_seed in range(2):
-            est = estimate_rsc_rss(obj, sampler, num_pairs=2000, seed=est_seed)
-            vals = np.array([est.alpha, est.beta])
+            alpha, beta = estimate_rsc_rss(obj, sampler, num_pairs=2000, seed=est_seed)
+            vals = np.array([alpha, beta])
             contained &= bool(np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9))
-            worst_lo = max(worst_lo, abs(est.alpha - lo) / lo)
-            worst_hi = max(worst_hi, abs(est.beta - hi) / hi)
+            worst_lo = max(worst_lo, abs(alpha - lo) / lo)
+            worst_hi = max(worst_hi, abs(beta - hi) / hi)
 
     inst = _family_instance(0)
     W = inst.net.layers[0].weights

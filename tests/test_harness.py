@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import numbers
 import os
+import re
 import signal
 import tempfile
 from concurrent.futures.process import BrokenProcessPool
@@ -24,6 +25,7 @@ from genpgd.harness import (
     GeneratorSpec,
     ProblemInstance,
     ProblemSpec,
+    SweepSpec,
     emit_report,
     estimate_regularity,
     gen_problem,
@@ -47,7 +49,7 @@ from genpgd.objective import (
 )
 from genpgd.projection import ProjectionConfig, project
 from genpgd.seeding import derive_seed, spawn_rng
-from genpgd.solver import contraction_factor, contraction_report, trace_from_csv
+from genpgd.solver import SolverConfig, contraction_factor, contraction_report, trace_from_csv
 
 
 BASE = {
@@ -158,8 +160,35 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("dims", [{"problem.n": 0}, {"problem.k": 0}])
     def test_dimensions_at_least_one(self, dims):
-        with pytest.raises(ConfigError, match="need n, k >= 1"):
+        with pytest.raises(ConfigError, match="[nk] must be an integer >= 1"):
             make_config(**dims)
+
+    # every count field of the config: its class, its name in the error and
+    # the least value it takes
+    COUNTS = [(ProjectionConfig, "restarts", "restarts", 1),
+              (ProjectionConfig, "inner_iters", "inner_iters", 1),
+              (ProjectionConfig, "grid_resolution", "grid_resolution", 2),
+              (ProjectionConfig, "seed", "seed", 0),
+              (SolverConfig, "iters", "iters", 1), (SolverConfig, "l", "sparsity l", 0),
+              (ProblemSpec, "n", "n", 1), (ProblemSpec, "k", "k", 1),
+              (ProblemSpec, "m", "m", 1), (ProblemSpec, "l", "l", 0),
+              (SweepSpec, "trials", "trials", 1),
+              (ExperimentConfig, "master_seed", "master_seed", 0)]
+
+    @pytest.mark.parametrize("cls,field,name,least", COUNTS,
+                             ids=[f"{c.__name__}.{f}" for c, f, _, _ in COUNTS])
+    @pytest.mark.parametrize("bad", ["bool", "float", "str", "below"])
+    def test_count_fields_take_plain_integers(self, cls, field, name, least, bad):
+        # a bool, a float, a string or a value under the bound: one
+        # ConfigError naming the field, raised at construction
+        value = {"bool": True, "float": 2.5, "str": "5", "below": least - 1}[bad]
+        want = f"{name} must be an integer >= {least}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            cls(**{field: value})
+
+    def test_json_counts_are_typed_by_the_loader_first(self):
+        with pytest.raises(ConfigError, match="config.projection.restarts must be a JSON integer"):
+            make_config(**{"projection.restarts": 2.5})
 
     def test_linear_generator_needs_k_at_most_n(self):
         with pytest.raises(ConfigError, match="linear generator needs k <= n"):
@@ -451,6 +480,29 @@ class TestRunSolve:
         gaps = [r.gap for r in records]
         rep = contraction_report(gaps, rho=summary.theory_rate)
         assert summary.violations == rep.violations
+
+    def test_noisy_solve_plateaus_below_zero(self):
+        # noise puts the least-squares minimum below f(x*), so the gap
+        # settles at a negative level; the plateau is found there
+        cfg = make_config(**{"problem.n": 100, "problem.k": 5, "problem.m": 40,
+                             "problem.noise_level": 0.1, "solver.iters": 100})
+        summary, trace = run_solve(gen_problem(cfg.problem, seed=0), cfg)
+        assert summary.final_gap < 0 and summary.plateau_level < 0
+        assert summary.plateau_index == 16
+        assert summary.plateau_level == float(np.median(trace.gaps()[11:]))
+
+    def test_violation_floor_is_the_bundle_floor(self, tmp_path):
+        # 2 gamma delta + beta (epsilon + degrade_slack), from the bundle
+        # summary.json records, with the slack counted
+        cfg = make_config(**{"problem.noise_level": 0.05, "solver.iters": 20,
+                             "projection": {"method": "closed-form-linear",
+                                            "epsilon": 1e-4, "degrade_slack": 1e-3}})
+        run_solve(gen_problem(cfg.problem, seed=29), cfg, out_dir=tmp_path)
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        reg = doc["regularity"]
+        assert reg["gamma"] > 0 and reg["delta"] > 0
+        assert doc["violation_floor"] == (2.0 * reg["gamma"] * reg["delta"]
+                                          + reg["beta"] * (doc["epsilon"] + 1e-3))
 
     def test_null_eta_is_inverse_bundle_beta(self):
         cfg = make_config(**{"problem.generator": {"kind": "mlp", "widths": [8]},
@@ -857,6 +909,20 @@ class TestEmitReport:
         assert text.count("theory rate vacuous") == 3
         assert "PASS" not in text
         assert text.rstrip().endswith("3 runs, 0 pass, 0 fail, 3 skip")
+
+    def test_rate_of_exactly_one_is_skipped(self, tmp_path):
+        # a bound of exactly 1 admits any non-expanding gap sequence, so it
+        # is vacuous too: the run that passes at its own rate is skipped
+        results = self.make_results(tmp_path)
+        sweep = results / "sweep.csv"
+        header, row = sweep.read_text().splitlines()
+        cells = row.split(",")
+        assert header.split(",")[10] == "theory_rate" and float(cells[10]) < 1.0
+        cells[10] = format(1.0, ".17e")
+        sweep.write_text(f"{header}\n{','.join(cells)}\n")
+        text = emit_report(results)["report"].read_text()
+        assert "theory rate vacuous (1.000000e+00 >= 1)" in text
+        assert text.rstrip().endswith("1 runs, 0 pass, 0 fail, 1 skip")
 
     def test_run_with_violations_fails(self, tmp_path):
         # a gap sequence that broke the bound: the recorded count decides

@@ -43,6 +43,17 @@ def fd_gradient(obj, x, h=1e-6):
     return g
 
 
+def scaled_latent_sampler(net, scale):
+    """Pairs of range points as :func:`latent_pair_sampler` draws them, from
+    latents ``scale`` times standard normal."""
+
+    def sample(rng, count):
+        z = scale * rng.standard_normal((count, 2, net.k))
+        return forward_batch(net, z.reshape(2 * count, net.k).T).T
+
+    return sample
+
+
 def random_objective(kind, link, m, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n)) / np.sqrt(m)
@@ -133,30 +144,36 @@ class TestCurvatureEstimator:
     def test_every_ratio_inside_exact_spectrum(self):
         # every unmasked pair's ratio lies in [alpha, beta], so the extremes
         # bound them all
-        est = estimate_rsc_rss(self.obj, latent_pair_sampler(self.net), num_pairs=500, seed=0)
-        extremes = np.array([est.alpha, est.beta])
+        extremes = np.array(
+            estimate_rsc_rss(self.obj, latent_pair_sampler(self.net), num_pairs=500, seed=0))
         assert np.all(extremes >= self.lam_min - 1e-9)
         assert np.all(extremes <= self.lam_max + 1e-9)
 
     def test_extremes_converge_at_2000_pairs(self):
-        est = estimate_rsc_rss(self.obj, latent_pair_sampler(self.net), num_pairs=2000, seed=1)
-        assert self.lam_min <= est.alpha <= 1.05 * self.lam_min
-        assert 0.95 * self.lam_max <= est.beta <= self.lam_max
-        assert est.beta >= est.alpha > 0
+        alpha, beta = estimate_rsc_rss(
+            self.obj, latent_pair_sampler(self.net), num_pairs=2000, seed=1)
+        assert self.lam_min <= alpha <= 1.05 * self.lam_min
+        assert 0.95 * self.lam_max <= beta <= self.lam_max
+        assert beta >= alpha > 0
 
     def test_reported_pairs_reproduce_extremes(self):
-        est = estimate_rsc_rss(self.obj, latent_pair_sampler(self.net), num_pairs=200, seed=2)
-        r_lo = curvature_ratio(self.obj, *est.alpha_pair)
-        r_hi = curvature_ratio(self.obj, *est.beta_pair)
-        assert abs(r_lo - est.alpha) < 1e-12
-        assert abs(r_hi - est.beta) < 1e-12
+        # the scan's winner indices, on the points the estimator draws,
+        # reproduce the reported extremes
+        sampler = latent_pair_sampler(self.net)
+        alpha, beta = estimate_rsc_rss(self.obj, sampler, num_pairs=200, seed=2)
+        pts = sampler(objective_mod.spawn_rng(2), 200)
+        (i_lo, j_lo), (i_hi, j_hi) = objective_mod._cross_pair_extremes(self.obj, pts)
+        r_lo = curvature_ratio(self.obj, pts[i_lo], pts[j_lo])
+        r_hi = curvature_ratio(self.obj, pts[i_hi], pts[j_hi])
+        assert abs(r_lo - alpha) < 1e-12
+        assert abs(r_hi - beta) < 1e-12
 
     def test_glm_ratios_nonnegative(self):
         for link in ("sigmoid", "exp"):
             obj = random_objective("glm", link, 20, 10, 5)
             net = make_random_generator(3, 10, 2, [6], "relu", seed=1)
-            est = estimate_rsc_rss(obj, latent_pair_sampler(net, scale=0.5), num_pairs=300, seed=3)
-            assert np.all(np.array([est.alpha, est.beta]) >= -1e-10)
+            est = estimate_rsc_rss(obj, scaled_latent_sampler(net, 0.5), num_pairs=300, seed=3)
+            assert np.all(np.array(est) >= -1e-10)
 
     def test_degenerate_sampler_errors(self):
         def constant(rng, count):
@@ -170,7 +187,7 @@ class TestCurvatureEstimator:
         # so no ratio is meaningful (read as extremes, they fall far outside
         # the spectrum)
         with pytest.raises(ContractError, match="sampler"):
-            estimate_rsc_rss(self.obj, latent_pair_sampler(self.net, scale=1e-8), 50, seed=0)
+            estimate_rsc_rss(self.obj, scaled_latent_sampler(self.net, 1e-8), 50, seed=0)
 
     def test_sampler_shape_checked(self):
         # one pair per call, whatever the count: the shape names the mismatch
@@ -202,10 +219,11 @@ class TestCurvatureEstimator:
         def duplicates(rng, count):
             return np.repeat(rng.standard_normal((count, 4)) @ self.W.T, 2, axis=0)
 
-        est = estimate_rsc_rss(self.obj, duplicates, 7, seed=0)
-        assert self.lam_min - 1e-9 <= est.alpha <= est.beta <= self.lam_max + 1e-9
-        for p, q in (est.alpha_pair, est.beta_pair):
-            assert not np.array_equal(p, q)
+        alpha, beta = estimate_rsc_rss(self.obj, duplicates, 7, seed=0)
+        assert self.lam_min - 1e-9 <= alpha <= beta <= self.lam_max + 1e-9
+        pts = duplicates(objective_mod.spawn_rng(0), 7)
+        for i, j in objective_mod._cross_pair_extremes(self.obj, pts):
+            assert not np.array_equal(pts[i], pts[j])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sampler_points_rejected(self, bad):
@@ -511,8 +529,8 @@ class TestExactOracles:
         W = np.linalg.qr(rng.standard_normal((20, 3)))[0]
         A = rng.standard_normal((30, 20)) / np.sqrt(30)
         basis = OrthoBasis.identity(20)
-        r1 = minkowski_curvature(A, W, basis, l=2, num_supports=25, seed=5)
-        r2 = minkowski_curvature(A, W, basis, l=2, num_supports=25, seed=5)
+        r1 = minkowski_curvature(A, W, basis, l=2, seed=5)
+        r2 = minkowski_curvature(A, W, basis, l=2, seed=5)
         assert r1 == r2
 
     def test_subspace_incoherence_disjoint_identity(self):
@@ -719,9 +737,10 @@ class TestDiameterGamma:
             ]
         )
         # a tanh output layer caps every coordinate at 1 in magnitude
-        delta, gamma = estimate_diameter_gamma(net, num_samples=60, seed=2)
+        obj = Objective("linear", np.eye(9), np.ones(9))
+        delta, gamma = estimate_diameter_gamma(net, obj, np.zeros(9), seed=2)
         assert 0 < delta <= 2 * np.sqrt(9)
-        assert gamma is None
+        assert gamma == 3.0  # |A^T (A 0 - y)| = |y|
 
     def test_gamma_zero_at_consistent_truth(self):
         rng = np.random.default_rng(27)
@@ -730,26 +749,22 @@ class TestDiameterGamma:
         A = rng.standard_normal((30, 20)) / np.sqrt(30)
         x_star = W @ rng.standard_normal(3)
         obj = Objective("linear", A, A @ x_star)
-        _, gamma = estimate_diameter_gamma(net, obj, x_star=x_star, num_samples=40, seed=3)
+        _, gamma = estimate_diameter_gamma(net, obj, x_star=x_star, seed=3)
         assert gamma < 1e-12
         noisy = Objective("linear", A, A @ x_star + 0.1 * rng.standard_normal(30))
-        _, gamma2 = estimate_diameter_gamma(net, noisy, x_star=x_star, num_samples=40, seed=3)
+        _, gamma2 = estimate_diameter_gamma(net, noisy, x_star=x_star, seed=3)
         assert abs(gamma2 - np.linalg.norm(gradient(noisy, x_star))) < 1e-14
 
-    @pytest.mark.parametrize("num_samples", [0, 1, -2, 2.5, True])
-    def test_bad_sample_counts_rejected(self, num_samples):
-        net = make_random_generator(3, 10, 2, [6], "relu", seed=1)
-        with pytest.raises(ContractError, match="num_samples"):
-            estimate_diameter_gamma(net, num_samples=num_samples)
-
     def test_latents_are_the_per_latent_stream(self):
-        # one (num_samples, k) draw holds the latents of num_samples
+        # one (_NUM_SAMPLES, k) draw holds the latents of _NUM_SAMPLES
         # successive k-draws, so delta is the loop's up to rounding
         net = make_random_generator(4, 30, 2, [12], "relu", seed=5)
         rng = objective_mod.spawn_rng(6)
-        pts = np.stack([forward(net, rng.standard_normal(4)) for _ in range(50)])
+        pts = np.stack([forward(net, rng.standard_normal(4))
+                        for _ in range(objective_mod._NUM_SAMPLES)])
         want = max(np.linalg.norm(p - q) for p in pts for q in pts)
-        delta, _ = estimate_diameter_gamma(net, num_samples=50, seed=6)
+        obj = Objective("linear", np.eye(30), np.zeros(30))
+        delta, _ = estimate_diameter_gamma(net, obj, np.zeros(30), seed=6)
         assert abs(delta - want) <= 1e-13 * want
 
 
@@ -796,8 +811,8 @@ class TestLatentPairSampler:
         monkeypatch.setattr(objective_mod, "forward_batch",
                             lambda net, Z: latents.append(Z.copy()) or inner(net, Z))
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        pts = latent_pair_sampler(net, scale=0.5)(rng, 9)
-        ref_z = np.concatenate([0.5 * ref_rng.standard_normal((2, 3)) for _ in range(9)])
+        pts = latent_pair_sampler(net)(rng, 9)
+        ref_z = np.concatenate([ref_rng.standard_normal((2, 3)) for _ in range(9)])
         assert len(latents) == 1
         np.testing.assert_array_equal(latents[0].T, ref_z)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -835,7 +850,7 @@ class TestSumPairSampler:
         obj = Objective("linear", np.eye(12), np.zeros(12))
         # identity measurement: curvature of the sum set is exactly 1
         est = estimate_rsc_rss(obj, sampler, num_pairs=50, seed=0)
-        np.testing.assert_allclose([est.alpha, est.beta], np.ones(2), rtol=1e-9)
+        np.testing.assert_allclose(est, np.ones(2), rtol=1e-9)
 
 
 class TestRejectedInputs:

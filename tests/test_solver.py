@@ -296,17 +296,26 @@ class TestContractionReport:
         assert rep.violations == 0  # the floor term absorbs the plateau
 
     def test_flat_negative_tail_is_not_checked(self):
-        # a noisy solve's gap turns negative and stays flat; the plateau
-        # detector never fires on such a tail, so the segment runs to the end
+        # a noisy solve's gap turns negative and stays flat; the detector
+        # compares magnitudes, so it fires on that tail five steps in, and
+        # the segment ends where the gaps first reach the tail's level
         gaps = np.array([1.0, 0.4, 0.1, 0.06, -0.003] + [-0.003] * 10)
         rep = contraction_report(gaps, rho=0.5)
-        assert rep.plateau_index is None and rep.fit_end == gaps.size
-        np.testing.assert_array_equal(rep.checked, gaps[1:5] / gaps[:4])
+        assert rep.plateau_index == 9 and rep.plateau_level == -0.003
+        assert rep.fit_end == 4
+        np.testing.assert_array_equal(rep.checked, gaps[1:4] / gaps[:3])
         assert rep.violations == 1  # 0.06 > 0.5 * 0.1
         assert rep.violation_fraction == rep.violations / rep.checked.size
         # each flat step -0.003 > 2 * -0.003 would be a violation at rho = 2
         rep = contraction_report(gaps, rho=2.0)
         assert rep.violations == 0 and rep.violation_fraction == 0.0
+
+    def test_plateau_level_is_the_tail_median(self):
+        # one spike in the tail: its median 0.01 is not its mean
+        gaps = np.array([1.0, 0.5, 0.25, 0.125, 0.0625] + [0.01] * 5 + [0.05, 0.01])
+        rep = contraction_report(gaps)
+        assert rep.plateau_index == 10
+        assert rep.plateau_level == 0.01 != np.mean(gaps[5:])
 
     def test_nan_gap_leaves_both_its_steps_unchecked(self):
         gaps = 0.5 ** np.arange(12)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -125,3 +126,44 @@ def test_bench_pairs_alternate_and_cover_every_end_to_end_metric():
     assert bench_pairs.directions() == {
         "solve_ref.p50": "lower", "solve_ref.tail": "lower", "solves_per_ref": "higher",
         "recovered_frac": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", *args], cwd=repo, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def test_bench_pairs_records_the_src_tree_each_side_unpacks(tmp_path, monkeypatch):
+    # a throwaway repository: one commit, then an edit under src/ left
+    # uncommitted; commits and stashes need an identity, set for both tools
+    for role in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv(f"GIT_{role}_NAME", "t")
+        monkeypatch.setenv(f"GIT_{role}_EMAIL", "t@example.com")
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("x = 1\n")
+    (repo / "README").write_text("r\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "one")
+    head, head_src = _git(repo, "rev-parse", "HEAD"), _git(repo, "rev-parse", "HEAD:src")
+    clean = bench_pairs.sides("HEAD", repo=repo)
+    assert clean == {"base": {"rev": head, "src_tree": head_src},
+                     "change": {"rev": head, "src_tree": head_src}}
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    dirty = bench_pairs.sides("HEAD", repo=repo)
+    assert dirty["base"] == clean["base"] and dirty["change"]["rev"] != head
+    # the change side is the working tree: committing it gives the same src tree
+    _git(repo, "commit", "-q", "-am", "two")
+    assert dirty["change"]["src_tree"] == _git(repo, "rev-parse", "HEAD:src") != head_src
+    assert bench_pairs._unpack(dirty["change"]["rev"], tmp_path / "out", repo) == tmp_path / "out"
+    assert (tmp_path / "out" / "src" / "a.py").read_text() == "x = 2\n"
+
+
+def test_bench_pairs_keeps_one_entry_per_workload_and_seed(tmp_path):
+    out = tmp_path / "BENCH.json"
+    bench_pairs.store(out, "relu-latentgd", 11, {"v": 1})
+    bench_pairs.store(out, "relu-latentgd", 5, {"v": 2})
+    bench_pairs.store(out, "relu-latentgd", 11, {"v": 3})
+    assert json.loads(out.read_text()) == {"workloads": {
+        "relu-latentgd@11": {"v": 3}, "relu-latentgd@5": {"v": 2}}}

@@ -2,7 +2,7 @@
 alternating pairs, and write the summary to a bench file.
 
     python3 tools/bench_pairs.py --base REV --workload relu-latentgd --pairs 5 \\
-        --seed 11 --out BENCH_29.json
+        --seed 11 --out BENCH_<pr>.json
 
 Both sides run from fresh temporary directories, removed at the end: the
 base side holds the committed files of ``REV`` and the change side the
@@ -13,10 +13,12 @@ T being ``BENCHMARK.json``'s ``run_seconds``, the base first in even pairs
 and the change first in odd ones, so a drift of the machine load falls on
 both sides alike.
 
-``OUT`` holds one entry per workload; a run replaces its workload's entry
-and keeps the others.  An entry records the two sides, every run (its
-end-to-end metrics, failure counts, environment block and fingerprint) and,
-per end-to-end metric of ``BENCHMARK.json``, each side's median and
+``OUT`` holds one entry per workload and seed, keyed ``WORKLOAD@SEED``; a
+run replaces its own entry and keeps the others.  An entry records, per
+side, the revision unpacked and the hash of its ``src`` tree (``git
+rev-parse REV:src``), which names the code that side timed; every run (its
+end-to-end metrics, failure counts, environment block and fingerprint);
+and, per end-to-end metric of ``BENCHMARK.json``, each side's median and
 quartiles, the change of the medians, and how many pairs the change won
 (was strictly better in).  The exit code is 1 when a run failed a check or
 the two sides' fingerprints differ.
@@ -94,14 +96,32 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "environment": detail["environment"], "fingerprint": detail["fingerprint"]}
 
 
-def _git(*args) -> str:
-    return subprocess.run(["git", *args], cwd=REPO, capture_output=True, text=True,
+def _git(*args, repo: Path = REPO) -> str:
+    return subprocess.run(["git", *args], cwd=repo, capture_output=True, text=True,
                           check=True).stdout.strip()
 
 
-def _unpack(rev: str, into: str) -> Path:
+def sides(base: str, repo: Path = REPO) -> dict:
+    """Per side, the revision to unpack and the hash of its ``src`` tree:
+    the commit ``base``, and the working tree's tracked files (``git stash
+    create``, or HEAD when nothing is modified)."""
+    revs = {"base": _git("rev-parse", "--verify", f"{base}^{{commit}}", repo=repo),
+            "change": _git("stash", "create", repo=repo) or _git("rev-parse", "HEAD", repo=repo)}
+    return {side: {"rev": rev, "src_tree": _git("rev-parse", f"{rev}:src", repo=repo)}
+            for side, rev in revs.items()}
+
+
+def store(out: Path, workload: str, seed: int, entry: dict) -> None:
+    """Write ``entry`` into the bench file ``out`` under ``WORKLOAD@SEED``,
+    keeping every other entry."""
+    doc = json.loads(out.read_text()) if out.exists() else {"workloads": {}}
+    doc["workloads"][f"{workload}@{seed}"] = entry
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+def _unpack(rev: str, into: str, repo: Path = REPO) -> Path:
     """The files of commit ``rev``, written to the directory ``into``."""
-    archive = subprocess.run(["git", "archive", rev], cwd=REPO, capture_output=True,
+    archive = subprocess.run(["git", "archive", rev], cwd=repo, capture_output=True,
                              check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into)
@@ -114,14 +134,13 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="bench file to write, e.g. BENCH_29.json")
+    p.add_argument("--out", required=True, help="bench file to write, e.g. BENCH_<pr>.json")
     args = p.parse_args(argv)
-    sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    revs = {"base": sha, "change": _git("stash", "create") or "HEAD"}
+    revs = sides(args.base)
     seconds = BENCHMARK["run_seconds"]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {side: _unpack(rev, f"{tmp}/{side}") for side, rev in revs.items()}
+        trees = {side: _unpack(s["rev"], f"{tmp}/{side}") for side, s in revs.items()}
         for i in range(args.pairs):
             pair = {"first": order(i)[0]}
             for side in order(i):
@@ -133,15 +152,10 @@ def main(argv=None) -> int:
     runs = [p[side] for p in pairs for side in ("base", "change")]
     ok = all(r["correct"] and r["exit"] == 0 for r in runs)
     same = len({r["fingerprint"] for r in runs}) == 1
-    entry = {"base": sha, "change": {"head": _git("rev-parse", "HEAD"),
-                                     "dirty": bool(_git("status", "--porcelain", "--", "src"))},
-             "seed": args.seed, "seconds": seconds, "all_correct": ok,
+    entry = {**revs, "seed": args.seed, "seconds": seconds, "all_correct": ok,
              "same_fingerprint": same, "metrics": summarize(pairs, directions()),
              "pairs": pairs}
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {"workloads": {}}
-    doc["workloads"][args.workload] = entry
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    store(Path(args.out), args.workload, args.seed, entry)
     for name, s in entry["metrics"].items():
         print(f"{name:<15} {s['base']['median']:.4g} -> {s['change']['median']:.4g} "
               f"won {s['change_won']}/{s['pairs']}")
