@@ -397,7 +397,8 @@ class RegularityEstimates:
     """The bundle of constants the convergence bounds consume.  alpha may be
     0 (a span wider than A has rows), which leaves no theory rate; beta
     must be positive, since the default step size is 1/beta.  gamma and
-    delta are :func:`estimate_diameter_gamma`'s."""
+    delta are :func:`estimate_diameter_gamma`'s, finite and >= 0: the
+    violation floor 2*gamma*delta + ... of a solve is built from them."""
 
     alpha: float
     beta: float
@@ -415,6 +416,9 @@ class RegularityEstimates:
                 f"need 0 <= alpha <= beta, got alpha={self.alpha}, beta={self.beta}")
         if not 0.0 <= self.mu < 1.0:
             raise ContractError(f"mu must lie in [0, 1), got {self.mu}")
+        if not (0.0 <= self.gamma < np.inf and 0.0 <= self.delta < np.inf):
+            raise ContractError(
+                f"need finite gamma, delta >= 0, got gamma={self.gamma}, delta={self.delta}")
 
     def to_json(self) -> dict:
         return asdict(self)

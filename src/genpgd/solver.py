@@ -249,10 +249,11 @@ class ContractionReport:
     """How a gap sequence behaved: checked-step ratios, violations of a
     bound, fitted geometric rate over the pre-plateau segment, plateau.
 
-    ``fit_end`` is the exclusive end of the segment used for both the rate
-    fit and the checked steps (the whole sequence when no plateau).  A
-    checked step is a pair (gap_t, gap_t+1) inside that segment with both
-    values finite and gap_t > 0; ``checked`` holds their ratios in order."""
+    The rate fit and the checked steps use one segment: the gaps before
+    the first that enters the plateau's band (the whole sequence when no
+    plateau).  A checked step is a pair (gap_t, gap_t+1) inside that
+    segment with both values finite and gap_t > 0; ``checked`` holds their
+    ratios in order."""
 
     checked: np.ndarray
     violations: int | None
@@ -262,7 +263,6 @@ class ContractionReport:
     plateau_index: int | None
     plateau_level: float | None
     rateable: bool
-    fit_end: int
 
 
 _PLATEAU_WINDOW = 5
@@ -282,8 +282,8 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
     ``rho``/``floor`` count violations of gap_{t+1} <= rho*gap_t + floor
     over the checked steps (:class:`ContractionReport`) of that segment:
     once the sequence has bottomed out, the bound's additive term dominates
-    and ratios carry no information.  The count and its fraction are None
-    without ``rho`` or with no checked step.
+    and ratios carry no information.  ``floor`` must be finite.  The count
+    and its fraction are None without ``rho`` or with no checked step.
     """
     if isinstance(trace_or_gaps, IterationTrace):
         gaps = trace_or_gaps.gaps()
@@ -291,6 +291,8 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
         gaps = np.asarray(trace_or_gaps, dtype=float)
     if gaps.ndim != 1 or gaps.size < 2:
         raise ContractError("need a 1-d gap sequence with at least 2 entries")
+    if not math.isfinite(floor):  # a NaN floor would pass every step
+        raise ContractError(f"need a finite floor, got {floor}")
 
     plateau_index = None
     w = _PLATEAU_WINDOW
@@ -344,7 +346,6 @@ def contraction_report(trace_or_gaps, rho: float | None = None, floor: float = 0
         plateau_index=plateau_index,
         plateau_level=plateau_level,
         rateable=rateable,
-        fit_end=int(fit_end),
     )
 
 

@@ -787,20 +787,25 @@ class TestRegularityEstimates:
         (-1e-16, 1.0, "0 <= alpha"), (np.nan, 1.0, "0 <= alpha")])
     def test_rejected_curvatures(self, alpha, beta, match):
         with pytest.raises(ContractError, match=match):
-            RegularityEstimates(alpha=alpha, beta=beta, mu=0.0, gamma=None, delta=None,
+            RegularityEstimates(alpha=alpha, beta=beta, mu=0.0, gamma=0.0, delta=1.0,
                                 num_samples=0, seed=0)
 
     def test_zero_alpha_is_accepted(self):
         # a span wider than A has rows: no theory rate, but a step size 1/beta
-        est = RegularityEstimates(alpha=0.0, beta=2.0, mu=0.0, gamma=None, delta=None,
+        est = RegularityEstimates(alpha=0.0, beta=2.0, mu=0.0, gamma=0.0, delta=1.0,
                                   num_samples=0, seed=0)
         assert est.alpha == 0.0
 
-    def test_optional_fields(self):
-        est = RegularityEstimates(alpha=0.5, beta=1.5, mu=0.0, gamma=None, delta=None,
+    def test_rejected_gamma_and_delta(self):
+        # a NaN in the violation floor 2*gamma*delta + ... passes every step
+        for gamma, delta in [(np.nan, 1.0), (0.0, np.nan), (np.inf, 1.0), (0.0, np.inf),
+                             (-1e-16, 1.0), (0.0, -1e-16)]:
+            with pytest.raises(ContractError, match="finite gamma, delta >= 0"):
+                RegularityEstimates(alpha=0.5, beta=1.5, mu=0.0, gamma=gamma, delta=delta,
+                                    num_samples=50, seed=1)
+        est = RegularityEstimates(alpha=0.5, beta=1.5, mu=0.0, gamma=0.0, delta=0.0,
                                   num_samples=50, seed=1)
-        doc = json.loads(json.dumps(est.to_json()))
-        assert doc["gamma"] is None and doc["delta"] is None
+        assert est.gamma == est.delta == 0.0
 
 
 class TestLatentPairSampler:

@@ -302,7 +302,7 @@ class TestContractionReport:
         gaps = np.array([1.0, 0.4, 0.1, 0.06, -0.003] + [-0.003] * 10)
         rep = contraction_report(gaps, rho=0.5)
         assert rep.plateau_index == 9 and rep.plateau_level == -0.003
-        assert rep.fit_end == 4
+        # the segment is gaps[:4], its 3 steps all checked
         np.testing.assert_array_equal(rep.checked, gaps[1:4] / gaps[:3])
         assert rep.violations == 1  # 0.06 > 0.5 * 0.1
         assert rep.violation_fraction == rep.violations / rep.checked.size
@@ -344,11 +344,18 @@ class TestContractionReport:
         assert rep.violations == 2
         assert abs(rep.violation_fraction - 2.0 / 3.0) < 1e-15
 
+    def test_non_finite_floor_rejected(self):
+        gaps = 0.9 ** np.arange(8)
+        assert contraction_report(gaps, rho=0.5).violations == 7
+        for floor in (np.nan, np.inf):
+            with pytest.raises(ContractError, match="finite floor"):
+                contraction_report(gaps, rho=0.5, floor=floor)
+
     def test_flat_start_checks_no_step(self):
         # the gap falls less than 1 % in the first 5 steps, so the plateau
         # band reaches gaps[0] and the pre-plateau segment is empty
         rep = contraction_report([1.0] * 8, rho=0.5)
-        assert rep.fit_end == 0 and not rep.rateable
+        assert rep.checked.size == 0 and not rep.rateable
         assert rep.violations is None and rep.violation_fraction is None
 
 

@@ -147,16 +147,17 @@ def test_bench_pairs_records_the_src_tree_each_side_unpacks(tmp_path, monkeypatc
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", "one")
     head, head_src = _git(repo, "rev-parse", "HEAD"), _git(repo, "rev-parse", "HEAD:src")
-    clean = bench_pairs.sides("HEAD", repo=repo)
+    monkeypatch.setattr(bench_pairs, "REPO", repo)
+    clean = bench_pairs.sides("HEAD")
     assert clean == {"base": {"rev": head, "src_tree": head_src},
                      "change": {"rev": head, "src_tree": head_src}}
     (repo / "src" / "a.py").write_text("x = 2\n")
-    dirty = bench_pairs.sides("HEAD", repo=repo)
+    dirty = bench_pairs.sides("HEAD")
     assert dirty["base"] == clean["base"] and dirty["change"]["rev"] != head
     # the change side is the working tree: committing it gives the same src tree
     _git(repo, "commit", "-q", "-am", "two")
     assert dirty["change"]["src_tree"] == _git(repo, "rev-parse", "HEAD:src") != head_src
-    assert bench_pairs._unpack(dirty["change"]["rev"], tmp_path / "out", repo) == tmp_path / "out"
+    assert bench_pairs._unpack(dirty["change"]["rev"], tmp_path / "out") == tmp_path / "out"
     assert (tmp_path / "out" / "src" / "a.py").read_text() == "x = 2\n"
 
 
@@ -167,3 +168,9 @@ def test_bench_pairs_keeps_one_entry_per_workload_and_seed(tmp_path):
     bench_pairs.store(out, "relu-latentgd", 11, {"v": 3})
     assert json.loads(out.read_text()) == {"workloads": {
         "relu-latentgd@11": {"v": 3}, "relu-latentgd@5": {"v": 2}}}
+    # a file keyed by workload alone is left as it is, not mixed with this layout
+    old = tmp_path / "OLD.json"
+    old.write_text(json.dumps({"workloads": {"relu-latentgd": {"v": 0}}}))
+    with pytest.raises(SystemExit, match="workload alone"):
+        bench_pairs.store(old, "relu-latentgd", 11, {"v": 1})
+    assert json.loads(old.read_text()) == {"workloads": {"relu-latentgd": {"v": 0}}}

@@ -14,13 +14,14 @@ and the change first in odd ones, so a drift of the machine load falls on
 both sides alike.
 
 ``OUT`` holds one entry per workload and seed, keyed ``WORKLOAD@SEED``; a
-run replaces its own entry and keeps the others.  An entry records, per
-side, the revision unpacked and the hash of its ``src`` tree (``git
-rev-parse REV:src``), which names the code that side timed; every run (its
-end-to-end metrics, failure counts, environment block and fingerprint);
-and, per end-to-end metric of ``BENCHMARK.json``, each side's median and
-quartiles, the change of the medians, and how many pairs the change won
-(was strictly better in).  The exit code is 1 when a run failed a check or
+run replaces its own entry and keeps the others, and a file keyed by
+workload alone (the older layout of ``BENCH_29.json``) is refused before
+any run.  An entry records, per side, the revision unpacked and the hash
+of its ``src`` tree (``git rev-parse REV:src``), which names the code that
+side timed; every run (its end-to-end metrics, failure counts, environment
+block and fingerprint); and, per end-to-end metric of ``BENCHMARK.json``,
+each side's median and quartiles, the change of the medians, and how many
+pairs the change won (was strictly better in).  The exit code is 1 when a run failed a check or
 the two sides' fingerprints differ.
 """
 
@@ -96,32 +97,41 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "environment": detail["environment"], "fingerprint": detail["fingerprint"]}
 
 
-def _git(*args, repo: Path = REPO) -> str:
-    return subprocess.run(["git", *args], cwd=repo, capture_output=True, text=True,
+def _git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=REPO, capture_output=True, text=True,
                           check=True).stdout.strip()
 
 
-def sides(base: str, repo: Path = REPO) -> dict:
+def sides(base: str) -> dict:
     """Per side, the revision to unpack and the hash of its ``src`` tree:
     the commit ``base``, and the working tree's tracked files (``git stash
     create``, or HEAD when nothing is modified)."""
-    revs = {"base": _git("rev-parse", "--verify", f"{base}^{{commit}}", repo=repo),
-            "change": _git("stash", "create", repo=repo) or _git("rev-parse", "HEAD", repo=repo)}
-    return {side: {"rev": rev, "src_tree": _git("rev-parse", f"{rev}:src", repo=repo)}
+    revs = {"base": _git("rev-parse", "--verify", f"{base}^{{commit}}"),
+            "change": _git("stash", "create") or _git("rev-parse", "HEAD")}
+    return {side: {"rev": rev, "src_tree": _git("rev-parse", f"{rev}:src")}
             for side, rev in revs.items()}
+
+
+def load(out: Path) -> dict:
+    """The bench file ``out`` (empty when missing); a file keyed by workload
+    alone, the older layout, is refused rather than mixed with this one."""
+    doc = json.loads(out.read_text()) if out.exists() else {"workloads": {}}
+    if any("@" not in key for key in doc["workloads"]):
+        raise SystemExit(f"{out} keys its entries by workload alone; write a new file")
+    return doc
 
 
 def store(out: Path, workload: str, seed: int, entry: dict) -> None:
     """Write ``entry`` into the bench file ``out`` under ``WORKLOAD@SEED``,
     keeping every other entry."""
-    doc = json.loads(out.read_text()) if out.exists() else {"workloads": {}}
+    doc = load(out)
     doc["workloads"][f"{workload}@{seed}"] = entry
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _unpack(rev: str, into: str, repo: Path = REPO) -> Path:
+def _unpack(rev: str, into: str) -> Path:
     """The files of commit ``rev``, written to the directory ``into``."""
-    archive = subprocess.run(["git", "archive", rev], cwd=repo, capture_output=True,
+    archive = subprocess.run(["git", "archive", rev], cwd=REPO, capture_output=True,
                              check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into)
@@ -136,6 +146,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="bench file to write, e.g. BENCH_<pr>.json")
     args = p.parse_args(argv)
+    load(Path(args.out))  # refuse a file of the older layout before any run
     revs = sides(args.base)
     seconds = BENCHMARK["run_seconds"]
     pairs = []
@@ -152,7 +163,7 @@ def main(argv=None) -> int:
     runs = [p[side] for p in pairs for side in ("base", "change")]
     ok = all(r["correct"] and r["exit"] == 0 for r in runs)
     same = len({r["fingerprint"] for r in runs}) == 1
-    entry = {**revs, "seed": args.seed, "seconds": seconds, "all_correct": ok,
+    entry = {**revs, "seconds": seconds, "all_correct": ok,
              "same_fingerprint": same, "metrics": summarize(pairs, directions()),
              "pairs": pairs}
     store(Path(args.out), args.workload, args.seed, entry)
