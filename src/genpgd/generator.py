@@ -246,21 +246,25 @@ def _forward_jacobian(net: GeneratorNetwork, Z, outputs=True):
 
     With ``outputs=False`` the result is J alone, for callers that have the
     outputs already (latent-gd's accepted rows).  A last identity layer after
-    the first then skips its forward product: J's update ``W @ J`` does not
-    need it, so J has the same bits as in the full pass.
+    the first then skips its forward product, and the layer before it its
+    activation: J's update ``W @ J`` needs neither, so J has the same bits
+    as in the full pass.
     """
     A = np.asarray(Z, dtype=float)
     if A.ndim != 2 or A.shape[1] != net.k:
         raise ContractError(f"latent batch must have shape (N, {net.k}), got {A.shape}")
     J = None
+    last = len(net.layers) - 1
+    cut = not outputs and last > 0 and net.layers[last].activation.kind == "identity"
     for i, layer in enumerate(net.layers):
         identity = layer.activation.kind == "identity"
         if J is not None and identity:  # act' = 1 would change no bit
             J = layer.weights @ J
-            if not outputs and i == len(net.layers) - 1:
+            if cut and i == last:
                 break
         pre = A @ layer.weights.T + layer.bias
-        A = layer.activation.apply(pre)
+        if not (cut and i == last - 1):  # the cut layer would not read A
+            A = layer.activation.apply(pre)
         if J is None:  # the multiply also broadcasts W to one copy per row
             J = layer.activation.derivative(pre)[:, :, None] * layer.weights
         elif not identity:

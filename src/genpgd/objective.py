@@ -287,16 +287,18 @@ def _cross_pair_extremes(obj: Objective, pts: np.ndarray, chunk: int = 128):
     relu-latentgd items needed its mask; a glm scan masks each diagonal
     block, whose i = j pairs lie under the floor.
     """
-    fvals, R, T = _fit_batch(obj, pts)
-    sq = np.sum(pts * pts, axis=1)
-    dist = _sum_factors(pts, pts, -2.0, sq, sq)
-    fa, fb = 1e-12 * (sq + 1.0), 1e-12 * sq  # the floor of pair (i, j) is fa_i + fb_j
     symmetric = obj.measurement == "linear"
-    if symmetric:
+    if symmetric:  # the ratio reads T alone: no residuals or values
+        T = pts @ obj.A.T
+        _check_rows_finite(T)
         tq = np.sum(T * T, axis=1)
         rise = _sum_factors(T, T, -2.0, tq, tq)
     else:
+        fvals, R, T = _fit_batch(obj, pts)
         rise = _sum_factors(R, T, -2.0, 2.0 * (np.sum(R * T, axis=1) - fvals), 2.0 * fvals)
+    sq = np.sum(pts * pts, axis=1)
+    dist = _sum_factors(pts, pts, -2.0, sq, sq)
+    fa, fb = 1e-12 * (sq + 1.0), 1e-12 * sq  # the floor of pair (i, j) is fa_i + fb_j
     lower = np.tri(chunk, dtype=bool)  # j <= i on a diagonal block
     best_lo, best_hi = np.inf, -np.inf
     at_lo = at_hi = None

@@ -34,6 +34,7 @@ _METHODS = ("closed-form-linear", "latent-gd", "grid")
 _DAMPING_FLOOR = 1e-12  # least LM lam, relative to tr(J^T J)
 _LADDER = 3  # damping levels lam, 4 lam, 16 lam tried in one latent-gd round
 _PRUNE = 100.0  # a latent-gd row stops once f - _PRUNE * its last gain > a stopped f
+_FTOL = 1e-8  # a latent-gd row stops on a gain <= _FTOL f: scipy's ftol, MINPACK's ~sqrt(eps)
 
 
 @dataclass(frozen=True)
@@ -173,9 +174,21 @@ def _normal_equations(J: np.ndarray, r: np.ndarray):
     return (Jt @ r[:, :, None])[:, :, 0], Jt @ J
 
 
-def _descend_lockstep(net, x, Z0, inner_iters):
+def _start_pass(net, Z0):
+    """What :func:`_descend_lockstep` needs at the starts ``Z0`` that does
+    not depend on the target: the outputs, the Jacobians J, J^T J and
+    tr(J^T J), one row each, read-only so a caller may keep them."""
+    out, J = _forward_jacobian(net, Z0)
+    first = out, J, J.transpose(0, 2, 1) @ J, np.einsum("ijk,ijk->i", J, J)
+    for a in first:
+        a.flags.writeable = False
+    return first
+
+
+def _descend_lockstep(net, x, Z0, inner_iters, first=None):
     """Levenberg–Marquardt on z -> 0.5 ||x - G(z)||^2 from every row of
     ``Z0`` at once; returns the final latents (one per row) and their f.
+    ``first`` is :func:`_start_pass` at ``Z0``, computed here when not given.
 
     Each row runs its own descent: it solves (J^T J + lam I) p = J^T r for
     the k-by-k damped Gauss–Newton step and accepts z - p on sufficient
@@ -184,8 +197,12 @@ def _descend_lockstep(net, x, Z0, inner_iters):
     lam starts at tr(J^T J), so the first steps are short gradient-like
     moves.  A row stops at ``inner_iters`` accepted steps, on a gradient norm
     below 1e-9, when 50 damping increases in a row find no decrease, or when
-    a step gains at most 1e-12 of f.  Each new J lifts lam to at least
-    ``_DAMPING_FLOOR`` tr(J^T J), so J^T J + lam I stays positive definite.
+    a step gains at most ``_FTOL`` = 1e-8 of f.  That is the usual LM cost
+    tolerance (scipy's ``least_squares`` ftol; MINPACK advises about
+    sqrt(eps)): the oracle need only be epsilon-approximate, and the gains a
+    tighter stop chases lie orders of magnitude below the gaps between
+    basins.  Each new J lifts lam to at least ``_DAMPING_FLOOR`` tr(J^T J),
+    so J^T J + lam I stays positive definite.
 
     The rows advance in lockstep, and a round tries a ladder of ``_LADDER``
     damping levels, lam, 4 lam, 16 lam, for every running row: one stacked
@@ -205,9 +222,9 @@ def _descend_lockstep(net, x, Z0, inner_iters):
 
     The rest of a round's bookkeeping is cut to what the common round
     needs.  Over the first 40 seed-11 relu-latentgd bench items (276
-    projections, 3905 rounds) every row accepted in 2779 rounds, every row
-    took a new J in 2169, a reject was on the books at the start of 1102, a
-    row neared the reject cap in 14 and some row stopped in 931.  So the
+    projections, 3225 rounds) every row accepted in 2722 rounds, every row
+    took a new J in 1921, a reject was on the books at the start of 497, no
+    row neared the reject cap and some row stopped in 967.  So the
     reject counts are reset, and checked against the cap, only while a flag
     says a running row may hold a reject (set by a round with a miss,
     re-read after a compaction); each row's first trial column is computed
@@ -229,15 +246,14 @@ def _descend_lockstep(net, x, Z0, inner_iters):
     a decrease test decided within rounding may go the other way.
     """
     Z_end = np.array(Z0, dtype=float)
-    out, J = _forward_jacobian(net, Z_end)
+    out, J, JtJ, lam = _start_pass(net, Z_end) if first is None else first
     r = out - x
     f_end = 0.5 * np.einsum("ij,ij->i", r, r)
-    g, JtJ = _normal_equations(J, r)
+    g = (J.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
     run = np.einsum("ij,ij->i", g, g) >= 1e-18  # gradient norm at least 1e-9
     f_stop = f_end[~run].min(initial=np.inf)  # the least f of a stopped row
     idx = np.flatnonzero(run)  # the running rows, as indices into Z0
-    Z, r, f, g, JtJ = Z_end[idx], r[idx], f_end[idx], g[idx], JtJ[idx]
-    lam = np.einsum("ijk,ijk->i", J[idx], J[idx])  # tr(J^T J)
+    Z, r, f, g, JtJ, lam = Z_end[idx], r[idx], f_end[idx], g[idx], JtJ[idx], lam[idx]
     rejects = np.zeros(idx.size, dtype=int)  # in a row, since the last accept
     steps = np.zeros(idx.size, dtype=int)  # accepted
     gain = np.full(idx.size, -np.inf)  # f gained by the last accepted step
@@ -268,7 +284,7 @@ def _descend_lockstep(net, x, Z0, inner_iters):
         if hit.all():  # the common round: every row accepts
             Z, r, lam = Z_try[pick], r_try[pick], lam_try.ravel()[pick] * 0.25
             prev, gain = gain, f - f_new
-            stop = gain <= 1e-12 * f
+            stop = gain <= _FTOL * f
             f = f_new
             if rejected:
                 rejects[:] = 0
@@ -281,7 +297,7 @@ def _descend_lockstep(net, x, Z0, inner_iters):
             r = np.where(hit[:, None], r_try[pick], r)
             lam = np.where(hit, lam_try.ravel()[pick] * 0.25, lam * 4.0 ** depth)
             prev, gain = np.where(hit, gain, prev), np.where(hit, f - f_new, gain)
-            converged = gain <= 1e-12 * f
+            converged = gain <= _FTOL * f
             f = np.where(hit, f_new, f)
             rejects = np.where(hit, 0, rejects + depth)
             rejected = True  # by the rows that missed
@@ -377,8 +393,9 @@ def _oracle(cfg: ProjectionConfig, net: GeneratorNetwork):
     """The map from a checked target x to ``project(cfg, net, x)``.
 
     What depends on (cfg, net) alone is resolved here once: the method and
-    its checks, the pseudo-inverse, latent-gd's starts, the certificate
-    rule and the degradation's direction reader.  An error raises here, on
+    its checks, the pseudo-inverse, latent-gd's starts and its first pass
+    at them (:func:`_start_pass`), the certificate rule and the
+    degradation's direction reader.  An error raises here, on
     every call, since no error is cached.  ``forward`` is looked up at call
     time, so a wrapper installed later sees every generator evaluation.
 
@@ -410,9 +427,10 @@ def _oracle(cfg: ProjectionConfig, net: GeneratorNetwork):
             return Z[:, int(np.argmin(resid))]  # first minimum wins: deterministic tie-break
     else:
         Z0 = _restart_starts(cfg.seed, cfg.restarts, cfg._resolve_bounds(net.k))
+        first = _start_pass(net, Z0)
 
         def latent(x):
-            Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters)
+            Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters, first)
             return Z[int(np.argmin(f))]  # first minimum wins: deterministic tie-break
     certified, slack = cfg.method == "closed-form-linear", cfg.degrade_slack
     if slack > 0.0:

@@ -103,7 +103,7 @@ def sequential_descend(net, x, z0, inner_iters):
             lam *= 4.0
         else:
             break
-        converged = f - f_try <= 1e-12 * f
+        converged = f - f_try <= projection._FTOL * f
         z, r, f = z_try, r_try, f_try
         fs.append(f)
         lam *= 0.25
@@ -1131,6 +1131,23 @@ class TestOracle:
         for s in range(3):
             project(cfg, net, np.random.default_rng(s).standard_normal(12))
         assert calls[0] == cfg.restarts - 1
+
+    def test_latent_gd_start_pass_is_made_once(self, monkeypatch):
+        # J, J^T J and tr(J^T J) at the fixed starts do not depend on the
+        # target, so the oracle makes their full pass once, not per call
+        full = [0]
+
+        def counted(net, Z, outputs=True):
+            full[0] += outputs
+            return _forward_jacobian(net, Z, outputs)
+
+        monkeypatch.setattr(projection, "_forward_jacobian", counted)
+        net = make_random_generator(3, 12, 2, [6], "tanh", seed=8)
+        cfg = ProjectionConfig(method="latent-gd", restarts=5, inner_iters=4, seed=9)
+        _oracle.cache_clear()
+        for s in range(2):
+            project(cfg, net, np.random.default_rng(s).standard_normal(12))
+        assert full[0] == 1
 
     def test_generator_is_looked_up_at_call_time(self, monkeypatch):
         # a cached oracle still evaluates through the module's forward, so
