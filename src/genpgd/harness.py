@@ -115,7 +115,8 @@ class GeneratorSpec:
     its default is a :class:`ConfigError` naming the field, not a silent
     no-op.  ``activation`` defaults to ``"relu"``, so a linear generator
     that states ``"activation": "relu"`` cannot be told from one that
-    leaves it out, and is accepted.
+    leaves it out, and is accepted.  An ``mlp`` needs at least one hidden
+    width: with none it would be one affine layer that drops its activation.
     """
 
     kind: str = "linear"
@@ -142,6 +143,8 @@ class GeneratorSpec:
                            ("path", "file")):
             if self.kind != kind and getattr(self, name) != default[name]:
                 raise ConfigError(f"generator kind {self.kind!r} takes no {name} (only {kind!r})")
+        if self.kind == "mlp" and not self.widths:
+            raise ConfigError("an mlp generator needs at least one hidden width")
 
     def build(self, k: int, n: int, seed: int) -> GeneratorNetwork:
         if self.kind == "linear":

@@ -33,6 +33,7 @@ __all__ = [
 _METHODS = ("closed-form-linear", "latent-gd", "grid")
 _DAMPING_FLOOR = 1e-12  # least LM lam, relative to tr(J^T J)
 _LADDER = 3  # damping levels lam, 4 lam, 16 lam tried in one latent-gd round
+_MAX_MISSES = 17  # a latent-gd row stops after this many rounds in a row with no level passing
 _PRUNE = 100.0  # a latent-gd row stops once f - _PRUNE * its last gain > a stopped f
 _FTOL = 1e-8  # a latent-gd row stops on a gain <= _FTOL f: scipy's ftol, MINPACK's ~sqrt(eps)
 
@@ -82,10 +83,11 @@ class ProjectionConfig:
     Levenberg–Marquardt steps of each restart (:func:`_descend_lockstep`).
     ``grid_bounds`` is the latent search box, one ``(lo, hi)`` pair for
     every coordinate or one pair per coordinate (default (-3, 3) per
-    coordinate), stored as a tuple of float pairs: the grid method
-    evaluates on a mesh of ``grid_resolution`` points per axis over it,
-    and latent-gd samples restart points from it.  ``seed`` keys the
-    restart points and the degradation direction.  ``degrade_slack``
+    coordinate), stored as a tuple of float pairs, each with lo < hi and a
+    finite width hi - lo: the grid method evaluates on a mesh of
+    ``grid_resolution`` points per axis over it, and latent-gd samples
+    restart points from it.  ``seed`` keys the restart points and the
+    degradation direction.  ``degrade_slack``
     deliberately moves the method's output along the range until its
     squared residual grows by that much, to study how solvers respond to
     inexact oracles (:func:`_oracle`); a degraded result is certified only
@@ -136,6 +138,8 @@ def _bound_pairs(b):
     for lo, hi in pairs:
         if not lo < hi:
             raise ConfigError(f"grid_bounds interval ({lo}, {hi}) is empty")
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ConfigError(f"grid_bounds interval ({lo}, {hi}) is wider than a float")
     return tuple((float(lo), float(hi)) for lo, hi in pairs)
 
 
@@ -185,10 +189,10 @@ def _start_pass(net, Z0):
     return first
 
 
-def _descend_lockstep(net, x, Z0, inner_iters, first=None):
+def _descend_lockstep(net, x, Z0, inner_iters, first):
     """Levenberg–Marquardt on z -> 0.5 ||x - G(z)||^2 from every row of
     ``Z0`` at once; returns the final latents (one per row) and their f.
-    ``first`` is :func:`_start_pass` at ``Z0``, computed here when not given.
+    ``first`` is :func:`_start_pass` at ``Z0``.
 
     Each row runs its own descent: it solves (J^T J + lam I) p = J^T r for
     the k-by-k damped Gauss–Newton step and accepts z - p on sufficient
@@ -196,7 +200,7 @@ def _descend_lockstep(net, x, Z0, inner_iters, first=None):
     by 4 and re-solves with the same J, an accepted one divides it by 4.
     lam starts at tr(J^T J), so the first steps are short gradient-like
     moves.  A row stops at ``inner_iters`` accepted steps, on a gradient norm
-    below 1e-9, when 50 damping increases in a row find no decrease, or when
+    below 1e-9, when 51 damping increases in a row find no decrease, or when
     a step gains at most ``_FTOL`` = 1e-8 of f.  That is the usual LM cost
     tolerance (scipy's ``least_squares`` ftol; MINPACK advises about
     sqrt(eps)): the oracle need only be epsilon-approximate, and the gains a
@@ -210,8 +214,8 @@ def _descend_lockstep(net, x, Z0, inner_iters, first=None):
     trial latents and one Jacobian pass, J alone, over the rows that
     accepted (their outputs are the trials' already).  A row
     takes its first level that passes, so its lam becomes lam 4^j / 4 for
-    level j; a row that passes no level books one reject per level tried,
-    lam 4^levels, and tries no level past its 50th reject in a row.  These
+    level j; a row that passes no level takes lam 4^``_LADDER`` and stops
+    after ``_MAX_MISSES`` such rounds in a row, its 51st reject.  These
     scalings are powers of two, so each row tries exactly the damping
     sequence of the one-at-a-time descent above and stops by the same
     rules; the levels above the one taken are spent evaluations.  The
@@ -223,14 +227,10 @@ def _descend_lockstep(net, x, Z0, inner_iters, first=None):
     The rest of a round's bookkeeping is cut to what the common round
     needs.  Over the first 40 seed-11 relu-latentgd bench items (276
     projections, 3225 rounds) every row accepted in 2722 rounds, every row
-    took a new J in 1921, a reject was on the books at the start of 497, no
-    row neared the reject cap and some row stopped in 967.  So the
-    reject counts are reset, and checked against the cap, only while a flag
-    says a running row may hold a reject (set by a round with a miss,
-    re-read after a compaction); each row's first trial column is computed
-    once and cut with the rows; and when every row takes a new J, g, J^T J
-    and the stop flags are rebound to the pass's arrays and lam is raised
-    in place.  None of this changes a value.
+    took a new J in 1921 and some row stopped in 967.  So each row's first
+    trial column is computed once and cut with the rows, and when every
+    row takes a new J, g, J^T J and the stop flags are rebound to the
+    pass's arrays and lam is raised in place.  None of this changes a value.
 
     One more rule stops a row that cannot win.  After a round, a running
     row whose last accepted gain in f is below the gain before it stops
@@ -246,7 +246,7 @@ def _descend_lockstep(net, x, Z0, inner_iters, first=None):
     a decrease test decided within rounding may go the other way.
     """
     Z_end = np.array(Z0, dtype=float)
-    out, J, JtJ, lam = _start_pass(net, Z_end) if first is None else first
+    out, J, JtJ, lam = first
     r = out - x
     f_end = 0.5 * np.einsum("ij,ij->i", r, r)
     g = (J.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
@@ -254,29 +254,20 @@ def _descend_lockstep(net, x, Z0, inner_iters, first=None):
     f_stop = f_end[~run].min(initial=np.inf)  # the least f of a stopped row
     idx = np.flatnonzero(run)  # the running rows, as indices into Z0
     Z, r, f, g, JtJ, lam = Z_end[idx], r[idx], f_end[idx], g[idx], JtJ[idx], lam[idx]
-    rejects = np.zeros(idx.size, dtype=int)  # in a row, since the last accept
+    misses = np.zeros(idx.size, dtype=int)  # rounds in a row with no level passing
     steps = np.zeros(idx.size, dtype=int)  # accepted
     gain = np.full(idx.size, -np.inf)  # f gained by the last accepted step
     prev = gain.copy()  # and by the one before it
     scale = 4.0 ** np.arange(_LADDER)
     eye = np.eye(net.k)
     base = np.arange(idx.size) * _LADDER  # each running row's first trial column
-    rejected = False  # a running row may have rejects since its last accept
     while idx.size:
         lam_try = lam[:, None] * scale
         P = np.linalg.solve(JtJ[:, None] + lam_try[:, :, None, None] * eye,
                             g[:, None, :, None])[..., 0]
         Z_try = (Z[:, None] - P).reshape(-1, net.k)  # row-major: (row, level)
-        if not rejected or rejects.max() <= 50 - _LADDER:  # every level of every row
-            r_try = forward_batch(net, Z_try.T).T - x
-            f_try = 0.5 * np.einsum("ij,ij->i", r_try, r_try)
-        else:  # a row near the reject cap tries only the levels left to it
-            tried = (np.arange(_LADDER) < 50 - rejects[:, None]).ravel()
-            r_tried = forward_batch(net, Z_try[tried].T).T - x
-            r_try = np.empty((tried.size, net.n))
-            r_try[tried] = r_tried
-            f_try = np.full(tried.size, np.inf)
-            f_try[tried] = 0.5 * np.einsum("ij,ij->i", r_tried, r_tried)
+        r_try = forward_batch(net, Z_try.T).T - x
+        f_try = 0.5 * np.einsum("ij,ij->i", r_try, r_try)
         ok = f_try.reshape(-1, _LADDER) <= f[:, None] - 1e-4 * np.einsum("ilk,ik->il", P, g)
         hit = ok.any(axis=1)
         pick = base + ok.argmax(axis=1)  # first level that passed
@@ -286,23 +277,19 @@ def _descend_lockstep(net, x, Z0, inner_iters, first=None):
             prev, gain = gain, f - f_new
             stop = gain <= _FTOL * f
             f = f_new
-            if rejected:
-                rejects[:] = 0
-                rejected = False
+            misses[:] = 0
             steps += 1
             stop |= steps >= inner_iters
         else:
-            depth = np.minimum(_LADDER, 50 - rejects)
             Z = np.where(hit[:, None], Z_try[pick], Z)
             r = np.where(hit[:, None], r_try[pick], r)
-            lam = np.where(hit, lam_try.ravel()[pick] * 0.25, lam * 4.0 ** depth)
+            lam = np.where(hit, lam_try.ravel()[pick] * 0.25, lam * 4.0 ** _LADDER)
             prev, gain = np.where(hit, gain, prev), np.where(hit, f - f_new, gain)
             converged = gain <= _FTOL * f
             f = np.where(hit, f_new, f)
-            rejects = np.where(hit, 0, rejects + depth)
-            rejected = True  # by the rows that missed
+            misses = np.where(hit, 0, misses + 1)
             steps = steps + hit
-            stop = np.where(hit, converged | (steps >= inner_iters), rejects >= 50)
+            stop = np.where(hit, converged | (steps >= inner_iters), misses >= _MAX_MISSES)
         fresh = hit & ~stop  # accepted and going on: a new J
         if fresh.all():  # whole arrays: rebind, no copy through an index
             g, JtJ = _normal_equations(_forward_jacobian(net, Z, outputs=False), r)
@@ -321,10 +308,9 @@ def _descend_lockstep(net, x, Z0, inner_iters, first=None):
         if stop.any():
             Z_end[idx[stop]], f_end[idx[stop]] = Z[stop], f[stop]
             go = ~stop
-            idx, Z, r, f, lam, g, JtJ, rejects, steps, gain, prev = (
-                a[go] for a in (idx, Z, r, f, lam, g, JtJ, rejects, steps, gain, prev))
+            idx, Z, r, f, lam, g, JtJ, misses, steps, gain, prev = (
+                a[go] for a in (idx, Z, r, f, lam, g, JtJ, misses, steps, gain, prev))
             base = base[:idx.size]
-            rejected = rejected and rejects.any()
     return Z_end, f_end
 
 

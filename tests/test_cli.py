@@ -297,6 +297,10 @@ class TestConfigErrors:
         {"problem": {"generator": {"kind": "file", "path": 5}}},
         {"projection": {"grid_bounds": "ab"}}, {"projection": {"grid_bounds": "12"}},
         {"projection": {"grid_bounds": []}}, {"projection": {"grid_bounds": [0, 1e999]}},
+        {"projection": {"grid_bounds": [-1e308, 1e308]}},
+        {"projection": {"grid_bounds": [[-1e308, 1e308], [0, 1]]}},
+        {"problem": {"generator": {"kind": "mlp"}}},
+        {"problem": {"generator": {"kind": "mlp", "widths": [], "activation": "tanh"}}},
         "network-missing", "network-not-json", "network-layers-5",
     ], ids=json.dumps)
     def test_malformed_config_exit_code(self, tmp_path, monkeypatch, capsys, doc):

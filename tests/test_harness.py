@@ -194,7 +194,7 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="linear generator needs k <= n"):
             ProblemSpec(n=3, k=5)
         # an mlp may map up from a small output space (its widths warn instead)
-        ProblemSpec(n=3, k=5, generator=GeneratorSpec(kind="mlp"))
+        ProblemSpec(n=3, k=5, generator=GeneratorSpec(kind="mlp", widths=(8,)))
 
     @pytest.mark.parametrize("kind,field,value", [
         ("linear", "widths", [8, 9]), ("linear", "activation", "tanh"),

@@ -29,7 +29,8 @@ from genpgd.projection import (
 from genpgd import generator, projection
 from genpgd.objective import Objective
 from genpgd.solver import SolverConfig, epsilon_pgd
-from genpgd.projection import _LADDER, _ORACLES, _descend_lockstep, _oracle, _restart_starts
+from genpgd.projection import (
+    _LADDER, _ORACLES, _descend_lockstep, _oracle, _restart_starts, _start_pass)
 from genpgd.seeding import _direction_reader, spawn_rng
 
 
@@ -84,7 +85,7 @@ def sequential_descend(net, x, z0, inner_iters):
         if float(g @ g) < 1e-18:
             break
         JtJ = J.T @ J
-        for _ in range(50):
+        for _ in range(projection._MAX_MISSES * _LADDER):
             try:
                 p = np.linalg.solve(JtJ + lam * eye, g)
             except np.linalg.LinAlgError:
@@ -126,19 +127,13 @@ _TIE = 4e-15
 def ladder_accepts(outcomes):
     """The lockstep rounds in which a row makes the trial sequence
     ``outcomes`` of :func:`sequential_descend`, as the row's accept count
-    after each round: a round tries up to ``_LADDER`` damping levels, never
-    one past the 50th reject in a row, and the row takes its first passing
-    level."""
+    after each round: a round tries ``_LADDER`` damping levels and the row
+    takes its first passing level."""
     outcomes = outcomes.upper()
-    accepts, i, rejects = [], 0, 0
+    accepts, i = [], 0
     while i < len(outcomes):
-        tried = outcomes[i:i + min(_LADDER, 50 - rejects)]
-        if "A" in tried:
-            i += tried.index("A") + 1
-            rejects = 0
-        else:
-            i += len(tried)
-            rejects += len(tried)
+        tried = outcomes[i:i + _LADDER]
+        i += tried.index("A") + 1 if "A" in tried else len(tried)
         accepts.append(outcomes[:i].count("A"))
     return accepts
 
@@ -589,7 +584,7 @@ class TestProjectLatentGd:
             Z0 = rng.uniform(-3.0, 3.0, size=(20, 3))
             start = np.sum((forward_batch(net, Z0.T).T - x) ** 2, axis=1)
             for inner_iters in (1, 2, 3, 5, 10, 200):
-                Z, f = _descend_lockstep(net, x, Z0, inner_iters)
+                Z, f = _descend_lockstep(net, x, Z0, inner_iters, _start_pass(net, Z0))
                 assert Z.shape == Z0.shape and f.shape == (20,)
                 assert np.all(2.0 * f <= start)
                 for z, fi in zip(Z, f):
@@ -606,7 +601,7 @@ class TestProjectLatentGd:
         x = forward(net, np.random.default_rng(6).standard_normal(4))
         cfg = ProjectionConfig(method="latent-gd", restarts=10, inner_iters=50)
         Z0 = _restart_starts(cfg.seed, cfg.restarts, tuple(cfg._resolve_bounds(net.k)))
-        Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters)
+        Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters, _start_pass(net, Z0))
         if activation == "relu":
             np.testing.assert_array_equal(Z[0], np.zeros(4))
             assert f[0] == pytest.approx(0.5 * float(x @ x), rel=1e-15)
@@ -658,7 +653,7 @@ class TestProjectLatentGd:
             with monkeypatch.context() as patched:
                 patched.setattr(np.linalg, "solve", counted)
                 patched.setattr(projection, "forward_batch", counted_batch)
-                Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters)
+                Z, f = _descend_lockstep(net, x, Z0, cfg.inner_iters, _start_pass(net, Z0))
             assert rounds[0] >= 1  # a descent ran: the rtol check compares two descents
             _, fs, trials = zip(*(sequential_descend(net, x, z0, cfg.inner_iters) for z0 in Z0))
             # a pinned row, pruned or not, stops at the reference's f of its
@@ -703,7 +698,7 @@ class TestProjectLatentGd:
             with monkeypatch.context() as patched:
                 patched.setattr(projection, "forward_batch", counted_batch)
                 patched.setattr(projection, "_PRUNE", kappa)
-                Z, f = _descend_lockstep(net, x, Z0, 50)
+                Z, f = _descend_lockstep(net, x, Z0, 50, _start_pass(net, Z0))
             return Z, f, rounds[0]
 
         # without pruning each row ends where it ends alone, bit for bit
@@ -719,8 +714,8 @@ class TestProjectLatentGd:
         assert int(np.argmin(f_pruned)) == win
         np.testing.assert_array_equal(Z_pruned[win], Z[win])
 
-    def test_reject_cap_stops_a_row_at_its_fiftieth_trial(self, monkeypatch):
-        # no trial ever passes: 16 rounds of 3 levels, then 2, then the row stops
+    def test_reject_cap_stops_a_row_after_its_seventeenth_missed_round(self, monkeypatch):
+        # no trial ever passes: 17 rounds of 3 levels, 51 rejects, then the row stops
         net = make_random_generator(3, 12, 2, [8], "tanh", seed=4)
         x = np.random.default_rng(0).standard_normal(12)
         Z0 = np.array([[0.5, -1.0, 2.0]])
@@ -732,14 +727,14 @@ class TestProjectLatentGd:
             return np.full((net.n, Z.shape[1]), 1e6)
 
         monkeypatch.setattr(projection, "forward_batch", never_passes)
-        Z, f = _descend_lockstep(net, x, Z0, 200)
-        assert trials == [3] * 16 + [2]
+        Z, f = _descend_lockstep(net, x, Z0, 200, _start_pass(net, Z0))
+        assert trials == [3] * 17
         np.testing.assert_array_equal(Z, Z0)
         assert f[0] == pytest.approx(f0, rel=1e-15)
 
     def test_accept_resets_the_reject_count(self, monkeypatch):
         # 9 rejects, an accept in round 4, then no trial passes: the cap
-        # counts 50 rejects from the accept, not from the start
+        # counts 17 missed rounds from the accept, not from the start
         net = make_random_generator(3, 12, 2, [8], "tanh", seed=4)
         x = np.random.default_rng(0).standard_normal(12)
         Z0 = np.array([[0.5, -1.0, 2.0]])
@@ -753,27 +748,27 @@ class TestProjectLatentGd:
             return np.full((net.n, Z.shape[1]), 1e6)
 
         monkeypatch.setattr(projection, "forward_batch", passes_once)
-        Z, f = _descend_lockstep(net, x, Z0, 200)
-        assert trials == [3] * 20 + [2]
+        Z, f = _descend_lockstep(net, x, Z0, 200, _start_pass(net, Z0))
+        assert trials == [3] * 21
         assert f[0] < f0 and np.any(Z != Z0)
 
     def test_reject_cap_survives_the_compaction_of_another_row(self, monkeypatch):
-        # row 0 starts at the origin, and each of its first 50 trials lands
-        # in a poisoned shell around it (output 1e6); its 51st would land
+        # row 0 starts at the origin, and each of its first 51 trials lands
+        # in a poisoned shell around it (output 1e6); its 52nd would land
         # inside the shell and pass.  Row 1 descends far away and stops at
-        # inner_iters in round 16, after which row 0 has 48 rejects: round 17
-        # must try only its last 2 levels although the compaction of round
-        # 16 left row 0 alone
+        # inner_iters in round 16, after which row 0 has missed 16 rounds:
+        # round 17 must be its last although the compaction of round 16
+        # left row 0 alone
         net = make_random_generator(2, 12, 2, [8], "tanh", seed=1)
         x = forward(net, np.array([2.0, -1.5])) + np.random.default_rng(1).standard_normal(12)
         Z0 = np.array([[0.0, 0.0], [2.5, -2.0]])
         J = _jacobian(net, Z0[0])
         lam = float(np.sum(J * J))  # trial j tries damping lam 4^j
-        first, fiftieth = (np.linalg.norm(np.linalg.solve(J.T @ J + lam * 4.0 ** j * np.eye(2),
-                                                          -J.T @ x)) for j in (0, 49))
+        first, last = (np.linalg.norm(np.linalg.solve(J.T @ J + lam * 4.0 ** j * np.eye(2),
+                                                          -J.T @ x)) for j in (0, 50))
 
         def poisoned(z):
-            return fiftieth / 2 < np.linalg.norm(z) < 2 * first
+            return last / 2 < np.linalg.norm(z) < 2 * first
 
         widths = []
 
@@ -784,12 +779,12 @@ class TestProjectLatentGd:
             return out
 
         monkeypatch.setattr(projection, "forward_batch", poisoned_batch)
-        Z, f = _descend_lockstep(net, x, Z0, 16)
+        Z, f = _descend_lockstep(net, x, Z0, 16, _start_pass(net, Z0))
         monkeypatch.setitem(globals(), "forward", lambda net, z: (
             np.full(net.n, 1e6) if poisoned(z) else generator.forward(net, z)))
         (z0, fs0, trials0), (z1, fs1, trials1) = (sequential_descend(net, x, z, 16) for z in Z0)
-        assert (trials0, trials1) == ("R" * 50, "A" * 16)
-        assert widths == [6] * 16 + [2]
+        assert (trials0, trials1) == ("R" * 51, "A" * 16)
+        assert widths == [6] * 16 + [3]
         np.testing.assert_array_equal(Z[0], z0)
         assert f[0] == pytest.approx(fs0[-1], rel=1e-15)
         np.testing.assert_allclose(Z[1], z1, rtol=1e-9)

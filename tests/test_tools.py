@@ -40,6 +40,11 @@ def test_digest_repeats_and_ignores_timings(tmp_path, name):
     assert digest.tree_digest(roots[1]) != first
 
 
+def test_digest_runs_every_relu_item():
+    # the latent-gd stop rules act on rows that only a few items reach
+    assert digest.ITEMS["relu-latentgd"] == digest.WORKLOADS["relu-latentgd"].pool
+
+
 _CL_PATH = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 _CL_SPEC = importlib.util.spec_from_file_location("code_lines", _CL_PATH)
 code_lines = importlib.util.module_from_spec(_CL_SPEC)

@@ -5,9 +5,10 @@
 Builds the items of each workload in ``bench/workloads.py`` (imported from
 ``bench/``, with the package from ``src/``, as ``bench/run.py`` does) and
 runs the first ``ITEMS[name]`` of them, each into its own directory: all 48
-linear-slack items, the first 40 relu-latentgd items and the first 16
-myopic-sweep passes.  Prints one line per workload: a sha256 prefix over the
-(relative path, content) pairs of every file written, and the file count.
+linear-slack items, all 128 relu-latentgd items (a rare latent-gd row
+shows in only a few of them) and the first 16 myopic-sweep passes.  Prints
+one line per workload: a sha256 prefix over the (relative path, content)
+pairs of every file written, and the file count.
 The content of a ``trace.csv`` leaves out its ``wall_time_us`` column and
 that of a ``summary.json`` its ``runtime`` block, so two trees that differ
 only in timings have the same digest.  Two source trees compute the same
@@ -34,7 +35,7 @@ for _dir in (REPO / "src", REPO / "bench"):
 
 from workloads import WORKLOADS  # noqa: E402
 
-ITEMS = {"linear-slack": 48, "relu-latentgd": 40, "myopic-sweep": 16}
+ITEMS = {"linear-slack": 48, "relu-latentgd": 128, "myopic-sweep": 16}
 DIGEST_CHARS = 16
 
 
