@@ -6,6 +6,7 @@ report step grades each run against its theory rate and emits plot-ready
 TSVs (columns x/series/value) for the gap curves and the rate scatter.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -29,14 +30,14 @@ cfg = ExperimentConfig(
 )
 
 with tempfile.TemporaryDirectory() as d:
-    result = run_sweep(cfg, out_dir=d)
-    ok = sum(1 for r in result.rows if r["status"] == "ok")
-    print(f"swept {len(result.rows)} runs into {d} ({ok} ok)")
+    rows = run_sweep(dataclasses.replace(cfg, out_dir=d))
+    ok = sum(1 for r in rows if r["status"] == "ok")
+    print(f"swept {len(rows)} runs into {d} ({ok} ok)")
     print()
     print("--- sweep.txt (per-point aggregates) ---")
-    print((result.directory / "sweep.txt").read_text())
+    print((Path(d) / "sweep.txt").read_text())
 
-    paths = emit_report(result.directory)
+    paths = emit_report(d)
     print("--- report.txt (theory-rate verdicts) ---")
     print(Path(paths["report"]).read_text())
     gap_tsv = Path(paths["gap_plot"]).read_text().splitlines()

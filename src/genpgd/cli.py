@@ -115,10 +115,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    result = run_sweep(cfg)
-    ok = sum(1 for r in result.rows if r["status"] == "ok")
-    print(f"{len(result.rows)} trials, {ok} ok; results in {result.directory}")
-    print((result.directory / "sweep.txt").read_text(), end="")
+    rows, out = run_sweep(cfg), Path(cfg.out_dir)
+    ok = sum(1 for r in rows if r["status"] == "ok")
+    print(f"{len(rows)} trials, {ok} ok; results in {out}")
+    print((out / "sweep.txt").read_text(), end="")
     return 0
 
 
@@ -153,7 +153,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ContractError) as e:
+    except (ConfigError, ContractError, OSError) as e:  # OSError: an unwritable output path
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

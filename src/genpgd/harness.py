@@ -147,6 +147,10 @@ class GeneratorSpec:
             raise ConfigError("an mlp generator needs at least one hidden width")
 
     def build(self, k: int, n: int, seed: int) -> GeneratorNetwork:
+        """The generator mapping k -> n: a fresh ``linear`` or ``mlp`` one
+        drawn from ``seed``, or the ``file`` one.  A ``file`` network that
+        cannot be loaded, or that maps other sizes, is a :class:`ConfigError`:
+        every trial of a sweep reads the same file."""
         if self.kind == "linear":
             # orthonormal columns keep the range geometry isometric to the
             # latent space, which is the family the desk experiments assume
@@ -156,7 +160,10 @@ class GeneratorSpec:
             return make_random_generator(
                 k, n, len(self.widths) + 1, self.widths,
                 activation=self.activation, seed=seed, slope=self.slope)
-        net = load_network(self.path)
+        try:
+            net = load_network(self.path)
+        except ContractError as e:
+            raise ConfigError(str(e)) from e
         if net.k != k or net.n != n:
             raise ConfigError(
                 f"network at {self.path} maps {net.k} -> {net.n}, "
@@ -238,20 +245,24 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_count("master_seed", self.master_seed, 0, ConfigError)
-        labels = set()
-        for m, l, nl in self.sweep_points():  # each point is a valid problem with its own runs
-            dataclasses.replace(self.problem, m=m, l=l, noise_level=nl)
-            label = _run_label(m, l, nl, 0)
-            if label in labels:
-                raise ConfigError(f"two sweep points share the run label {label!r}")
-            labels.add(label)
+        self.sweep_points()
 
-    def sweep_points(self) -> list[tuple[int, int, float]]:
+    def sweep_points(self) -> list[ProblemSpec]:
+        """The problem at each sweep point, in (m, l, noise_level) product
+        order, an absent axis at the problem's value.  Each is a validated
+        :class:`ProblemSpec` with its own runs: two points that share a run
+        label are a :class:`ConfigError`."""
         ms = self.sweep.m or (self.problem.m,)
         ls = self.sweep.l or (self.problem.l,)
         nls = self.sweep.noise_level or (self.problem.noise_level,)
-        return [(int(m), int(l), float(nl))
-                for m, l, nl in itertools.product(ms, ls, nls)]
+        points = {}  # by trial-0 run label
+        for m, l, nl in itertools.product(ms, ls, nls):
+            spec = dataclasses.replace(self.problem, m=int(m), l=int(l), noise_level=float(nl))
+            label = _run_label(spec, 0)
+            if label in points:
+                raise ConfigError(f"two sweep points share the run label {label!r}")
+            points[label] = spec
+        return list(points.values())
 
     @classmethod
     def from_json(cls, doc) -> "ExperimentConfig":
@@ -622,14 +633,8 @@ _SWEEP_COLUMNS = ("run", "m", "l", "noise_level", "trial", "seed", "status",
 _SWEEP_KINDS = (str, int, int, float, int, int, str, float, float, float, float, int)
 
 
-def _run_label(m, l, nl, trial) -> str:
-    return f"m{m}_l{l}_nl{nl:g}_t{trial}"
-
-
-@dataclass
-class SweepResult:
-    rows: list
-    directory: Path
+def _run_label(spec: ProblemSpec, trial: int) -> str:
+    return f"m{spec.m}_l{spec.l}_nl{spec.noise_level:g}_t{trial}"
 
 
 def _run_trial(task) -> dict:
@@ -661,11 +666,14 @@ def _sweep_workers(tasks: int) -> int:
     return min(tasks, len(os.sched_getaffinity(0)))
 
 
-def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
-    """Cartesian sweep over the configured axes, ``trials`` instances each.
+def run_sweep(config: ExperimentConfig) -> list[dict]:
+    """Cartesian sweep over the configured axes, ``trials`` instances each,
+    written under ``config.out_dir``; returns the rows of ``sweep.csv``.
 
-    Each (axis point, trial) pair gets its own derived seed, so rerunning a
-    sweep or reordering points never changes any individual trial.  Trial
+    Each point of :meth:`ExperimentConfig.sweep_points` runs its trials
+    under a config that holds only that point (its ``sweep`` is
+    ``SweepSpec()``).  Each (point, trial) pair gets its own derived seed,
+    so rerunning a sweep never changes any individual trial.  Trial
     failures become rows with status != ok, but a :class:`ConfigError` ends
     the sweep; the per-trial CSV contains no timing, so identical configs
     give byte-identical files.
@@ -679,16 +687,15 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
     killed by a signal raises a :class:`ConfigError` (exit 2) that is also
     a ``BrokenProcessPool``.  No worker outlives the call.
     """
-    root = Path(out_dir if out_dir is not None else config.out_dir)
+    root = Path(config.out_dir)
     os.makedirs(root, exist_ok=True)
     tasks = []
-    for p_idx, (m, l, nl) in enumerate(config.sweep_points()):
-        spec_pt = dataclasses.replace(config.problem, m=m, l=l, noise_level=nl)
-        cfg_pt = dataclasses.replace(config, problem=spec_pt)
+    for p_idx, spec in enumerate(config.sweep_points()):
+        cfg_pt = dataclasses.replace(config, problem=spec, sweep=SweepSpec())
         for trial in range(config.sweep.trials):
-            label = _run_label(m, l, nl, trial)
+            label = _run_label(spec, trial)
             tasks.append((cfg_pt, root / label, {
-                "run": label, "m": m, "l": l, "noise_level": nl,
+                "run": label, "m": spec.m, "l": spec.l, "noise_level": spec.noise_level,
                 "trial": trial, "seed": derive_seed(config.master_seed, p_idx, trial)}))
 
     workers = _sweep_workers(len(tasks))
@@ -719,7 +726,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> SweepResult:
                [[row[c] for c in _SWEEP_COLUMNS] for row in rows])
 
     _write_table(root / "sweep.txt", rows)
-    return SweepResult(rows=rows, directory=root)
+    return rows
 
 
 def _cell3(values) -> str:
@@ -733,12 +740,12 @@ def _cell3(values) -> str:
 def _write_table(path, rows) -> None:
     """One line per sweep point: its ok trials out of its rows, and the
     median [q1, q3] of the ok rows' final_dist and fitted_rate.  A point's
-    rows are consecutive, and no other point has its trial-0 run label."""
+    rows are consecutive and share its (m, l, noise_level); a str key keeps
+    the points 0.0 and -0.0 apart, as their run labels do."""
     header = (f"{'m':>6} {'l':>4} {'noise':>8} {'ok':>5}  "
               f"{'final_dist med [q1, q3]':<42} {'fitted_rate med [q1, q3]':<42}")
     lines = [header, "-" * len(header)]
-    for _, group in itertools.groupby(
-            rows, key=lambda r: _run_label(r["m"], r["l"], r["noise_level"], 0)):
+    for _, group in itertools.groupby(rows, key=lambda r: (r["m"], r["l"], str(r["noise_level"]))):
         group = list(group)
         ok = [r for r in group if r["status"] == "ok"]
         m, l, nl = group[0]["m"], group[0]["l"], group[0]["noise_level"]
@@ -776,8 +783,8 @@ def emit_report(results_dir, out_dir=None) -> dict:
     """
     results_dir = Path(results_dir)
     out_dir = Path(out_dir) if out_dir is not None else results_dir
-    os.makedirs(out_dir, exist_ok=True)
     rows = _read_sweep_csv(results_dir / "sweep.csv")
+    os.makedirs(out_dir, exist_ok=True)
 
     gap_lines = ["x\tseries\tvalue"]
     scatter_lines = ["x\tseries\tvalue"]

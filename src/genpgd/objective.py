@@ -397,10 +397,11 @@ def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective, x_star,
 @dataclass(frozen=True)
 class RegularityEstimates:
     """The bundle of constants the convergence bounds consume.  alpha may be
-    0 (a span wider than A has rows), which leaves no theory rate; beta
-    must be positive, since the default step size is 1/beta.  gamma and
-    delta are :func:`estimate_diameter_gamma`'s, finite and >= 0: the
-    violation floor 2*gamma*delta + ... of a solve is built from them."""
+    0 (a span wider than A has rows, under every oracle), which leaves no
+    theory rate; beta must be positive, since the default step size is
+    1/beta.  gamma and delta are :func:`estimate_diameter_gamma`'s, finite
+    and >= 0: the violation floor 2*gamma*delta + ... of a solve is built
+    from them."""
 
     alpha: float
     beta: float
@@ -575,7 +576,11 @@ def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis |
 
     Exact (:func:`subspace_curvature` / :func:`minkowski_curvature`) when
     :func:`_exact`; otherwise :func:`estimate_rsc_rss` over ``_NUM_PAIRS``
-    sampled pairs.
+    sampled pairs.  Either way alpha is exactly 0 when A has fewer rows than
+    the span has dimensions (rank W exactly, k on the sampled path, plus
+    min(2l, n) over a sum set), where sampled pairs would miss the flat
+    direction and read a small positive ratio.  A net narrower than k so
+    loses its alpha on the sampled path rather than keep a wrong one.
     """
     sparse = basis is not None and l > 0
     if _exact(obj, net):
@@ -584,7 +589,10 @@ def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis |
             return minkowski_curvature(obj.A, W, basis, l, seed=seed)
         return subspace_curvature(obj.A, W)
     sampler = sum_pair_sampler(net, basis, l) if sparse else latent_pair_sampler(net)
-    return estimate_rsc_rss(obj, sampler, _NUM_PAIRS, seed=seed)
+    alpha, beta = estimate_rsc_rss(obj, sampler, _NUM_PAIRS, seed=seed)
+    if len(obj.A) < net.k + (min(2 * l, net.n) if sparse else 0):
+        alpha = 0.0
+    return alpha, beta
 
 
 def _regularity(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis | None, l: int,

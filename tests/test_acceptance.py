@@ -9,8 +9,10 @@ experiments: an orthonormal-column linear generator in R^100 with latent
 dimension 5 and Gaussian measurements scaled so A^T A is near-isometric.
 """
 
+import dataclasses
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -347,10 +349,10 @@ def test_sweep_rerun_is_byte_identical(capsys):
     )
     import tempfile
     with tempfile.TemporaryDirectory() as d1, tempfile.TemporaryDirectory() as d2:
-        first = run_sweep(cfg, out_dir=d1)
-        second = run_sweep(cfg, out_dir=d2)
-        a = (first.directory / "sweep.csv").read_bytes()
-        b = (second.directory / "sweep.csv").read_bytes()
+        run_sweep(dataclasses.replace(cfg, out_dir=d1))
+        run_sweep(dataclasses.replace(cfg, out_dir=d2))
+        a = (Path(d1) / "sweep.csv").read_bytes()
+        b = (Path(d2) / "sweep.csv").read_bytes()
     ok = a == b
     _line(capsys, "same-seed sweep reproducibility", ok,
           f"{len(a)} bytes, identical {a == b}")

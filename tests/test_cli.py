@@ -56,6 +56,16 @@ def write_config(tmp_path, **patches):
     return path
 
 
+# the contents of a bad network file for a "file" generator; None writes no file
+_BAD_NETWORKS = {"network-missing": None, "network-not-json": "{nope",
+                 "network-layers-5": '{"layers": 5}'}
+
+
+def _write_network(path, name):
+    if _BAD_NETWORKS[name] is not None:
+        path.write_text(_BAD_NETWORKS[name])
+
+
 def _npy(M, **kwargs):
     buf = io.BytesIO()
     np.save(buf, M, **kwargs)
@@ -306,9 +316,7 @@ class TestConfigErrors:
     def test_malformed_config_exit_code(self, tmp_path, monkeypatch, capsys, doc):
         monkeypatch.chdir(tmp_path)  # an accepted config would write here
         if isinstance(doc, str):  # a generator read from a bad network file
-            text = {"network-not-json": "{nope", "network-layers-5": '{"layers": 5}'}
-            if doc in text:
-                (tmp_path / "net.json").write_text(text[doc])
+            _write_network(tmp_path / "net.json", doc)
             doc = {"problem": {"generator": {"kind": "file", "path": "net.json"}}}
         (tmp_path / "bad.json").write_text(json.dumps(doc))
         assert main(["gen", "--config", "bad.json"]) == 2
@@ -466,6 +474,22 @@ class TestSweepAndReport:
         assert not (tmp_path / "out" / "sweep.csv").exists()
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("network", list(_BAD_NETWORKS))
+    def test_sweep_over_a_bad_network_file_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                   network, workers):
+        # every trial reads the one file, so it fails the sweep as it fails `gen`
+        monkeypatch.setattr("genpgd.harness._sweep_workers", lambda tasks: workers)
+        _write_network(tmp_path / "net.json", network)
+        cfg = write_config(tmp_path, **{
+            "problem.generator": {"kind": "file", "path": str(tmp_path / "net.json")},
+            "sweep.trials": 2})
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert multiprocessing.active_children() == []
+
     def test_sweep_survives_divergent_trials(self, tmp_path):
         cfg = write_config(tmp_path, **{"solver.eta": 500.0})
         assert main(["sweep", "--config", str(cfg)]) == 0
@@ -619,6 +643,33 @@ def test_report_on_a_mutated_cell(tmp_path, capsys, graded_sweep, name, column, 
         # a run label of text points at a trace.csv that is not there
         relabeled = column == "run" and mutation in ("text", "inf", "nan")
         assert ("trace.csv" if relabeled else f"{name} line {i + 1}") in err[0]
+
+
+class TestUnwritableOutput:
+    """An output path under a regular file ends the command with exit 2 and
+    one error line, not a traceback, and leaves the file as it was."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--out", "{file}/x"], ["solve", "--out", "{file}"],
+        ["estimate", "--out", "{file}/y"], ["sweep", "--out", "{file}"],
+        ["report", "{file}"], ["report", "{swept}", "--out", "{file}"],
+    ], ids=" ".join)
+    def test_exit_code(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path)
+        file = tmp_path / "file"
+        file.write_text("not a directory\n")
+        if argv[0] == "report":
+            assert main(["sweep", "--config", str(cfg)]) == 0
+            capsys.readouterr()
+        else:
+            argv = argv + ["--config", str(cfg)]
+        argv = [a.format(file=file, swept=tmp_path / "out") for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert file.read_text() == "not a directory\n"
+        if argv == ["report", str(file)]:  # read before any directory is made
+            assert err[0].startswith(f"error: cannot read {file / 'sweep.csv'}")
 
 
 class TestEstimate:

@@ -234,7 +234,8 @@ class TestExperimentConfig:
 
     def test_sweep_defaults_to_single_point(self):
         cfg = make_config()
-        assert cfg.sweep_points() == [(40, 0, 0.0)]
+        assert [(s.m, s.l, s.noise_level) for s in cfg.sweep_points()] == [(40, 0, 0.0)]
+        assert cfg.sweep_points() == [cfg.problem]
 
 
 class TestGenProblem:
@@ -576,23 +577,31 @@ class TestRejectedInstances:
 
 
 class TestZeroCurvature:
-    """A span wider than A has rows has the exact curvature alpha = 0: the
-    solve runs, with no theory rate and so no violation count."""
+    """A span wider than A has rows has the curvature alpha = 0 under every
+    oracle: the solve runs, with no theory rate and so no violation count.
+    Sampled pairs would read a small positive alpha there instead."""
 
-    CONFIGS = {
-        "pgd, m < k": {"problem.m": 3, "solver.iters": 20},
-        "myopic, m < k + 2l": {"problem.n": 100, "problem.k": 5, "problem.m": 12,
-                               "problem.l": 4, "problem.basis": "random",
-                               "solver.mode": "myopic", "solver.iters": 20},
+    CONFIGS = {  # patches, and the pairs the curvature oracle samples
+        "pgd, m < k": ({"problem.m": 3, "solver.iters": 20}, 0),
+        "myopic, m < k + 2l": ({"problem.n": 100, "problem.k": 5, "problem.m": 12,
+                                "problem.l": 4, "problem.basis": "random",
+                                "solver.mode": "myopic", "solver.iters": 20}, 0),
+        "glm-sigmoid, m < k": ({"problem.m": 3, "problem.measurement": "glm-sigmoid",
+                                "solver.iters": 20}, _NUM_PAIRS),
+        "relu mlp, m < k": ({"problem.m": 3, "problem.generator": {"kind": "mlp", "widths": [8]},
+                             "projection": {"method": "latent-gd"}, "solver.iters": 20},
+                            _NUM_PAIRS),
     }
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("name", CONFIGS)
     def test_solve_records_no_theory_rate(self, name, seed):
-        cfg = make_config(**self.CONFIGS[name], master_seed=seed)
+        patches, num_samples = self.CONFIGS[name]
+        cfg = make_config(**patches, master_seed=seed)
         inst = gen_problem(cfg.problem, derive_seed(seed, 0, 0))
         summary, _ = run_solve(inst, cfg)
         assert summary.regularity.alpha == 0.0 and summary.regularity.beta > 0
+        assert summary.regularity.num_samples == num_samples
         assert summary.theory_rate is None and summary.violations is None
 
 
@@ -687,9 +696,9 @@ class TestRegularityReference:
 class TestRunSweep:
     def test_single_point_matches_run_solve(self, tmp_path):
         cfg = make_config(**{"out_dir": str(tmp_path / "sweep")})
-        result = run_sweep(cfg)
-        assert len(result.rows) == 1
-        row = result.rows[0]
+        rows = run_sweep(cfg)
+        assert len(rows) == 1
+        row = rows[0]
         inst = gen_problem(cfg.problem, seed=derive_seed(11, 0, 0))
         summary, _ = run_solve(inst, cfg)
         assert row["final_gap"] == summary.final_gap
@@ -698,8 +707,7 @@ class TestRunSweep:
 
     def test_trials_get_distinct_seeds(self, tmp_path):
         cfg = make_config(**{"sweep.trials": 5, "out_dir": str(tmp_path / "s")})
-        result = run_sweep(cfg)
-        seeds = [row["seed"] for row in result.rows]
+        seeds = [row["seed"] for row in run_sweep(cfg)]
         assert len(set(seeds)) == 5
 
     def test_recovery_improves_with_measurements(self, tmp_path):
@@ -709,8 +717,8 @@ class TestRunSweep:
                              "sweep.m": [10, 20, 40, 80], "sweep.trials": 7,
                              "solver.iters": 60,
                              "out_dir": str(tmp_path / "s")})
-        result = run_sweep(cfg)
-        med = [np.median([r["final_dist"] for r in result.rows
+        rows = run_sweep(cfg)
+        med = [np.median([r["final_dist"] for r in rows
                           if r["m"] == m and r["status"] == "ok"])
                for m in cfg.sweep.m]
         assert all(med[i + 1] <= med[i] for i in range(len(med) - 1))
@@ -727,12 +735,55 @@ class TestRunSweep:
     def test_failures_recorded_not_raised(self, tmp_path):
         cfg = make_config(**{"solver.eta": 500.0, "sweep.trials": 2,
                              "out_dir": str(tmp_path / "s")})
-        result = run_sweep(cfg)
-        assert len(result.rows) == 2
-        assert all(row["status"] == "divergence" for row in result.rows)
-        assert all(row["final_dist"] is None for row in result.rows)
+        rows = run_sweep(cfg)
+        assert len(rows) == 2
+        assert all(row["status"] == "divergence" for row in rows)
+        assert all(row["final_dist"] is None for row in rows)
         text = (tmp_path / "s" / "sweep.csv").read_text()
         assert "divergence" in text
+
+    def test_table_keeps_noise_0_and_minus_0_apart(self, tmp_path):
+        # two points with two run labels, though 0.0 == -0.0
+        cfg = make_config(**{"sweep.noise_level": [0.0, -0.0], "solver.iters": 5,
+                             "out_dir": str(tmp_path)})
+        assert [r["run"] for r in run_sweep(cfg)] == ["m40_l0_nl0_t0", "m40_l0_nl-0_t0"]
+        lines = (tmp_path / "sweep.txt").read_text().splitlines()[2:]
+        assert [line.split()[2:4] for line in lines] == [["0", "1/1"], ["-0", "1/1"]]
+
+    def _stubbed_sweep(self, tmp_path, monkeypatch):
+        """A 12-point sweep run inline with each trial stubbed out; returns
+        the trials' configs and the ProblemSpec constructions inside
+        run_sweep."""
+        cfg = make_config(**{"sweep.m": [10, 20, 30, 40], "sweep.noise_level": [0, 0.1, 0.2],
+                             "sweep.trials": 2, "out_dir": str(tmp_path)})
+        configs, built = [], []
+        post_init = ProblemSpec.__post_init__
+
+        def counted(spec):
+            built.append(spec)
+            post_init(spec)
+
+        def stub(task):
+            configs.append(task[0])
+            return dict(task[2], status="ok", final_gap=None, final_dist=None,
+                        fitted_rate=None, theory_rate=None, violations=None)
+        monkeypatch.setattr(ProblemSpec, "__post_init__", counted)
+        monkeypatch.setattr("genpgd.harness._run_trial", stub)
+        monkeypatch.setattr("genpgd.harness._sweep_workers", lambda tasks: 1)
+        assert len(run_sweep(cfg)) == 24
+        return cfg, configs, built
+
+    def test_each_point_is_built_twice(self, tmp_path, monkeypatch):
+        # once by sweep_points, once as its own config validates: 2P, not P + P^2
+        _, _, built = self._stubbed_sweep(tmp_path, monkeypatch)
+        assert len(built) <= 2 * 12
+
+    def test_trial_config_holds_only_its_point(self, tmp_path, monkeypatch):
+        cfg, configs, _ = self._stubbed_sweep(tmp_path, monkeypatch)
+        assert all(c.sweep == SweepSpec() for c in configs)
+        assert [c.problem for c in configs[::2]] == cfg.sweep_points()
+        assert [(c.problem.m, c.problem.noise_level) for c in configs[::2]] == [
+            (m, nl) for m in (10, 20, 30, 40) for nl in (0.0, 0.1, 0.2)]
 
 
 def _comparable_files(root):
@@ -765,7 +816,7 @@ class TestParallelSweep:
                               ("inline", lambda tasks: 1)):
             monkeypatch.setattr("genpgd.harness._sweep_workers", workers)
             cfg = make_config(**self.MIXED, out_dir=str(tmp_path / name))
-            rows[name] = run_sweep(cfg).rows
+            rows[name] = run_sweep(cfg)
             emit_report(tmp_path / name)
             files[name] = _comparable_files(tmp_path / name)
         assert rows["pool"] == rows["inline"]
@@ -780,7 +831,7 @@ class TestParallelSweep:
             assert content == files["inline"][path], path
 
     def test_table_has_one_line_per_point_from_its_rows(self, tmp_path):
-        rows = run_sweep(make_config(**self.MIXED, out_dir=str(tmp_path))).rows
+        rows = run_sweep(make_config(**self.MIXED, out_dir=str(tmp_path)))
         lines = (tmp_path / "sweep.txt").read_text().splitlines()[2:]
         assert len(lines) == len(self.MIXED["sweep.m"])
         for m, line in zip(self.MIXED["sweep.m"], lines):
