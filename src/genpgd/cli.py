@@ -10,7 +10,10 @@ Five subcommands cover the experiment lifecycle:
 
 ``--out`` overrides the config's output directory and ``--seed`` its master
 seed.  Exit codes: 0 on success, 2 on any configuration problem (including
-sizes too large to allocate), 3 when a solve diverges or overflows.
+sizes too large to allocate), 3 when a solve diverges or overflows.  A
+command that exits non-zero removes the output directory it created, with
+any parents it created for it; one that wrote into an existing directory
+leaves what it wrote there.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -71,12 +75,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _claim(args, out) -> None:
+    """Note on ``args`` the first of ``out`` and its parents that does not
+    exist yet: :func:`main` removes it if the command fails."""
+    out = Path(out)
+    args.new = next((p for p in reversed((out, *out.parents)) if not p.exists()), None)
+
+
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
+    if args.command != "estimate" or args.out is not None:  # estimate writes only to --out
+        _claim(args, cfg.out_dir)
     return cfg
 
 
@@ -123,6 +136,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _claim(args, args.out or args.results)
     paths = emit_report(args.results, out_dir=args.out)
     print(f"report written to {paths['report']}")
     return 0
@@ -133,10 +147,10 @@ def _cmd_estimate(args) -> int:
     # the bundle `solve` records for the same config and instance
     _, _, reg, _ = _solve_setup(_single_instance(cfg), cfg)
     doc = json.dumps(reg.to_json(), indent=2, sort_keys=True)
-    print(doc)
-    if args.out is not None:
+    if args.out is not None:  # written first: a failed write prints no result
         os.makedirs(args.out, exist_ok=True)
         (Path(args.out) / "regularity.json").write_text(doc + "\n")
+    print(doc)
     return 0
 
 
@@ -151,17 +165,22 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    args.new, status = None, 1  # 1: an exception not caught below
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
     except (ConfigError, ContractError, OSError) as e:  # OSError: an unwritable output path
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        status = 2
     except MemoryError:
         print("error: the config's sizes are too large to allocate", file=sys.stderr)
-        return 2
+        status = 2
     except (DivergenceError, NumericError) as e:
         print(f"error: solve diverged: {e}", file=sys.stderr)
-        return 3
+        status = 3
+    finally:  # after run_sweep, so after its worker pool has shut down
+        if status and args.new is not None:
+            shutil.rmtree(args.new, ignore_errors=True)
+    return status
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ a JSON form whose floats survive a write/read cycle bit-exactly.
 
 from __future__ import annotations
 
-import functools
 import json
 import numbers
 import warnings
@@ -104,8 +103,9 @@ def _pseudo_inverse(W: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Layer:
     """One affine map plus activation: ``a -> act(weights @ a + bias)``.
-    ``weights`` and ``bias`` are kept as read-only copies, so what is derived
-    from them (:attr:`pseudo_inverse`) never goes stale."""
+    ``weights`` and ``bias`` are kept as read-only copies, so what the
+    projection oracle caches per network (``projection._oracle``) never goes
+    stale."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -133,13 +133,6 @@ class Layer:
     @property
     def out_dim(self) -> int:
         return self.weights.shape[0]
-
-    @functools.cached_property
-    def pseudo_inverse(self) -> np.ndarray:
-        """The (in_dim, out_dim) pseudo-inverse of ``weights``, factored on
-        first use and cached; a rank-deficient layer raises
-        :class:`ContractError` on every access and caches nothing."""
-        return _pseudo_inverse(self.weights)
 
 
 class GeneratorNetwork:
@@ -277,13 +270,14 @@ def make_linear_generator(W) -> GeneratorNetwork:
 
     The range of the result is exactly the column span of ``W``.  Rank is
     checked through the smallest singular value (must exceed 1e-10) by
-    factoring the layer's pseudo-inverse, which closed-form projection reuses.
+    factoring the pseudo-inverse once; closed-form projection factors it
+    again, once per (config, network) oracle.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
         raise ContractError(f"W must be 2-d, got shape {W.shape}")
     layer = Layer(W, np.zeros(W.shape[0]), Activation("identity"))
-    layer.pseudo_inverse  # the rank check
+    _pseudo_inverse(layer.weights)  # the rank check
     return GeneratorNetwork([layer])
 
 

@@ -251,13 +251,16 @@ class ExperimentConfig:
         """The problem at each sweep point, in (m, l, noise_level) product
         order, an absent axis at the problem's value.  Each is a validated
         :class:`ProblemSpec` with its own runs: two points that share a run
-        label are a :class:`ConfigError`."""
+        label are a :class:`ConfigError`.  A noise level of -0.0 becomes
+        0.0 (``+ 0.0`` changes no other value's bits), so an axis that
+        lists both names one point twice."""
         ms = self.sweep.m or (self.problem.m,)
         ls = self.sweep.l or (self.problem.l,)
         nls = self.sweep.noise_level or (self.problem.noise_level,)
         points = {}  # by trial-0 run label
         for m, l, nl in itertools.product(ms, ls, nls):
-            spec = dataclasses.replace(self.problem, m=int(m), l=int(l), noise_level=float(nl))
+            spec = dataclasses.replace(self.problem, m=int(m), l=int(l),
+                                       noise_level=float(nl) + 0.0)
             label = _run_label(spec, 0)
             if label in points:
                 raise ConfigError(f"two sweep points share the run label {label!r}")
@@ -350,7 +353,8 @@ def gen_problem(spec: ProblemSpec, seed: int) -> ProblemInstance:
     """Draw one instance of the configured family, fully determined by
     ``seed``: Gaussian A with entry variance 1/m, standard Gaussian latent
     truth, uniformly-supported Gaussian sparse deviation, and noise scaled
-    to the requested level relative to the clean response."""
+    to the requested level relative to the clean response.  ``meta``
+    records a noise level of -0.0 as 0.0, as a sweep point does."""
     check_count("seed", seed)
     net = spec.generator.build(spec.k, spec.n, derive_seed(seed, 0))
     if spec.basis == "identity":
@@ -388,7 +392,7 @@ def gen_problem(spec: ProblemSpec, seed: int) -> ProblemInstance:
         net=net, basis=basis, A=A, y=y,
         truth=Truth(z_star=z_star, nu_star=nu_star, x_star=x_star, noise=noise),
         meta=InstanceMeta(n=spec.n, m=spec.m, k=spec.k, l=spec.l,
-                          noise_level=float(spec.noise_level), seed=seed),
+                          noise_level=float(spec.noise_level) + 0.0, seed=seed),
     )
 
 
@@ -419,6 +423,10 @@ def _vec(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
+# the manifest in instance.json; its basis entry is null for an instance without one
+_FILES = {"A": "A.npy", "network": "network.json", "basis": "basis.npy"}
+
+
 def save_problem(inst: ProblemInstance, directory) -> Path:
     directory = Path(directory)
     os.makedirs(directory, exist_ok=True)
@@ -436,11 +444,7 @@ def save_problem(inst: ProblemInstance, directory) -> Path:
             "noise": _vec(inst.truth.noise),
         },
         "y": _vec(inst.y),
-        "files": {
-            "A": "A.npy",
-            "network": "network.json",
-            "basis": "basis.npy" if inst.basis is not None else None,
-        },
+        "files": _FILES if inst.basis is not None else {**_FILES, "basis": None},
     }
     with open(directory / "instance.json", "w") as f:
         f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")  # one write, json.dump's bytes
@@ -448,6 +452,11 @@ def save_problem(inst: ProblemInstance, directory) -> Path:
 
 
 def load_problem(directory) -> ProblemInstance:
+    """Read an instance written by :func:`save_problem`.  Its ``files``
+    manifest must name just what ``save_problem`` writes: ``A.npy``,
+    ``network.json`` and ``basis.npy`` or null, so no file outside
+    ``directory`` is read.  A missing, unreadable or malformed part raises
+    :class:`ContractError`."""
     directory = Path(directory)
     doc = _read_json(directory / "instance.json", ContractError)
     if not isinstance(doc, dict) or doc.get("format") != "genpgd-instance":
@@ -455,6 +464,9 @@ def load_problem(directory) -> ProblemInstance:
     try:
         meta = _load(InstanceMeta, doc["meta"], "meta")
         files, truth = doc["files"], doc["truth"]
+        if files not in (_FILES, {**_FILES, "basis": None}):
+            raise ContractError(f"instance at {directory} names files {files!r:.100}, "
+                                f"not the ones save_problem writes")
         nu = truth["nu_star"]
         return ProblemInstance(
             net=load_network(directory / files["network"]),
@@ -740,12 +752,11 @@ def _cell3(values) -> str:
 def _write_table(path, rows) -> None:
     """One line per sweep point: its ok trials out of its rows, and the
     median [q1, q3] of the ok rows' final_dist and fitted_rate.  A point's
-    rows are consecutive and share its (m, l, noise_level); a str key keeps
-    the points 0.0 and -0.0 apart, as their run labels do."""
+    rows are consecutive and share its (m, l, noise_level)."""
     header = (f"{'m':>6} {'l':>4} {'noise':>8} {'ok':>5}  "
               f"{'final_dist med [q1, q3]':<42} {'fitted_rate med [q1, q3]':<42}")
     lines = [header, "-" * len(header)]
-    for _, group in itertools.groupby(rows, key=lambda r: (r["m"], r["l"], str(r["noise_level"]))):
+    for _, group in itertools.groupby(rows, key=lambda r: (r["m"], r["l"], r["noise_level"])):
         group = list(group)
         ok = [r for r in group if r["status"] == "ok"]
         m, l, nl = group[0]["m"], group[0]["l"], group[0]["noise_level"]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .generator import GeneratorNetwork, _forward_jacobian, forward, forward_batch
+from .generator import GeneratorNetwork, _forward_jacobian, _pseudo_inverse, forward, forward_batch
 from .generator import vjp  # noqa: F401  (bench/test_bench.py traces it through this module)
 from .seeding import _direction_reader, check_count, finite_real, spawn_rng
 
@@ -398,7 +398,7 @@ def _oracle(cfg: ProjectionConfig, net: GeneratorNetwork):
     if cfg.method == "closed-form-linear":
         if not net.is_single_affine:
             raise ConfigError("closed-form-linear needs a single identity-activation layer")
-        P, bias = net.layers[0].pseudo_inverse, net.layers[0].bias  # factored once per layer
+        P, bias = _pseudo_inverse(net.layers[0].weights), net.layers[0].bias
 
         def latent(x):
             return P @ (x - bias)

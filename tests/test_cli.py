@@ -61,6 +61,11 @@ _BAD_NETWORKS = {"network-missing": None, "network-not-json": "{nope",
                  "network-layers-5": '{"layers": 5}'}
 
 
+def _paths(root):
+    """Every path under ``root``, to check that a failed command made none."""
+    return sorted(root.rglob("*"))
+
+
 def _write_network(path, name):
     if _BAD_NETWORKS[name] is not None:
         path.write_text(_BAD_NETWORKS[name])
@@ -160,6 +165,24 @@ class TestSolve:
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg), str(tmp_path / "nowhere")]) == 2
 
+    def test_manifest_pointing_outside_the_instance_exit_code(self, tmp_path, capsys):
+        # an instance.json alone, its manifest naming another instance's files
+        cfg = write_config(tmp_path)
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "g1")]) == 0
+        doc = json.loads((tmp_path / "g1" / "instance.json").read_text())
+        doc["files"].update(A=str(tmp_path / "g1" / "A.npy"), network="../g1/network.json")
+        (tmp_path / "g2").mkdir()
+        (tmp_path / "g2" / "instance.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["solve", "--config", str(cfg), str(tmp_path / "g2"),
+                     "--out", str(tmp_path / "res")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: instance at ") and err.count("\n") == 1
+        assert not (tmp_path / "res").exists()
+        # the unmodified instance still solves
+        assert main(["solve", "--config", str(cfg), str(tmp_path / "g1"),
+                     "--out", str(tmp_path / "res")]) == 0
+
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc["truth"].pop("noise"),
         lambda doc: doc["meta"].update(bogus=1),
@@ -231,6 +254,7 @@ class TestSolve:
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, **{"solver.eta": 500.0})
         assert main(["solve", "--config", str(cfg)]) == 3
+        assert not (tmp_path / "out").exists()  # its instance/ went with it
 
     def test_overflow_exit_code(self, tmp_path, capsys):
         # exp-link GLM with a huge step: the objective overflows (NumericError)
@@ -349,6 +373,7 @@ class TestSweepAndReport:
     @pytest.mark.parametrize("axis,values,label", [
         ("sweep.m", [40, 40], "m40_l0_nl0_t0"),
         ("sweep.noise_level", [0.1, 0.1000001], "m40_l0_nl0.1_t0"),
+        ("sweep.noise_level", [0.0, -0.0], "m40_l0_nl0_t0"),
     ])
     def test_points_sharing_a_run_directory_exit_2(self, tmp_path, capsys, axis, values, label):
         cfg = write_config(tmp_path, **{axis: values})
@@ -469,9 +494,10 @@ class TestSweepAndReport:
         patches, message = self.REJECTED[name]
         monkeypatch.setattr("genpgd.harness._sweep_workers", lambda tasks: workers)
         cfg = write_config(tmp_path, **patches, **{"sweep.trials": 2})
+        before = _paths(tmp_path)
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert _paths(tmp_path) == before
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -484,10 +510,11 @@ class TestSweepAndReport:
         cfg = write_config(tmp_path, **{
             "problem.generator": {"kind": "file", "path": str(tmp_path / "net.json")},
             "sweep.trials": 2})
+        before = _paths(tmp_path)
         assert main(["sweep", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert _paths(tmp_path) == before
         assert multiprocessing.active_children() == []
 
     def test_sweep_survives_divergent_trials(self, tmp_path):
@@ -664,12 +691,62 @@ class TestUnwritableOutput:
         else:
             argv = argv + ["--config", str(cfg)]
         argv = [a.format(file=file, swept=tmp_path / "out") for a in argv]
+        before = _paths(tmp_path)
         assert main(argv) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert file.read_text() == "not a directory\n"
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert out == "" and len(err) == 1 and err[0].startswith("error: ")
+        assert file.read_text() == "not a directory\n" and _paths(tmp_path) == before
         if argv == ["report", str(file)]:  # read before any directory is made
             assert err[0].startswith(f"error: cannot read {file / 'sweep.csv'}")
+
+
+class TestFailedCommandCleanup:
+    """A command that exits non-zero removes the output directory it
+    created, with the parents it created for it; one that wrote into an
+    existing directory leaves that directory and what it wrote there."""
+
+    _MLP = {"problem.generator": {"kind": "mlp", "widths": [8]}}
+
+    @pytest.mark.parametrize("out", ["out", "new/deep/out"])
+    def test_solve_closed_form_on_an_mlp(self, tmp_path, capsys, out):
+        cfg = write_config(tmp_path, **self._MLP)
+        before = _paths(tmp_path)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: closed-form-linear needs a single identity-activation layer"]
+        assert _paths(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_an_existing_directory_stays(self, tmp_path, command):
+        cfg = write_config(tmp_path, **self._MLP)
+        (tmp_path / "out").mkdir()
+        assert main([command, "--config", str(cfg)]) == 2
+        run = "." if command == "solve" else "m40_l0_nl0_t0"
+        instance = tmp_path / "out" / run / "instance"
+        assert sorted(p.name for p in instance.iterdir()) == [
+            "A.npy", "instance.json", "network.json"]
+
+    def test_report_of_a_malformed_trace(self, tmp_path, capsys, graded_sweep):
+        (tmp_path / "swept").mkdir()
+        shutil.copytree(graded_sweep, tmp_path / "swept" / "out")
+        (tmp_path / "swept" / "out" / "m90_l0_nl0_t0" / "trace.csv").write_text("t,f\n")
+        before = _paths(tmp_path)
+        assert main(["report", str(tmp_path / "swept" / "out"),
+                     "--out", str(tmp_path / "new")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert _paths(tmp_path) == before
+
+    def test_an_uncaught_exception_removes_it_too(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("genpgd.cli.run_solve", interrupted)
+        cfg = write_config(tmp_path)
+        before = _paths(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            main(["solve", "--config", str(cfg)])
+        assert _paths(tmp_path) == before
 
 
 class TestEstimate:

@@ -222,6 +222,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("axis,values,label", [
         ("sweep.m", [20, 40, 20], "m20_l0_nl0_t0"),
         ("sweep.noise_level", [0.1, 0.1000001], "m40_l0_nl0.1_t0"),  # the same %g
+        ("sweep.noise_level", [0.0, -0.0], "m40_l0_nl0_t0"),  # one point, named twice
     ])
     def test_sweep_points_need_distinct_run_labels(self, axis, values, label):
         with pytest.raises(ConfigError, match=f"share the run label '{label}'"):
@@ -350,6 +351,23 @@ class TestSaveLoad:
         doc["meta"][field] = value
         (tmp_path / "inst" / "instance.json").write_text(json.dumps(doc))
         with pytest.raises(ContractError, match=f"meta.{field} must be a JSON {kind}"):
+            load_problem(tmp_path / "inst")
+
+    @pytest.mark.parametrize("files", [
+        {"A": "A.npy", "network": "network.json"},
+        {"A": "A.npy", "network": "network.json", "basis": "basis.npy", "extra": None},
+        {"A": "./A.npy", "network": "network.json", "basis": None},
+        {"A": "A.npy", "network": "../g1/network.json", "basis": None},
+        ["A.npy", "network.json", None],
+    ])
+    def test_manifest_names_only_the_written_files(self, tmp_path, files):
+        inst = gen_problem(make_config().problem, seed=14)
+        save_problem(inst, tmp_path / "inst")
+        doc = json.loads((tmp_path / "inst" / "instance.json").read_text())
+        assert doc["files"] == {"A": "A.npy", "network": "network.json", "basis": None}
+        doc["files"] = files
+        (tmp_path / "inst" / "instance.json").write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match="not the ones save_problem writes"):
             load_problem(tmp_path / "inst")
 
     def test_meta_k_disagreeing_with_the_network_rejected(self, tmp_path):
@@ -742,13 +760,19 @@ class TestRunSweep:
         text = (tmp_path / "s" / "sweep.csv").read_text()
         assert "divergence" in text
 
-    def test_table_keeps_noise_0_and_minus_0_apart(self, tmp_path):
-        # two points with two run labels, though 0.0 == -0.0
-        cfg = make_config(**{"sweep.noise_level": [0.0, -0.0], "solver.iters": 5,
-                             "out_dir": str(tmp_path)})
-        assert [r["run"] for r in run_sweep(cfg)] == ["m40_l0_nl0_t0", "m40_l0_nl-0_t0"]
-        lines = (tmp_path / "sweep.txt").read_text().splitlines()[2:]
-        assert [line.split()[2:4] for line in lines] == [["0", "1/1"], ["-0", "1/1"]]
+    @pytest.mark.parametrize("patch", ["sweep.noise_level", "problem.noise_level"])
+    def test_noise_minus_0_runs_as_0(self, tmp_path, patch):
+        cfg = make_config(**{patch: [-0.0] if patch.startswith("sweep") else -0.0,
+                             "solver.iters": 5, "out_dir": str(tmp_path / "s")})
+        assert [r["run"] for r in run_sweep(cfg)] == ["m40_l0_nl0_t0"]
+        lines = (tmp_path / "s" / "sweep.txt").read_text().splitlines()[2:]
+        assert [line.split()[2:4] for line in lines] == [["0", "1/1"]]
+        # `genpgd gen` writes the sweep's first trial, meta and all
+        inst = gen_problem(cfg.problem, derive_seed(cfg.master_seed, 0, 0))
+        assert math.copysign(1.0, inst.meta.noise_level) == 1.0
+        save_problem(inst, tmp_path / "gen")
+        assert ((tmp_path / "gen" / "instance.json").read_bytes()
+                == (tmp_path / "s" / "m40_l0_nl0_t0" / "instance" / "instance.json").read_bytes())
 
     def _stubbed_sweep(self, tmp_path, monkeypatch):
         """A 12-point sweep run inline with each trial stubbed out; returns

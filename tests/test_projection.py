@@ -385,24 +385,27 @@ def normal_equation_residual(W, x, point):
 
 
 class TestFactoredLayer:
-    def test_factor_is_computed_once_per_layer(self, monkeypatch):
+    def test_factor_is_computed_once_per_config_and_network(self, monkeypatch):
         calls = []
-        factor = generator._pseudo_inverse
+        factor = projection._pseudo_inverse
 
         def counting_factor(W):
             calls.append(W)
             return factor(W)
 
-        monkeypatch.setattr(generator, "_pseudo_inverse", counting_factor)
-        rng = np.random.default_rng(31)
-        layer = Layer(rng.standard_normal((12, 3)), rng.standard_normal(12), Activation("identity"))
-        net = GeneratorNetwork([layer])
-        cfg = ProjectionConfig(method="closed-form-linear")
-        project(cfg, net, rng.standard_normal(12))
-        cached = layer.pseudo_inverse
-        project(cfg, net, rng.standard_normal(12))
-        assert layer.pseudo_inverse is cached
+        monkeypatch.setattr(projection, "_pseudo_inverse", counting_factor)
+        net, obj, x_star = _linear_problem(31)
+        cfgs = [ProjectionConfig(method="closed-form-linear", degrade_slack=slack)
+                for slack in (0.0, 1e-4, 1e-2)]
+        epsilon_pgd(obj, net, cfgs[0], SolverConfig(iters=200), x_star=x_star)
         assert len(calls) == 1
+        calls.clear()
+        _oracle.cache_clear()
+        for cfg in cfgs:
+            for _ in range(2):
+                project(cfg, net, x_star)
+        assert len(calls) == 3
+        assert all(W is net.layers[0].weights for W in calls)
 
     def test_caller_mutation_does_not_reach_the_network(self):
         rng = np.random.default_rng(32)
@@ -425,7 +428,6 @@ class TestFactoredLayer:
         for _ in range(2):
             with pytest.raises(ContractError, match="singular value"):
                 project(ProjectionConfig(method="closed-form-linear"), net, np.zeros(5))
-        assert "pseudo_inverse" not in vars(layer)
 
     def test_ill_conditioned_accuracy_matches_lstsq(self):
         # cond 1e8: the pseudo-inverse keeps the normal equations within 10x

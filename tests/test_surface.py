@@ -1,6 +1,10 @@
 """The public surface: each module's ``__all__`` is its export list, and the
 root package re-exports those lists and nothing else."""
 
+import os
+import subprocess
+import sys
+
 import genpgd
 from genpgd import errors, generator, harness, objective, projection, solver
 
@@ -28,3 +32,15 @@ def test_helpers_resolve_in_their_submodules():
     assert callable(solver.default_step_size) and callable(objective.estimate_diameter_gamma)
     assert projection.vjp is generator.vjp
     assert not {"hard_threshold", "myopic_pgd"} & set(genpgd.__all__)
+
+
+def test_import_leaves_the_sweep_pool_unloaded():
+    # harness imports them only to fork a sweep's workers; at the top of a
+    # module they would cost every command's start-up
+    src = os.path.dirname(os.path.dirname(genpgd.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, genpgd, genpgd.cli; print(*sys.modules, sep='\\n')"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.splitlines())
+    assert "genpgd.cli" in loaded
+    assert not {"multiprocessing", "concurrent.futures"} & loaded
