@@ -13,7 +13,7 @@ from genpgd import (
     OrthoBasis,
     estimate_incoherence,
     estimate_rsc_rss,
-    latent_pair_sampler,
+    forward_batch,
     make_linear_generator,
     subspace_curvature,
     subspace_incoherence,
@@ -30,10 +30,11 @@ alpha, beta = subspace_curvature(A, W)
 print(f"exact curvature over the range: alpha {alpha:.6f}, beta {beta:.6f} "
       f"(ratio {beta / alpha:.3f})")
 
-print("sampled estimates (pair sampling + cross-pair recombination):")
-for num_pairs in (50, 200, 1000):
-    a_hat, b_hat = estimate_rsc_rss(obj, latent_pair_sampler(net), num_pairs=num_pairs, seed=0)
-    print(f"  N={num_pairs:<5} alpha_hat {a_hat:.6f}  beta_hat {b_hat:.6f}  "
+print("sampled estimates (every cross pair of N range points):")
+for num_points in (100, 400, 2000):
+    z = np.random.default_rng(0).standard_normal((num_points, k))
+    a_hat, b_hat = estimate_rsc_rss(obj, forward_batch(net, z.T).T)
+    print(f"  N={num_points:<5} alpha_hat {a_hat:.6f}  beta_hat {b_hat:.6f}  "
           f"rel errs {abs(a_hat - alpha) / alpha:.1e} / {abs(b_hat - beta) / beta:.1e}")
 
 # alignment between the range and a sparse-in-basis set, for one support:

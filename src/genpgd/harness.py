@@ -553,7 +553,8 @@ def _solve_setup(inst: ProblemInstance, config: ExperimentConfig):
     bundle of a solve of ``inst`` under ``config`` and its wall time.
 
     A myopic solve inherits the instance's sparsity budget when the solver
-    config leaves ``l`` at 0, and its curvature set uses that budget.  A
+    config leaves ``l`` at 0, and its curvature set uses that budget; a
+    budget above the instance's n is a :class:`ConfigError`.  A
     null ``eta`` becomes 1/beta of the bundle, so the step size and the
     theory rate rest on the same beta-hat.
     """
@@ -566,6 +567,8 @@ def _solve_setup(inst: ProblemInstance, config: ExperimentConfig):
         if solver_cfg.l == 0 and inst.meta.l > 0:
             solver_cfg = dataclasses.replace(solver_cfg, l=inst.meta.l)
         sparsity = solver_cfg.l
+        if sparsity > inst.meta.n:
+            raise ConfigError(f"solver.l = {sparsity} exceeds the instance's n = {inst.meta.n}")
     tic = time.perf_counter()
     reg = estimate_regularity(inst, obj, sparsity=sparsity,
                               seed=derive_seed(inst.meta.seed, 100))

@@ -29,7 +29,6 @@ __all__ = [
     "gradient",
     "estimate_rsc_rss",
     "estimate_incoherence",
-    "latent_pair_sampler",
     "subspace_curvature",
     "minkowski_curvature",
     "subspace_incoherence",
@@ -168,47 +167,6 @@ def curvature_ratio(obj: Objective, x, y_pt) -> float:
 
 
 # ---------------------------------------------------------------------------
-# samplers
-
-
-def latent_pair_sampler(net: GeneratorNetwork):
-    """Pairs of range points from independent Gaussian latents:
-    ``sample(rng, count)`` maps one ``standard_normal((count, 2, k))`` draw
-    (the stream of ``count`` per-pair draws) by one :func:`forward_batch`
-    to a (2 * count, n) array of 2 * ``count`` points, pair i in rows 2i
-    and 2i + 1.  :func:`estimate_rsc_rss` draws once and masks
-    near-duplicate points rather than redrawing them."""
-
-    def sample(rng, count):
-        z = rng.standard_normal((count, 2, net.k))
-        return forward_batch(net, z.reshape(2 * count, net.k).T).T
-
-    return sample
-
-
-def sum_pair_sampler(net: GeneratorNetwork, basis: OrthoBasis, l: int):
-    """Pairs of points from {range point + l-sparse-in-basis deviation}.
-
-    Each point draws its own latent and its own sparse part on a uniform
-    size-l support, point by point; ``sample(rng, count)`` maps all 2 *
-    ``count`` latents by one :func:`forward_batch` to 2 * ``count`` points,
-    rows as in :func:`latent_pair_sampler`, drawn once: near-duplicates are
-    masked by :func:`estimate_rsc_rss`, not redrawn.
-    """
-
-    def sample(rng, count):
-        Z = np.empty((2 * count, net.k))
-        coeffs = np.zeros((basis.n, 2 * count))
-        for i in range(2 * count):
-            Z[i] = rng.standard_normal(net.k)
-            idx = rng.choice(basis.n, size=l, replace=False)
-            coeffs[idx, i] = rng.standard_normal(len(idx))
-        return (forward_batch(net, Z.T) + basis.matrix @ coeffs).T
-
-    return sample
-
-
-# ---------------------------------------------------------------------------
 # estimators
 
 # sample sizes of a regularity bundle: pairs per sampled curvature bound (also
@@ -219,35 +177,54 @@ _NUM_SAMPLES = 64
 _NUM_SUPPORTS = 50
 
 
-def estimate_rsc_rss(obj: Objective, sampler, num_pairs: int, seed: int = 0
-                     ) -> tuple[float, float]:
-    """``(alpha, beta)``: the min/max curvature ratio over the 2 *
-    ``num_pairs`` points drawn by one call ``sampler(rng, num_pairs)``, which
-    returns a (2 * count, n) array holding pair i in rows 2i and 2i + 1.
+def _sample_points(net: GeneratorNetwork, rng, count: int, basis: OrthoBasis | None = None,
+                   l: int = 0) -> np.ndarray:
+    """``count`` points of the range of ``net``, or of the
+    range-plus-l-sparse sum set when a basis and l > 0 are given, as the
+    rows of a (count, n) array.
 
-    Every sampled point lies in the constraint set, so every cross pair among
-    them is a valid direction: one batched pass takes F and its gradient at
-    all points and the extremes over all those pairs, the as-sampled ones
-    included: each unordered pair once for least squares, whose Bregman ratio
-    is symmetric, and each ordered pair for glm.  Each value is
-    :func:`curvature_ratio` at the pair :func:`_cross_pair_extremes` picks.
-
-    The points are drawn once: near-duplicates are masked by the scan's
-    distance floor, not redrawn.  The sampler is rejected
-    (:class:`ContractError`) when its points are not finite, and reported as
-    degenerate when they are all too close together for any ratio to rise
-    above the rounding of the distances.
+    Range points map one ``standard_normal((count, k))`` draw (the stream of
+    ``count`` per-point draws) by one :func:`forward_batch`.  Each sum-set
+    point draws its own latent, then its own sparse part on a uniform size-l
+    support, point by point, and all the latents go through one
+    :func:`forward_batch`.
     """
-    check_count("num_pairs", num_pairs, 1)
-    pts = np.ascontiguousarray(sampler(spawn_rng(seed), num_pairs), dtype=float)
-    if pts.shape != (2 * num_pairs, obj.n):
-        raise ContractError(f"sampler gave shape {pts.shape}, want {(2 * num_pairs, obj.n)}")
+    if basis is None or l == 0:
+        return forward_batch(net, rng.standard_normal((count, net.k)).T).T
+    Z = np.empty((count, net.k))
+    coeffs = np.zeros((basis.n, count))
+    for i in range(count):
+        Z[i] = rng.standard_normal(net.k)
+        idx = rng.choice(basis.n, size=l, replace=False)  # drawn before its values
+        coeffs[idx, i] = rng.standard_normal(l)
+    return (forward_batch(net, Z.T) + basis.matrix @ coeffs).T
+
+
+def estimate_rsc_rss(obj: Objective, pts) -> tuple[float, float]:
+    """``(alpha, beta)``: the min/max curvature ratio over the cross pairs of
+    the rows of ``pts``, a finite (N, n) array of constraint-set points.
+
+    Every row lies in the constraint set, so every cross pair among them is
+    a valid direction: one batched pass takes F and its gradient at all
+    points and the extremes over all those pairs: each unordered pair once
+    for least squares, whose Bregman ratio is symmetric, and each ordered
+    pair for glm.  Each value is :func:`curvature_ratio` at the pair
+    :func:`_cross_pair_extremes` picks.
+
+    Near-duplicate points are masked by the scan's distance floor.  Points
+    that are not finite, or not (N, n), are rejected
+    (:class:`ContractError`), and so are points all too close together for
+    any ratio to rise above the rounding of the distances.
+    """
+    pts = np.ascontiguousarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != obj.n:
+        raise ContractError(f"points have shape {pts.shape}, want (N, {obj.n})")
     if not np.all(np.isfinite(pts)):
-        raise ContractError("sampler gave non-finite points")
+        raise ContractError("points are not finite")
     extremes = _cross_pair_extremes(obj, pts)
     if extremes is None:
         raise ContractError(
-            "sampler is degenerate: no pair of its points is far enough apart "
+            "points are degenerate: no pair of them is far enough apart "
             "for a curvature ratio above rounding")
     return tuple(curvature_ratio(obj, pts[i], pts[j]) for i, j in extremes)
 
@@ -383,11 +360,9 @@ def estimate_incoherence(net: GeneratorNetwork, basis: OrthoBasis, l: int,
 def estimate_diameter_gamma(net: GeneratorNetwork, objective: Objective, x_star,
                             seed: int = 0) -> tuple[float, float]:
     """``(delta, gamma)``: the max pairwise distance between the images of
-    ``_NUM_SAMPLES`` standard-normal latents (one draw, mapped by one
-    :func:`forward_batch`), and the norm of the gradient of ``objective``
-    at ``x_star``."""
-    rng = spawn_rng(seed)
-    pts = forward_batch(net, rng.standard_normal((_NUM_SAMPLES, net.k)).T).T
+    ``_NUM_SAMPLES`` range points (:func:`_sample_points` from ``seed``),
+    and the norm of the gradient of ``objective`` at ``x_star``."""
+    pts = _sample_points(net, spawn_rng(seed), _NUM_SAMPLES)
     sq = np.sum(pts**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     delta = float(np.sqrt(max(np.max(d2), 0.0)))
@@ -575,11 +550,12 @@ def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis |
     range-plus-l-sparse sum set when a basis and l > 0 are given.
 
     Exact (:func:`subspace_curvature` / :func:`minkowski_curvature`) when
-    :func:`_exact`; otherwise :func:`estimate_rsc_rss` over ``_NUM_PAIRS``
-    sampled pairs.  Either way alpha is exactly 0 when A has fewer rows than
-    the span has dimensions (rank W exactly, k on the sampled path, plus
-    min(2l, n) over a sum set), where sampled pairs would miss the flat
-    direction and read a small positive ratio.  A net narrower than k so
+    :func:`_exact`; otherwise :func:`estimate_rsc_rss` over 2 *
+    ``_NUM_PAIRS`` points that :func:`_sample_points` draws from ``seed``.
+    Either way alpha is exactly 0 when A has fewer rows than the span has
+    dimensions (rank W exactly, k on the sampled path, plus min(2l, n) over
+    a sum set), where sampled pairs would miss the flat direction and read
+    a small positive ratio.  A net narrower than k so
     loses its alpha on the sampled path rather than keep a wrong one.
     """
     sparse = basis is not None and l > 0
@@ -588,8 +564,9 @@ def _curvature_bounds(obj: Objective, net: GeneratorNetwork, basis: OrthoBasis |
         if sparse:
             return minkowski_curvature(obj.A, W, basis, l, seed=seed)
         return subspace_curvature(obj.A, W)
-    sampler = sum_pair_sampler(net, basis, l) if sparse else latent_pair_sampler(net)
-    alpha, beta = estimate_rsc_rss(obj, sampler, _NUM_PAIRS, seed=seed)
+    # in C order here, so the drawn array is freed before the scan, not held through it
+    pts = np.ascontiguousarray(_sample_points(net, spawn_rng(seed), 2 * _NUM_PAIRS, basis, l))
+    alpha, beta = estimate_rsc_rss(obj, pts)
     if len(obj.A) < net.k + (min(2 * l, net.n) if sparse else 0):
         alpha = 0.0
     return alpha, beta

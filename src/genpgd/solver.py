@@ -121,8 +121,8 @@ def default_step_size(objective: Objective, net: GeneratorNetwork,
 
 def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
                 proj_cfg: ProjectionConfig, cfg: SolverConfig,
-                x0=None, x_star=None, basis: OrthoBasis | None = None) -> IterationTrace:
-    """Gradient step then range projection, from ``x0`` (default zero).
+                x_star=None, basis: OrthoBasis | None = None) -> IterationTrace:
+    """Gradient step then range projection, from zero.
 
     With a ``basis``, which mode "myopic" needs and "pgd" forbids (else
     :class:`ConfigError`), the iterate is x_t = u_t + v_t, a range block
@@ -146,7 +146,7 @@ def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
         x_star = np.asarray(x_star, dtype=float)
         f_star = value(objective, x_star)
     eta = cfg.eta if cfg.eta is not None else default_step_size(objective, net, basis, cfg.l)
-    u = x = np.zeros(net.n) if x0 is None else np.asarray(x0, dtype=float)
+    u = x = np.zeros(net.n)
     v = nnz = None
     if basis is not None:
         v, nnz = np.zeros(net.n), [0]

@@ -30,9 +30,9 @@ from genpgd import (
     epsilon_pgd,
     estimate_incoherence,
     estimate_rsc_rss,
+    forward_batch,
     gen_problem,
     gradient,
-    latent_pair_sampler,
     make_linear_generator,
     make_random_generator,
     minkowski_curvature,
@@ -318,9 +318,9 @@ def test_curvature_and_incoherence_estimates_track_oracles(capsys):
         inst = _family_instance(i)
         lo, hi = _range_spectrum(inst)
         obj = Objective("linear", inst.A, inst.y)
-        sampler = latent_pair_sampler(inst.net)
         for est_seed in range(2):
-            alpha, beta = estimate_rsc_rss(obj, sampler, num_pairs=2000, seed=est_seed)
+            z = spawn_rng(est_seed).standard_normal((4000, inst.net.k))
+            alpha, beta = estimate_rsc_rss(obj, forward_batch(inst.net, z.T).T)
             vals = np.array([alpha, beta])
             contained &= bool(np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9))
             worst_lo = max(worst_lo, abs(alpha - lo) / lo)

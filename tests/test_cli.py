@@ -368,6 +368,38 @@ class TestConfigErrors:
             main(["gen"])
         assert err.value.code == 2
 
+    # a Myopic budget l above the instance's n, on the closed-form linear and
+    # the latent-gd mlp routes
+    _OVER_BUDGET = {
+        "linear": {},
+        "mlp": {"problem.generator": {"kind": "mlp", "widths": [8]},
+                "projection": {"method": "latent-gd", "restarts": 2, "inner_iters": 10}},
+    }
+
+    @pytest.mark.parametrize("command", ["solve", "solve-saved", "estimate", "sweep-1",
+                                         "sweep-2"])
+    @pytest.mark.parametrize("route", list(_OVER_BUDGET))
+    def test_myopic_budget_above_n_exit_code(self, tmp_path, monkeypatch, capsys, command,
+                                             route):
+        cfg = write_config(tmp_path, **self._OVER_BUDGET[route], **{
+            "problem.basis": "identity", "problem.l": 2, "sweep.trials": 2,
+            "solver": {"iters": 5, "mode": "myopic", "l": 31}})
+        argv = [command.split("-")[0], "--config", str(cfg)]
+        if command == "solve-saved":
+            assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "inst")]) == 0
+            capsys.readouterr()
+            argv.append(str(tmp_path / "inst"))
+        if command.startswith("sweep"):
+            workers = int(command[-1])
+            monkeypatch.setattr("genpgd.harness._sweep_workers", lambda tasks: workers)
+        before = _paths(tmp_path)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "error: solver.l = 31 exceeds the instance's n = 30"]
+        assert _paths(tmp_path) == before
+        assert multiprocessing.active_children() == []
+
 
 class TestSweepAndReport:
     @pytest.mark.parametrize("axis,values,label", [

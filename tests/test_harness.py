@@ -534,7 +534,7 @@ class TestRunSolve:
 
     @pytest.mark.parametrize("measurement", ["glm-sigmoid", "glm-exp"])
     def test_glm_on_linear_generator_samples_the_curvature(self, measurement):
-        # no exact oracle for a GLM: the bundle comes from the pair sampler
+        # no exact oracle for a GLM: the bundle comes from sampled points
         cfg = make_config(**{"problem.measurement": measurement, "solver.iters": 20})
         inst = gen_problem(cfg.problem, seed=28)
         summary, _ = run_solve(inst, cfg)
@@ -696,7 +696,7 @@ class TestRegularityReference:
         ({"problem.basis": "random", "problem.l": 2,
           "problem.measurement": "glm-sigmoid"}, 2, False),  # refined sampled mu
         ({"problem.generator": _MLP, "problem.basis": "identity",
-          "problem.l": 2}, 2, False),  # sum_pair_sampler
+          "problem.l": 2}, 2, False),  # sampled sum-set points
     ])
     def test_bundle_matches_reference(self, patches, sparsity, exact):
         cfg = make_config(**patches)

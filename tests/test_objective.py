@@ -22,11 +22,9 @@ from genpgd.objective import (
     estimate_incoherence,
     estimate_rsc_rss,
     gradient,
-    latent_pair_sampler,
     minkowski_curvature,
     subspace_curvature,
     subspace_incoherence,
-    sum_pair_sampler,
     value,
 )
 from genpgd.projection import OrthoBasis
@@ -43,15 +41,11 @@ def fd_gradient(obj, x, h=1e-6):
     return g
 
 
-def scaled_latent_sampler(net, scale):
-    """Pairs of range points as :func:`latent_pair_sampler` draws them, from
-    latents ``scale`` times standard normal."""
-
-    def sample(rng, count):
-        z = scale * rng.standard_normal((count, 2, net.k))
-        return forward_batch(net, z.reshape(2 * count, net.k).T).T
-
-    return sample
+def range_points(net, count, seed, scale=1.0):
+    """``count`` range points from latents ``scale`` times standard normal,
+    one (count, k) draw from ``spawn_rng(seed)``."""
+    z = scale * objective_mod.spawn_rng(seed).standard_normal((count, net.k))
+    return forward_batch(net, z.T).T
 
 
 def random_objective(kind, link, m, n, seed):
@@ -144,24 +138,21 @@ class TestCurvatureEstimator:
     def test_every_ratio_inside_exact_spectrum(self):
         # every unmasked pair's ratio lies in [alpha, beta], so the extremes
         # bound them all
-        extremes = np.array(
-            estimate_rsc_rss(self.obj, latent_pair_sampler(self.net), num_pairs=500, seed=0))
+        extremes = np.array(estimate_rsc_rss(self.obj, range_points(self.net, 1000, 0)))
         assert np.all(extremes >= self.lam_min - 1e-9)
         assert np.all(extremes <= self.lam_max + 1e-9)
 
     def test_extremes_converge_at_2000_pairs(self):
-        alpha, beta = estimate_rsc_rss(
-            self.obj, latent_pair_sampler(self.net), num_pairs=2000, seed=1)
+        alpha, beta = estimate_rsc_rss(self.obj, range_points(self.net, 4000, 1))
         assert self.lam_min <= alpha <= 1.05 * self.lam_min
         assert 0.95 * self.lam_max <= beta <= self.lam_max
         assert beta >= alpha > 0
 
     def test_reported_pairs_reproduce_extremes(self):
-        # the scan's winner indices, on the points the estimator draws,
+        # the scan's winner indices, on the points the estimator is given,
         # reproduce the reported extremes
-        sampler = latent_pair_sampler(self.net)
-        alpha, beta = estimate_rsc_rss(self.obj, sampler, num_pairs=200, seed=2)
-        pts = sampler(objective_mod.spawn_rng(2), 200)
+        pts = range_points(self.net, 400, 2)
+        alpha, beta = estimate_rsc_rss(self.obj, pts)
         (i_lo, j_lo), (i_hi, j_hi) = objective_mod._cross_pair_extremes(self.obj, pts)
         r_lo = curvature_ratio(self.obj, pts[i_lo], pts[j_lo])
         r_hi = curvature_ratio(self.obj, pts[i_hi], pts[j_hi])
@@ -172,83 +163,58 @@ class TestCurvatureEstimator:
         for link in ("sigmoid", "exp"):
             obj = random_objective("glm", link, 20, 10, 5)
             net = make_random_generator(3, 10, 2, [6], "relu", seed=1)
-            est = estimate_rsc_rss(obj, scaled_latent_sampler(net, 0.5), num_pairs=300, seed=3)
+            est = estimate_rsc_rss(obj, range_points(net, 600, 3, scale=0.5))
             assert np.all(np.array(est) >= -1e-10)
 
-    def test_degenerate_sampler_errors(self):
-        def constant(rng, count):
-            return np.zeros((2 * count, 30))
-
-        with pytest.raises(ContractError, match="sampler"):
-            estimate_rsc_rss(self.obj, constant, num_pairs=10, seed=0)
+    def test_degenerate_points_error(self):
+        with pytest.raises(ContractError, match="degenerate"):
+            estimate_rsc_rss(self.obj, np.zeros((20, 30)))
 
     def test_points_closer_than_rounding_error(self):
-        # distinct pairs, but every Bregman term sits below the rounding of F,
-        # so no ratio is meaningful (read as extremes, they fall far outside
-        # the spectrum)
-        with pytest.raises(ContractError, match="sampler"):
-            estimate_rsc_rss(self.obj, scaled_latent_sampler(self.net, 1e-8), 50, seed=0)
+        # distinct points, but every Bregman term sits below the rounding of
+        # F, so no ratio is meaningful (read as extremes, they fall far
+        # outside the spectrum)
+        with pytest.raises(ContractError, match="degenerate"):
+            estimate_rsc_rss(self.obj, range_points(self.net, 100, 0, scale=1e-8))
 
-    def test_sampler_shape_checked(self):
-        # one pair per call, whatever the count: the shape names the mismatch
-        def one_pair(rng, count):
-            return rng.standard_normal((2, 30))
-
+    @pytest.mark.parametrize("shape", [(30,), (10, 29), (10, 31), (2, 10, 30)])
+    def test_point_shape_checked(self, shape):
+        # the shape names the mismatch
         with pytest.raises(ContractError, match="shape"):
-            estimate_rsc_rss(self.obj, one_pair, num_pairs=5, seed=0)
-
-    @pytest.mark.parametrize("num_pairs", [0, -3, 1.5, True, "4"])
-    def test_bad_pair_counts_rejected(self, num_pairs):
-        with pytest.raises(ContractError, match="num_pairs"):
-            estimate_rsc_rss(self.obj, latent_pair_sampler(self.net), num_pairs, seed=0)
-
-    def test_sampler_is_called_once_for_all_pairs(self):
-        counts = []
-
-        def counted(rng, count):
-            counts.append(count)
-            return latent_pair_sampler(self.net)(rng, count)
-
-        estimate_rsc_rss(self.obj, counted, num_pairs=25, seed=0)
-        assert counts == [25]
+            estimate_rsc_rss(self.obj, np.ones(shape))
 
     def test_duplicate_points_are_masked_not_redrawn(self):
-        # 7 distinct points, each given twice: every as-sampled pair is a
-        # duplicate, and the cross pairs among the distinct points still bound
-        # the exact spectrum; no duplicate pair wins
-        def duplicates(rng, count):
-            return np.repeat(rng.standard_normal((count, 4)) @ self.W.T, 2, axis=0)
-
-        alpha, beta = estimate_rsc_rss(self.obj, duplicates, 7, seed=0)
+        # 7 distinct points, each given twice: the cross pairs among the
+        # distinct points still bound the exact spectrum, and no duplicate
+        # pair wins
+        pts = np.repeat(objective_mod.spawn_rng(0).standard_normal((7, 4)) @ self.W.T, 2, axis=0)
+        alpha, beta = estimate_rsc_rss(self.obj, pts)
         assert self.lam_min - 1e-9 <= alpha <= beta <= self.lam_max + 1e-9
-        pts = duplicates(objective_mod.spawn_rng(0), 7)
         for i, j in objective_mod._cross_pair_extremes(self.obj, pts):
             assert not np.array_equal(pts[i], pts[j])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_sampler_points_rejected(self, bad):
-        def poisoned(rng, count):
-            pts = latent_pair_sampler(self.net)(rng, count)
-            pts[3, 5] = bad
-            return pts
+    def test_non_finite_points_rejected(self, bad):
+        pts = range_points(self.net, 20, 0)
+        pts[3, 5] = bad
+        with pytest.raises(ContractError, match="points are not finite"):
+            estimate_rsc_rss(self.obj, pts)
 
-        with pytest.raises(ContractError, match="sampler gave non-finite"):
-            estimate_rsc_rss(self.obj, poisoned, num_pairs=10, seed=0)
-
-    def test_latent_sampler_makes_no_per_point_work(self, monkeypatch):
-        # a work count, not a timing: every point goes through forward_batch,
-        # and value/gradient run only in the two winners' curvature_ratio
-        # recomputations (two values and one gradient each)
+    def test_scan_makes_no_per_point_work(self, monkeypatch):
+        # a work count, not a timing: value/gradient run only in the two
+        # winners' curvature_ratio recomputations (two values and one
+        # gradient each), and the scan maps no point through the network
         net = make_random_generator(3, 30, 2, [10], "relu", seed=41)
-        calls = {"forward": 0, "value": 0, "gradient": 0}
+        pts = range_points(net, 200, 0)
+        calls = {"forward": 0, "forward_batch": 0, "value": 0, "gradient": 0}
         for name in calls:
             def counted(*args, _name=name, _inner=getattr(objective_mod, name)):
                 calls[_name] += 1
                 return _inner(*args)
 
             monkeypatch.setattr(objective_mod, name, counted)
-        estimate_rsc_rss(self.obj, latent_pair_sampler(net), num_pairs=100, seed=0)
-        assert calls == {"forward": 0, "value": 4, "gradient": 2}
+        estimate_rsc_rss(self.obj, pts)
+        assert calls == {"forward": 0, "forward_batch": 0, "value": 4, "gradient": 2}
 
     def test_exp_overflow_raises(self):
         net = make_random_generator(3, 10, 2, [6], "relu", seed=1)
@@ -256,7 +222,7 @@ class TestCurvatureEstimator:
         A[5] *= 1e4
         obj = Objective("glm-exp", A, np.ones(20))
         with pytest.raises(NumericError, match="row 5"):
-            estimate_rsc_rss(obj, latent_pair_sampler(net), num_pairs=50, seed=0)
+            estimate_rsc_rss(obj, range_points(net, 100, 0))
 
 
 def brute_force_extremes(obj, pts):
@@ -808,31 +774,35 @@ class TestRegularityEstimates:
         assert est.gamma == est.delta == 0.0
 
 
-class TestLatentPairSampler:
-    def test_one_draw_same_stream_as_per_pair_draws(self, monkeypatch):
+class TestSamplePoints:
+    def test_range_points_are_the_per_point_stream(self, monkeypatch):
+        # one (count, k) draw holds the latents of count successive k-draws,
+        # and one forward_batch maps them all; a basis with l = 0 adds nothing
         net = make_random_generator(3, 15, 2, [8], "relu", seed=31)
+        basis = OrthoBasis.random(15, seed=34)
         latents = []
         inner = objective_mod.forward_batch
         monkeypatch.setattr(objective_mod, "forward_batch",
                             lambda net, Z: latents.append(Z.copy()) or inner(net, Z))
-        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        pts = latent_pair_sampler(net)(rng, 9)
-        ref_z = np.concatenate([ref_rng.standard_normal((2, 3)) for _ in range(9)])
-        assert len(latents) == 1
-        np.testing.assert_array_equal(latents[0].T, ref_z)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        ref = np.array([forward(net, z) for z in ref_z])
-        assert pts.shape == ref.shape
-        # gemm against per-point gemv: rounding only, relative to each point
-        assert np.all(np.linalg.norm(pts - ref, axis=1) <= 1e-14 * np.linalg.norm(ref, axis=1))
+        for extra in ((), (basis, 0)):
+            latents.clear()
+            rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+            pts = objective_mod._sample_points(net, rng, 18, *extra)
+            ref_z = np.array([ref_rng.standard_normal(3) for _ in range(18)])
+            assert len(latents) == 1
+            np.testing.assert_array_equal(latents[0].T, ref_z)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            ref = np.array([forward(net, z) for z in ref_z])
+            assert pts.shape == ref.shape
+            # gemm against per-point gemv: rounding only, relative to each point
+            assert np.all(np.linalg.norm(pts - ref, axis=1)
+                          <= 1e-14 * np.linalg.norm(ref, axis=1))
 
-
-class TestSumPairSampler:
-    def test_batch_matches_per_point_reference(self):
+    def test_sum_set_points_match_per_point_reference(self):
         net = make_random_generator(3, 20, 2, [10], "tanh", seed=32)
         basis = OrthoBasis.random(20, seed=33)
         rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
-        pts = sum_pair_sampler(net, basis, l=3)(rng, 7)
+        pts = objective_mod._sample_points(net, rng, 14, basis, 3)
         ref = []
         for _ in range(14):  # each point: latent, support, coefficients
             z = ref_rng.standard_normal(3)
@@ -844,17 +814,16 @@ class TestSumPairSampler:
         ref = np.array(ref)
         assert np.all(np.linalg.norm(pts - ref, axis=1) <= 1e-14 * np.linalg.norm(ref, axis=1))
 
-    def test_points_decompose(self):
+    def test_sum_set_points_decompose(self):
         rng = np.random.default_rng(30)
         W = np.linalg.qr(rng.standard_normal((12, 2)))[0]
         net = make_linear_generator(W)
         basis = OrthoBasis.identity(12)
-        sampler = sum_pair_sampler(net, basis, l=2)
-        x, y = sampler(np.random.default_rng(0), 1)
-        assert x.shape == (12,) and y.shape == (12,)
+        pts = objective_mod._sample_points(net, np.random.default_rng(0), 100, basis, 2)
+        assert pts.shape == (100, 12)
         obj = Objective("linear", np.eye(12), np.zeros(12))
         # identity measurement: curvature of the sum set is exactly 1
-        est = estimate_rsc_rss(obj, sampler, num_pairs=50, seed=0)
+        est = estimate_rsc_rss(obj, pts)
         np.testing.assert_allclose(est, np.ones(2), rtol=1e-9)
 
 

@@ -51,19 +51,20 @@ class TestPgdBasics:
         np.testing.assert_allclose(trace.final_point, x_star, atol=1e-12)
         assert trace.records[-1].gap <= 1e-24
 
-    def test_stationary_start_never_moves(self):
-        # a coordinate subspace projects its own points without rounding, so
-        # the truth is an exact fixed point of the iteration
+    def test_truth_is_an_exact_fixed_point(self):
+        # with A = I and eta = 1 the first step from zero lands on the truth,
+        # and a coordinate subspace projects its own points without
+        # rounding, so the truth is then an exact fixed point of the iteration
         W = np.eye(15)[:, :2]
         net = make_linear_generator(W)
         x_star = W @ np.array([0.7, -1.3])
         obj = Objective("linear", np.eye(15), x_star)
-        cfg = SolverConfig(eta=0.7, iters=6)
-        trace = epsilon_pgd(obj, net, EXACT, cfg, x0=x_star, x_star=x_star)
+        cfg = SolverConfig(eta=1.0, iters=6)
+        trace = epsilon_pgd(obj, net, EXACT, cfg, x_star=x_star)
         assert len(trace.records) == 7
-        assert all(r.dist_to_truth == 0.0 for r in trace.records)
-        f0 = trace.records[0].f_value
-        assert all(abs(r.f_value - f0) < 1e-20 for r in trace.records)
+        assert trace.records[0].dist_to_truth > 0
+        assert all(r.dist_to_truth == 0.0 for r in trace.records[1:])
+        assert all(r.f_value == 0.0 for r in trace.records[1:])
 
     def test_records_contiguous_and_finite(self):
         net, W, obj, x_star = linear_instance(30, 4, 40, seed=2)

@@ -91,6 +91,16 @@ def test_code_lines_prints_each_module_and_the_sum(tmp_path, capsys):
         ["a.py", "24", "10"], ["b.py", "3", "1"], ["sum", "27", "11"]]
 
 
+# the code-line budget of ROADMAP item 10 (design: less code) for src/genpgd
+CODE_LINE_BUDGET = 2000
+
+
+def test_src_stays_within_the_code_line_budget(capsys):
+    assert code_lines.main([]) == 0
+    total = int(capsys.readouterr().out.splitlines()[-1].split()[-1])
+    assert total <= CODE_LINE_BUDGET
+
+
 _BP_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _BP_SPEC = importlib.util.spec_from_file_location("bench_pairs", _BP_PATH)
 bench_pairs = importlib.util.module_from_spec(_BP_SPEC)
