@@ -38,7 +38,7 @@ from .generator import (
     save_network,
 )
 from .objective import _MEASUREMENTS, Objective, RegularityEstimates, _link_mean, _regularity
-from .projection import OrthoBasis, ProjectionConfig
+from .projection import OrthoBasis, ProjectionConfig, _oracle
 from .seeding import check_count, derive_seed, finite_real, spawn_rng
 from .solver import (
     SolverConfig,
@@ -314,8 +314,10 @@ class ProblemInstance:
 
     Construction re-checks the bookkeeping identities, so a corrupted or
     hand-edited instance file cannot masquerade as a valid one: the meta's
-    k and n must be the network's, x* must equal G(z*) + nu* to 1e-12 and
-    y must equal A x* + noise exactly.
+    k and n must be the network's, its sparsity budget l must lie in
+    [0, n] (the bound a :class:`ProblemSpec` puts on a config) and cover
+    nu*'s support, x* must equal G(z*) + nu* to 1e-12 and y must equal
+    A x* + noise exactly.
     """
 
     net: GeneratorNetwork
@@ -330,6 +332,8 @@ class ProblemInstance:
         if (self.meta.k, n) != (self.net.k, self.net.n):
             raise ContractError(f"meta k={self.meta.k}, n={n} does not match the network's "
                                 f"k={self.net.k}, n={self.net.n}")
+        if not 0 <= self.meta.l <= n:
+            raise ContractError(f"meta l={self.meta.l} must lie in [0, n={n}]")
         if self.A.shape != (m, n):
             raise ContractError(f"A shape {self.A.shape} does not match meta ({m}, {n})")
         if self.y.shape != (m,):
@@ -552,11 +556,12 @@ def _solve_setup(inst: ProblemInstance, config: ExperimentConfig):
     """The objective, the resolved solver config, the one regularity
     bundle of a solve of ``inst`` under ``config`` and its wall time.
 
-    A myopic solve inherits the instance's sparsity budget when the solver
-    config leaves ``l`` at 0, and its curvature set uses that budget; a
-    budget above the instance's n is a :class:`ConfigError`.  A
-    null ``eta`` becomes 1/beta of the bundle, so the step size and the
-    theory rate rest on the same beta-hat.
+    A myopic solve's curvature set uses the instance's sparsity budget
+    ``meta.l``.  The projection oracle is resolved before the bundle, so a
+    method the network does not admit is a :class:`ConfigError` here, for
+    ``estimate`` as for ``solve``; the solve then finds it in the oracle
+    cache.  A null ``eta`` becomes 1/beta of the bundle, so the step size
+    and the theory rate rest on the same beta-hat.
     """
     obj = Objective(config.problem.measurement, inst.A, inst.y)
     solver_cfg = config.solver
@@ -564,11 +569,8 @@ def _solve_setup(inst: ProblemInstance, config: ExperimentConfig):
     if solver_cfg.mode == "myopic":
         if inst.basis is None:
             raise ConfigError("myopic mode needs an instance with a basis")
-        if solver_cfg.l == 0 and inst.meta.l > 0:
-            solver_cfg = dataclasses.replace(solver_cfg, l=inst.meta.l)
-        sparsity = solver_cfg.l
-        if sparsity > inst.meta.n:
-            raise ConfigError(f"solver.l = {sparsity} exceeds the instance's n = {inst.meta.n}")
+        sparsity = inst.meta.l
+    _oracle(config.projection, inst.net)
     tic = time.perf_counter()
     reg = estimate_regularity(inst, obj, sparsity=sparsity,
                               seed=derive_seed(inst.meta.seed, 100))
@@ -586,17 +588,17 @@ def run_solve(inst: ProblemInstance, config: ExperimentConfig,
     One regularity bundle per solve supplies both the theory rate and, when
     ``solver.eta`` is null, the step size 1/beta (``summary.json`` records
     it as ``regularity``); ``genpgd estimate`` prints the same bundle.  A
-    myopic solve inherits the instance's sparsity budget when the solver
-    config leaves ``l`` at 0.  A bundle with alpha = 0 gives no theory rate,
-    so no violation count.  Divergence propagates to the caller with the
-    partial trace attached.
+    myopic solve hands the instance's basis and sparsity budget
+    ``meta.l`` to the solver.  A bundle with alpha = 0 gives no theory
+    rate, so no violation count.  Divergence propagates to the caller with
+    the partial trace attached.
     """
     obj, solver_cfg, reg, reg_time = _solve_setup(inst, config)
     theory = contraction_factor(reg.alpha, reg.beta, reg.mu) if reg.alpha > 0 else np.inf
     theory_rate = float(theory) if np.isfinite(theory) else None
-    basis = inst.basis if solver_cfg.mode == "myopic" else None
+    basis, l = (inst.basis, inst.meta.l) if solver_cfg.mode == "myopic" else (None, 0)
     trace = epsilon_pgd(obj, inst.net, config.projection, solver_cfg,
-                        x_star=inst.truth.x_star, basis=basis)
+                        x_star=inst.truth.x_star, basis=basis, l=l)
 
     # the contraction guarantee carries an additive term of the order of
     # the gradient-at-truth times the set diameter plus the projection

@@ -47,14 +47,14 @@ class SolverConfig:
     beta-hat from the solve's one regularity bundle, and a direct call of
     :func:`epsilon_pgd` / :func:`myopic_pgd` from :func:`default_step_size`.
     ``stop_gap`` ends the run early once the optimality gap falls to that
-    level; it needs a known truth.  ``l`` is the sparsity budget of the
-    myopic mode's deviation block.
+    level; it needs a known truth.  The myopic mode's sparsity budget is
+    the problem's, not the solver's: a solve takes it with the basis
+    (``run_solve`` passes the instance's ``meta.l``).
     """
 
     eta: float | None = None
     iters: int = 100
     mode: str = "pgd"
-    l: int = 0
     stop_gap: float | None = None
 
     def __post_init__(self):
@@ -63,7 +63,6 @@ class SolverConfig:
         if self.eta is not None and not (finite_real(self.eta) and self.eta > 0):
             raise ConfigError(f"eta must be finite and positive, got {self.eta}")
         check_count("iters", self.iters, 1, ConfigError)
-        check_count("sparsity l", self.l, 0, ConfigError)
         if self.stop_gap is not None and not (finite_real(self.stop_gap) and self.stop_gap >= 0):
             raise ConfigError(f"stop_gap must be finite and nonnegative, got {self.stop_gap}")
 
@@ -121,12 +120,13 @@ def default_step_size(objective: Objective, net: GeneratorNetwork,
 
 def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
                 proj_cfg: ProjectionConfig, cfg: SolverConfig,
-                x_star=None, basis: OrthoBasis | None = None) -> IterationTrace:
+                x_star=None, basis: OrthoBasis | None = None, l: int = 0) -> IterationTrace:
     """Gradient step then range projection, from zero.
 
     With a ``basis``, which mode "myopic" needs and "pgd" forbids (else
     :class:`ConfigError`), the iterate is x_t = u_t + v_t, a range block
-    plus a ``cfg.l``-sparse block in that basis (which starts at zero).
+    plus an ``l``-sparse block in that basis (which starts at zero).  A
+    budget ``l`` > 0 without a basis is a :class:`ConfigError` naming l.
     Both blocks consume the one gradient g taken at x_t: the range block
     re-projects u_t - eta*g, the sparse block re-thresholds v_t - eta*g, and
     neither sees the other's update within an iteration.  Without a basis
@@ -138,6 +138,9 @@ def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
     """
     if cfg.stop_gap is not None and x_star is None:
         raise ConfigError("stop_gap needs a known truth point")
+    check_count("sparsity l", l, 0, ConfigError)
+    if l > 0 and basis is None:
+        raise ConfigError(f"sparsity l = {l} needs a basis")
     if (cfg.mode == "myopic") != (basis is not None):
         need = "needs a" if basis is None else "takes no"
         raise ConfigError(f"solver mode {cfg.mode!r} {need} basis")
@@ -145,7 +148,7 @@ def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
         f_star = value(objective, x_star)
-    eta = cfg.eta if cfg.eta is not None else default_step_size(objective, net, basis, cfg.l)
+    eta = cfg.eta if cfg.eta is not None else default_step_size(objective, net, basis, l)
     u = x = np.zeros(net.n)
     v = nnz = None
     if basis is not None:
@@ -174,7 +177,7 @@ def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
         proj_t += time.perf_counter() - toc
         u = x = res.point
         if basis is not None:
-            v, coeffs = hard_threshold_coeffs(basis, v - eta * g, cfg.l)
+            v, coeffs = hard_threshold_coeffs(basis, v - eta * g, l)
             x = u + v
         f, R = _fit(objective, x)
         diverged = not np.isfinite(f) or f > threshold
@@ -203,12 +206,12 @@ def epsilon_pgd(objective: Objective, net: GeneratorNetwork,
     return trace
 
 
-def myopic_pgd(objective: Objective, net: GeneratorNetwork, basis: OrthoBasis,
+def myopic_pgd(objective: Objective, net: GeneratorNetwork, basis: OrthoBasis, l: int,
                proj_cfg: ProjectionConfig, cfg: SolverConfig,
                x_star=None) -> IterationTrace:
-    """Myopic ε-PGD: :func:`epsilon_pgd` from zero with the sparse block in
-    ``basis``."""
-    return epsilon_pgd(objective, net, proj_cfg, cfg, x_star=x_star, basis=basis)
+    """Myopic ε-PGD: :func:`epsilon_pgd` from zero with the ``l``-sparse
+    block in ``basis``; pass the instance's own budget, ``inst.meta.l``."""
+    return epsilon_pgd(objective, net, proj_cfg, cfg, x_star=x_star, basis=basis, l=l)
 
 
 # ---------------------------------------------------------------------------

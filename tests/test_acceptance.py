@@ -175,9 +175,9 @@ def test_myopic_contraction_and_recovery(capsys):
             np.abs(inst.basis.matrix.T @ inst.truth.nu_star) > 1e-12))
         mu = max(subspace_incoherence(W, inst.basis, S) for S in supports)
         rho = contraction_factor(lo, hi, mu)
-        cfg = SolverConfig(mode="myopic", l=5, eta=1.0 / hi, iters=200)
+        cfg = SolverConfig(mode="myopic", eta=1.0 / hi, iters=200)
         trace = myopic_pgd(Objective("linear", inst.A, inst.y), inst.net, inst.basis,
-                           EXACT, cfg, x_star=inst.truth.x_star)
+                           inst.meta.l, EXACT, cfg, x_star=inst.truth.x_star)
         gaps = trace.gaps()
         all_finite &= bool(np.all(np.isfinite(gaps)))
         if not rho < 1.0:

@@ -61,6 +61,27 @@ _BAD_NETWORKS = {"network-missing": None, "network-not-json": "{nope",
                  "network-layers-5": '{"layers": 5}'}
 
 
+_MLP_NET = {"kind": "mlp", "widths": [8]}
+# configs that every trial would reject: the first three as the config
+# loads, the others as a trial builds its network or projection
+_REJECTED = {
+    "zero-width": ({"problem.generator": {"kind": "mlp", "widths": [0]}},
+                   "widths must be a list of positive integers, got [0]"),
+    "sigmoid": ({"problem.generator": {**_MLP_NET, "activation": "sigmoid"}},
+                "unknown activation kind 'sigmoid'"),
+    "relu-slope": ({"problem.generator": {**_MLP_NET, "slope": 0.2}},
+                   "activation 'relu' takes no slope"),
+    "grid_bounds-count": ({"problem.k": 2, "projection": {
+        "method": "latent-gd", "restarts": 3, "inner_iters": 10,
+        "grid_bounds": [[-3, 3]] * 3}}, "grid_bounds lists 3 intervals for latent dim 2"),
+    "closed-form-on-mlp": ({"problem.generator": _MLP_NET},
+                           "closed-form-linear needs a single identity-activation layer"),
+    "grid-k4": ({"projection": {"method": "grid"}}, "grid projection requires k <= 3, got k=4"),
+}
+# the faults of a projection config, which `gen` never reads
+_PROJECTION_FAULTS = ("grid_bounds-count", "closed-form-on-mlp", "grid-k4")
+
+
 def _paths(root):
     """Every path under ``root``, to check that a failed command made none."""
     return sorted(root.rglob("*"))
@@ -368,37 +389,43 @@ class TestConfigErrors:
             main(["gen"])
         assert err.value.code == 2
 
-    # a Myopic budget l above the instance's n, on the closed-form linear and
-    # the latent-gd mlp routes
-    _OVER_BUDGET = {
+    # the sparsity budget is the problem's; the solver section has no l
+    @pytest.mark.parametrize("command", ["gen", "solve", "estimate", "sweep"])
+    @pytest.mark.parametrize("mode", ["pgd", "myopic"])
+    def test_solver_budget_is_an_unknown_key(self, tmp_path, capsys, command, mode):
+        cfg = write_config(tmp_path, **{"problem.basis": "identity", "problem.l": 2,
+                                        "solver": {"iters": 5, "mode": mode, "l": 31}})
+        before = _paths(tmp_path)
+        assert main([command, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: unknown key 'l' in config.solver"]
+        assert _paths(tmp_path) == before
+
+    # a saved instance whose meta.l was edited above its n, on the
+    # closed-form linear and the latent-gd mlp routes
+    _ROUTES = {
         "linear": {},
         "mlp": {"problem.generator": {"kind": "mlp", "widths": [8]},
                 "projection": {"method": "latent-gd", "restarts": 2, "inner_iters": 10}},
     }
 
-    @pytest.mark.parametrize("command", ["solve", "solve-saved", "estimate", "sweep-1",
-                                         "sweep-2"])
-    @pytest.mark.parametrize("route", list(_OVER_BUDGET))
-    def test_myopic_budget_above_n_exit_code(self, tmp_path, monkeypatch, capsys, command,
-                                             route):
-        cfg = write_config(tmp_path, **self._OVER_BUDGET[route], **{
-            "problem.basis": "identity", "problem.l": 2, "sweep.trials": 2,
-            "solver": {"iters": 5, "mode": "myopic", "l": 31}})
-        argv = [command.split("-")[0], "--config", str(cfg)]
-        if command == "solve-saved":
-            assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "inst")]) == 0
-            capsys.readouterr()
-            argv.append(str(tmp_path / "inst"))
-        if command.startswith("sweep"):
-            workers = int(command[-1])
-            monkeypatch.setattr("genpgd.harness._sweep_workers", lambda tasks: workers)
+    @pytest.mark.parametrize("mode", ["pgd", "myopic"])
+    @pytest.mark.parametrize("route", list(_ROUTES))
+    def test_saved_budget_above_n_exit_code(self, tmp_path, capsys, mode, route):
+        cfg = write_config(tmp_path, **self._ROUTES[route], **{
+            "problem.basis": "identity", "problem.l": 2,
+            "solver": {"iters": 5, "mode": mode}})
+        inst = tmp_path / "inst"
+        assert main(["gen", "--config", str(cfg), "--out", str(inst)]) == 0
+        capsys.readouterr()
+        doc = json.loads((inst / "instance.json").read_text())
+        doc["meta"]["l"] = 31
+        (inst / "instance.json").write_text(json.dumps(doc))
         before = _paths(tmp_path)
-        assert main(argv) == 2
+        assert main(["solve", "--config", str(cfg), str(inst)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.splitlines() == [
-            "error: solver.l = 31 exceeds the instance's n = 30"]
+        assert out == "" and err.splitlines() == ["error: meta l=31 must lie in [0, n=30]"]
         assert _paths(tmp_path) == before
-        assert multiprocessing.active_children() == []
 
 
 class TestSweepAndReport:
@@ -502,28 +529,11 @@ class TestSweepAndReport:
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
 
-    _MLP = {"kind": "mlp", "widths": [8]}
-    # configs that every trial would reject: the first three as the config
-    # loads, the others as a trial builds its network or projection
-    REJECTED = {
-        "zero-width": ({"problem.generator": {"kind": "mlp", "widths": [0]}},
-                       "widths must be a list of positive integers, got [0]"),
-        "sigmoid": ({"problem.generator": {**_MLP, "activation": "sigmoid"}},
-                    "unknown activation kind 'sigmoid'"),
-        "relu-slope": ({"problem.generator": {**_MLP, "slope": 0.2}},
-                       "activation 'relu' takes no slope"),
-        "grid_bounds-count": ({"problem.k": 2, "projection": {
-            "method": "latent-gd", "restarts": 3, "inner_iters": 10,
-            "grid_bounds": [[-3, 3]] * 3}}, "grid_bounds lists 3 intervals for latent dim 2"),
-        "closed-form-on-mlp": ({"problem.generator": _MLP},
-                               "closed-form-linear needs a single identity-activation layer"),
-    }
-
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("name", list(REJECTED))
+    @pytest.mark.parametrize("name", list(_REJECTED))
     def test_sweep_of_a_rejected_config_exits_2(self, tmp_path, monkeypatch, capsys, name,
                                                 workers):
-        patches, message = self.REJECTED[name]
+        patches, message = _REJECTED[name]
         monkeypatch.setattr("genpgd.harness._sweep_workers", lambda tasks: workers)
         cfg = write_config(tmp_path, **patches, **{"sweep.trials": 2})
         before = _paths(tmp_path)
@@ -704,6 +714,40 @@ def test_report_on_a_mutated_cell(tmp_path, capsys, graded_sweep, name, column, 
         assert ("trace.csv" if relabeled else f"{name} line {i + 1}") in err[0]
 
 
+_COMMANDS = {"gen": ["gen"], "solve": ["solve"], "estimate": ["estimate"],
+             "estimate-out": ["estimate", "--out", "est"]}
+_CONTRACT_CASES = [(name, command) for name in [*_REJECTED, *_BAD_NETWORKS]
+                   for command in _COMMANDS
+                   if not (command == "gen" and name in _PROJECTION_FAULTS)]
+
+
+class TestErrorContract:
+    """`gen`, `solve` and `estimate` (with and without --out) fail a
+    rejected config as `sweep` does: exit 2, the sweep's one `error:` line
+    on stderr, nothing on stdout and no new path."""
+
+    @pytest.mark.parametrize("name,command", _CONTRACT_CASES,
+                             ids=[f"{n}-{c}" for n, c in _CONTRACT_CASES])
+    def test_exit_2_with_the_sweeps_error_line(self, tmp_path, monkeypatch, capsys, name,
+                                               command):
+        monkeypatch.chdir(tmp_path)  # where `estimate --out est` writes
+        if name in _REJECTED:
+            patches = _REJECTED[name][0]
+        else:
+            _write_network(tmp_path / "net.json", name)
+            patches = {"problem.generator": {"kind": "file", "path": str(tmp_path / "net.json")}}
+        cfg = write_config(tmp_path, **patches)
+        monkeypatch.setattr("genpgd.harness._sweep_workers", lambda tasks: 1)
+        before = _paths(tmp_path)
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        sweep_err = capsys.readouterr().err
+        assert len(sweep_err.splitlines()) == 1 and sweep_err.startswith("error: ")
+        assert main([*_COMMANDS[command], "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == sweep_err
+        assert _paths(tmp_path) == before
+
+
 class TestUnwritableOutput:
     """An output path under a regular file ends the command with exit 2 and
     one error line, not a traceback, and leaves the file as it was."""
@@ -801,10 +845,10 @@ class TestEstimate:
         {"problem.generator": {"kind": "mlp", "widths": [12]},
          "projection": {"method": "latent-gd", "restarts": 2, "inner_iters": 10},
          "solver.iters": 3},
-        # the solve's l (3) differs from the instance's (2)
-        {"problem.l": 2, "problem.basis": "identity", "solver.mode": "myopic",
-         "solver.l": 3, "solver.iters": 5},
-    ], ids=["mlp", "myopic-solver-l"])
+        # the myopic bundle and solve both use the instance's budget, l = 3
+        {"problem.l": 3, "problem.basis": "identity", "solver.mode": "myopic",
+         "solver.iters": 5},
+    ], ids=["mlp", "myopic"])
     def test_matches_the_bundle_solve_records(self, tmp_path, capsys, patches):
         cfg = write_config(tmp_path, **patches)
         assert main(["estimate", "--config", str(cfg),

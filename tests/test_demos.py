@@ -1,7 +1,10 @@
 """Every demo script, and the README's quick start, runs to completion
-against the current package."""
+against the current package; the README's config block is the schema."""
 
+import dataclasses
+import json
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -10,14 +13,16 @@ from pathlib import Path
 
 import pytest
 
+from genpgd import ExperimentConfig
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = ROOT / "README.md"
 
 
-def _first_python_block(path) -> str:
+def _first_block(path, lang="python") -> str:
     text = path.read_text()
-    start = text.index("```python\n") + len("```python\n")
+    start = text.index(f"```{lang}\n") + len(f"```{lang}\n")
     return text[start:text.index("```", start)]
 
 
@@ -29,10 +34,24 @@ def test_demos_found():
 def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if path == README:
-        exec(compile(_first_python_block(path), str(path), "exec"), {})
+        exec(compile(_first_block(path), str(path), "exec"), {})
     else:
         runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_config_block_names_every_field():
+    # the documented config loads, and each section lists exactly its
+    # dataclass's fields, in order: a field added or dropped needs a doc line
+    doc = json.loads(re.sub(r"[ \t]*//.*", "", _first_block(README, "jsonc")))
+    ExperimentConfig.from_json(doc)
+
+    def check(cls, section, where):
+        assert list(section) == [f.name for f in dataclasses.fields(cls)], where
+        for f in dataclasses.fields(cls):
+            if dataclasses.is_dataclass(f.default_factory):
+                check(f.default_factory, section[f.name], f"{where}.{f.name}")
+    check(ExperimentConfig, doc, "config")
 
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")

@@ -169,7 +169,7 @@ class TestExperimentConfig:
               (ProjectionConfig, "inner_iters", "inner_iters", 1),
               (ProjectionConfig, "grid_resolution", "grid_resolution", 2),
               (ProjectionConfig, "seed", "seed", 0),
-              (SolverConfig, "iters", "iters", 1), (SolverConfig, "l", "sparsity l", 0),
+              (SolverConfig, "iters", "iters", 1),
               (ProblemSpec, "n", "n", 1), (ProblemSpec, "k", "k", 1),
               (ProblemSpec, "m", "m", 1), (ProblemSpec, "l", "l", 0),
               (SweepSpec, "trials", "trials", 1),
@@ -554,8 +554,10 @@ class TestRunSolve:
                              "problem.m": 35, "problem.basis": "identity",
                              "solver.mode": "myopic", "solver.iters": 200})
         inst = gen_problem(cfg.problem, seed=25)
-        summary, _ = run_solve(inst, cfg)
+        summary, trace = run_solve(inst, cfg)
         assert summary.final_dist <= 1e-6
+        # the solve thresholds to the instance's own budget, l = 3
+        assert len(trace.sparse_nnz) == len(trace.records) and max(trace.sparse_nnz) == 3
 
     def test_divergence_propagates_with_trace(self):
         cfg = make_config(**{"solver.eta": 500.0})
@@ -574,6 +576,14 @@ class TestRejectedInstances:
         inst = self.inst()
         with pytest.raises(ContractError, match=match):
             dataclasses.replace(inst, **{field: getattr(inst, field)[:-1]})
+
+    @pytest.mark.parametrize("l", [-1, 31])
+    def test_budget_must_lie_in_zero_to_n(self, l):
+        # the bound ProblemSpec puts on a config, so a hand-edited meta.l
+        # never reaches a support draw of more than n coordinates
+        inst = self.inst()
+        with pytest.raises(ContractError, match=rf"^meta l={l} must lie in \[0, n=30\]$"):
+            dataclasses.replace(inst, meta=dataclasses.replace(inst.meta, l=l))
 
     def test_meta_must_be_an_object(self, tmp_path):
         save_problem(self.inst(), tmp_path)

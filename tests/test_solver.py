@@ -120,8 +120,6 @@ class TestPgdBasics:
             SolverConfig(eta=-1.0)
         with pytest.raises(ConfigError, match="iters"):
             SolverConfig(iters=0)
-        with pytest.raises(ConfigError, match="sparsity"):
-            SolverConfig(l=-2)
         # zero is a legal stop threshold, distinct from "no threshold"
         assert SolverConfig(stop_gap=0.0).stop_gap == 0.0
 
@@ -133,7 +131,7 @@ class TestPgdBasics:
             contraction_report(trace, rho=0.5)
 
 
-def composed_pgd(objective, net, proj_cfg, cfg, x_star=None, basis=None):
+def composed_pgd(objective, net, proj_cfg, cfg, x_star=None, basis=None, l=0):
     """The ε-PGD loop written out from :func:`value`, :func:`gradient`,
     :func:`project` and :func:`hard_threshold_coeffs`, one call of each per
     iteration, with the divergence guard but no stop gap.
@@ -158,7 +156,7 @@ def composed_pgd(objective, net, proj_cfg, cfg, x_star=None, basis=None):
         res = project(proj_cfg, net, u - cfg.eta * g)
         u = x = res.point
         if basis is not None:
-            v = hard_threshold_coeffs(basis, v - cfg.eta * g, cfg.l)[0]
+            v = hard_threshold_coeffs(basis, v - cfg.eta * g, l)[0]
             x = u + v
         f = value(objective, x)
         if not np.isfinite(f) or f > threshold:
@@ -169,25 +167,25 @@ def composed_pgd(objective, net, proj_cfg, cfg, x_star=None, basis=None):
 
 def _composed_cases():
     net, W, obj, x_star = linear_instance(40, 4, 30, seed=40)
-    yield "linear-exact", (obj, net, EXACT, SolverConfig(eta=0.5, iters=30), x_star, None)
+    yield "linear-exact", (obj, net, EXACT, SolverConfig(eta=0.5, iters=30), x_star, {})
     degraded = ProjectionConfig(method="closed-form-linear", degrade_slack=1e-4, seed=3)
-    yield "linear-degraded", (obj, net, degraded, SolverConfig(eta=0.5, iters=30), x_star, None)
-    yield "linear-diverges", (obj, net, EXACT, SolverConfig(eta=40.0, iters=30), x_star, None)
+    yield "linear-degraded", (obj, net, degraded, SolverConfig(eta=0.5, iters=30), x_star, {})
+    yield "linear-diverges", (obj, net, EXACT, SolverConfig(eta=40.0, iters=30), x_star, {})
     basis = OrthoBasis.random(40, seed=41)
     nu = basis.matrix[:, [3, 17]] @ np.array([0.8, -0.5])
     obj_sum = Objective("linear", obj.A, obj.A @ (x_star + nu))
-    yield "myopic", (obj_sum, net, EXACT, SolverConfig(eta=0.5, iters=30, mode="myopic", l=2),
-                     x_star + nu, basis)
+    yield "myopic", (obj_sum, net, EXACT, SolverConfig(eta=0.5, iters=30, mode="myopic"),
+                     x_star + nu, {"basis": basis, "l": 2})
     relu = make_random_generator(3, 24, 2, [10], activation="relu", seed=42)
     rng = np.random.default_rng(43)
     x_relu = forward(relu, rng.standard_normal(3))
     A = rng.standard_normal((18, 24)) / np.sqrt(18)
     gd = ProjectionConfig(method="latent-gd", restarts=3, inner_iters=10, seed=4)
     yield "relu-latent-gd", (Objective("linear", A, A @ x_relu), relu, gd,
-                             SolverConfig(eta=0.5, iters=6), x_relu, None)
+                             SolverConfig(eta=0.5, iters=6), x_relu, {})
     y = (rng.uniform(size=30) < 0.5 * (1.0 + np.tanh(0.5 * obj.A @ x_star))).astype(float)
     yield "glm-sigmoid", (Objective("glm-sigmoid", obj.A, y), net, EXACT,
-                          SolverConfig(eta=1.0, iters=30), x_star, None)
+                          SolverConfig(eta=1.0, iters=30), x_star, {})
 
 
 _COMPOSED = dict(_composed_cases())
@@ -200,15 +198,15 @@ class TestFusedLoop:
 
     @pytest.mark.parametrize("case", list(_COMPOSED))
     def test_records_equal_the_composed_loop(self, case):
-        obj, net, proj_cfg, cfg, x_star, basis = _COMPOSED[case]
-        rows, x, diverged = composed_pgd(obj, net, proj_cfg, cfg, x_star, basis)
+        obj, net, proj_cfg, cfg, x_star, sparse = _COMPOSED[case]
+        rows, x, diverged = composed_pgd(obj, net, proj_cfg, cfg, x_star, **sparse)
         assert diverged == (case == "linear-diverges")
         if diverged:
             with pytest.raises(DivergenceError) as exc:
-                epsilon_pgd(obj, net, proj_cfg, cfg, x_star=x_star, basis=basis)
+                epsilon_pgd(obj, net, proj_cfg, cfg, x_star=x_star, **sparse)
             trace = exc.value.trace  # the partial trace, up to the guard
         else:
-            trace = epsilon_pgd(obj, net, proj_cfg, cfg, x_star=x_star, basis=basis)
+            trace = epsilon_pgd(obj, net, proj_cfg, cfg, x_star=x_star, **sparse)
         got = [(r.t, r.f_value, r.gap, r.dist_to_truth, r.proj_residual_sq)
                for r in trace.records]
         assert got == rows
@@ -377,8 +375,8 @@ class TestMyopic:
 
     def test_reduces_to_pgd_when_sparsity_zero(self):
         net, basis, obj, x_star = self.make_instance(30, 3, 0, 60, seed=20)
-        cfg = SolverConfig(mode="myopic", iters=25, l=0, eta=0.4)
-        tm = myopic_pgd(obj, net, basis, EXACT, cfg, x_star=x_star)
+        cfg = SolverConfig(mode="myopic", iters=25, eta=0.4)
+        tm = myopic_pgd(obj, net, basis, 0, EXACT, cfg, x_star=x_star)
         tp = epsilon_pgd(obj, net, EXACT, SolverConfig(iters=25, eta=0.4), x_star=x_star)
         np.testing.assert_array_equal(
             [r.f_value for r in tm.records], [r.f_value for r in tp.records]
@@ -387,16 +385,16 @@ class TestMyopic:
 
     def test_recovers_range_plus_sparse(self):
         net, basis, obj, x_star = self.make_instance(60, 4, 3, 50, seed=21)
-        cfg = SolverConfig(mode="myopic", iters=200, l=3)
-        trace = myopic_pgd(obj, net, basis, EXACT, cfg, x_star=x_star)
+        cfg = SolverConfig(mode="myopic", iters=200)
+        trace = myopic_pgd(obj, net, basis, 3, EXACT, cfg, x_star=x_star)
         assert trace.records[-1].dist_to_truth <= 1e-6
         u, v = trace.final_components
         np.testing.assert_array_equal(trace.final_point, u + v)
 
     def test_sparse_part_feasible_every_iteration(self):
         net, basis, obj, x_star = self.make_instance(40, 3, 4, 35, seed=22)
-        cfg = SolverConfig(mode="myopic", iters=60, l=4)
-        trace = myopic_pgd(obj, net, basis, EXACT, cfg, x_star=x_star)
+        cfg = SolverConfig(mode="myopic", iters=60)
+        trace = myopic_pgd(obj, net, basis, 4, EXACT, cfg, x_star=x_star)
         assert trace.sparse_nnz is not None
         assert all(c <= 4 for c in trace.sparse_nnz)
 
@@ -408,8 +406,8 @@ class TestMyopic:
 
         net, basis, obj, x_star = self.make_instance(25, 2, 3, 30, seed=23)
         eta = 0.3
-        cfg = SolverConfig(mode="myopic", iters=1, l=3, eta=eta)
-        trace = myopic_pgd(obj, net, basis, EXACT, cfg, x_star=x_star)
+        cfg = SolverConfig(mode="myopic", iters=1, eta=eta)
+        trace = myopic_pgd(obj, net, basis, 3, EXACT, cfg, x_star=x_star)
         g = gradient(obj, np.zeros(25))
         u1 = project(EXACT, net, -eta * g).point
         v1 = hard_threshold(basis, -eta * g, 3)
@@ -421,15 +419,31 @@ class TestMyopic:
     ])
     def test_mode_and_basis_must_agree(self, mode, with_basis, message):
         net, basis, obj, x_star = self.make_instance(30, 3, 2, 40, seed=25)
-        cfg = SolverConfig(mode=mode, iters=3, l=2, eta=0.4)
+        cfg = SolverConfig(mode=mode, iters=3, eta=0.4)
         with pytest.raises(ConfigError, match=message):
             epsilon_pgd(obj, net, EXACT, cfg, x_star=x_star, basis=basis if with_basis else None)
 
+    @pytest.mark.parametrize("mode", ["pgd", "myopic"])
+    def test_a_budget_needs_a_basis(self, mode):
+        # a budget without a basis would threshold nothing: it is refused,
+        # named, before the mode's own basis rule
+        net, basis, obj, x_star = self.make_instance(30, 3, 2, 40, seed=25)
+        cfg = SolverConfig(mode=mode, iters=3, eta=0.4)
+        with pytest.raises(ConfigError, match="^sparsity l = 3 needs a basis$"):
+            epsilon_pgd(obj, net, EXACT, cfg, x_star=x_star, l=3)
+
+    @pytest.mark.parametrize("l", [-1, 2.0, True])
+    def test_budget_is_a_count(self, l):
+        net, basis, obj, x_star = self.make_instance(30, 3, 2, 40, seed=25)
+        cfg = SolverConfig(mode="myopic", iters=3, eta=0.4)
+        with pytest.raises(ConfigError, match="^sparsity l must be an integer >= 0"):
+            myopic_pgd(obj, net, basis, l, EXACT, cfg, x_star=x_star)
+
     def test_divergence_trace_keeps_both_blocks(self):
         net, basis, obj, x_star = self.make_instance(30, 3, 2, 40, seed=24)
-        cfg = SolverConfig(mode="myopic", iters=200, l=2, eta=500.0)
+        cfg = SolverConfig(mode="myopic", iters=200, eta=500.0)
         with pytest.raises(DivergenceError) as exc:
-            myopic_pgd(obj, net, basis, EXACT, cfg, x_star=x_star)
+            myopic_pgd(obj, net, basis, 2, EXACT, cfg, x_star=x_star)
         trace = exc.value.trace
         assert trace.final_components is not None
         u, v = trace.final_components
