@@ -29,8 +29,8 @@ from pathlib import Path
 from .errors import ConfigError, ContractError, DivergenceError, NumericError
 from .harness import (
     ExperimentConfig,
-    _solve_setup,
     emit_report,
+    estimate_regularity,
     gen_problem,
     load_problem,
     run_solve,
@@ -145,7 +145,7 @@ def _cmd_report(args) -> int:
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
     # the bundle `solve` records for the same config and instance
-    _, _, reg, _ = _solve_setup(_single_instance(cfg), cfg)
+    reg = estimate_regularity(_single_instance(cfg), cfg)
     doc = json.dumps(reg.to_json(), indent=2, sort_keys=True)
     if args.out is not None:  # written first: a failed write prints no result
         os.makedirs(args.out, exist_ok=True)

@@ -315,9 +315,9 @@ class ProblemInstance:
     Construction re-checks the bookkeeping identities, so a corrupted or
     hand-edited instance file cannot masquerade as a valid one: the meta's
     k and n must be the network's, its sparsity budget l must lie in
-    [0, n] (the bound a :class:`ProblemSpec` puts on a config) and cover
-    nu*'s support, x* must equal G(z*) + nu* to 1e-12 and y must equal
-    A x* + noise exactly.
+    [0, n], be 0 without a basis (the rules a :class:`ProblemSpec` puts on
+    a config) and cover nu*'s support, x* must equal G(z*) + nu* to 1e-12
+    and y must equal A x* + noise exactly.
     """
 
     net: GeneratorNetwork
@@ -334,6 +334,8 @@ class ProblemInstance:
                                 f"k={self.net.k}, n={self.net.n}")
         if not 0 <= self.meta.l <= n:
             raise ContractError(f"meta l={self.meta.l} must lie in [0, n={n}]")
+        if self.meta.l > 0 and self.basis is None:
+            raise ContractError(f"meta l={self.meta.l} > 0 needs a basis")
         if self.A.shape != (m, n):
             raise ContractError(f"A shape {self.A.shape} does not match meta ({m}, {n})")
         if self.y.shape != (m,):
@@ -498,19 +500,6 @@ def load_problem(directory) -> ProblemInstance:
 # solving
 
 
-def estimate_regularity(inst: ProblemInstance, objective: Objective,
-                        sparsity: int = 0, seed: int = 0) -> RegularityEstimates:
-    """Curvature, incoherence, gradient-at-truth, and diameter constants of
-    ``objective`` on ``inst``.  ``sparsity`` > 0 widens the curvature set to
-    range + sparse sums and turns on the incoherence estimate.  Only the
-    instance is read here; the oracle choice (exact for least squares on a
-    linear generator), sample sizes and seeds are ``objective._regularity``'s."""
-    if sparsity > 0 and inst.basis is None:
-        raise ConfigError("sparsity > 0 needs a basis")
-    return _regularity(objective, inst.net, inst.basis, sparsity, inst.truth.x_star,
-                       _truth_support(inst), seed)
-
-
 @dataclass(frozen=True)
 class SolveSummary:
     """What one solve did, stripped of anything non-deterministic except the
@@ -552,32 +541,35 @@ _REPORT_FIELDS = ("fitted_rate", "fit_r2", "rateable", "plateau_index", "plateau
                   "violations", "violation_fraction")
 
 
-def _solve_setup(inst: ProblemInstance, config: ExperimentConfig):
-    """The objective, the resolved solver config, the one regularity
-    bundle of a solve of ``inst`` under ``config`` and its wall time.
+def _sparse_block(inst: ProblemInstance, config: ExperimentConfig):
+    """The (basis, sparsity budget) a solve of ``inst`` under ``config``
+    projects with: the instance's basis and ``meta.l`` in myopic mode, and
+    (None, 0) otherwise."""
+    if config.solver.mode != "myopic":
+        return None, 0
+    if inst.basis is None:
+        raise ConfigError("myopic mode needs an instance with a basis")
+    return inst.basis, inst.meta.l
 
-    A myopic solve's curvature set uses the instance's sparsity budget
-    ``meta.l``.  The projection oracle is resolved before the bundle, so a
-    method the network does not admit is a :class:`ConfigError` here, for
-    ``estimate`` as for ``solve``; the solve then finds it in the oracle
-    cache.  A null ``eta`` becomes 1/beta of the bundle, so the step size
-    and the theory rate rest on the same beta-hat.
-    """
+
+def estimate_regularity(inst: ProblemInstance, config: ExperimentConfig) -> RegularityEstimates:
+    """The one regularity bundle of a solve of ``inst`` under ``config``:
+    what :func:`run_solve` records and ``genpgd estimate`` prints.
+
+    Curvature, incoherence, gradient-at-truth and diameter constants of the
+    configured measurement's objective on ``inst``, over the range plus, in
+    myopic mode, the ``meta.l``-sparse deviations in the instance's basis
+    (where mu is estimated; 0 otherwise), at seed
+    ``derive_seed(meta.seed, 100)``.  The projection oracle is resolved
+    first, so a method the network does not admit is a
+    :class:`ConfigError` here, for ``estimate`` as for ``solve``.  The oracle
+    choice (exact for least squares on a linear generator) and sample sizes
+    are ``objective._regularity``'s."""
     obj = Objective(config.problem.measurement, inst.A, inst.y)
-    solver_cfg = config.solver
-    sparsity = 0
-    if solver_cfg.mode == "myopic":
-        if inst.basis is None:
-            raise ConfigError("myopic mode needs an instance with a basis")
-        sparsity = inst.meta.l
+    l = _sparse_block(inst, config)[1]
     _oracle(config.projection, inst.net)
-    tic = time.perf_counter()
-    reg = estimate_regularity(inst, obj, sparsity=sparsity,
-                              seed=derive_seed(inst.meta.seed, 100))
-    reg_time = time.perf_counter() - tic
-    if solver_cfg.eta is None:
-        solver_cfg = dataclasses.replace(solver_cfg, eta=1.0 / reg.beta)
-    return obj, solver_cfg, reg, reg_time
+    return _regularity(obj, inst.net, inst.basis, l, inst.truth.x_star,
+                       _truth_support(inst), derive_seed(inst.meta.seed, 100))
 
 
 def run_solve(inst: ProblemInstance, config: ExperimentConfig,
@@ -585,18 +577,26 @@ def run_solve(inst: ProblemInstance, config: ExperimentConfig,
     """Solve one instance under ``config``; returns (summary, trace).
 
     Writes ``trace.csv`` and ``summary.json`` into ``out_dir`` when given.
-    One regularity bundle per solve supplies both the theory rate and, when
-    ``solver.eta`` is null, the step size 1/beta (``summary.json`` records
-    it as ``regularity``); ``genpgd estimate`` prints the same bundle.  A
-    myopic solve hands the instance's basis and sparsity budget
-    ``meta.l`` to the solver.  A bundle with alpha = 0 gives no theory
+    The one bundle :func:`estimate_regularity` gives for ``(inst, config)``
+    supplies both the theory rate and, when ``solver.eta`` is null, the step
+    size 1/beta (``summary.json`` records it as ``regularity``, and
+    ``regularity_time_total`` its wall time, the oracle's build left out).
+    A myopic solve hands the solver the basis and budget ``meta.l`` its
+    bundle was estimated over.  A bundle with alpha = 0 gives no theory
     rate, so no violation count.  Divergence propagates to the caller with
     the partial trace attached.
     """
-    obj, solver_cfg, reg, reg_time = _solve_setup(inst, config)
+    obj = Objective(config.problem.measurement, inst.A, inst.y)
+    basis, l = _sparse_block(inst, config)
+    _oracle(config.projection, inst.net)  # built untimed: the bundle's lookup is a cache hit
+    tic = time.perf_counter()
+    reg = estimate_regularity(inst, config)
+    reg_time = time.perf_counter() - tic
+    solver_cfg = config.solver
+    if solver_cfg.eta is None:
+        solver_cfg = dataclasses.replace(solver_cfg, eta=1.0 / reg.beta)
     theory = contraction_factor(reg.alpha, reg.beta, reg.mu) if reg.alpha > 0 else np.inf
     theory_rate = float(theory) if np.isfinite(theory) else None
-    basis, l = (inst.basis, inst.meta.l) if solver_cfg.mode == "myopic" else (None, 0)
     trace = epsilon_pgd(obj, inst.net, config.projection, solver_cfg,
                         x_star=inst.truth.x_star, basis=basis, l=l)
 

@@ -44,7 +44,8 @@ class SolverConfig:
     """Iteration budget and step policy for both solver modes.
 
     ``eta=None`` resolves to 1/beta-hat at solve time: ``run_solve`` takes
-    beta-hat from the solve's one regularity bundle, and a direct call of
+    beta-hat from the solve's one regularity bundle
+    (``harness.estimate_regularity(inst, config)``), and a direct call of
     :func:`epsilon_pgd` / :func:`myopic_pgd` from :func:`default_step_size`.
     ``stop_gap`` ends the run early once the optimality gap falls to that
     level; it needs a known truth.  The myopic mode's sparsity budget is

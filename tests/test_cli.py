@@ -17,6 +17,7 @@ import genpgd
 import genpgd.harness
 from genpgd.cli import main
 from genpgd.harness import _SWEEP_COLUMNS, _run_trial
+from genpgd.seeding import derive_seed
 from genpgd.solver import TRACE_COLUMNS
 
 
@@ -77,9 +78,11 @@ _REJECTED = {
     "closed-form-on-mlp": ({"problem.generator": _MLP_NET},
                            "closed-form-linear needs a single identity-activation layer"),
     "grid-k4": ({"projection": {"method": "grid"}}, "grid projection requires k <= 3, got k=4"),
+    "myopic-without-basis": ({"solver.mode": "myopic"},
+                             "myopic mode needs an instance with a basis"),
 }
-# the faults of a projection config, which `gen` never reads
-_PROJECTION_FAULTS = ("grid_bounds-count", "closed-form-on-mlp", "grid-k4")
+# the faults of a projection or solver config, which `gen` never reads
+_SOLVE_FAULTS = ("grid_bounds-count", "closed-form-on-mlp", "grid-k4", "myopic-without-basis")
 
 
 def _paths(root):
@@ -428,6 +431,22 @@ class TestConfigErrors:
         assert _paths(tmp_path) == before
 
 
+    @pytest.mark.parametrize("mode", ["pgd", "myopic"])
+    def test_saved_budget_without_a_basis_exit_code(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path, **{"solver": {"iters": 5, "mode": mode}})
+        inst = tmp_path / "inst"
+        assert main(["gen", "--config", str(cfg), "--out", str(inst)]) == 0
+        capsys.readouterr()
+        doc = json.loads((inst / "instance.json").read_text())
+        doc["meta"]["l"] = 3
+        (inst / "instance.json").write_text(json.dumps(doc))
+        before = _paths(tmp_path)
+        assert main(["solve", "--config", str(cfg), str(inst)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: meta l=3 > 0 needs a basis"]
+        assert _paths(tmp_path) == before
+
+
 class TestSweepAndReport:
     @pytest.mark.parametrize("axis,values,label", [
         ("sweep.m", [40, 40], "m40_l0_nl0_t0"),
@@ -718,7 +737,7 @@ _COMMANDS = {"gen": ["gen"], "solve": ["solve"], "estimate": ["estimate"],
              "estimate-out": ["estimate", "--out", "est"]}
 _CONTRACT_CASES = [(name, command) for name in [*_REJECTED, *_BAD_NETWORKS]
                    for command in _COMMANDS
-                   if not (command == "gen" and name in _PROJECTION_FAULTS)]
+                   if not (command == "gen" and name in _SOLVE_FAULTS)]
 
 
 class TestErrorContract:
@@ -842,20 +861,31 @@ class TestEstimate:
         assert doc["beta"] >= doc["alpha"] > 0
 
     @pytest.mark.parametrize("patches", [
+        {},
         {"problem.generator": {"kind": "mlp", "widths": [12]},
          "projection": {"method": "latent-gd", "restarts": 2, "inner_iters": 10},
          "solver.iters": 3},
         # the myopic bundle and solve both use the instance's budget, l = 3
-        {"problem.l": 3, "problem.basis": "identity", "solver.mode": "myopic",
+        {"problem.l": 3, "problem.basis": "random", "solver.mode": "myopic",
          "solver.iters": 5},
-    ], ids=["mlp", "myopic"])
+        {"problem.l": 2, "problem.basis": "random", "problem.measurement": "glm-sigmoid",
+         "solver.mode": "myopic", "solver.iters": 5},
+    ], ids=["closed-form", "mlp", "myopic", "glm-myopic"])
     def test_matches_the_bundle_solve_records(self, tmp_path, capsys, patches):
         cfg = write_config(tmp_path, **patches)
         assert main(["estimate", "--config", str(cfg),
                      "--out", str(tmp_path / "est")]) == 0
+        printed = json.loads(capsys.readouterr().out)
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "solve")]) == 0
         est = json.loads((tmp_path / "est" / "regularity.json").read_text())
         summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
-        assert est == summary["regularity"]
+        assert printed == est == summary["regularity"]
         assert summary["eta"] == 1.0 / est["beta"]
+        # and the library's bundle, in and out of a solve, field for field
+        config = genpgd.harness.ExperimentConfig.from_file(cfg)
+        inst = genpgd.harness.gen_problem(config.problem, derive_seed(config.master_seed, 0, 0))
+        reg = genpgd.harness.estimate_regularity(inst, config)
+        solved = genpgd.harness.run_solve(inst, config)[0].regularity
+        for name in est:
+            assert getattr(reg, name) == getattr(solved, name) == est[name], name

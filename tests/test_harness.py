@@ -11,6 +11,7 @@ import os
 import re
 import signal
 import tempfile
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import genpgd.projection
 from genpgd.errors import ConfigError, ContractError, DivergenceError
 from genpgd.generator import forward, network_to_json, save_network
 from genpgd.harness import (
@@ -468,6 +470,23 @@ class TestRunSolve:
         res = project(cfg.projection, inst.net, inst.truth.x_star)
         assert summary.final_dist <= np.sqrt(res.residual_sq) + 1e-10
 
+    def test_regularity_time_leaves_out_the_oracle_build(self, monkeypatch):
+        # latent-gd's first pass at its starts is part of the oracle's
+        # build, which the solve resolves before it times the bundle
+        start_pass = genpgd.projection._start_pass
+
+        def slow_start_pass(net, Z0):
+            time.sleep(0.2)
+            return start_pass(net, Z0)
+
+        monkeypatch.setattr(genpgd.projection, "_start_pass", slow_start_pass)
+        cfg = make_config(**{"problem.generator": {"kind": "mlp", "widths": [8]},
+                             "projection": {"method": "latent-gd", "restarts": 2,
+                                            "inner_iters": 10}, "solver.iters": 3})
+        inst = gen_problem(cfg.problem, seed=27)  # a new network: no cached oracle
+        summary, _ = run_solve(inst, cfg)
+        assert summary.regularity_time_total < 0.2
+
     def test_summary_files_and_fields(self, tmp_path):
         cfg = make_config()
         inst = gen_problem(cfg.problem, seed=21)
@@ -598,10 +617,12 @@ class TestRejectedInstances:
         with pytest.raises(ContractError, match="measurement must be one of .*, got 'poisson'"):
             Objective("poisson", inst.A, inst.y)
 
-    def test_sparsity_needs_a_basis(self):
+    def test_budget_needs_a_basis(self):
+        # the rule ProblemSpec puts on a config, so a hand-edited meta.l
+        # never reaches a solve that has no basis to threshold in
         inst = self.inst()
-        with pytest.raises(ConfigError, match="needs a basis"):
-            estimate_regularity(inst, Objective("linear", inst.A, inst.y), sparsity=2)
+        with pytest.raises(ContractError, match=r"^meta l=3 > 0 needs a basis$"):
+            dataclasses.replace(inst, meta=dataclasses.replace(inst.meta, l=3))
 
 
 class TestZeroCurvature:
@@ -637,8 +658,7 @@ class TestEstimateRegularity:
     def test_linear_least_squares_uses_exact_oracle(self):
         cfg = make_config()
         inst = gen_problem(cfg.problem, seed=30)
-        obj = Objective(cfg.problem.measurement, inst.A, inst.y)
-        reg = estimate_regularity(inst, obj, seed=0)
+        reg = estimate_regularity(inst, cfg)
         W = inst.net.layers[0].weights
         alpha, beta = subspace_curvature(inst.A, W)
         assert abs(reg.alpha - alpha) < 1e-12
@@ -646,26 +666,26 @@ class TestEstimateRegularity:
         assert reg.mu == 0.0
         assert reg.gamma is not None and reg.gamma < 1e-10  # consistent truth
         assert reg.delta > 0
+        assert reg.seed == derive_seed(30, 100)
 
     def test_sparse_mode_bounds(self):
         cfg = make_config(**{"problem.basis": "identity", "problem.l": 3,
                              "solver.mode": "myopic"})
         inst = gen_problem(cfg.problem, seed=31)
-        obj = Objective(cfg.problem.measurement, inst.A, inst.y)
-        reg = estimate_regularity(inst, obj, sparsity=3, seed=0)
+        reg = estimate_regularity(inst, cfg)
         assert 0 < reg.alpha <= reg.beta
         assert 0 <= reg.mu < 1
-        # the exact curvature is minkowski_curvature's, bit for bit
+        # the exact curvature is minkowski_curvature's at the instance's l, bit for bit
         W = inst.net.layers[0].weights
         assert (reg.alpha, reg.beta) == minkowski_curvature(
-            inst.A, W, inst.basis, 3, seed=derive_seed(0, 0))
+            inst.A, W, inst.basis, 3, seed=derive_seed(derive_seed(31, 100), 0))
 
     def test_nonlinear_falls_back_to_sampling(self):
         cfg = make_config(**{"problem.generator": {"kind": "mlp", "widths": [8]},
-                             "problem.n": 12, "problem.k": 2})
+                             "problem.n": 12, "problem.k": 2,
+                             "projection": {"method": "latent-gd"}})
         inst = gen_problem(cfg.problem, seed=32)
-        obj = Objective(cfg.problem.measurement, inst.A, inst.y)
-        reg = estimate_regularity(inst, obj, seed=0)
+        reg = estimate_regularity(inst, cfg)
         assert 0 < reg.alpha <= reg.beta
 
 
@@ -693,28 +713,32 @@ def _reference_regularity(inst, objective, sparsity, seed):
 
 
 _MLP = {"kind": "mlp", "widths": [8]}
+_LATENT_GD = {"method": "latent-gd", "restarts": 2, "inner_iters": 10}
 
 
 class TestRegularityReference:
-    """Every route of the bundle gives the reference's bits."""
+    """Every route of the bundle gives the reference's bits, at the
+    instance's budget in myopic mode and at the seed a solve uses."""
 
-    @pytest.mark.parametrize("patches, sparsity, exact", [
-        ({}, 0, True),  # exact subspace
-        ({"problem.basis": "random", "problem.l": 3}, 3, True),  # sum set + truth support
-        ({"problem.basis": "random"}, 2, True),  # l = 2 on an l = 0 instance
-        ({"problem.generator": _MLP}, 0, False),  # sampled pairs
-        ({"problem.basis": "random", "problem.l": 2,
-          "problem.measurement": "glm-sigmoid"}, 2, False),  # refined sampled mu
-        ({"problem.generator": _MLP, "problem.basis": "identity",
-          "problem.l": 2}, 2, False),  # sampled sum-set points
+    @pytest.mark.parametrize("patches, exact", [
+        ({}, True),  # exact subspace
+        ({"problem.basis": "random", "problem.l": 3,
+          "solver.mode": "myopic"}, True),  # sum set + truth support
+        ({"problem.basis": "random", "problem.l": 3}, True),  # pgd: range alone
+        ({"problem.generator": _MLP, "projection": _LATENT_GD}, False),  # sampled pairs
+        ({"problem.basis": "random", "problem.l": 2, "problem.measurement": "glm-sigmoid",
+          "solver.mode": "myopic"}, False),  # refined sampled mu
+        ({"problem.generator": _MLP, "problem.basis": "identity", "problem.l": 2,
+          "projection": _LATENT_GD, "solver.mode": "myopic"}, False),  # sampled sum-set points
     ])
-    def test_bundle_matches_reference(self, patches, sparsity, exact):
+    def test_bundle_matches_reference(self, patches, exact):
         cfg = make_config(**patches)
-        # at this seed the sum set's mu is the truth support's
-        inst = gen_problem(cfg.problem, seed=89)
-        obj = Objective(cfg.problem.measurement, inst.A, inst.y)
-        got = estimate_regularity(inst, obj, sparsity=sparsity, seed=7)
-        want = _reference_regularity(inst, obj, sparsity, seed=7)
+        # at this seed the random-basis sum set's mu is the truth support's
+        inst = gen_problem(cfg.problem, seed=99)
+        sparsity = inst.meta.l if cfg.solver.mode == "myopic" else 0
+        got = estimate_regularity(inst, cfg)
+        want = _reference_regularity(inst, Objective(cfg.problem.measurement, inst.A, inst.y),
+                                     sparsity, seed=derive_seed(99, 100))
         for f in dataclasses.fields(RegularityEstimates):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
         assert got.num_samples == (0 if exact else _NUM_PAIRS)
